@@ -26,7 +26,9 @@ floor is breached:
 - R=1 auto-dispatch speedup >= 1.0 (the batched entry point must never
   lose to serial — "auto" falls back to the serial path below the
   measured crossover),
-- R=64 speedup >= 5.0,
+- R=64 speedup >= 11.3 (the lowest of five readings, 12.3-13.5x, taken
+  when the replica-minor kernels landed, less the noise tolerance;
+  ``--min-speedup`` defaults to the same value),
 - serial throughput >= 3,500 steps/s.
 
 Floor checks allow ``NOISE_TOLERANCE`` (relative) slack: back-to-back
@@ -62,13 +64,13 @@ REPLICA_COUNTS = (1, 8, 64)
 CROSSOVER_COUNTS = (1, 2, 3, 4)
 N_STEPS = 300
 REPORT_INTERVAL = 100
-DEFAULT_MIN_SPEEDUP = 3.0
+DEFAULT_MIN_SPEEDUP = 11.3
 #: Relative slack applied to every floor check (run-to-run jitter).
 NOISE_TOLERANCE = 0.08
 #: BENCH_kernel.json floors (see module docstring).
 FLOORS = {
     "r1_speedup": 1.0,
-    "r64_speedup": 5.0,
+    "r64_speedup": 11.3,
     "serial_steps_per_sec": 3500.0,
 }
 _ROOT = Path(__file__).resolve().parent.parent
@@ -303,7 +305,7 @@ def test_batched_speedup_r64(tmp_path):
 
 
 def test_kernel_floors(tmp_path):
-    """The kernel-pass floors (R=1 regression killed, R=64 >= 5x)."""
+    """The kernel-pass floors (R=1 regression killed, R=64 >= 11.3x)."""
     kernel = kernel_document(run_benchmark())
     (tmp_path / "BENCH_kernel.json").write_text(json.dumps(kernel))
     assert kernel["results"][0]["dispatch_used"] == "serial"

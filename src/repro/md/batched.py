@@ -224,6 +224,7 @@ class BatchedLangevinIntegrator(_BatchedIntegratorBase):
         self.rngs = [ensure_stream(rng) for rng in rngs]
         self._decay = np.exp(-friction * self.timestep)
         self._noise_scale = np.sqrt(1.0 - self._decay * self._decay)
+        self._masses: Optional[np.ndarray] = None
 
     def rng_state_of(self, replica: int) -> dict:
         """Serialisable noise-generator state for one replica."""
@@ -246,27 +247,39 @@ class BatchedLangevinIntegrator(_BatchedIntegratorBase):
         *replica_ids* maps rows of the compacted arrays back to their
         original replica index so each row draws from its own stream.
         """
-        dt = self.timestep
-        inv_m = 1.0 / system.masses[None, :, None]
-        kt = KB * self.temperature
+        half_dt = 0.5 * self.timestep
+        inv_m, noise_sigma = self._mass_constants(system.masses)
         # B: half kick
-        velocities += 0.5 * dt * forces * inv_m
+        velocities += half_dt * forces * inv_m
         # A: half drift
-        positions += 0.5 * dt * velocities
+        positions += half_dt * velocities
         # O: Ornstein-Uhlenbeck exact solve, per-replica noise streams
-        sigma = np.sqrt(kt / system.masses)[None, :, None]
-        noise = np.empty_like(velocities)
-        shape = velocities.shape[1:]
+        noise = np.empty(velocities.shape)
         for row, replica in enumerate(replica_ids):
-            noise[row] = self.rngs[replica].generator.standard_normal(shape)
+            self.rngs[replica].generator.standard_normal(out=noise[row])
         velocities *= self._decay
-        velocities += self._noise_scale * sigma * noise
+        velocities += noise_sigma * noise
         # A: half drift
-        positions += 0.5 * dt * velocities
+        positions += half_dt * velocities
         # B: half kick with new forces
         _, new_forces = system.energy_forces(positions, replica_ids)
-        velocities += 0.5 * dt * new_forces * inv_m
+        velocities += half_dt * new_forces * inv_m
         return new_forces
+
+    def _mass_constants(self, masses: np.ndarray):
+        """``(1/m, noise_scale * sqrt(kT/m))`` as ``(1, N, 1)`` columns.
+
+        Constant for a run, so computed once per masses array rather
+        than on every step.
+        """
+        if self._masses is not masses:
+            kt = KB * self.temperature
+            self._masses = masses
+            self._inv_m = 1.0 / masses[None, :, None]
+            self._noise_sigma = (
+                self._noise_scale * np.sqrt(kt / masses)[None, :, None]
+            )
+        return self._inv_m, self._noise_sigma
 
 
 def make_batched_integrator(

@@ -39,13 +39,14 @@ DISPATCHES = ("auto", "serial", "batched")
 DEFAULT_DISPATCH = "auto"
 
 #: Smallest replica count at which the batched kernel beats R serial
-#: runs.  Measured on villin-fast (300 steps, single thread): batched
-#: is 0.55x at R=1 and 0.91x at R=2 (per-step Python dispatch plus the
-#: scatter-round machinery outweigh the vectorisation win), crosses
-#: over at R=3 (1.26x) and grows monotonically from there (1.6x at
-#: R=4, 2.9x at R=8, >5x at R=64).  ``dispatch="auto"`` therefore
-#: routes stacks below this bound through the serial per-replica loop.
-BATCH_DISPATCH_MIN_REPLICAS = 3
+#: runs.  Measured on villin-fast (300 steps, single thread, the
+#: forced-batched rows of ``BENCH_kernel.json``): batched is 0.74x at
+#: R=1 (the plane transposes and scatter plan still outweigh one
+#: replica's vectorisation win), crosses over at R=2 (1.46x) and grows
+#: monotonically from there (2.0x at R=3, 2.7x at R=4, 4.7x at R=8,
+#: >12x at R=64).  ``dispatch="auto"`` therefore routes only
+#: single-replica stacks through the serial loop.
+BATCH_DISPATCH_MIN_REPLICAS = 2
 
 #: Upper bound on auto-selected worker batch capacity (one kernel call
 #: propagating more replicas than this stops paying for itself).

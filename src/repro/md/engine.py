@@ -448,12 +448,16 @@ class BuiltModel:
 
 
 def _explicit_state(system: System, task: MDTask) -> Optional[State]:
-    """State from a task's explicit coordinates (velocities thermalised)."""
+    """State from a task's explicit coordinates (velocities thermalised).
+
+    The coordinates are copied: integrators advance a state in place,
+    and sibling tasks commonly share one start array.
+    """
     if task.initial_positions is None:
         return None
     rng = RandomStream(task.seed)
     velocities = system.maxwell_boltzmann_velocities(task.temperature, rng)
-    return State(np.asarray(task.initial_positions, dtype=float), velocities)
+    return State(np.array(task.initial_positions, dtype=float), velocities)
 
 
 def _villin_builder(model: str, model_params: Dict) -> BuiltModel:

@@ -14,11 +14,15 @@ behaviour the paper's adaptive-MSM machinery consumes.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.md.forcefield.base import SegmentScatter
+from repro.md.forcefield.base import (
+    empty_batch,
+    pair_force_planes,
+    plane_dot,
+)
 from repro.util.errors import ConfigurationError
 
 
@@ -47,7 +51,6 @@ class GoContactForce:
         self.cutoff = self.r0 * cutoff_factor
         self._i = self.pairs[:, 0]
         self._j = self.pairs[:, 1]
-        self._scatter: Optional[SegmentScatter] = None
 
     def energy_forces(self, positions: np.ndarray) -> Tuple[float, np.ndarray]:
         """Return (energy, forces) of the 12-10 contact wells."""
@@ -69,26 +72,22 @@ class GoContactForce:
         return energy, forces
 
     def compute_batch(
-        self, positions: np.ndarray, replica_ids=None
+        self, planes: np.ndarray, replica_ids=None
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Batched ``energy_forces`` over ``(R, N, 3)`` replica stacks."""
-        forces = np.zeros(positions.shape)
+        """Batched ``energy_forces`` over ``(3, N, R)`` planes."""
         if len(self.pairs) == 0:
-            return np.zeros(positions.shape[0]), forces
-        rij = positions[:, self._j] - positions[:, self._i]
-        r2 = np.sum(rij * rij, axis=2)
-        inv_r2 = self.r0 * self.r0 / r2
+            return empty_batch(planes)
+        rij = np.take(planes, self._j, axis=1) - np.take(planes, self._i, axis=1)
+        r2 = plane_dot(rij, rij)
+        inv_r2 = (self.r0 * self.r0)[:, None] / r2
         s10 = inv_r2**5
         s12 = s10 * inv_r2
-        energies = np.sum(self.epsilon * (5.0 * s12 - 6.0 * s10), axis=1)
-        fscale = 60.0 * self.epsilon * (s12 - s10) / r2
-        fij = fscale[..., None] * rij
-        if self._scatter is None:
-            self._scatter = SegmentScatter(
-                np.concatenate([self._j, self._i])
-            )
-        self._scatter.add(forces, np.concatenate([fij, -fij], axis=1))
-        return energies, forces
+        epsilon = self.epsilon[:, None]
+        energies = np.sum(epsilon * (5.0 * s12 - 6.0 * s10), axis=0)
+        fscale = 60.0 * epsilon * (s12 - s10) / r2
+        return energies, pair_force_planes(
+            self, self._i, self._j, fscale, rij, planes.shape[1]
+        )
 
     def fraction_native_batch(
         self, positions: np.ndarray, tolerance: float = 1.2

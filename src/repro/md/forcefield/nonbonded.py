@@ -12,64 +12,52 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.md.forcefield.base import SegmentScatter
+from repro.md.forcefield.base import (
+    empty_batch,
+    pair_force_planes,
+    plane_dot,
+)
 from repro.util.errors import ConfigurationError
 
 
-def _static_pairs(pair_provider, positions_batch):
+def _static_pairs(pair_provider):
     """Shared (i, j) arrays for a replica batch, or ``None``.
 
     Vectorising over replicas requires one pair list valid for every
     replica, so only positions-independent providers (e.g.
-    :class:`~repro.md.neighborlist.AllPairs`) qualify; a cell list
-    would prune differently per replica and falls back to the serial
-    loop.
+    :class:`~repro.md.neighborlist.AllPairs`) qualify.
     """
     if not getattr(pair_provider, "positions_independent", False):
         return None
-    return pair_provider.pairs(positions_batch[0])
+    return pair_provider.pairs(None)
 
 
-def _shared_provider_batch(term, positions, replica_ids):
+def _per_replica_batch(term, planes, replica_ids):
     """Per-replica evaluation through a shared neighbour-list manager.
 
     For providers exposing ``replica_pairs(replica, positions)``
-    (:class:`~repro.md.neighborlist.SharedNeighborList`): each row of
-    the ``(R, N, dim)`` stack is evaluated with its *own replica's*
-    lazily-cached pair list, keyed by the true replica id so the
-    batched simulation's compaction of finished replicas cannot mix
+    (:class:`~repro.md.neighborlist.SharedNeighborList`): each replica
+    column of the ``(dim, N, R)`` planes is evaluated with its *own
+    replica's* lazily-cached pair list, keyed by the true replica id so
+    the batched simulation's compaction of finished replicas cannot mix
     caches up.  The kernel is the exact serial one
     (``term._energy_forces_pairs``), so results are bit-identical to a
-    serial run of each replica.
+    serial run of each replica.  Returns ``None`` for providers without
+    a per-replica cache (a cell list prunes differently per replica),
+    which sends the caller to the serial ``energy_forces`` loop.
     """
-    energies = np.empty(positions.shape[0])
-    forces = np.zeros(positions.shape)
+    if replica_ids is None or not hasattr(term.pair_provider, "replica_pairs"):
+        return None
+    energies = np.empty(planes.shape[2])
+    forces = np.empty(planes.shape)
     for row, replica in enumerate(replica_ids):
-        i, j = term.pair_provider.replica_pairs(int(replica), positions[row])
-        energy, row_forces = term._energy_forces_pairs(positions[row], i, j)
+        positions = np.ascontiguousarray(planes[:, :, row].T)
+        i, j = term.pair_provider.replica_pairs(int(replica), positions)
+        energy, row_forces = term._energy_forces_pairs(positions, i, j)
         energies[row] = energy
-        forces[row] = row_forces
+        forces[:, :, row] = row_forces.T
     return energies, forces
 
-
-def _masked_pair_scatter(
-    term, i: np.ndarray, j: np.ndarray, forces, fij, within
-) -> None:
-    """Scatter ``+fij`` at *j* then ``-fij`` at *i*, cutoff-masked.
-
-    Caches the :class:`~repro.md.forcefield.base.SegmentScatter` on the
-    force term (*term*) — valid because only positions-independent
-    providers reach the batched path, so (i, j) never change.
-    """
-    scatter = getattr(term, "_batch_scatter", None)
-    if scatter is None:
-        scatter = SegmentScatter(np.concatenate([j, i]))
-        term._batch_scatter = scatter
-    scatter.add(
-        forces,
-        np.concatenate([fij, -fij], axis=1),
-        mask=np.concatenate([within, within], axis=1),
-    )
 
 #: Coulomb prefactor f = 1/(4 pi eps0) in kJ mol^-1 nm e^-2 (Gromacs value).
 COULOMB_PREFACTOR = 138.935458
@@ -159,38 +147,37 @@ class LennardJonesForce:
         return energy, forces
 
     def compute_batch(
-        self, positions: np.ndarray, replica_ids: Optional[np.ndarray] = None
+        self, planes: np.ndarray, replica_ids: Optional[np.ndarray] = None
     ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Batched ``energy_forces``; ``None`` if the provider is dynamic."""
-        pair = _static_pairs(self.pair_provider, positions)
-        if pair is None:
-            if replica_ids is not None and hasattr(
-                self.pair_provider, "replica_pairs"
-            ):
-                return _shared_provider_batch(self, positions, replica_ids)
-            return None
-        i, j = pair
-        forces = np.zeros(positions.shape)
+        """Batched ``energy_forces`` over ``(dim, N, R)`` planes.
+
+        ``None`` if the provider is dynamic and has no per-replica cache.
+        """
+        pairs = _static_pairs(self.pair_provider)
+        if pairs is None:
+            return _per_replica_batch(self, planes, replica_ids)
+        i, j = pairs
         if len(i) == 0:
-            return np.zeros(positions.shape[0]), forces
-        rij = positions[:, j] - positions[:, i]
+            return empty_batch(planes)
+        rij = np.take(planes, j, axis=1) - np.take(planes, i, axis=1)
         if self.box is not None:
-            rij -= self.box * np.round(rij / self.box)
-        r2 = np.sum(rij * rij, axis=2)
+            box = self.box[:, None, None]
+            rij -= box * np.round(rij / box)
+        r2 = plane_dot(rij, rij)
         within = r2 < self.cutoff * self.cutoff
-        sig, eps = self._pair_params(i, j)
+        sig, eps = (param[:, None] for param in self._pair_params(i, j))
         inv_r2 = 1.0 / r2
         s6 = (sig * sig * inv_r2) ** 3
         s12 = s6 * s6
         sc6 = (sig / self.cutoff) ** 6
         shift = 4.0 * eps * (sc6 * sc6 - sc6)
         energies = np.sum(
-            np.where(within, 4.0 * eps * (s12 - s6) - shift, 0.0), axis=1
+            np.where(within, 4.0 * eps * (s12 - s6) - shift, 0.0), axis=0
         )
-        fscale = 24.0 * eps * (2.0 * s12 - s6) * inv_r2
-        fij = fscale[..., None] * rij
-        _masked_pair_scatter(self, i, j, forces, fij, within)
-        return energies, forces
+        fscale = np.where(within, 24.0 * eps * (2.0 * s12 - s6) * inv_r2, 0.0)
+        return energies, pair_force_planes(
+            self, i, j, fscale, rij, planes.shape[1]
+        )
 
     @staticmethod
     def _as_index(idx: np.ndarray) -> np.ndarray:
@@ -258,33 +245,33 @@ class ReactionFieldElectrostatics:
         return energy, forces
 
     def compute_batch(
-        self, positions: np.ndarray, replica_ids: Optional[np.ndarray] = None
+        self, planes: np.ndarray, replica_ids: Optional[np.ndarray] = None
     ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Batched ``energy_forces``; ``None`` if the provider is dynamic."""
-        pair = _static_pairs(self.pair_provider, positions)
-        if pair is None:
-            if replica_ids is not None and hasattr(
-                self.pair_provider, "replica_pairs"
-            ):
-                return _shared_provider_batch(self, positions, replica_ids)
-            return None
-        i, j = pair
-        forces = np.zeros(positions.shape)
+        """Batched ``energy_forces`` over ``(dim, N, R)`` planes.
+
+        ``None`` if the provider is dynamic and has no per-replica cache.
+        """
+        pairs = _static_pairs(self.pair_provider)
+        if pairs is None:
+            return _per_replica_batch(self, planes, replica_ids)
+        i, j = pairs
         if len(i) == 0:
-            return np.zeros(positions.shape[0]), forces
-        rij = positions[:, j] - positions[:, i]
-        r2 = np.sum(rij * rij, axis=2)
+            return empty_batch(planes)
+        rij = np.take(planes, j, axis=1) - np.take(planes, i, axis=1)
+        r2 = plane_dot(rij, rij)
         within = r2 < self.cutoff * self.cutoff
         r = np.sqrt(r2)
-        qq = COULOMB_PREFACTOR * self.charges[i] * self.charges[j]
+        qq = (COULOMB_PREFACTOR * self.charges[i] * self.charges[j])[:, None]
         energies = np.sum(
             np.where(within, qq * (1.0 / r + self.k_rf * r2 - self.c_rf), 0.0),
-            axis=1,
+            axis=0,
         )
-        fscale = qq * (1.0 / (r2 * r) - 2.0 * self.k_rf)
-        fij = fscale[..., None] * rij
-        _masked_pair_scatter(self, i, j, forces, fij, within)
-        return energies, forces
+        fscale = np.where(
+            within, qq * (1.0 / (r2 * r) - 2.0 * self.k_rf), 0.0
+        )
+        return energies, pair_force_planes(
+            self, i, j, fscale, rij, planes.shape[1]
+        )
 
 
 class ExcludedVolumeForce:
@@ -337,30 +324,28 @@ class ExcludedVolumeForce:
         return energy, forces
 
     def compute_batch(
-        self, positions: np.ndarray, replica_ids: Optional[np.ndarray] = None
+        self, planes: np.ndarray, replica_ids: Optional[np.ndarray] = None
     ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Batched ``energy_forces``; ``None`` if the provider is dynamic."""
-        pair = _static_pairs(self.pair_provider, positions)
-        if pair is None:
-            if replica_ids is not None and hasattr(
-                self.pair_provider, "replica_pairs"
-            ):
-                return _shared_provider_batch(self, positions, replica_ids)
-            return None
-        i, j = pair
-        forces = np.zeros(positions.shape)
+        """Batched ``energy_forces`` over ``(dim, N, R)`` planes.
+
+        ``None`` if the provider is dynamic and has no per-replica cache.
+        """
+        pairs = _static_pairs(self.pair_provider)
+        if pairs is None:
+            return _per_replica_batch(self, planes, replica_ids)
+        i, j = pairs
         if len(i) == 0:
-            return np.zeros(positions.shape[0]), forces
-        rij = positions[:, j] - positions[:, i]
-        r2 = np.sum(rij * rij, axis=2)
+            return empty_batch(planes)
+        rij = np.take(planes, j, axis=1) - np.take(planes, i, axis=1)
+        r2 = plane_dot(rij, rij)
         within = r2 < self.cutoff * self.cutoff
         inv_r2 = 1.0 / r2
         s12 = (self.sigma * self.sigma * inv_r2) ** 6
         shift = self.epsilon * (self.sigma / self.cutoff) ** 12
         energies = np.sum(
-            np.where(within, self.epsilon * s12 - shift, 0.0), axis=1
+            np.where(within, self.epsilon * s12 - shift, 0.0), axis=0
         )
-        fscale = 12.0 * self.epsilon * s12 * inv_r2
-        fij = fscale[..., None] * rij
-        _masked_pair_scatter(self, i, j, forces, fij, within)
-        return energies, forces
+        fscale = np.where(within, 12.0 * self.epsilon * s12 * inv_r2, 0.0)
+        return energies, pair_force_planes(
+            self, i, j, fscale, rij, planes.shape[1]
+        )

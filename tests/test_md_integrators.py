@@ -197,3 +197,48 @@ def test_maxwell_boltzmann_temperature_scale():
         for rng in RandomStream(1).spawn(40)
     ]
     assert np.mean(temps) == pytest.approx(250.0, rel=0.05)
+
+
+def test_batched_langevin_step_matches_serial_bits_and_rng_state():
+    """The batched step hoists per-run constants and draws noise with
+    ``standard_normal(out=...)``: same stream, same arithmetic order —
+    positions, velocities and the post-step ``bit_generator.state`` are
+    those of the serial integrator, also on a compacted stack."""
+    from repro.md.batched import BatchedLangevinIntegrator, BatchedSystem
+
+    model = build_villin("fast")
+    system = model.system
+    seeds = [11, 12, 13, 14]
+    states = [model.native_state(rng=seed, temperature=300.0) for seed in seeds]
+
+    serial = [LangevinIntegrator(0.02, 300.0, friction=2.0, rng=seed) for seed in seeds]
+    batched = BatchedLangevinIntegrator(0.02, 300.0, friction=2.0, rngs=seeds)
+    stack = BatchedSystem(system, len(seeds))
+    positions = np.stack([s.positions for s in states])
+    velocities = np.stack([s.velocities for s in states])
+    ids = np.arange(len(seeds))
+    forces = batched.initial_forces(stack, positions, ids)
+    serial_forces = [system.energy_forces(s.positions)[1] for s in states]
+
+    def advance(rows, n_steps):
+        nonlocal positions, velocities, forces
+        pos, vel, frc = positions[rows], velocities[rows], forces[rows]
+        for _ in range(n_steps):
+            frc = batched.step(stack, pos, vel, frc, ids[rows])
+            for r in rows:
+                serial_forces[r] = serial[r].step(system, states[r], serial_forces[r])
+        positions[rows], velocities[rows], forces[rows] = pos, vel, frc
+
+    advance([0, 1, 2, 3], 5)
+    advance([1, 3], 4)  # compacted: replicas 0 and 2 stop drawing
+
+    for r, state in enumerate(states):
+        assert positions[r].tobytes() == state.positions.tobytes()
+        assert velocities[r].tobytes() == state.velocities.tobytes()
+        assert forces[r].tobytes() == serial_forces[r].tobytes()
+        assert batched.rng_state_of(r) == serial[r].rng_state
+    # the stream is the allocate-and-return one, draw for draw
+    reference = RandomStream(seeds[0]).generator
+    for _ in range(5):
+        reference.standard_normal((system.n_atoms, 3))
+    assert batched.rng_state_of(0) == reference.bit_generator.state

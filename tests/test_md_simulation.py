@@ -255,3 +255,28 @@ def test_engine_all_registered_models_run():
     for model in ("villin-fast", "muller-brown", "double-well"):
         result = engine.run(MDTask(model=model, n_steps=100, seed=0))
         assert result.completed, model
+
+
+def test_engine_does_not_advance_the_callers_start_array():
+    """Sibling tasks of one generation share a start array; the engine
+    integrates in place, so it must copy on entry — each run equals its
+    solo run and the caller's coordinates are untouched."""
+    start = build_villin("fast").native_state(rng=0, temperature=300.0).positions
+    shared = start.copy()
+
+    def task(seed, positions):
+        return MDTask(
+            model="villin-fast",
+            n_steps=120,
+            report_interval=40,
+            seed=seed,
+            initial_positions=positions,
+        )
+
+    engine = MDEngine(segment_steps=50)
+    together = [engine.run(task(seed, shared)) for seed in (1, 2)]
+    assert shared.tobytes() == start.tobytes()
+    for seed, result in zip((1, 2), together):
+        solo = engine.run(task(seed, start.copy()))
+        assert result.frames.tobytes() == solo.frames.tobytes()
+        assert encode_message(result.checkpoint) == encode_message(solo.checkpoint)

@@ -1,0 +1,349 @@
+"""Bit-level contract of the replica-minor batched force kernels.
+
+Everything here compares with ``.tobytes()`` so that ``-0.0`` and the
+last bit count: the gather-table scatter against ``np.add.at``, every
+in-tree force term batched against serial (forces exactly; energies in
+the accumulation order the batched path fixes), and the numpy
+reduction-order trap that order rests on.
+"""
+
+import copy
+
+import numpy as np
+import pytest
+
+from repro.md.batched import BatchedSystem
+from repro.md.forcefield import (
+    ExcludedVolumeForce,
+    GoContactForce,
+    HarmonicAngleForce,
+    HarmonicBondForce,
+    LennardJonesForce,
+    PeriodicDihedralForce,
+    ReactionFieldElectrostatics,
+)
+from repro.md.forcefield.base import (
+    SegmentScatter,
+    composite_energy_forces_batch,
+)
+from repro.md.neighborlist import AllPairs
+from repro.md.system import System
+
+REPLICA_COUNTS = (1, 2, 7, 64)
+N_ATOMS = 12
+
+
+# -- (a) the scatter against np.add.at ---------------------------------------
+
+
+def _index_list(rng, n_atoms, max_degree):
+    """Random index list: degrees 0..max_degree, some atoms untouched."""
+    degrees = rng.integers(0, max_degree + 1, n_atoms)
+    degrees[rng.integers(n_atoms)] = max_degree
+    degrees[rng.integers(n_atoms)] = 1
+    degrees[:2] = 0  # untouched atoms
+    indices = np.repeat(np.arange(n_atoms), degrees)
+    rng.shuffle(indices)
+    return indices
+
+
+@pytest.mark.parametrize("n_replicas", REPLICA_COUNTS)
+@pytest.mark.parametrize("max_degree", [1, 2, 5, 9])
+def test_scatter_matches_add_at(n_replicas, max_degree):
+    rng = np.random.default_rng(100 * max_degree + n_replicas)
+    indices = _index_list(rng, N_ATOMS, max_degree)
+    # wide dynamic range, so a different association changes low bits
+    values = rng.standard_normal((3, len(indices), n_replicas)) * 10.0 ** (
+        rng.uniform(-6, 6, (3, len(indices), n_replicas))
+    )
+    scatter = SegmentScatter(indices, N_ATOMS)
+    rows = scatter.workspace(3, n_replicas)
+    rows[:, :-1] = values
+    got = np.zeros((3, N_ATOMS, n_replicas))
+    scatter.add(got, rows)
+
+    for replica in range(n_replicas):
+        expect = np.zeros((N_ATOMS, 3))
+        np.add.at(expect, indices, values[:, :, replica].T)
+        assert got[:, :, replica].T.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("n_replicas", REPLICA_COUNTS)
+def test_scatter_of_masked_entries_matches_filtered_add_at(n_replicas):
+    """Zeroing a masked pair's scale (the kernels' cutoff handling)
+    leaves ``+-0.0`` contributions in place; the filtered serial
+    ``add.at`` never sees them.  Same bits, signs of zero included."""
+    rng = np.random.default_rng(n_replicas)
+    indices = _index_list(rng, N_ATOMS, 6)
+    n_entries = len(indices)
+    scale = rng.standard_normal((n_entries, n_replicas))
+    vectors = rng.standard_normal((3, n_entries, n_replicas))
+    mask = rng.random((n_entries, n_replicas)) < 0.6
+    # one atom with every contribution masked in every replica
+    mask[indices == indices[0]] = False
+
+    scatter = SegmentScatter(indices, N_ATOMS)
+    rows = scatter.workspace(3, n_replicas)
+    np.multiply(np.where(mask, scale, 0.0), vectors, out=rows[:, :-1])
+    assert np.signbit(rows[:, :-1][:, ~mask]).any()  # -0.0 is exercised
+    got = np.zeros((3, N_ATOMS, n_replicas))
+    scatter.add(got, rows)
+
+    for replica in range(n_replicas):
+        keep = mask[:, replica]
+        expect = np.zeros((N_ATOMS, 3))
+        np.add.at(
+            expect,
+            indices[keep],
+            (scale[keep, replica] * vectors[:, keep, replica]).T,
+        )
+        assert got[:, :, replica].T.tobytes() == expect.tobytes()
+
+
+def test_scatter_workspace_follows_the_stack_size():
+    scatter = SegmentScatter(np.array([0, 1, 1]), 3)
+    first = scatter.workspace(3, 4)
+    assert scatter.workspace(3, 4) is first
+    smaller = scatter.workspace(3, 2)
+    assert smaller.shape == (3, 4, 2)
+    assert not smaller[:, -1].any()
+
+
+def test_empty_scatter_is_a_no_op():
+    scatter = SegmentScatter(np.array([], dtype=int), 4)
+    buf = np.zeros((3, 4, 2))
+    scatter.add(buf, scatter.workspace(3, 2))
+    assert not buf.any()
+
+
+# -- (b) every in-tree term, batched against serial ---------------------------
+
+
+def _chain_positions(rng, n_atoms):
+    """A self-avoiding-ish chain with ~0.38 nm steps."""
+    steps = rng.standard_normal((n_atoms, 3))
+    steps *= 0.38 / np.linalg.norm(steps, axis=1)[:, None]
+    return np.cumsum(steps, axis=0)
+
+
+def _terms():
+    rng = np.random.default_rng(7)
+    n = N_ATOMS
+    atoms = np.arange(n)
+    bonds = np.stack([atoms[:-1], atoms[1:]], axis=1)
+    triples = np.stack([atoms[:-2], atoms[1:-1], atoms[2:]], axis=1)
+    quads = np.stack([atoms[:-3], atoms[1:-2], atoms[2:-1], atoms[3:]], axis=1)
+    # every quadruple registered twice (two multiplicities), plus one
+    # registered a third time out of order: the unique-quad expansion
+    quads = np.concatenate([quads, quads, quads[:1]])
+    contacts = np.array([(i, j) for i in range(n) for j in range(i + 4, n, 3)])
+    box = np.array([2.0, 2.2, 2.4])
+    return {
+        "bond": HarmonicBondForce(
+            bonds, rng.uniform(0.3, 0.4, n - 1), rng.uniform(50, 100, n - 1)
+        ),
+        "angle": HarmonicAngleForce(
+            triples, rng.uniform(1.5, 2.2, n - 2), rng.uniform(10, 40, n - 2)
+        ),
+        "dihedral-duplicated-quads": PeriodicDihedralForce(
+            quads,
+            rng.uniform(-np.pi, np.pi, len(quads)),
+            rng.uniform(0.5, 2.0, len(quads)),
+            rng.integers(1, 4, len(quads)),
+        ),
+        "go": GoContactForce(
+            contacts, rng.uniform(0.5, 0.9, len(contacts)), epsilon=1.3
+        ),
+        "lj-scalar": LennardJonesForce(AllPairs(n), 0.3, 0.8, cutoff=0.9),
+        "lj-per-atom-box": LennardJonesForce(
+            AllPairs(n, exclusions=[(0, 1), (1, 2)]),
+            rng.uniform(0.25, 0.35, n),
+            rng.uniform(0.5, 1.0, n),
+            cutoff=0.9,
+            box=box,
+        ),
+        "reaction-field": ReactionFieldElectrostatics(
+            AllPairs(n), rng.uniform(-1, 1, n), cutoff=0.9
+        ),
+        "excluded-volume": ExcludedVolumeForce(
+            AllPairs(n, exclusions=[(i, i + 1) for i in range(n - 1)]),
+            sigma=0.35,
+            cutoff_factor=2.0,
+        ),
+    }
+
+
+TERMS = _terms()
+
+
+def _stack(n_replicas):
+    rng = np.random.default_rng(1000 + n_replicas)
+    return np.stack([_chain_positions(rng, N_ATOMS) for _ in range(n_replicas)])
+
+
+class _OnePair:
+    """Pair provider holding a single fixed pair."""
+
+    positions_independent = True
+
+    def __init__(self, i, j):
+        self._pair = np.array([i]), np.array([j])
+
+    def pairs(self, positions):
+        return self._pair
+
+
+def _single_interaction_terms(term):
+    """*term* split into one serial term per interaction, in order."""
+    if isinstance(term, HarmonicBondForce):
+        return [
+            HarmonicBondForce(term.pairs[p], term.r0[p : p + 1], term.k[p : p + 1])
+            for p in range(len(term.pairs))
+        ]
+    if isinstance(term, HarmonicAngleForce):
+        return [
+            HarmonicAngleForce(
+                term.triples[p], term.theta0[p : p + 1], term.k[p : p + 1]
+            )
+            for p in range(len(term.triples))
+        ]
+    if isinstance(term, PeriodicDihedralForce):
+        return [
+            PeriodicDihedralForce(
+                term.quads[p],
+                term.phi0[p : p + 1],
+                term.k[p : p + 1],
+                term.mult[p : p + 1],
+            )
+            for p in range(len(term.quads))
+        ]
+    if isinstance(term, GoContactForce):
+        return [
+            GoContactForce(term.pairs[p], term.r0[p : p + 1], term.epsilon[p : p + 1])
+            for p in range(len(term.pairs))
+        ]
+    singles = []
+    for i, j in zip(*term.pair_provider.pairs(None)):
+        single = copy.copy(term)
+        single.pair_provider = _OnePair(i, j)
+        singles.append(single)
+    return singles
+
+
+def _sequential_energy(term, positions):
+    """One replica's energy in the order the batched path fixes: the
+    serial per-interaction energies added left to right."""
+    total = 0.0
+    for single in _single_interaction_terms(term):
+        total += single.energy_forces(positions)[0]
+    return np.float64(total)
+
+
+@pytest.mark.parametrize("name", sorted(TERMS))
+@pytest.mark.parametrize("n_replicas", REPLICA_COUNTS)
+def test_term_batched_matches_serial(name, n_replicas):
+    term = TERMS[name]
+    batched = BatchedSystem(System(np.ones(N_ATOMS), forces=[term]), n_replicas)
+    positions = _stack(n_replicas)
+    energies, forces = batched.energy_forces(positions)
+    assert forces.shape == positions.shape and forces.flags.c_contiguous
+    assert energies.shape == (n_replicas,)
+
+    for replica in range(n_replicas):
+        energy, serial_forces = term.energy_forces(positions[replica])
+        assert forces[replica].tobytes() == serial_forces.tobytes()
+        # serial energies use np.dot / pairwise np.sum: equal to rounding
+        np.testing.assert_allclose(energies[replica], energy, rtol=1e-12)
+    if n_replicas >= 2:
+        # ... and exact in the batched path's own order (a one-replica
+        # stack is a contiguous 1-D sum, which numpy makes pairwise)
+        for replica in (0, n_replicas - 1):
+            assert (
+                energies[replica].tobytes()
+                == _sequential_energy(term, positions[replica]).tobytes()
+            )
+
+    # a compacted stack (rows a strict subset, ids not 0..R-1)
+    ids = np.arange(n_replicas)[1::2]
+    if len(ids):
+        sub_e, sub_f = batched.energy_forces(positions[ids], ids)
+        assert sub_f.tobytes() == forces[ids].tobytes()
+        if len(ids) >= 2:
+            assert sub_e.tobytes() == energies[ids].tobytes()
+
+
+def test_cutoff_terms_exercise_the_mask():
+    """The fixtures must put pairs on both sides of every cutoff."""
+    positions = _stack(7)
+    for name in ("lj-scalar", "lj-per-atom-box", "reaction-field", "excluded-volume"):
+        term = TERMS[name]
+        i, j = term.pair_provider.pairs(positions[0])
+        rij = positions[:, j] - positions[:, i]
+        if getattr(term, "box", None) is not None:
+            rij -= term.box * np.round(rij / term.box)
+        within = np.sum(rij * rij, axis=2) < term.cutoff**2
+        assert within.any() and not within.all(), name
+
+
+def test_composite_sums_terms_in_registration_order():
+    terms = [TERMS[name] for name in ("bond", "angle", "go", "excluded-volume")]
+    positions = _stack(7)
+    energies, forces = composite_energy_forces_batch(terms, positions)
+    for replica in range(7):
+        expect = np.zeros((N_ATOMS, 3))
+        for term in terms:
+            expect += term.energy_forces(positions[replica])[1]
+        assert forces[replica].tobytes() == expect.tobytes()
+
+
+def test_term_without_batched_kernel_falls_back_to_the_serial_loop():
+    class Spring:
+        def energy_forces(self, positions):
+            return 0.5 * float(np.sum(positions**2)), -positions
+
+    positions = _stack(3)
+    energies, forces = composite_energy_forces_batch([Spring()], positions)
+    assert forces.tobytes() == (0.0 - positions).tobytes()
+    assert energies.tolist() == [0.5 * float(np.sum(p**2)) for p in positions]
+
+
+def test_type_error_inside_a_kernel_propagates():
+    """No retry without ``replica_ids``: a TypeError raised inside a
+    term's batched kernel is a bug in that kernel and must surface."""
+
+    class Broken:
+        calls = 0
+
+        def energy_forces(self, positions):
+            raise AssertionError("serial fallback must not be reached")
+
+        def compute_batch(self, planes, replica_ids=None):
+            Broken.calls += 1
+            raise TypeError("unsupported operand inside the kernel")
+
+    with pytest.raises(TypeError, match="inside the kernel"):
+        composite_energy_forces_batch([Broken()], _stack(2), np.arange(2))
+    assert Broken.calls == 1
+
+
+# -- (c) the reduction-order trap ------------------------------------------
+
+
+@pytest.mark.parametrize("n_replicas", [2, 7, 64])
+def test_energy_sum_order_is_sequential_over_interactions(n_replicas):
+    """``np.sum(term, axis=0)`` over a C-contiguous ``(P, R)`` plane adds
+    the P rows one after another (what the pre-plane kernels got from
+    summing an F-ordered ``(R, P)`` array along axis 1).  A contiguous
+    ``(R, P)`` copy summed along axis 1 is pairwise instead — the trap."""
+    rng = np.random.default_rng(n_replicas)
+    term = rng.standard_normal((171, n_replicas)) * 10.0 ** rng.uniform(
+        -3, 3, (171, n_replicas)
+    )
+    sequential = np.zeros(n_replicas)
+    for row in term:
+        sequential = sequential + row
+    assert np.sum(term, axis=0).tobytes() == sequential.tobytes()
+    assert np.sum(np.asfortranarray(term.T), axis=1).tobytes() == sequential.tobytes()
+    pairwise = np.sum(np.ascontiguousarray(term.T), axis=1)
+    assert pairwise.tobytes() != sequential.tobytes()
+    np.testing.assert_allclose(pairwise, sequential, rtol=1e-9)
