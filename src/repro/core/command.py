@@ -9,6 +9,7 @@ execute them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 #: Separator inside scoped command keys.  Chosen to be absent from the
@@ -86,7 +87,7 @@ class Command:
     trace: Optional[Dict] = None
     epoch: int = 0
 
-    @property
+    @cached_property
     def scoped_id(self) -> str:
         """The command's deployment-wide key, namespaced by project.
 
@@ -94,6 +95,9 @@ class Command:
         may both issue ``gen0_r0``), so every server-side table that
         spans projects — assignments, leases, the exactly-once dedup
         barrier, heartbeat checkpoints — keys by this instead.
+
+        Computed once per instance (it keys every scheduler and lease
+        lookup); neither id is reassigned after construction.
         """
         return scoped_command_id(self.project_id, self.command_id)
 

@@ -190,6 +190,9 @@ class MetricsRegistry:
     def __init__(self, prefix: str = "repro") -> None:
         self.prefix = prefix
         self._families: Dict[str, MetricFamily] = {}
+        #: Children already resolved by :meth:`inc` / :meth:`set_gauge` /
+        #: :meth:`observe`, keyed ``(kind, name, label items)``.
+        self._handles: Dict[tuple, object] = {}
 
     # -- registration ------------------------------------------------------
 
@@ -243,23 +246,43 @@ class MetricsRegistry:
 
     # -- one-line instrumentation helpers ----------------------------------
 
+    def _bind(
+        self, kind: str, name: str, help: str, labels: Dict[str, object]
+    ) -> object:
+        """Resolve (registering on first use) the child behind one
+        helper call and remember it in the handle cache.
+
+        Kind and label names are validated here, on the cache fill;
+        ``kind`` is part of the key, so a clashing re-registration
+        misses the cache and raises as an uncached call would.  Only
+        all-``str`` label sets are remembered: ``1``, ``1.0`` and
+        ``True`` are equal as dict keys but name different children.
+        """
+        child = self._family(name, kind, help, sorted(labels)).labels(**labels)
+        if all(type(v) is str for v in labels.values()):
+            self._handles[(kind, name, tuple(labels.items()))] = child
+        return child
+
     def inc(self, name: str, amount: float = 1.0, help: str = "", **labels) -> None:
         """Increment counter *name* (auto-registering it on first use)."""
-        self.counter(name, help=help, labelnames=sorted(labels)).labels(
-            **labels
-        ).inc(amount)
+        child = self._handles.get(("counter", name, tuple(labels.items())))
+        if child is None:
+            child = self._bind("counter", name, help, labels)
+        child.inc(amount)
 
     def set_gauge(self, name: str, value: float, help: str = "", **labels) -> None:
         """Set gauge *name* (auto-registering it on first use)."""
-        self.gauge(name, help=help, labelnames=sorted(labels)).labels(
-            **labels
-        ).set(value)
+        child = self._handles.get(("gauge", name, tuple(labels.items())))
+        if child is None:
+            child = self._bind("gauge", name, help, labels)
+        child.set(value)
 
     def observe(self, name: str, value: float, help: str = "", **labels) -> None:
         """Observe *value* into histogram *name* (auto-registering)."""
-        self.histogram(name, help=help, labelnames=sorted(labels)).labels(
-            **labels
-        ).observe(value)
+        child = self._handles.get(("histogram", name, tuple(labels.items())))
+        if child is None:
+            child = self._bind("histogram", name, help, labels)
+        child.observe(value)
 
     # -- reading -----------------------------------------------------------
 

@@ -113,6 +113,15 @@ class TenantLedger:
         return self.dispatched - self.released
 
 
+def _remove_identical(items: List[Command], command: Command) -> None:
+    """Delete *command* itself from *items*, if present (``list.remove``
+    would compare whole payloads and stop at an equal twin)."""
+    for position, item in enumerate(items):
+        if item is command:
+            del items[position]
+            return
+
+
 class FairShareScheduler:
     """Admission + dispatch policy for one server's command queue.
 
@@ -196,9 +205,6 @@ class FairShareScheduler:
 
     # -- admission (backpressure) ------------------------------------------
 
-    def _queued_depth(self, queue: CommandQueue, tenant: str) -> int:
-        return sum(1 for c in queue.commands() if c.project_id == tenant)
-
     def should_defer(self, command: Command, queue: CommandQueue) -> bool:
         """Whether a submission must wait for the tenant's queue to drain.
 
@@ -211,7 +217,7 @@ class FairShareScheduler:
             return False
         if self._deferred.get(tenant):
             return True
-        return self._queued_depth(queue, tenant) >= limit
+        return queue.depth(tenant) >= limit
 
     def defer(self, command: Command) -> None:
         """Hold a submission back until :meth:`drain` releases it."""
@@ -225,7 +231,7 @@ class FairShareScheduler:
         for tenant in sorted(self._deferred):
             pending = self._deferred[tenant]
             limit = self.policy.for_tenant(tenant).max_queued
-            depth = self._queued_depth(queue, tenant)
+            depth = queue.depth(tenant)
             while pending and (limit is None or depth < limit):
                 released.append(pending.pop(0))
                 depth += 1
@@ -253,12 +259,6 @@ class FairShareScheduler:
             return True
         return len(keys) < quota
 
-    def _is_aged(self, command: Command, now: float, queued_at: Dict[str, float]) -> bool:
-        enqueued = queued_at.get(command.scoped_id)
-        if enqueued is None:
-            return False
-        return (now - enqueued) > self.policy.max_wait_seconds
-
     def build(
         self,
         queue: CommandQueue,
@@ -279,9 +279,13 @@ class FairShareScheduler:
         """
         from repro.worker.coalesce import BATCH_EXECUTABLE, coalesce_key
 
-        tenants_queued = {c.project_id for c in queue.commands()}
-        if len(tenants_queued) <= 1 and all(
-            self.policy.for_tenant(t) == DEFAULT_POLICY for t in tenants_queued
+        # the one sort of this build: per-tenant lanes in queue order
+        ordered = queue.commands()
+        lanes: Dict[str, List[Command]] = {}
+        for command in ordered:
+            lanes.setdefault(command.project_id, []).append(command)
+        if len(lanes) <= 1 and all(
+            self.policy.for_tenant(t) == DEFAULT_POLICY for t in lanes
         ):
             # single-tenant, unconstrained: byte-for-byte the classic
             # matcher, with the ledger still kept exact
@@ -295,6 +299,17 @@ class FairShareScheduler:
         )
         workload: List[Tuple[Command, int]] = []
         free = caps.cores
+        # Queued commands past the aging bound, in queue order.  Empty
+        # unless the oldest queued stamp is older than max_wait_seconds,
+        # and nothing ages during a build (``now`` is fixed), so the aged
+        # pass and the self-check below have nothing to select outside it.
+        horizon = self.policy.max_wait_seconds
+        aged = [
+            c for c in ordered
+            if now - queued_at.get(c.scoped_id, now) > horizon
+        ]
+        #: tenant -> its first dispatchable command, or None
+        heads: Dict[str, Optional[Command]] = {}
 
         def full() -> bool:
             return (
@@ -302,81 +317,97 @@ class FairShareScheduler:
                 or (max_commands is not None and len(workload) >= max_commands)
             )
 
-        while not full():
-            candidates = [
-                c
-                for c in queue.commands()
-                if c.executable in caps.executables
+        def dispatchable(c: Command) -> bool:
+            return (
+                c.executable in caps.executables
                 and c.min_cores <= free
                 and self._admits(c)
-            ]
-            if not candidates:
-                break
-            aged = [c for c in candidates if self._is_aged(c, now, queued_at)]
+            )
+
+        def head(tenant: str) -> Optional[Command]:
+            # A cached head stays the tenant's first dispatchable command
+            # until the tenant is picked from (take() forgets it) or
+            # ``free`` sinks below its min_cores: ``free`` only shrinks
+            # and no other tenant's in-flight set changes in between, so
+            # whatever was skipped before it is still skipped.
+            if tenant in heads:
+                found = heads[tenant]
+                if found is None or found.min_cores <= free:
+                    return found
+            found = heads[tenant] = next(
+                (c for c in lanes[tenant] if dispatchable(c)), None
+            )
+            return found
+
+        def take(command: Command) -> None:
+            queue.remove(command)
+            _remove_identical(lanes[command.project_id], command)
+            heads.pop(command.project_id, None)
+            _remove_identical(aged, command)
+            self._note_dispatch(command)
+
+        while not full():
+            command = None
             if aged:
-                pick = min(
-                    aged,
+                command = min(
+                    (c for c in aged if dispatchable(c)),
                     key=lambda c: (
                         queued_at.get(c.scoped_id, now),
                         c.priority,
                         c.project_id,
                         c.command_id,
                     ),
+                    default=None,
                 )
-                command = queue.pop_matching(lambda c: c is pick)
-            else:
+            if command is None:
                 tenant = min(
-                    {c.project_id for c in candidates},
+                    (t for t in lanes if head(t) is not None),
                     key=lambda t: (
                         self.in_flight(t) / self.policy.for_tenant(t).weight,
                         t,
                     ),
+                    default=None,
                 )
-                command = queue.pop_matching(
-                    lambda c: c.project_id == tenant
-                    and c.executable in caps.executables
-                    and c.min_cores <= free
-                    and self._admits(c)
-                )
-            if command is None:
-                break
+                if tenant is None:
+                    break
+                command = heads[tenant]
             assigned = min(command.preferred_cores, free)
             assigned = max(assigned, command.min_cores)
             workload.append((command, assigned))
-            self._note_dispatch(command)
+            take(command)
             free -= assigned
             if not batching:
                 continue
             key = coalesce_key(command)
             if key is None:
                 continue
+            # a coalesce key starts with the project id: riders can only
+            # come from the seed command's own lane
+            lane = lanes[command.project_id]
             group = 1
             while group < caps.batch_capacity and not (
                 max_commands is not None and len(workload) >= max_commands
             ):
-                rider = queue.pop_matching(
-                    lambda c: coalesce_key(c) == key and self._admits(c)
+                rider = next(
+                    (
+                        c for c in lane
+                        if coalesce_key(c) == key and self._admits(c)
+                    ),
+                    None,
                 )
                 if rider is None:
                     break
                 workload.append((rider, assigned))
-                self._note_dispatch(rider)
+                take(rider)
                 group += 1
 
         # self-check (invariant 12): an aged admissible command that
         # still fits must never remain behind a workload we just built
-        if workload:
-            for leftover in queue.commands():
-                if (
-                    self._is_aged(leftover, now, queued_at)
-                    and self._admits(leftover)
-                    and leftover.executable in caps.executables
-                    and leftover.min_cores <= free
-                    and not (
-                        max_commands is not None
-                        and len(workload) >= max_commands
-                    )
-                ):
+        if workload and not (
+            max_commands is not None and len(workload) >= max_commands
+        ):
+            for leftover in aged:
+                if dispatchable(leftover):
                     waited = now - queued_at.get(leftover.scoped_id, now)
                     self.aging_violations += 1
                     self._violations.append(

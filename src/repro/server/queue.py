@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections import Counter
 from typing import Callable, List, Optional
 
 from repro.core.command import Command
@@ -20,6 +21,8 @@ class CommandQueue:
     def __init__(self) -> None:
         self._heap: List = []
         self._counter = itertools.count()
+        #: Queued commands per project (the backpressure depth index).
+        self._depth: Counter = Counter()
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -27,6 +30,7 @@ class CommandQueue:
     def push(self, command: Command) -> None:
         """Enqueue a command."""
         heapq.heappush(self._heap, (command.priority, next(self._counter), command))
+        self._depth[command.project_id] += 1
 
     def peek(self) -> Optional[Command]:
         """The next command without removing it (None when empty)."""
@@ -36,7 +40,9 @@ class CommandQueue:
         """Remove and return the next command (None when empty)."""
         if not self._heap:
             return None
-        return heapq.heappop(self._heap)[2]
+        command = heapq.heappop(self._heap)[2]
+        self._depth[command.project_id] -= 1
+        return command
 
     def pop_matching(
         self, predicate: Callable[[Command], bool]
@@ -46,12 +52,33 @@ class CommandQueue:
             if predicate(entry[2]):
                 self._heap.remove(entry)
                 heapq.heapify(self._heap)
+                self._depth[entry[2].project_id] -= 1
                 return entry[2]
         return None
 
+    def remove(self, command: Command) -> None:
+        """Remove *command* itself (matched by identity, not equality).
+
+        Raises ``ValueError`` when it is not queued.
+        """
+        for position, entry in enumerate(self._heap):
+            if entry[2] is command:
+                del self._heap[position]
+                heapq.heapify(self._heap)
+                self._depth[command.project_id] -= 1
+                return
+        raise ValueError(f"command {command.command_id!r} is not queued")
+
     def commands(self) -> List[Command]:
         """All queued commands in priority order (non-destructive)."""
-        return [entry[2] for entry in sorted(self._heap)]
+        # sorting in place is free to do: a sorted list is a valid heap,
+        # and the next call finds it already in order
+        self._heap.sort()
+        return [entry[2] for entry in self._heap]
+
+    def depth(self, project_id: str) -> int:
+        """How many commands of *project_id* are queued."""
+        return self._depth[project_id]
 
     def remove_project(self, project_id: str) -> int:
         """Drop every command of a project; returns how many were removed."""
@@ -59,4 +86,5 @@ class CommandQueue:
         removed = len(self._heap) - len(keep)
         self._heap = keep
         heapq.heapify(self._heap)
+        del self._depth[project_id]
         return removed

@@ -14,8 +14,9 @@ that promise:
 * :class:`ProjectJournal` — typed state transitions for one project
   (commands issued, leased to a worker, checkpoint reported, result
   applied, requeued after a failure), journaled *before* they are
-  acknowledged, plus periodic snapshot compaction: the full mirrored
-  state is written atomically and the covered log segments deleted.
+  acknowledged, plus size-triggered snapshot compaction: once the log
+  has outgrown the previous snapshot, the full mirrored state is
+  written atomically and the covered log segments deleted.
 * :class:`ServerJournal` — the per-server root directory handing out
   one :class:`ProjectJournal` per hosted project.
 
@@ -111,6 +112,9 @@ class WriteAheadLog:
             self._segment_index(existing[-1]) + 1 if existing else 0
         )
         self._repair_tail()
+        #: Bytes the surviving segments hold (headers included) — what a
+        #: recovery has to read back; zero again after a compaction.
+        self.size_bytes = sum(p.stat().st_size for p in self.segments())
 
     # -- segment bookkeeping ----------------------------------------------
 
@@ -139,6 +143,7 @@ class WriteAheadLog:
         self._handle = open(path, "ab")
         self._handle.write(SEGMENT_MAGIC)
         self._handle.flush()
+        self.size_bytes += len(SEGMENT_MAGIC)
         if self.fsync:
             os.fsync(self._handle.fileno())
             _fsync_path(self.directory)
@@ -173,6 +178,7 @@ class WriteAheadLog:
         if self.fsync:
             os.fsync(self._handle.fileno())
         self.next_seq = seq + 1
+        self.size_bytes += _RECORD_HEADER.size + len(payload)
         return seq
 
     def truncate_all(self) -> None:
@@ -184,6 +190,7 @@ class WriteAheadLog:
         self.close()
         for path in self.segments():
             path.unlink()
+        self.size_bytes = 0
         if self.fsync:
             _fsync_path(self.directory)
 
@@ -389,8 +396,16 @@ class ProjectJournal:
     Every ``record_*`` call appends to the write-ahead log (fsync'd)
     *before* returning, so the caller can acknowledge the transition
     knowing a restart will see it.  A full in-memory mirror of the
-    durable state is maintained; every ``snapshot_every`` applied
-    results it is written out atomically and the log compacted away.
+    durable state is maintained and compacted into a snapshot when
+    **both** hold: at least ``snapshot_every`` results were applied
+    since the last snapshot (``None`` disables compaction), and the log
+    has grown to at least that snapshot's size (any size, when there is
+    none — the first snapshot lands at exactly ``snapshot_every``
+    results).  Snapshot points therefore space out as the state grows:
+    the snapshots written so far never total more than the log bytes
+    written so far plus the newest snapshot, and recovery reads one
+    snapshot plus a log of about its size at most.  Both sizes are read
+    off the files on reopen, so the rule survives a restart.
     """
 
     def __init__(
@@ -417,7 +432,12 @@ class ProjectJournal:
         # a compaction empties the log; new records must keep sequencing
         # past the snapshot or recovery would skip them
         self.wal.next_seq = max(self.wal.next_seq, snapshot_seq + 1)
-        self._results_at_last_snapshot = self._snapshot_result_count()
+        paths = self._snapshot_paths()
+        self._results_at_last_snapshot = (
+            int(paths[-1].stem.split("-", 1)[1]) if paths else 0
+        )
+        #: Byte size of the newest snapshot (0 when there is none).
+        self._snapshot_bytes = paths[-1].stat().st_size if paths else 0
         #: Snapshots written by this process (for reports/tests).
         self.snapshots_written = 0
 
@@ -425,12 +445,6 @@ class ProjectJournal:
 
     def _snapshot_paths(self) -> List[Path]:
         return sorted(self.directory.glob("snapshot-*.bin"))
-
-    def _snapshot_result_count(self) -> int:
-        paths = self._snapshot_paths()
-        if not paths:
-            return 0
-        return int(paths[-1].stem.split("-", 1)[1])
 
     def _load(self) -> Tuple[JournalState, int]:
         """Newest snapshot + surviving log records -> mirrored state.
@@ -481,6 +495,7 @@ class ProjectJournal:
                 path.unlink()
         self.wal.truncate_all()
         self._results_at_last_snapshot = n
+        self._snapshot_bytes = len(blob)
         self.snapshots_written += 1
         return final
 
@@ -488,7 +503,10 @@ class ProjectJournal:
         if self.snapshot_every is None:
             return
         applied = len(self.state.results)
-        if applied - self._results_at_last_snapshot >= self.snapshot_every:
+        if (
+            applied - self._results_at_last_snapshot >= self.snapshot_every
+            and self.wal.size_bytes >= self._snapshot_bytes
+        ):
             self.snapshot()
 
     # -- journaled transitions --------------------------------------------

@@ -25,7 +25,29 @@ _ARRAY_TAG = "__ndarray__"
 _SCALAR_TAG = "__npscalar__"
 
 
+#: Exact types JSON takes as they are.  Subclasses (``np.float64`` is a
+#: ``float``, enums are ``int``/``str``) are not in the set and take the
+#: ``isinstance`` chain below.
+_PLAIN_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _encode_dict(value: dict) -> dict:
+    for key in value:
+        if not isinstance(key, str):
+            raise CommunicationError(
+                f"message keys must be strings, got {type(key).__name__}"
+            )
+    return {k: _encode_value(v) for k, v in value.items()}
+
+
 def _encode_value(value: Any) -> Any:
+    kind = type(value)
+    if kind in _PLAIN_SCALARS:
+        return value
+    if kind is dict:
+        return _encode_dict(value)
+    if kind is list:
+        return [_encode_value(v) for v in value]
     if isinstance(value, np.ndarray):
         contiguous = np.ascontiguousarray(value)
         return {
@@ -36,12 +58,7 @@ def _encode_value(value: Any) -> Any:
     if isinstance(value, np.generic):
         return {_SCALAR_TAG: value.item(), "dtype": value.dtype.str}
     if isinstance(value, dict):
-        for key in value:
-            if not isinstance(key, str):
-                raise CommunicationError(
-                    f"message keys must be strings, got {type(key).__name__}"
-                )
-        return {k: _encode_value(v) for k, v in value.items()}
+        return _encode_dict(value)
     if isinstance(value, (list, tuple)):
         return [_encode_value(v) for v in value]
     if value is None or isinstance(value, (str, int, float, bool)):

@@ -290,3 +290,159 @@ def test_journal_state_payload_roundtrip():
 def test_unknown_record_type_is_corruption():
     with pytest.raises(JournalCorruptionError):
         JournalState().apply({"type": "mystery"})
+
+
+# ------------------------------------------------- size-triggered compaction
+#
+# A snapshot is written when at least ``snapshot_every`` results were
+# applied since the last one AND the log has grown to at least that
+# snapshot's size.  The properties below are what that rule promises.
+
+
+def _same_state(a, b):
+    assert [c.to_payload() for c, _ in a.results] == [
+        c.to_payload() for c, _ in b.results
+    ]
+    assert [r for _, r in a.results] == [r for _, r in b.results]
+    assert a.completed_ids == b.completed_ids
+    assert a.issued_ids == b.issued_ids
+    assert a.checkpoints == b.checkpoints
+    assert a.leases == b.leases
+    assert a.requeues == b.requeues
+    assert a.epoch == b.epoch
+
+
+def _record_stream(rng, n_results):
+    """``(method name, args)`` journal calls ending in *n_results* results
+    of varying size, with the other transitions mixed in."""
+    ops = []
+    for k in range(n_results):
+        cmd = command(k)
+        worker = f"w{k % 2}"
+        ops.append(("record_issued", ([cmd],)))
+        ops.append(("record_assigned", (worker, [cmd.command_id])))
+        if rng.random() < 0.4:
+            ops.append(
+                ("record_checkpoint", (worker, cmd.command_id, {"step": k}))
+            )
+        if rng.random() < 0.2:
+            ops.append(("record_requeued", (worker, [cmd.command_id])))
+            ops.append(("record_assigned", (worker, [cmd.command_id])))
+        if rng.random() < 0.1:
+            ops.append(("record_epoch", (k + 1,)))
+        pad = "r" * rng.choice([0, 5, 40, 300])
+        ops.append(("record_result", (cmd, {"value": k, "pad": pad})))
+    return ops
+
+
+def _on_disk(directory):
+    """(newest snapshot name or None, its size, log bytes) of a journal."""
+    snapshots = sorted(directory.glob("snapshot-*.bin"))
+    log = sum(p.stat().st_size for p in (directory / "wal").glob("wal-*.log"))
+    if not snapshots:
+        return None, 0, log
+    return snapshots[-1].name, snapshots[-1].stat().st_size, log
+
+
+@pytest.mark.parametrize("snapshot_every", [1, 2, 3, 8, None])
+@pytest.mark.parametrize("seed", range(3))
+def test_compaction_properties(tmp_path, journal_io, seed, snapshot_every):
+    rng = random.Random(seed)
+    ops = _record_stream(rng, n_results=40)
+    kept_open = tmp_path / "kept-open"
+    reopened = tmp_path / "reopened"
+
+    def open_journal(directory):
+        return ProjectJournal(
+            directory,
+            segment_bytes=1 << 11,  # rotates: sizes span several segments
+            snapshot_every=snapshot_every,
+            fsync=False,
+        )
+
+    live = open_journal(kept_open)
+    for method, args in ops:
+        getattr(live, method)(*args)
+        # a twin that restarts before every single append
+        twin = open_journal(reopened)
+        getattr(twin, method)(*args)
+
+        for journal in (live, twin):
+            directory = journal.directory
+            _same_state(journal.recover(), journal.state)
+            name, snapshot_bytes, log_bytes = _on_disk(directory)
+            # the journal's own counters are the files' sizes
+            assert journal.wal.size_bytes == log_bytes
+            assert journal._snapshot_bytes == snapshot_bytes
+            if method == "record_result" and snapshot_every is not None:
+                covered = int(name[9:17]) if name else 0
+                since = journal.results_applied - covered
+                assert since < snapshot_every or (
+                    log_bytes
+                    < snapshot_bytes + journal_io["last_record"][directory]
+                )
+        twin.close()
+        # restarting changes neither where compaction happens nor what
+        # is left on disk: both byte counters persist
+        assert _on_disk(kept_open) == _on_disk(reopened)
+        _same_state(open_journal(reopened).recover(), live.state)
+    live.close()
+
+    points = journal_io["snapshots"].get(kept_open, [])
+    assert points == journal_io["snapshots"].get(reopened, [])
+    if snapshot_every is None:
+        assert points == []
+        return
+    # the first snapshot lands exactly where the count-only rule put it
+    assert points[0][0] == snapshot_every
+    assert all(
+        later[0] - earlier[0] >= snapshot_every
+        for earlier, later in zip(points, points[1:])
+    )
+    # write amplification is linear: every snapshot but the last is no
+    # larger than the log interval that triggered the next one
+    written = sum(size for _, size in points)
+    assert written <= journal_io["appended"][kept_open] + points[-1][1]
+    # and the rule actually spaces snapshots out as the state grows
+    if snapshot_every <= 3:
+        assert len(points) < 40 // snapshot_every
+
+
+def test_torn_tail_at_every_byte_after_two_compactions(tmp_path):
+    """The every-byte-offset torn-tail case, on a journal whose log tail
+    sits behind a snapshot written by the second (or later) compaction."""
+    source = tmp_path / "src"
+    journal = ProjectJournal(source, snapshot_every=2, fsync=False)
+    k = 0
+    while journal.snapshots_written < 3:
+        journal.record_result(command(k), {"k": k, "pad": "t" * 25})
+        k += 1
+    sizes = []
+    for _ in range(2):  # two records behind the newest snapshot
+        journal.record_result(command(k), {"k": k, "pad": "t" * 25})
+        sizes.append(journal.wal.size_bytes)
+        k += 1
+    assert journal.snapshots_written == 3  # neither of them compacted
+    journal.close()
+    snapshot = sorted(source.glob("snapshot-*.bin"))[-1]
+    (segment,) = sorted((source / "wal").glob("wal-*.log"))
+    pristine = segment.read_bytes()
+    assert sizes[-1] == len(pristine)
+    survivors = [f"c{i}" for i in range(k - 1)]
+
+    for cut in range(sizes[0], len(pristine)):
+        scratch = tmp_path / f"cut{cut}"
+        (scratch / "wal").mkdir(parents=True)
+        (scratch / snapshot.name).write_bytes(snapshot.read_bytes())
+        (scratch / "wal" / segment.name).write_bytes(pristine[:cut])
+        reopened = ProjectJournal(scratch, snapshot_every=2, fsync=False)
+        assert [
+            c.command_id for c, _ in reopened.recover().results
+        ] == survivors
+        assert reopened.wal.size_bytes == sizes[0]  # torn bytes are gone
+        # appends continue, and so does compaction
+        for extra in range(100, 120):
+            reopened.record_result(command(extra), {"k": extra})
+        assert reopened.snapshots_written >= 1
+        _same_state(reopened.recover(), reopened.state)
+        reopened.close()
