@@ -10,9 +10,17 @@ raw kernel crossover that calibrates
 :data:`repro.md.dispatch.BATCH_DISPATCH_MIN_REPLICAS`.
 
 Timing hygiene: thread counts are pinned to 1 (before numpy loads),
-one warm-up run precedes measurement, and each cell takes the best of
-k repeats (5 at R=1, 3 at R=8, 1 at R=64 — repeat count scales down as
-the cell itself gets longer and less noisy).
+one warm-up run precedes measurement, and each cell is timed over k
+rounds (5 at R=1 and R=8, 1 at R=64 — the count scales down as the cell
+itself gets longer and less noisy), every round running the serial side
+and then the batched side.  The steps/s columns are each side's best
+round.  ``speedup`` is the *median over rounds of that round's
+serial/batched time*: the two halves of a round run back to back,
+inside one of the host's speed regimes (they last seconds to minutes
+here), so their ratio holds still where the ratio of two independent
+minima does not — at R=8 on one busy host, ten readings of the paired
+median span 5.9-6.9 (the same ten runs' ratio of minima 6.1-7.7), and
+twelve readings of the ratio of minima before it 5.7-8.9.
 
 Run as a script (CI's ``bench`` job)::
 
@@ -23,9 +31,15 @@ with per-R steps/s deltas against the committed baseline) and
 ``BENCH_kernel.json`` (the kernel-pass floors).  Exits nonzero when a
 floor is breached:
 
-- R=1 auto-dispatch speedup >= 1.0 (the batched entry point must never
-  lose to serial — "auto" falls back to the serial path below the
-  measured crossover),
+- R=1 auto-dispatch "speedup" >= 1.0.  In words: below the crossover
+  "auto" runs the serial loop, so this row times the *same kernel*
+  through ``run_batched`` and through ``run``; the floor says the
+  batched entry point's framing costs nothing measurable, and a reading
+  of 0.95-1.05 is noise around equality, not a speed-up or a loss,
+- R=8 speedup >= 6.0 (the small-stack regime the adaptive loop runs in:
+  4.5-4.9x before the forces-only / multi-level-gather kernels, 5.9-6.9x
+  after, median 6.1x; with the tolerance the check trips below 5.5,
+  under every reading taken after and over every one taken before),
 - R=64 speedup >= 11.3 (the lowest of five readings, 12.3-13.5x, taken
   when the replica-minor kernels landed, less the noise tolerance;
   ``--min-speedup`` defaults to the same value),
@@ -50,6 +64,7 @@ for _var in (
 
 import argparse
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -70,6 +85,7 @@ NOISE_TOLERANCE = 0.08
 #: BENCH_kernel.json floors (see module docstring).
 FLOORS = {
     "r1_speedup": 1.0,
+    "r8_speedup": 6.0,
     "r64_speedup": 11.3,
     "serial_steps_per_sec": 3500.0,
 }
@@ -78,8 +94,9 @@ RESULT_PATH = _ROOT / "BENCH_batched.json"
 KERNEL_RESULT_PATH = _ROOT / "BENCH_kernel.json"
 
 #: Best-of-k repeat count per replica count (larger cells are longer
-#: and proportionally less noisy, so they get fewer repeats).
-_REPEATS = {1: 5, 2: 4, 3: 4, 4: 3, 8: 3}
+#: and proportionally less noisy, so they get fewer repeats; R=8 has a
+#: floor of its own and gets as many as R=1).
+_REPEATS = {1: 5, 2: 4, 3: 4, 4: 3, 8: 5}
 _cached_document = None
 
 
@@ -97,16 +114,20 @@ def _tasks(n_replicas: int, dispatch: str = "auto") -> list:
     ]
 
 
-def _best_of(fn, repeats: int):
-    """Minimum wall time over *repeats* calls; returns (seconds, result)."""
-    best_seconds, best_result = None, None
+def _time_alternating(fns, repeats: int):
+    """Wall times of *fns* over *repeats* rounds.
+
+    Every round calls each function once, in turn; returns one
+    ``(seconds of every round, last result)`` per function.
+    """
+    seconds = [[] for _ in fns]
+    results = [None] * len(fns)
     for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        seconds = time.perf_counter() - start
-        if best_seconds is None or seconds < best_seconds:
-            best_seconds, best_result = seconds, result
-    return best_seconds, best_result
+        for slot, fn in enumerate(fns):
+            start = time.perf_counter()
+            results[slot] = fn()
+            seconds[slot].append(time.perf_counter() - start)
+    return list(zip(seconds, results))
 
 
 def measure(n_replicas: int, dispatch: str = "auto") -> dict:
@@ -115,16 +136,17 @@ def measure(n_replicas: int, dispatch: str = "auto") -> dict:
     total_steps = n_replicas * N_STEPS
     repeats = _REPEATS.get(n_replicas, 1)
 
-    serial_seconds, serial = _best_of(
-        lambda: [engine.run(task) for task in _tasks(n_replicas)], repeats
-    )
-
     btask = BatchedMDTask.from_tasks(
         _tasks(n_replicas, dispatch=dispatch), batch_id="bench"
     )
-    batched_seconds, batched = _best_of(
-        lambda: engine.run_batched(btask), repeats
+    (serial_rounds, serial), (batched_rounds, batched) = _time_alternating(
+        [
+            lambda: [engine.run(task) for task in _tasks(n_replicas)],
+            lambda: engine.run_batched(btask),
+        ],
+        repeats,
     )
+    serial_seconds, batched_seconds = min(serial_rounds), min(batched_rounds)
 
     for serial_result, batched_result in zip(serial, batched.results):
         if not np.array_equal(serial_result.frames, batched_result.frames):
@@ -144,7 +166,9 @@ def measure(n_replicas: int, dispatch: str = "auto") -> dict:
         "batched_seconds": batched_seconds,
         "serial_steps_per_sec": serial_rate,
         "batched_steps_per_sec": batched_rate,
-        "speedup": batched_rate / serial_rate,
+        "speedup": statistics.median(
+            s / b for s, b in zip(serial_rounds, batched_rounds)
+        ),
     }
 
 
@@ -214,6 +238,7 @@ def kernel_document(document: dict) -> dict:
         "floors": dict(FLOORS),
         "noise_tolerance": NOISE_TOLERANCE,
         "r1_speedup": by_r[1]["speedup"],
+        "r8_speedup": by_r[8]["speedup"],
         "r64_speedup": by_r[64]["speedup"],
         "serial_steps_per_sec": best_serial,
         "crossover": document["crossover"],
@@ -225,7 +250,7 @@ def check_floors(kernel: dict) -> list:
     """Floor breaches (empty = pass), each a printable message."""
     slack = 1.0 - NOISE_TOLERANCE
     breaches = []
-    for key in ("r1_speedup", "r64_speedup", "serial_steps_per_sec"):
+    for key in kernel["floors"]:
         if kernel[key] < kernel["floors"][key] * slack:
             breaches.append(
                 f"{key} {kernel[key]:.3f} < floor "
@@ -305,11 +330,14 @@ def test_batched_speedup_r64(tmp_path):
 
 
 def test_kernel_floors(tmp_path):
-    """The kernel-pass floors (R=1 regression killed, R=64 >= 11.3x)."""
+    """The kernel-pass floors (R=1 at parity, R=8 >= 6.0x, R=64 >= 11.3x)."""
     kernel = kernel_document(run_benchmark())
     (tmp_path / "BENCH_kernel.json").write_text(json.dumps(kernel))
-    assert kernel["results"][0]["dispatch_used"] == "serial"
-    assert kernel["results"][-1]["dispatch_used"] == "batched"
+    assert [row["dispatch_used"] for row in kernel["results"]] == [
+        "serial",
+        "batched",
+        "batched",
+    ]
     assert check_floors(kernel) == []
 
 

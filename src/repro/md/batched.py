@@ -128,19 +128,23 @@ class BatchedSystem:
         return self.system.dim
 
     def energy_forces(
-        self, positions: np.ndarray, replica_ids: Optional[np.ndarray] = None
+        self,
+        positions: np.ndarray,
+        replica_ids: Optional[np.ndarray] = None,
+        need_energy: bool = True,
     ):
         """Per-replica ``(energies, forces)`` over an ``(R, N, dim)`` stack.
 
         *replica_ids* maps rows of a compacted stack back to original
         replica indices so force terms with per-replica caches (shared
         lazy neighbour lists) stay keyed correctly; ``None`` means row
-        ``r`` is replica ``r``.
+        ``r`` is replica ``r``.  Step loops pass ``need_energy=False``
+        and get ``None`` for the energies (same force bits).
         """
         if replica_ids is None:
             replica_ids = np.arange(positions.shape[0])
         return composite_energy_forces_batch(
-            self.system.forces, positions, replica_ids
+            self.system.forces, positions, replica_ids, need_energy
         )
 
 
@@ -161,7 +165,7 @@ class _BatchedIntegratorBase:
         replica_ids: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Forces at the current positions (primes the step loop)."""
-        return system.energy_forces(positions, replica_ids)[1]
+        return system.energy_forces(positions, replica_ids, need_energy=False)[1]
 
 
 class BatchedVelocityVerletIntegrator(_BatchedIntegratorBase):
@@ -186,7 +190,9 @@ class BatchedVelocityVerletIntegrator(_BatchedIntegratorBase):
         inv_m = 1.0 / system.masses[None, :, None]
         velocities += 0.5 * dt * forces * inv_m
         positions += dt * velocities
-        _, new_forces = system.energy_forces(positions, replica_ids)
+        _, new_forces = system.energy_forces(
+            positions, replica_ids, need_energy=False
+        )
         velocities += 0.5 * dt * new_forces * inv_m
         return new_forces
 
@@ -262,7 +268,9 @@ class BatchedLangevinIntegrator(_BatchedIntegratorBase):
         # A: half drift
         positions += half_dt * velocities
         # B: half kick with new forces
-        _, new_forces = system.energy_forces(positions, replica_ids)
+        _, new_forces = system.energy_forces(
+            positions, replica_ids, need_energy=False
+        )
         velocities += half_dt * new_forces * inv_m
         return new_forces
 
@@ -422,15 +430,15 @@ class BatchedSimulation:
                 if interval:
                     due = np.flatnonzero(steps % interval == 0)
                     for row in due:
-                        if not np.all(np.isfinite(positions[row])):
-                            raise SimulationError(
-                                f"non-finite coordinates in replica "
-                                f"{int(idx[row])} at step {int(steps[row])}; "
-                                "reduce the timestep"
-                            )
+                        self._check_finite(positions[row], idx[row], steps[row])
                         self.trajectories[int(idx[row])].append(
                             positions[row], times[row]
                         )
+            # Once more at the end of the span: with report_interval=0
+            # (or a blow-up after the last report) nothing above looked.
+            if not np.all(np.isfinite(positions)):
+                for row in range(len(idx)):
+                    self._check_finite(positions[row], idx[row], steps[row])
             self.batch.positions[idx] = positions
             self.batch.velocities[idx] = velocities
             self._forces[idx] = forces
@@ -440,6 +448,14 @@ class BatchedSimulation:
                 for row, replica in enumerate(idx):
                     if self.stop_condition(int(replica), positions[row]):
                         self.active[replica] = False
+
+    @staticmethod
+    def _check_finite(positions, replica, step) -> None:
+        if not np.all(np.isfinite(positions)):
+            raise SimulationError(
+                f"non-finite coordinates in replica {int(replica)} at "
+                f"step {int(step)}; reduce the timestep"
+            )
 
     def run(self, n_steps: int) -> None:
         """Advance every active replica by *n_steps* further steps."""

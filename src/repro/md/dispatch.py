@@ -38,14 +38,24 @@ DEFAULT_PRECISION = "float64"
 DISPATCHES = ("auto", "serial", "batched")
 DEFAULT_DISPATCH = "auto"
 
-#: Smallest replica count at which the batched kernel beats R serial
-#: runs.  Measured on villin-fast (300 steps, single thread, the
-#: forced-batched rows of ``BENCH_kernel.json``): batched is 0.74x at
-#: R=1 (the plane transposes and scatter plan still outweigh one
-#: replica's vectorisation win), crosses over at R=2 (1.46x) and grows
-#: monotonically from there (2.0x at R=3, 2.7x at R=4, 4.7x at R=8,
-#: >12x at R=64).  ``dispatch="auto"`` therefore routes only
-#: single-replica stacks through the serial loop.
+#: Smallest replica count at which ``dispatch="auto"`` picks the batched
+#: kernel.  Measured with ``benchmarks/bench_batched_engine.py`` (300
+#: steps, single thread, the forced-batched rows of
+#: ``BENCH_kernel.json``): on villin-fast the forces-only kernels have
+#: closed the R=1 gap — forced-batched reads 1.05-1.24x at R=1 in 21
+#: of 22 runs of the script (one outlier at 0.76x, which is what every
+#: run read before them), 1.9-2.4x at R=2, 2.3-3.1x at R=3, 3.3-4.3x
+#: at R=4, 5.9-6.9x at R=8 and >12x at R=64 — so for terms
+#: with a ``compute_batch`` the crossover is 1.  The constant is global,
+#: though, and the single-particle toys have no ``compute_batch``:
+#: through the per-replica fallback a forced-batched stack of one runs
+#: at ~0.6x (double-well) and 0.5-0.8x (Muller-Brown) of the serial
+#: loop.  Sending a
+#: one-replica batched task to the batched kernel would gain nothing
+#: measurable on villin-fast and halve the toys, so the constant stays 2
+#: until the toys have batched kernels (ROADMAP "One MD kernel", item
+#: (b)).  (Single commands never reach this policy: the worker runs
+#: them through ``MDEngine.run``.)
 BATCH_DISPATCH_MIN_REPLICAS = 2
 
 #: Upper bound on auto-selected worker batch capacity (one kernel call

@@ -28,6 +28,16 @@ construction rather than by tolerance:
 - scatter-adds accumulate each atom's contributions in serial
   ``np.add.at`` order (:class:`SegmentScatter`).
 
+**Forces-only evaluation.**  Every step of every integrator needs
+forces and throws the energy away, so ``energy_forces`` and
+``compute_batch`` take ``need_energy=True``: with ``False`` a kernel
+skips its energy lines and the energy slot of the returned pair is not
+meaningful (``None`` from the in-tree kernels).  The keyword never
+changes a force bit.  Terms written without it are still served:
+whether a method declares the keyword is read once from its signature
+(:func:`energy_kwargs`), and one that does not is simply called
+the old way and its energy ignored.
+
 Per-replica *energies* are ``np.sum(term, axis=0)`` over a C-contiguous
 ``(P, R)`` plane: numpy adds the P rows one after another, so every
 replica's sum is left-associated in interaction order — for every
@@ -41,9 +51,13 @@ feeds back into a trajectory.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Protocol, Tuple, runtime_checkable
+import functools
+import inspect
+from typing import Dict, Iterable, Optional, Protocol, Tuple, runtime_checkable
 
 import numpy as np
+
+from repro.util.errors import ConfigurationError
 
 
 @runtime_checkable
@@ -53,19 +67,63 @@ class Force(Protocol):
     def energy_forces(
         self, positions: np.ndarray
     ) -> Tuple[float, np.ndarray]:  # pragma: no cover - protocol
-        """Return ``(potential_energy, forces)`` at *positions*."""
+        """Return ``(potential_energy, forces)`` at *positions*.
+
+        A term may also declare ``need_energy=True`` (see the module
+        docstring); the protocol does not require it.
+        """
         ...
 
 
+_FORCES_ONLY: Dict[str, bool] = {"need_energy": False}
+_NO_KWARGS: Dict[str, bool] = {}
+
+
+@functools.lru_cache(maxsize=256)
+def _declares_need_energy(function) -> bool:
+    return "need_energy" in inspect.signature(function).parameters
+
+
+def energy_kwargs(method, need_energy: bool) -> Dict[str, bool]:
+    """Keyword arguments that pass *need_energy* on to a term's *method*.
+
+    ``{"need_energy": False}`` when the caller wants forces only and
+    the ``energy_forces`` / ``compute_batch`` method declares the
+    keyword; ``{}`` otherwise — energies wanted (every term's default),
+    or a term without the keyword, which then computes an energy the
+    caller ignores.  The signature is inspected once per function, not
+    per call, and a ``TypeError`` raised inside a kernel is never
+    mistaken for a missing keyword.
+    """
+    if need_energy:
+        return _NO_KWARGS
+    function = getattr(method, "__func__", method)
+    return _FORCES_ONLY if _declares_need_energy(function) else _NO_KWARGS
+
+
 def composite_energy_forces(
-    forces: Iterable[Force], positions: np.ndarray
-) -> Tuple[float, np.ndarray]:
-    """Sum energy and forces over a collection of force terms."""
-    total_e = 0.0
-    total_f = np.zeros_like(positions)
+    forces: Iterable[Force],
+    positions: np.ndarray,
+    need_energy: bool = True,
+    out: Optional[np.ndarray] = None,
+) -> Tuple[Optional[float], np.ndarray]:
+    """Sum energy and forces over a collection of force terms.
+
+    The forces accumulate into *out* (overwritten) when given, else
+    into a fresh array.  With ``need_energy=False`` the energy is
+    ``None``.
+    """
+    total_e = 0.0 if need_energy else None
+    if out is None:
+        total_f = np.zeros(positions.shape, positions.dtype)
+    else:
+        total_f = out
+        total_f[...] = 0.0
     for force in forces:
-        e, f = force.energy_forces(positions)
-        total_e += e
+        fn = force.energy_forces
+        e, f = fn(positions, **energy_kwargs(fn, need_energy))
+        if need_energy:
+            total_e += e
         total_f += f
     return total_e, total_f
 
@@ -73,16 +131,35 @@ def composite_energy_forces(
 def plane_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot product over the leading (component) axis of two plane stacks.
 
-    ``(dim, P, R) x (dim, P, R) -> (P, R)``, accumulated left to right
-    — the association ``np.sum(a * b, axis=-1)`` uses on the serial
-    ``(P, dim)`` rows.  (The one difference is outside physics: numpy's
-    reduction starts from ``+0.0``, so three ``-0.0`` products sum to
-    ``+0.0`` there and to ``-0.0`` here; that needs coincident atoms.)
+    ``(dim, ...) x (dim, ...) -> (...)``, accumulated left to right —
+    the association ``np.sum(a * b, axis=-1)`` uses on the serial
+    ``(P, dim)`` rows.  All ``dim`` products come from one multiply;
+    the adds stay explicit because a reduction would not keep this
+    order's zero signs.  (The one difference is outside physics:
+    numpy's reduction starts from ``+0.0``, so three ``-0.0`` products
+    sum to ``+0.0`` there and to ``-0.0`` here; that needs coincident
+    atoms.)
     """
-    out = a[0] * b[0]
-    for component in range(1, len(a)):
-        out += a[component] * b[component]
+    products = a * b
+    if len(products) == 1:
+        return products[0]
+    out = products[0] + products[1]
+    for product in products[2:]:
+        out += product
     return out
+
+
+#: Most float64 elements :meth:`SegmentScatter.add` gathers with one
+#: ``np.take`` (128 KiB, glibc's ``mmap`` threshold).  A larger gather
+#: is returned by ``malloc`` as a fresh mapping on every call and pays a
+#: page fault per 4 KiB to touch it: gathering the whole villin-fast
+#: table at once (up to 399 KiB at R = 64) made that evaluation 9-25 %
+#: *slower* than one level per call, while under the threshold it is as
+#: fast as malloc-from-the-heap gets (the five scatters of a villin-fast
+#: evaluation: 70 -> 24 us at R = 6, 124 -> 119 us at R = 64; DESIGN.md
+#: "Kernel memory layout").
+#: Not a setting: it is a property of the allocator, not of a workload.
+SCATTER_GATHER_ELEMENTS = 16384
 
 
 class SegmentScatter:
@@ -92,23 +169,31 @@ class SegmentScatter:
     ``np.add.at`` calls; ``ufunc.at`` is an unbuffered per-element loop
     and would dominate the batched step.  Because every kernel's index
     list is fixed, the scatter is precomputed into a ``(D, N)`` *gather
-    table*: row ``d`` holds, for every atom, the position in the index
+    table*: level ``d`` holds, for every atom, the position in the index
     list of that atom's ``d``-th contribution (in serial application
     order — first index array fully before the second, pair order
     within each), or the position of a zero row where the atom has
-    fewer than ``d + 1`` contributions.  :meth:`add` walks the table
-    row by row: one ``np.take`` gathers every atom's ``d``-th
-    contribution into a dense ``(dim, N, R)`` plane stack and one ``+=``
-    adds it — ``D`` dense adds, in order.
+    fewer than ``d + 1`` contributions.  :meth:`add` gathers several
+    levels with one ``np.take`` into a ``(dim, levels, N, R)`` stack and
+    reduces it over the level axis.
 
-    Why dense in-order adds: each atom's running sum receives the same
-    values in the same order with the same left association
-    (``((0 + v1) + v2) + ...``) as the serial ``add.at`` sequence, so
-    the result is bit-identical — and every numpy call streams
-    contiguous memory, with ``D`` (the largest contribution count) calls
-    in all.  ``np.add.reduceat`` or ``np.sum`` over the gathered axis
-    would be fewer calls but switch to pairwise summation on long
-    segments, which breaks the association.
+    Why a reduction over that axis is exact: the ``(N, R)`` planes of
+    one level are contiguous and at least two elements long, so numpy
+    makes the level axis the *outer* loop and adds the planes to the
+    output one after another.  Each atom's running sum therefore
+    receives the same values in the same order with the same left
+    association (``((0 + v1) + v2) + ...``) as the serial ``add.at``
+    sequence, and the result is bit-identical.  (Reducing along a
+    contiguous axis instead — ``np.sum`` / ``np.add.reduceat`` over an
+    interaction axis — switches to pairwise summation on long segments
+    and breaks the association; ``tests/test_scatter_plan.py`` pins
+    both.)
+
+    Why chunking is exact: the running sum lives in *carry rows* behind
+    the contribution rows and is the first level of every gather, so
+    ``0.0 + carry + v_k + v_k+1 ...`` continues the same left
+    association however many levels one gather takes.  How many is the
+    only size-dependent decision here (:data:`SCATTER_GATHER_ELEMENTS`).
 
     Why the padding is exact: a running sum that starts at ``+0.0`` can
     never become ``-0.0`` under round-to-nearest, and adding ``+0.0``
@@ -120,17 +205,26 @@ class SegmentScatter:
     """
 
     def __init__(self, indices: np.ndarray, n_atoms: int) -> None:
+        if n_atoms < 2:
+            # A one-element plane would make the level axis the inner,
+            # pairwise-summed loop (see the class docstring).
+            raise ConfigurationError("a scatter needs at least two atoms")
         indices = np.asarray(indices, dtype=np.intp)
         self.n_entries = len(indices)
+        self.n_atoms = int(n_atoms)
         order = np.argsort(indices, kind="stable")
         sorted_idx = indices[order]
         first = np.searchsorted(sorted_idx, np.arange(n_atoms))
         rank = np.arange(self.n_entries) - first[sorted_idx]
         depth = int(rank.max()) + 1 if self.n_entries else 0
-        # Unfilled slots point at the workspace's trailing zero row.
+        # Unfilled slots point at the workspace's zero row.
         self._table = np.full((depth, n_atoms), self.n_entries, dtype=np.intp)
         self._table[rank, sorted_idx] = order
+        # Allocated by workspace() for one (dim, R): a view of the
+        # contribution rows and the zero row; its base array holds the
+        # n_atoms carry rows behind them.
         self._rows: Optional[np.ndarray] = None
+        self._gathers: Tuple[np.ndarray, ...] = ()
 
     def workspace(self, dim: int, n_replicas: int) -> np.ndarray:
         """The ``(dim, n_entries + 1, R)`` contribution rows to fill.
@@ -146,23 +240,59 @@ class SegmentScatter:
         """
         shape = (dim, self.n_entries + 1, n_replicas)
         if self._rows is None or self._rows.shape != shape:
-            self._rows = np.empty(shape)
+            store = np.empty(
+                (dim, self.n_entries + 1 + self.n_atoms, n_replicas)
+            )
+            self._rows = store[:, : self.n_entries + 1]
             self._rows[:, -1] = 0.0
+            self._gathers = self._plan_gathers(dim * self.n_atoms * n_replicas)
         return self._rows
+
+    def _plan_gathers(self, level_elements: int) -> Tuple[np.ndarray, ...]:
+        """Index tables of the gathers :meth:`add` makes, in order.
+
+        Each is ``(1 + k, N)``: the carry rows, then the next ``k``
+        levels of the table — as many as fit the element budget beside
+        the carry, at least one.  A table without levels still gets one
+        gather (of the carry alone), so :meth:`add` has no empty case.
+        """
+        carry = self.n_entries + 1 + np.arange(self.n_atoms)
+        step = max(1, SCATTER_GATHER_ELEMENTS // level_elements - 1)
+        return tuple(
+            np.vstack([carry, self._table[start : start + step]])
+            for start in range(0, max(len(self._table), 1), step)
+        )
 
     def add(self, buf: np.ndarray, rows: np.ndarray) -> None:
         """``buf[:, idx[p], r] += rows[:, p, r]`` for every replica *r*.
 
         *buf* is ``(dim, N, R)`` and must not hold ``-0.0`` (start it
-        from ``np.zeros``); *rows* comes from :meth:`workspace`.
+        from ``np.zeros``); *rows* is the array :meth:`workspace` last
+        returned.  *buf* is the running sum the gathers carry.
         """
-        for level in self._table:
-            buf += np.take(rows, level, axis=1)
+        store = rows.base  # contribution rows, zero row, carry rows
+        carry = store[:, self.n_entries + 1 :]
+        carry[...] = buf
+        last = len(self._gathers) - 1
+        for number, levels in enumerate(self._gathers):
+            np.add.reduce(
+                store.take(levels, axis=1),
+                axis=1,
+                initial=0.0,
+                out=buf if number == last else carry,
+            )
 
 
 def empty_batch(planes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Batched result of a term with no interactions: all zeros."""
     return np.zeros(planes.shape[2]), np.zeros(planes.shape)
+
+
+def pair_vectors(planes: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """``r_j - r_i`` for a fixed pair list: ``(dim, N, R) -> (dim, P, R)``."""
+    rij = planes.take(j, axis=1)
+    rij -= planes.take(i, axis=1)
+    return rij
 
 
 def pair_force_planes(
@@ -200,7 +330,8 @@ def batch_energy_forces(
     positions: np.ndarray,
     planes: np.ndarray,
     replica_ids: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
+    need_energy: bool = True,
+) -> Tuple[Optional[np.ndarray], np.ndarray]:
     """One term over a replica batch: ``(energies, force planes)``.
 
     *positions* is the ``(R, N, dim)`` stack and *planes* its
@@ -214,17 +345,25 @@ def batch_energy_forces(
     index (the batched simulation compacts finished replicas out, so
     row ``r`` is not replica ``r`` in general).  Force terms with
     per-replica caches — shared lazy neighbour lists — key on it.
+
+    With ``need_energy=False`` a term that declares the keyword skips
+    its energies and the first element of the result is not meaningful.
     """
     fn = getattr(force, "compute_batch", None)
     if fn is not None:
-        out = fn(planes, replica_ids=replica_ids)
+        out = fn(
+            planes, replica_ids=replica_ids, **energy_kwargs(fn, need_energy)
+        )
         if out is not None:
             return out
-    energies = np.empty(positions.shape[0])
+    fn = force.energy_forces
+    skip = energy_kwargs(fn, need_energy)
+    energies = np.empty(positions.shape[0]) if need_energy else None
     forces = np.empty(planes.shape)
     for rep in range(positions.shape[0]):
-        e, f = force.energy_forces(positions[rep])
-        energies[rep] = e
+        e, f = fn(positions[rep], **skip)
+        if need_energy:
+            energies[rep] = e
         forces[:, :, rep] = f.T
     return energies, forces
 
@@ -233,20 +372,26 @@ def composite_energy_forces_batch(
     forces: Iterable[Force],
     positions: np.ndarray,
     replica_ids: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
+    need_energy: bool = True,
+) -> Tuple[Optional[np.ndarray], np.ndarray]:
     """Batched :func:`composite_energy_forces` over ``(R, N, dim)``.
 
     Terms are summed in registration order with elementwise adds, so
     the total matches the serial composite bit-for-bit per replica.
     The stack is transposed to component planes once on entry and the
-    summed force planes back to ``(R, N, dim)`` once on exit.
+    summed force planes back to ``(R, N, dim)`` once on exit.  With
+    ``need_energy=False`` the ``(R,)`` energy accumulator does not
+    exist and ``None`` is returned in its place.
     """
     planes = np.ascontiguousarray(positions.transpose(2, 1, 0))
-    total_e = np.zeros(positions.shape[0])
+    total_e = np.zeros(positions.shape[0]) if need_energy else None
     total_f = np.zeros(planes.shape)
     for force in forces:
-        e, f = batch_energy_forces(force, positions, planes, replica_ids)
-        total_e += e
+        e, f = batch_energy_forces(
+            force, positions, planes, replica_ids, need_energy
+        )
+        if need_energy:
+            total_e += e
         total_f += f
     return total_e, np.ascontiguousarray(total_f.transpose(2, 1, 0))
 

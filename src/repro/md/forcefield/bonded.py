@@ -8,6 +8,15 @@ the index arrays are shared across replicas, all arithmetic is
 elementwise over the replica axis in the serial operand order, and
 scatters go through :class:`~repro.md.forcefield.base.SegmentScatter`,
 so per-replica forces are bit-identical to the serial kernels.
+
+At the stack sizes the adaptive loop runs (R = 6) a batched evaluation
+is mostly the fixed cost of its numpy calls, so the batched kernels
+*stack* operands that go through the same arithmetic — the two arms of
+an angle, the three bond vectors and two plane normals of a dihedral —
+along an extra axis and make one call where the serial kernel makes
+two or three.  Stacking only changes which elements share a call:
+every element still sees the serial operands in the serial order.
+Both methods take ``need_energy=False`` to skip the energy lines.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ from repro.md.forcefield.base import (
     SegmentScatter,
     empty_batch,
     pair_force_planes,
+    pair_vectors,
     plane_dot,
 )
 from repro.util.errors import ConfigurationError
@@ -34,12 +44,27 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _plane_cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`_cross` over the leading axis of ``(3, P, R)`` planes."""
-    out = np.empty_like(a)
-    out[0] = a[1] * b[2] - a[2] * b[1]
-    out[1] = a[2] * b[0] - a[0] * b[2]
-    out[2] = a[0] * b[1] - a[1] * b[0]
+def _wrap(planes: np.ndarray) -> np.ndarray:
+    """Repeat components x, y behind z: ``planes[:3]`` -> ``(x, y, z, x, y)``.
+
+    *planes* has five leading rows with the first three filled.  In
+    this layout the cyclic shifts a cross product needs are the plain
+    slices ``[1:4]`` = ``(y, z, x)`` and ``[2:5]`` = ``(z, x, y)``.
+    """
+    planes[3:] = planes[:2]
+    return planes
+
+
+def _wrapped_cross(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """:func:`_cross` over the leading axis of :func:`_wrap`-ped planes.
+
+    ``(5, ...) x (5, ...) -> (3, ...)``: component ``c`` is
+    ``a[c+1] * b[c+2] - a[c+2] * b[c+1]``, the two products and the
+    subtraction :func:`_cross` makes, for all three components in
+    three calls on slices (no copies).
+    """
+    out = np.multiply(a[1:4], b[2:5], out=out)
+    out -= a[2:5] * b[1:4]
     return out
 
 
@@ -54,16 +79,21 @@ class HarmonicBondForce:
             raise ConfigurationError("bond arrays misaligned")
         self._i = self.pairs[:, 0]
         self._j = self.pairs[:, 1]
+        # (P, 1) parameter columns of the batched kernel.
+        self._r0_col = self.r0[:, None]
+        self._k_col = self.k[:, None]
 
-    def energy_forces(self, positions: np.ndarray) -> Tuple[float, np.ndarray]:
+    def energy_forces(
+        self, positions: np.ndarray, need_energy: bool = True
+    ) -> Tuple[Optional[float], np.ndarray]:
         """Return (energy, forces) at *positions* (see module docstring)."""
-        forces = np.zeros_like(positions)
+        forces = np.zeros(positions.shape, positions.dtype)
         if len(self.pairs) == 0:
             return 0.0, forces
         rij = positions[self._j] - positions[self._i]
         r = np.sqrt(np.sum(rij * rij, axis=1))
         dr = r - self.r0
-        energy = 0.5 * float(np.dot(self.k, dr * dr))
+        energy = 0.5 * float(np.dot(self.k, dr * dr)) if need_energy else None
         # dE/dr = k dr ; force on j is -dE/dr * rij/r
         fscale = -(self.k * dr) / np.maximum(r, 1e-12)
         fij = fscale[:, None] * rij
@@ -72,16 +102,16 @@ class HarmonicBondForce:
         return energy, forces
 
     def compute_batch(
-        self, planes: np.ndarray, replica_ids=None
-    ) -> Tuple[np.ndarray, np.ndarray]:
+        self, planes: np.ndarray, replica_ids=None, need_energy: bool = True
+    ) -> Tuple[Optional[np.ndarray], np.ndarray]:
         """Batched ``energy_forces`` over ``(3, N, R)`` planes."""
         if len(self.pairs) == 0:
             return empty_batch(planes)
-        rij = np.take(planes, self._j, axis=1) - np.take(planes, self._i, axis=1)
+        rij = pair_vectors(planes, self._i, self._j)
         r = np.sqrt(plane_dot(rij, rij))
-        dr = r - self.r0[:, None]
-        k = self.k[:, None]
-        energies = 0.5 * np.sum(k * (dr * dr), axis=0)
+        dr = r - self._r0_col
+        k = self._k_col
+        energies = 0.5 * np.sum(k * (dr * dr), axis=0) if need_energy else None
         fscale = -(k * dr) / np.maximum(r, 1e-12)
         return energies, pair_force_planes(
             self, self._i, self._j, fscale, rij, planes.shape[1]
@@ -102,11 +132,18 @@ class HarmonicAngleForce:
         self._i = self.triples[:, 0]
         self._j = self.triples[:, 1]
         self._k = self.triples[:, 2]
+        # Batched kernel: both end atoms in one (2, T) gather, (T, 1)
+        # parameter columns, and the scatter plan (built on first use).
+        self._ends = np.stack([self._i, self._k])
+        self._theta0_col = self.theta0[:, None]
+        self._k_col = self.k[:, None]
         self._scatter: Optional[SegmentScatter] = None
 
-    def energy_forces(self, positions: np.ndarray) -> Tuple[float, np.ndarray]:
+    def energy_forces(
+        self, positions: np.ndarray, need_energy: bool = True
+    ) -> Tuple[Optional[float], np.ndarray]:
         """Return (energy, forces) at *positions* (see module docstring)."""
-        forces = np.zeros_like(positions)
+        forces = np.zeros(positions.shape, positions.dtype)
         if len(self.triples) == 0:
             return 0.0, forces
         rij = positions[self._i] - positions[self._j]
@@ -117,7 +154,9 @@ class HarmonicAngleForce:
         cos_t = np.clip(cos_t, -1.0 + 1e-10, 1.0 - 1e-10)
         theta = np.arccos(cos_t)
         dtheta = theta - self.theta0
-        energy = 0.5 * float(np.dot(self.k, dtheta * dtheta))
+        energy = (
+            0.5 * float(np.dot(self.k, dtheta * dtheta)) if need_energy else None
+        )
         # F_i = (k dtheta / sin theta) * d(cos theta)/d r_i
         sin_t = np.sqrt(1.0 - cos_t * cos_t)
         coeff = (self.k * dtheta) / np.maximum(sin_t, 1e-12)
@@ -133,9 +172,14 @@ class HarmonicAngleForce:
         return energy, forces
 
     def compute_batch(
-        self, planes: np.ndarray, replica_ids=None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Batched ``energy_forces`` over ``(3, N, R)`` planes."""
+        self, planes: np.ndarray, replica_ids=None, need_energy: bool = True
+    ) -> Tuple[Optional[np.ndarray], np.ndarray]:
+        """Batched ``energy_forces`` over ``(3, N, R)`` planes.
+
+        The two arms ``rij | rkj`` are stacked on an axis of length 2
+        behind the component axis, so their norms, unit vectors and
+        force directions each take one call for both.
+        """
         dim, n_atoms, n_replicas = planes.shape
         n_triples = len(self.triples)
         if n_triples == 0:
@@ -144,29 +188,36 @@ class HarmonicAngleForce:
             self._scatter = SegmentScatter(
                 np.concatenate([self._i, self._k, self._j]), n_atoms
             )
-        vertex = np.take(planes, self._j, axis=1)
-        rij = np.take(planes, self._i, axis=1) - vertex
-        rkj = np.take(planes, self._k, axis=1) - vertex
-        nij = np.sqrt(plane_dot(rij, rij))
-        nkj = np.sqrt(plane_dot(rkj, rkj))
-        cos_t = plane_dot(rij, rkj) / np.maximum(nij * nkj, 1e-12)
-        cos_t = np.clip(cos_t, -1.0 + 1e-10, 1.0 - 1e-10)
+        # arms[:, 0] = rij, arms[:, 1] = rkj: (3, 2, T, R)
+        arms = planes.take(self._ends, axis=1)
+        arms -= planes.take(self._j, axis=1)[:, None]
+        norms = np.sqrt(plane_dot(arms, arms))  # nij | nkj
+        cos_t = plane_dot(arms[:, 0], arms[:, 1]) / np.maximum(
+            norms[0] * norms[1], 1e-12
+        )
+        cos_t = np.minimum(np.maximum(cos_t, -1.0 + 1e-10), 1.0 - 1e-10)
         theta = np.arccos(cos_t)
-        dtheta = theta - self.theta0[:, None]
-        k = self.k[:, None]
-        energies = 0.5 * np.sum(k * (dtheta * dtheta), axis=0)
+        dtheta = theta - self._theta0_col
+        k = self._k_col
+        energies = (
+            0.5 * np.sum(k * (dtheta * dtheta), axis=0) if need_energy else None
+        )
         sin_t = np.sqrt(1.0 - cos_t * cos_t)
         coeff = (k * dtheta) / np.maximum(sin_t, 1e-12)
+        # fi = coeff/nij * (rkj/nkj - cos_t*rij/nij) and fk with the
+        # arms swapped: the other arm's unit vector is the reversed view.
+        directions = (arms / norms)[:, ::-1] - cos_t * arms / norms
         rows = self._scatter.workspace(dim, n_replicas)
-        fi = np.multiply(
-            coeff / nij, rkj / nkj - cos_t * rij / nij, out=rows[:, :n_triples]
+        ends_force = np.multiply(
+            (coeff / norms).reshape(2 * n_triples, n_replicas),
+            directions.reshape(dim, 2 * n_triples, n_replicas),
+            out=rows[:, : 2 * n_triples],
         )
-        fk = np.multiply(
-            coeff / nkj,
-            rij / nij - cos_t * rkj / nkj,
-            out=rows[:, n_triples : 2 * n_triples],
+        vertex_force = np.add(
+            ends_force[:, :n_triples],
+            ends_force[:, n_triples:],
+            out=rows[:, 2 * n_triples : -1],
         )
-        vertex_force = np.add(fi, fk, out=rows[:, 2 * n_triples : -1])
         np.negative(vertex_force, out=vertex_force)
         forces = np.zeros(planes.shape)
         self._scatter.add(forces, rows)
@@ -195,11 +246,24 @@ class PeriodicDihedralForce:
         self._j = self.quads[:, 1]
         self._k = self.quads[:, 2]
         self._l = self.quads[:, 3]
-        # Built on the first batched call: the scatter plan and the
-        # unique quadruples with each term's row among them.
-        self._scatter: Optional[SegmentScatter] = None
-        self._unique: Optional[np.ndarray] = None
-        self._expand: Optional[np.ndarray] = None
+        # Batched kernel.  Geometry runs over the *unique* quadruples:
+        # (3, U) index tables of the atoms each bond vector b1 | b2 | b3
+        # points to and from, each term's row among the unique ones,
+        # and its four rows in the (dphi_i | dphi_l | dphi_j | dphi_k)
+        # gradient block, in the scatter's slot order i, j, k, l.
+        unique, expand = np.unique(self.quads, axis=0, return_inverse=True)
+        n_unique = len(unique)
+        self._heads = np.ascontiguousarray(unique[:, 1:].T)
+        self._tails = np.ascontiguousarray(unique[:, :3].T)
+        self._expand = expand.reshape(-1)
+        self._gradient_rows = self._expand + n_unique * np.array(
+            [[0], [2], [3], [1]]
+        )
+        self._mult_col = self.mult[:, None].astype(float)
+        self._phi0_col = self.phi0[:, None]
+        self._k_col = self.k[:, None]
+        self._k_mult_col = self._k_col * self._mult_col
+        self._scatter: Optional[SegmentScatter] = None  # built on first use
 
     @staticmethod
     def dihedral_angles(
@@ -218,9 +282,11 @@ class PeriodicDihedralForce:
         y = np.sum(m1 * n2, axis=1)
         return np.arctan2(y, x)
 
-    def energy_forces(self, positions: np.ndarray) -> Tuple[float, np.ndarray]:
+    def energy_forces(
+        self, positions: np.ndarray, need_energy: bool = True
+    ) -> Tuple[Optional[float], np.ndarray]:
         """Return (energy, forces) at *positions* (see module docstring)."""
-        forces = np.zeros_like(positions)
+        forces = np.zeros(positions.shape, positions.dtype)
         if len(self.quads) == 0:
             return 0.0, forces
         b1 = positions[self._j] - positions[self._i]
@@ -233,9 +299,12 @@ class PeriodicDihedralForce:
         x = np.sum(n1 * n2, axis=1)
         y = np.sum(m1 * n2, axis=1)
         phi = np.arctan2(y, x)
-        energy = float(np.sum(self.k * (1.0 + np.cos(self.mult * phi - self.phi0))))
+        angle = self.mult * phi - self.phi0
+        energy = (
+            float(np.sum(self.k * (1.0 + np.cos(angle)))) if need_energy else None
+        )
         # dE/dphi
-        dE = -self.k * self.mult * np.sin(self.mult * phi - self.phi0)
+        dE = -self.k * self.mult * np.sin(angle)
         # Gradient of phi for *this* sign/b-vector convention (verified
         # against central differences in the test suite):
         #   dphi/dr_i = +|b2| m / |m|^2           (m = b1 x b2)
@@ -261,8 +330,8 @@ class PeriodicDihedralForce:
         return energy, forces
 
     def compute_batch(
-        self, planes: np.ndarray, replica_ids=None
-    ) -> Tuple[np.ndarray, np.ndarray]:
+        self, planes: np.ndarray, replica_ids=None, need_energy: bool = True
+    ) -> Tuple[Optional[np.ndarray], np.ndarray]:
         """Batched ``energy_forces`` over ``(3, N, R)`` planes.
 
         Geometry (angle and its four gradients) is evaluated once per
@@ -270,6 +339,11 @@ class PeriodicDihedralForce:
         terms — force fields commonly register several multiplicities
         on one quadruple, and elementwise ops on equal inputs give
         equal bits, so the expansion is exact.
+
+        The three bond vectors and the two plane normals are stacked on
+        an axis behind the component axis and stored wrapped (see
+        :func:`_wrap`), so both normals are one cross product, both
+        ``n.n`` one dot product, and the four gradients one block.
         """
         dim, n_atoms, n_replicas = planes.shape
         n_quads = len(self.quads)
@@ -279,46 +353,73 @@ class PeriodicDihedralForce:
             self._scatter = SegmentScatter(
                 np.concatenate([self._i, self._j, self._k, self._l]), n_atoms
             )
-            self._unique, self._expand = np.unique(
-                self.quads, axis=0, return_inverse=True
-            )
-            self._expand = self._expand.reshape(-1)
-        pi, pj, pk, pl = (
-            np.take(planes, self._unique[:, column], axis=1)
-            for column in range(4)
+        phi, gradients = self._unique_geometry(planes)
+        angle = self._mult_col * phi.take(self._expand, axis=0)
+        angle -= self._phi0_col
+        energies = (
+            np.sum(self._k_col * (1.0 + np.cos(angle)), axis=0)
+            if need_energy
+            else None
         )
-        b1 = pj - pi
-        b2 = pk - pj
-        b3 = pl - pk
-        n1 = _plane_cross(b1, b2)
-        n2 = _plane_cross(b2, b3)
-        nb2 = np.sqrt(plane_dot(b2, b2))
-        m1 = _plane_cross(n1, b2 / nb2)
-        x = plane_dot(n1, n2)
-        y = plane_dot(m1, n2)
-        n1sq = np.maximum(plane_dot(n1, n1), 1e-12)
-        n2sq = np.maximum(plane_dot(n2, n2), 1e-12)
-        dphi_i = (nb2 / n1sq) * n1
-        dphi_l = -(nb2 / n2sq) * n2
-        nb2sq = np.maximum(nb2 * nb2, 1e-12)
-        s12 = plane_dot(b1, b2) / nb2sq
-        s32 = plane_dot(b3, b2) / nb2sq
-        dphi_j = -(1.0 + s12) * dphi_i + s32 * dphi_l
-        dphi_k = s12 * dphi_i - (1.0 + s32) * dphi_l
-
-        phi = np.take(np.arctan2(y, x), self._expand, axis=0)
-        k = self.k[:, None]
-        mult = self.mult[:, None]
-        angle = mult * phi - self.phi0[:, None]
-        energies = np.sum(k * (1.0 + np.cos(angle)), axis=0)
-        neg_dE = k * mult * np.sin(angle)  # -dE/dphi; sign flips are exact
+        neg_dE = self._k_mult_col * np.sin(angle)  # -dE/dphi
         rows = self._scatter.workspace(dim, n_replicas)
-        for slot, dphi in enumerate((dphi_i, dphi_j, dphi_k, dphi_l)):
-            np.multiply(
-                neg_dE,
-                np.take(dphi, self._expand, axis=1),
-                out=rows[:, slot * n_quads : (slot + 1) * n_quads],
-            )
+        np.multiply(
+            neg_dE,
+            gradients.take(self._gradient_rows, axis=1),
+            out=rows[:, :-1].reshape(dim, 4, n_quads, n_replicas),
+        )
         forces = np.zeros(planes.shape)
         self._scatter.add(forces, rows)
         return energies, forces
+
+    def _unique_geometry(self, planes: np.ndarray):
+        """Angle ``(U, R)`` and gradient block ``(3, 4U, R)`` of the
+        unique quadruples; the block holds ``dphi_i | dphi_l | dphi_j |
+        dphi_k`` with
+
+            dphi_i = |b2|/|n1|^2 n1        dphi_l = -|b2|/|n2|^2 n2
+            dphi_j = -(1+s12) dphi_i + s32 dphi_l
+            dphi_k = s12 dphi_i - (1+s32) dphi_l
+
+        where ``s12 = b1.b2/|b2|^2`` and ``s32 = b3.b2/|b2|^2``.
+        """
+        phi, normals, nb2, s = self._angle_and_normals(planes)
+        n_unique, n_replicas = phi.shape
+        gradients = np.empty((3, 4, n_unique, n_replicas))
+        scale = nb2 / np.maximum(plane_dot(normals, normals), 1e-12)
+        np.negative(scale[1], out=scale[1])
+        ends = np.multiply(scale, normals, out=gradients[:, :2])
+        # Sign flips are exact, so -(1+s12) dphi_i + s32 dphi_l is
+        # s32 dphi_l - (1+s12) dphi_i: the reversed pair times the
+        # reversed s, less the pair times 1+s.
+        middles = np.multiply(s[::-1], ends[:, ::-1], out=gradients[:, 2:])
+        middles -= (1.0 + s) * ends
+        return phi, gradients.reshape(3, 4 * n_unique, n_replicas)
+
+    def _angle_and_normals(self, planes: np.ndarray):
+        """``phi (U, R)``, ``n1 | n2 (3, 2, U, R)``, ``|b2| (U, R)`` and
+        ``s12 | s32 (2, U, R)`` of the unique quadruples.  (A method of
+        its own so that the bond vectors are freed before the gradient
+        block and the expansion to terms are allocated: DESIGN.md
+        "Kernel memory layout" on what large live temporaries cost.)"""
+        n_unique = self._heads.shape[1]
+        n_replicas = planes.shape[2]
+        # bonds[:, 0..2] = b1, b2, b3.  mode="clip" lets take() write
+        # into ``out`` directly; the indices were range-checked when
+        # the scatter was built.
+        bonds = np.empty((5, 3, n_unique, n_replicas))
+        heads = planes.take(self._heads, axis=1, out=bonds[:3], mode="clip")
+        heads -= planes.take(self._tails, axis=1)
+        _wrap(bonds)
+        # normals[:, 0..1] = n1, n2 = b1 x b2, b2 x b3
+        normals = np.empty((5, 2, n_unique, n_replicas))
+        _wrapped_cross(bonds[:, :2], bonds[:, 1:], out=normals[:3])
+        _wrap(normals)
+        b2 = bonds[:, 1]
+        n1, n2 = normals[:, 0], normals[:3, 1]
+        nb2 = np.sqrt(plane_dot(b2[:3], b2[:3]))
+        m1 = _wrapped_cross(n1, b2 / nb2)
+        phi = np.arctan2(plane_dot(m1, n2), plane_dot(n1[:3], n2))
+        s = plane_dot(bonds[:3, :2], bonds[:3, 1:])  # b1.b2 | b2.b3
+        s /= np.maximum(nb2 * nb2, 1e-12)
+        return phi, normals[:3], nb2, s

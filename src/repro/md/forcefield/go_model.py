@@ -14,13 +14,14 @@ behaviour the paper's adaptive-MSM machinery consumes.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.md.forcefield.base import (
     empty_batch,
     pair_force_planes,
+    pair_vectors,
     plane_dot,
 )
 from repro.util.errors import ConfigurationError
@@ -51,10 +52,16 @@ class GoContactForce:
         self.cutoff = self.r0 * cutoff_factor
         self._i = self.pairs[:, 0]
         self._j = self.pairs[:, 1]
+        # (P, 1) parameter columns of the batched kernel.
+        self._r0_sq_col = (self.r0 * self.r0)[:, None]
+        self._epsilon_col = self.epsilon[:, None]
+        self._epsilon60_col = 60.0 * self._epsilon_col
 
-    def energy_forces(self, positions: np.ndarray) -> Tuple[float, np.ndarray]:
+    def energy_forces(
+        self, positions: np.ndarray, need_energy: bool = True
+    ) -> Tuple[Optional[float], np.ndarray]:
         """Return (energy, forces) of the 12-10 contact wells."""
-        forces = np.zeros_like(positions)
+        forces = np.zeros(positions.shape, positions.dtype)
         if len(self.pairs) == 0:
             return 0.0, forces
         rij = positions[self._j] - positions[self._i]
@@ -62,7 +69,11 @@ class GoContactForce:
         inv_r2 = self.r0 * self.r0 / r2
         s10 = inv_r2**5
         s12 = s10 * inv_r2
-        energy = float(np.sum(self.epsilon * (5.0 * s12 - 6.0 * s10)))
+        energy = (
+            float(np.sum(self.epsilon * (5.0 * s12 - 6.0 * s10)))
+            if need_energy
+            else None
+        )
         # -dE/dr * 1/r acting along rij, force on j:
         # dE/dr = eps [ -60 r0^12/r^13 + 60 r0^10/r^11 ]
         fscale = 60.0 * self.epsilon * (s12 - s10) / r2
@@ -72,19 +83,22 @@ class GoContactForce:
         return energy, forces
 
     def compute_batch(
-        self, planes: np.ndarray, replica_ids=None
-    ) -> Tuple[np.ndarray, np.ndarray]:
+        self, planes: np.ndarray, replica_ids=None, need_energy: bool = True
+    ) -> Tuple[Optional[np.ndarray], np.ndarray]:
         """Batched ``energy_forces`` over ``(3, N, R)`` planes."""
         if len(self.pairs) == 0:
             return empty_batch(planes)
-        rij = np.take(planes, self._j, axis=1) - np.take(planes, self._i, axis=1)
+        rij = pair_vectors(planes, self._i, self._j)
         r2 = plane_dot(rij, rij)
-        inv_r2 = (self.r0 * self.r0)[:, None] / r2
+        inv_r2 = self._r0_sq_col / r2
         s10 = inv_r2**5
         s12 = s10 * inv_r2
-        epsilon = self.epsilon[:, None]
-        energies = np.sum(epsilon * (5.0 * s12 - 6.0 * s10), axis=0)
-        fscale = 60.0 * epsilon * (s12 - s10) / r2
+        energies = (
+            np.sum(self._epsilon_col * (5.0 * s12 - 6.0 * s10), axis=0)
+            if need_energy
+            else None
+        )
+        fscale = self._epsilon60_col * (s12 - s10) / r2
         return energies, pair_force_planes(
             self, self._i, self._j, fscale, rij, planes.shape[1]
         )

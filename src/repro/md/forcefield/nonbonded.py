@@ -15,6 +15,7 @@ import numpy as np
 from repro.md.forcefield.base import (
     empty_batch,
     pair_force_planes,
+    pair_vectors,
     plane_dot,
 )
 from repro.util.errors import ConfigurationError
@@ -32,7 +33,7 @@ def _static_pairs(pair_provider):
     return pair_provider.pairs(None)
 
 
-def _per_replica_batch(term, planes, replica_ids):
+def _per_replica_batch(term, planes, replica_ids, need_energy=True):
     """Per-replica evaluation through a shared neighbour-list manager.
 
     For providers exposing ``replica_pairs(replica, positions)``
@@ -48,13 +49,16 @@ def _per_replica_batch(term, planes, replica_ids):
     """
     if replica_ids is None or not hasattr(term.pair_provider, "replica_pairs"):
         return None
-    energies = np.empty(planes.shape[2])
+    energies = np.empty(planes.shape[2]) if need_energy else None
     forces = np.empty(planes.shape)
     for row, replica in enumerate(replica_ids):
         positions = np.ascontiguousarray(planes[:, :, row].T)
         i, j = term.pair_provider.replica_pairs(int(replica), positions)
-        energy, row_forces = term._energy_forces_pairs(positions, i, j)
-        energies[row] = energy
+        energy, row_forces = term._energy_forces_pairs(
+            positions, i, j, need_energy
+        )
+        if need_energy:
+            energies[row] = energy
         forces[:, :, row] = row_forces.T
     return energies, forces
 
@@ -112,16 +116,22 @@ class LennardJonesForce:
             eps = np.sqrt(np.asarray(self.epsilon)[i] * np.asarray(self.epsilon)[j])
         return sig, eps
 
-    def energy_forces(self, positions: np.ndarray) -> Tuple[float, np.ndarray]:
+    def energy_forces(
+        self, positions: np.ndarray, need_energy: bool = True
+    ) -> Tuple[Optional[float], np.ndarray]:
         """Return (energy, forces) at *positions* (see class docstring)."""
         i, j = self.pair_provider.pairs(positions)
-        return self._energy_forces_pairs(positions, i, j)
+        return self._energy_forces_pairs(positions, i, j, need_energy)
 
     def _energy_forces_pairs(
-        self, positions: np.ndarray, i: np.ndarray, j: np.ndarray
-    ) -> Tuple[float, np.ndarray]:
+        self,
+        positions: np.ndarray,
+        i: np.ndarray,
+        j: np.ndarray,
+        need_energy: bool = True,
+    ) -> Tuple[Optional[float], np.ndarray]:
         """The serial kernel over an explicit candidate pair list."""
-        forces = np.zeros_like(positions)
+        forces = np.zeros(positions.shape, positions.dtype)
         if len(i) == 0:
             return 0.0, forces
         rij = positions[j] - positions[i]
@@ -136,10 +146,13 @@ class LennardJonesForce:
         inv_r2 = 1.0 / r2
         s6 = (sig * sig * inv_r2) ** 3
         s12 = s6 * s6
-        # shift so E(cutoff) = 0
-        sc6 = (sig / self.cutoff) ** 6
-        shift = 4.0 * eps * (sc6 * sc6 - sc6)
-        energy = float(np.sum(4.0 * eps * (s12 - s6) - shift))
+        if need_energy:
+            # shift so E(cutoff) = 0
+            sc6 = (sig / self.cutoff) ** 6
+            shift = 4.0 * eps * (sc6 * sc6 - sc6)
+            energy = float(np.sum(4.0 * eps * (s12 - s6) - shift))
+        else:
+            energy = None
         fscale = 24.0 * eps * (2.0 * s12 - s6) * inv_r2
         fij = fscale[:, None] * rij
         np.add.at(forces, self._as_index(j), fij)
@@ -147,19 +160,22 @@ class LennardJonesForce:
         return energy, forces
 
     def compute_batch(
-        self, planes: np.ndarray, replica_ids: Optional[np.ndarray] = None
-    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        self,
+        planes: np.ndarray,
+        replica_ids: Optional[np.ndarray] = None,
+        need_energy: bool = True,
+    ) -> Optional[Tuple[Optional[np.ndarray], np.ndarray]]:
         """Batched ``energy_forces`` over ``(dim, N, R)`` planes.
 
         ``None`` if the provider is dynamic and has no per-replica cache.
         """
         pairs = _static_pairs(self.pair_provider)
         if pairs is None:
-            return _per_replica_batch(self, planes, replica_ids)
+            return _per_replica_batch(self, planes, replica_ids, need_energy)
         i, j = pairs
         if len(i) == 0:
             return empty_batch(planes)
-        rij = np.take(planes, j, axis=1) - np.take(planes, i, axis=1)
+        rij = pair_vectors(planes, i, j)
         if self.box is not None:
             box = self.box[:, None, None]
             rij -= box * np.round(rij / box)
@@ -169,11 +185,14 @@ class LennardJonesForce:
         inv_r2 = 1.0 / r2
         s6 = (sig * sig * inv_r2) ** 3
         s12 = s6 * s6
-        sc6 = (sig / self.cutoff) ** 6
-        shift = 4.0 * eps * (sc6 * sc6 - sc6)
-        energies = np.sum(
-            np.where(within, 4.0 * eps * (s12 - s6) - shift, 0.0), axis=0
-        )
+        if need_energy:
+            sc6 = (sig / self.cutoff) ** 6
+            shift = 4.0 * eps * (sc6 * sc6 - sc6)
+            energies = np.sum(
+                np.where(within, 4.0 * eps * (s12 - s6) - shift, 0.0), axis=0
+            )
+        else:
+            energies = None
         fscale = np.where(within, 24.0 * eps * (2.0 * s12 - s6) * inv_r2, 0.0)
         return energies, pair_force_planes(
             self, i, j, fscale, rij, planes.shape[1]
@@ -216,16 +235,22 @@ class ReactionFieldElectrostatics:
         self.k_rf = (epsilon_rf - 1.0) / (2.0 * epsilon_rf + 1.0) / rc**3
         self.c_rf = 1.0 / rc + self.k_rf * rc**2
 
-    def energy_forces(self, positions: np.ndarray) -> Tuple[float, np.ndarray]:
+    def energy_forces(
+        self, positions: np.ndarray, need_energy: bool = True
+    ) -> Tuple[Optional[float], np.ndarray]:
         """Return (energy, forces) at *positions* (see class docstring)."""
         i, j = self.pair_provider.pairs(positions)
-        return self._energy_forces_pairs(positions, i, j)
+        return self._energy_forces_pairs(positions, i, j, need_energy)
 
     def _energy_forces_pairs(
-        self, positions: np.ndarray, i: np.ndarray, j: np.ndarray
-    ) -> Tuple[float, np.ndarray]:
+        self,
+        positions: np.ndarray,
+        i: np.ndarray,
+        j: np.ndarray,
+        need_energy: bool = True,
+    ) -> Tuple[Optional[float], np.ndarray]:
         """The serial kernel over an explicit candidate pair list."""
-        forces = np.zeros_like(positions)
+        forces = np.zeros(positions.shape, positions.dtype)
         if len(i) == 0:
             return 0.0, forces
         rij = positions[j] - positions[i]
@@ -236,7 +261,11 @@ class ReactionFieldElectrostatics:
         i, j, rij, r2 = i[within], j[within], rij[within], r2[within]
         r = np.sqrt(r2)
         qq = COULOMB_PREFACTOR * self.charges[i] * self.charges[j]
-        energy = float(np.sum(qq * (1.0 / r + self.k_rf * r2 - self.c_rf)))
+        energy = (
+            float(np.sum(qq * (1.0 / r + self.k_rf * r2 - self.c_rf)))
+            if need_energy
+            else None
+        )
         # -dE/dr = qq (1/r^2 - 2 k_rf r); force on j along +rij
         fscale = qq * (1.0 / (r2 * r) - 2.0 * self.k_rf)
         fij = fscale[:, None] * rij
@@ -245,26 +274,35 @@ class ReactionFieldElectrostatics:
         return energy, forces
 
     def compute_batch(
-        self, planes: np.ndarray, replica_ids: Optional[np.ndarray] = None
-    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        self,
+        planes: np.ndarray,
+        replica_ids: Optional[np.ndarray] = None,
+        need_energy: bool = True,
+    ) -> Optional[Tuple[Optional[np.ndarray], np.ndarray]]:
         """Batched ``energy_forces`` over ``(dim, N, R)`` planes.
 
         ``None`` if the provider is dynamic and has no per-replica cache.
         """
         pairs = _static_pairs(self.pair_provider)
         if pairs is None:
-            return _per_replica_batch(self, planes, replica_ids)
+            return _per_replica_batch(self, planes, replica_ids, need_energy)
         i, j = pairs
         if len(i) == 0:
             return empty_batch(planes)
-        rij = np.take(planes, j, axis=1) - np.take(planes, i, axis=1)
+        rij = pair_vectors(planes, i, j)
         r2 = plane_dot(rij, rij)
         within = r2 < self.cutoff * self.cutoff
         r = np.sqrt(r2)
         qq = (COULOMB_PREFACTOR * self.charges[i] * self.charges[j])[:, None]
-        energies = np.sum(
-            np.where(within, qq * (1.0 / r + self.k_rf * r2 - self.c_rf), 0.0),
-            axis=0,
+        energies = (
+            np.sum(
+                np.where(
+                    within, qq * (1.0 / r + self.k_rf * r2 - self.c_rf), 0.0
+                ),
+                axis=0,
+            )
+            if need_energy
+            else None
         )
         fscale = np.where(
             within, qq * (1.0 / (r2 * r) - 2.0 * self.k_rf), 0.0
@@ -295,16 +333,22 @@ class ExcludedVolumeForce:
         self.epsilon = float(epsilon)
         self.cutoff = float(sigma * cutoff_factor)
 
-    def energy_forces(self, positions: np.ndarray) -> Tuple[float, np.ndarray]:
+    def energy_forces(
+        self, positions: np.ndarray, need_energy: bool = True
+    ) -> Tuple[Optional[float], np.ndarray]:
         """Return (energy, forces) at *positions* (see class docstring)."""
         i, j = self.pair_provider.pairs(positions)
-        return self._energy_forces_pairs(positions, i, j)
+        return self._energy_forces_pairs(positions, i, j, need_energy)
 
     def _energy_forces_pairs(
-        self, positions: np.ndarray, i: np.ndarray, j: np.ndarray
-    ) -> Tuple[float, np.ndarray]:
+        self,
+        positions: np.ndarray,
+        i: np.ndarray,
+        j: np.ndarray,
+        need_energy: bool = True,
+    ) -> Tuple[Optional[float], np.ndarray]:
         """The serial kernel over an explicit candidate pair list."""
-        forces = np.zeros_like(positions)
+        forces = np.zeros(positions.shape, positions.dtype)
         if len(i) == 0:
             return 0.0, forces
         rij = positions[j] - positions[i]
@@ -316,7 +360,7 @@ class ExcludedVolumeForce:
         inv_r2 = 1.0 / r2
         s12 = (self.sigma * self.sigma * inv_r2) ** 6
         shift = self.epsilon * (self.sigma / self.cutoff) ** 12
-        energy = float(np.sum(self.epsilon * s12 - shift))
+        energy = float(np.sum(self.epsilon * s12 - shift)) if need_energy else None
         fscale = 12.0 * self.epsilon * s12 * inv_r2
         fij = fscale[:, None] * rij
         np.add.at(forces, j, fij)
@@ -324,26 +368,31 @@ class ExcludedVolumeForce:
         return energy, forces
 
     def compute_batch(
-        self, planes: np.ndarray, replica_ids: Optional[np.ndarray] = None
-    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        self,
+        planes: np.ndarray,
+        replica_ids: Optional[np.ndarray] = None,
+        need_energy: bool = True,
+    ) -> Optional[Tuple[Optional[np.ndarray], np.ndarray]]:
         """Batched ``energy_forces`` over ``(dim, N, R)`` planes.
 
         ``None`` if the provider is dynamic and has no per-replica cache.
         """
         pairs = _static_pairs(self.pair_provider)
         if pairs is None:
-            return _per_replica_batch(self, planes, replica_ids)
+            return _per_replica_batch(self, planes, replica_ids, need_energy)
         i, j = pairs
         if len(i) == 0:
             return empty_batch(planes)
-        rij = np.take(planes, j, axis=1) - np.take(planes, i, axis=1)
+        rij = pair_vectors(planes, i, j)
         r2 = plane_dot(rij, rij)
         within = r2 < self.cutoff * self.cutoff
         inv_r2 = 1.0 / r2
         s12 = (self.sigma * self.sigma * inv_r2) ** 6
         shift = self.epsilon * (self.sigma / self.cutoff) ** 12
-        energies = np.sum(
-            np.where(within, self.epsilon * s12 - shift, 0.0), axis=0
+        energies = (
+            np.sum(np.where(within, self.epsilon * s12 - shift, 0.0), axis=0)
+            if need_energy
+            else None
         )
         fscale = np.where(within, 12.0 * self.epsilon * s12 * inv_r2, 0.0)
         return energies, pair_force_planes(

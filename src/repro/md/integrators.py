@@ -7,8 +7,11 @@ never computes forces twice per step.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
+from repro.md.forcefield.base import energy_kwargs
 from repro.md.system import State, System
 from repro.util.errors import ConfigurationError
 from repro.util.rng import RandomStream, ensure_stream
@@ -51,10 +54,35 @@ class _IntegratorBase:
         if timestep <= 0:
             raise ConfigurationError(f"timestep must be positive, got {timestep}")
         self.timestep = float(timestep)
+        self._masses: Optional[np.ndarray] = None
 
     def initial_forces(self, system: System, state: State) -> np.ndarray:
         """Forces at the current positions (used to prime the loop)."""
-        return system.energy_forces(state.positions)[1]
+        return self._forces(system, state.positions)
+
+    @staticmethod
+    def _forces(system: System, positions: np.ndarray) -> np.ndarray:
+        """Forces alone: no step reads the energy, so *system* skips it
+        if its ``energy_forces`` declares ``need_energy`` (a system-like
+        object written without the keyword is called the old way)."""
+        fn = system.energy_forces
+        return fn(positions, **energy_kwargs(fn, False))[1]
+
+    def _inverse_masses(self, masses: np.ndarray) -> np.ndarray:
+        """``1/m`` as an ``(N, 1)`` column.
+
+        Constant for a run, so computed once per masses array rather
+        than on every step (:meth:`_mass_constants` is the hook for
+        further per-masses constants).
+        """
+        if self._masses is not masses:
+            self._masses = masses
+            self._inv_m = 1.0 / masses[:, None]
+            self._mass_constants(masses)
+        return self._inv_m
+
+    def _mass_constants(self, masses: np.ndarray) -> None:
+        """Cache anything else that depends only on the masses."""
 
     def _advance_clock(self, state: State) -> None:
         state.step += 1
@@ -69,11 +97,12 @@ class VelocityVerletIntegrator(_IntegratorBase):
     ) -> np.ndarray:
         """Advance one timestep in place; returns the new forces."""
         dt = self.timestep
-        inv_m = 1.0 / system.masses[:, None]
-        state.velocities += 0.5 * dt * forces * inv_m
+        half_dt = 0.5 * dt
+        inv_m = self._inverse_masses(system.masses)
+        state.velocities += half_dt * forces * inv_m
         state.positions += dt * state.velocities
-        _, new_forces = system.energy_forces(state.positions)
-        state.velocities += 0.5 * dt * new_forces * inv_m
+        new_forces = self._forces(system, state.positions)
+        state.velocities += half_dt * new_forces * inv_m
         self._advance_clock(state)
         return new_forces
 
@@ -129,25 +158,28 @@ class LangevinIntegrator(_IntegratorBase):
         self, system: System, state: State, forces: np.ndarray
     ) -> np.ndarray:
         """Advance one timestep in place; returns the new forces."""
-        dt = self.timestep
-        inv_m = 1.0 / system.masses[:, None]
-        kt = KB * self.temperature
+        half_dt = 0.5 * self.timestep
+        inv_m = self._inverse_masses(system.masses)
         # B: half kick
-        state.velocities += 0.5 * dt * forces * inv_m
+        state.velocities += half_dt * forces * inv_m
         # A: half drift
-        state.positions += 0.5 * dt * state.velocities
+        state.positions += half_dt * state.velocities
         # O: Ornstein-Uhlenbeck exact solve
-        sigma = np.sqrt(kt / system.masses)[:, None]
         noise = self.rng.generator.standard_normal(state.velocities.shape)
         state.velocities *= self._decay
-        state.velocities += self._noise_scale * sigma * noise
+        state.velocities += self._noise_sigma * noise
         # A: half drift
-        state.positions += 0.5 * dt * state.velocities
+        state.positions += half_dt * state.velocities
         # B: half kick with new forces
-        _, new_forces = system.energy_forces(state.positions)
-        state.velocities += 0.5 * dt * new_forces * inv_m
+        new_forces = self._forces(system, state.positions)
+        state.velocities += half_dt * new_forces * inv_m
         self._advance_clock(state)
         return new_forces
+
+    def _mass_constants(self, masses: np.ndarray) -> None:
+        """``noise_scale * sqrt(kT/m)`` as an ``(N, 1)`` column."""
+        kt = KB * self.temperature
+        self._noise_sigma = self._noise_scale * np.sqrt(kt / masses)[:, None]
 
 
 class MarkovChainIntegrator(_IntegratorBase):
@@ -234,23 +266,24 @@ class NoseHooverIntegrator(_IntegratorBase):
     ) -> np.ndarray:
         """Advance one timestep in place; returns the new forces."""
         dt = self.timestep
-        inv_m = 1.0 / system.masses[:, None]
+        half_dt = 0.5 * dt
+        inv_m = self._inverse_masses(system.masses)
         n_df = system.dim * system.n_atoms
         kt = KB * self.temperature
         q_mass = self._thermostat_mass(system)
 
         # Half-update of the thermostat variable, then a scaled kick.
         ke = system.kinetic_energy(state.velocities)
-        self._xi += 0.5 * dt * (2.0 * ke - n_df * kt) / q_mass
-        scale = np.exp(-self._xi * 0.5 * dt)
-        state.velocities = state.velocities * scale + 0.5 * dt * forces * inv_m
+        self._xi += half_dt * (2.0 * ke - n_df * kt) / q_mass
+        scale = np.exp(-self._xi * half_dt)
+        state.velocities = state.velocities * scale + half_dt * forces * inv_m
         state.positions += dt * state.velocities
-        _, new_forces = system.energy_forces(state.positions)
-        state.velocities += 0.5 * dt * new_forces * inv_m
-        scale = np.exp(-self._xi * 0.5 * dt)
+        new_forces = self._forces(system, state.positions)
+        state.velocities += half_dt * new_forces * inv_m
+        scale = np.exp(-self._xi * half_dt)
         state.velocities *= scale
         ke = system.kinetic_energy(state.velocities)
-        self._xi += 0.5 * dt * (2.0 * ke - n_df * kt) / q_mass
+        self._xi += half_dt * (2.0 * ke - n_df * kt) / q_mass
         self._advance_clock(state)
         return new_forces
 

@@ -8,7 +8,7 @@ equilibrium populations.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -25,11 +25,17 @@ class DoubleWellForce:
         self.barrier = float(barrier)
         self.width = float(width)
 
-    def energy_forces(self, positions: np.ndarray) -> Tuple[float, np.ndarray]:
-        """Return (energy, forces) of the double-well potential."""
+    def energy_forces(
+        self, positions: np.ndarray, need_energy: bool = True
+    ) -> Tuple[Optional[float], np.ndarray]:
+        """Return (energy, forces) of the double-well potential.
+
+        ``need_energy=False`` (the step loops) skips the energy sum and
+        returns ``None`` for it.
+        """
         u = positions / self.width
         q = u * u - 1.0
-        energy = self.barrier * float(np.sum(q * q))
+        energy = self.barrier * float(np.sum(q * q)) if need_energy else None
         # dE/dx = barrier * 2 q * 2u / width
         forces = -(4.0 * self.barrier / self.width) * q * u
         return energy, forces
@@ -52,10 +58,13 @@ class TiltedDoubleWellForce(DoubleWellForce):
         super().__init__(barrier, width)
         self.slope = float(slope)
 
-    def energy_forces(self, positions: np.ndarray) -> Tuple[float, np.ndarray]:
-        """Return (energy, forces) of the double-well potential."""
-        energy, forces = super().energy_forces(positions)
-        energy += self.slope * float(np.sum(positions))
+    def energy_forces(
+        self, positions: np.ndarray, need_energy: bool = True
+    ) -> Tuple[Optional[float], np.ndarray]:
+        """Return (energy, forces) of the tilted double-well potential."""
+        energy, forces = super().energy_forces(positions, need_energy)
+        if need_energy:
+            energy += self.slope * float(np.sum(positions))
         forces = forces - self.slope
         return energy, forces
 

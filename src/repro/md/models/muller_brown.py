@@ -8,7 +8,7 @@ transition-counting / adaptive-sampling stack in milliseconds.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -42,15 +42,21 @@ class MullerBrownForce:
     def __init__(self, scale: float = 0.05) -> None:
         self.scale = float(scale)
 
-    def energy_forces(self, positions: np.ndarray) -> Tuple[float, np.ndarray]:
-        """Return (energy, forces) of the Muller-Brown surface."""
+    def energy_forces(
+        self, positions: np.ndarray, need_energy: bool = True
+    ) -> Tuple[Optional[float], np.ndarray]:
+        """Return (energy, forces) of the Muller-Brown surface.
+
+        ``need_energy=False`` (the step loops) skips the energy sum and
+        returns ``None`` for it.
+        """
         x = positions[:, 0][:, None]
         y = positions[:, 1][:, None]
         dx = x - _x0[None, :]
         dy = y - _y0[None, :]
         expo = _a * dx * dx + _b * dx * dy + _c * dy * dy
         terms = _A * np.exp(expo)
-        energy = self.scale * float(np.sum(terms))
+        energy = self.scale * float(np.sum(terms)) if need_energy else None
         dE_dx = np.sum(terms * (2.0 * _a * dx + _b * dy), axis=1)
         dE_dy = np.sum(terms * (_b * dx + 2.0 * _c * dy), axis=1)
         forces = -self.scale * np.stack([dE_dx, dE_dy], axis=1)

@@ -29,10 +29,11 @@ checkpoint, batched stacks, and worker-side command coalescing
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.md.forcefield.base import composite_energy_forces
 from repro.md.system import State, System
 from repro.util.errors import ConfigurationError
 
@@ -132,17 +133,15 @@ class FusedForceEvaluator:
 
     # -- fused evaluation ---------------------------------------------------
 
-    def energy_forces(self, positions: np.ndarray) -> Tuple[float, np.ndarray]:
+    def energy_forces(
+        self, positions: np.ndarray, need_energy: bool = True
+    ) -> Tuple[Optional[float], np.ndarray]:
         """Total energy and forces, accumulated in one reused buffer."""
         buf = self._buffers[self._flip]
         self._flip ^= 1
-        buf[...] = 0.0
-        total_energy = 0.0
-        for force in self.system.forces:
-            energy, forces = force.energy_forces(positions)
-            total_energy += energy
-            buf += forces
-        return total_energy, buf
+        return composite_energy_forces(
+            self.system.forces, positions, need_energy, out=buf
+        )
 
     def potential_energy(self, positions: np.ndarray) -> float:
         """Total potential energy only."""

@@ -256,12 +256,18 @@ class Simulation:
                 self.system, self.state, self._forces
             )
             if self.report_interval and self.state.step % self.report_interval == 0:
-                if not np.all(np.isfinite(self.state.positions)):
-                    raise SimulationError(
-                        f"non-finite coordinates at step {self.state.step}; "
-                        "reduce the timestep"
-                    )
+                self._check_finite()
                 self._report()
+        # Once more at the end: with report_interval=0 (or a blow-up
+        # after the last report) nothing above has looked.
+        self._check_finite()
+
+    def _check_finite(self) -> None:
+        if not np.all(np.isfinite(self.state.positions)):
+            raise SimulationError(
+                f"non-finite coordinates at step {self.state.step}; "
+                "reduce the timestep"
+            )
 
     def _report(self) -> None:
         self.trajectory.append(self.state.positions, self.state.time)

@@ -7,6 +7,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.md.forcefield.base import composite_energy_forces
 from repro.util.errors import ConfigurationError
 from repro.util.rng import RandomStream
 from repro.util.units import KB
@@ -203,19 +204,18 @@ class System:
         """Append a force term."""
         self.forces.append(force)
 
-    def energy_forces(self, positions: np.ndarray) -> Tuple[float, np.ndarray]:
+    def energy_forces(
+        self, positions: np.ndarray, need_energy: bool = True
+    ) -> Tuple[Optional[float], np.ndarray]:
         """Total potential energy and forces at *positions*.
 
         Sums every registered force term.  Forces accumulate into a
         single preallocated buffer — no per-term temporaries survive.
+        Step loops pass ``need_energy=False``: the energy is then
+        ``None`` and terms that declare the keyword skip computing it
+        (the forces are the same bits either way).
         """
-        total_energy = 0.0
-        total_forces = np.zeros_like(positions)
-        for force in self.forces:
-            energy, forces = force.energy_forces(positions)
-            total_energy += energy
-            total_forces += forces
-        return total_energy, total_forces
+        return composite_energy_forces(self.forces, positions, need_energy)
 
     def potential_energy(self, positions: np.ndarray) -> float:
         """Total potential energy only."""

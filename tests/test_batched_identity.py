@@ -19,7 +19,7 @@ from repro.md.engine import (
     MDTask,
     resolve_model,
 )
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, SimulationError
 from repro.util.serialization import encode_message
 
 R = 8
@@ -195,3 +195,95 @@ def test_batched_simulation_checkpoints_match_serial_simulation():
         assert checkpoint_bytes(
             batched.checkpoint(r).to_payload()
         ) == checkpoint_bytes(serial.checkpoint)
+
+
+# -- the forces-only component-plane kernels, at the stack sizes they serve --
+
+
+def make_villin_tasks(n_replicas):
+    """villin-fast through the batched kernels whatever the stack size
+    (``dispatch="batched"``: ``"auto"`` would run R=1 serially)."""
+    return make_tasks("villin-fast", n_steps=120, dispatch="batched")[:n_replicas]
+
+
+@pytest.mark.parametrize("n_replicas", [1, 6])
+def test_villin_resume_from_checkpoint_is_identical(n_replicas):
+    """Abort, checkpoint, resume — batched at R=1 and at the adaptive
+    loop's R=6 — equals serial and equals a straight-through run."""
+    engine = MDEngine(segment_steps=40)
+    tasks = make_villin_tasks(n_replicas)
+    serial_partial = [engine.run(t, abort_after_steps=70) for t in tasks]
+    batched_partial = engine.run_batched(
+        BatchedMDTask.from_tasks(tasks), abort_after_steps=70
+    )
+    assert batched_partial.dispatch == "batched"
+    assert_results_identical(serial_partial, batched_partial.results)
+    assert not any(r.completed for r in batched_partial.results)
+
+    resumed = [
+        MDTask(**{**task.__dict__, "checkpoint": partial.checkpoint})
+        for task, partial in zip(tasks, batched_partial.results)
+    ]
+    serial_final = [engine.run(t) for t in resumed]
+    batched_final = engine.run_batched(BatchedMDTask.from_tasks(resumed))
+    assert batched_final.dispatch == "batched"
+    assert_results_identical(serial_final, batched_final.results)
+    assert all(r.completed for r in batched_final.results)
+    for interrupted, task in zip(batched_final.results, tasks):
+        straight = engine.run(task)
+        assert checkpoint_bytes(interrupted.checkpoint) == checkpoint_bytes(
+            straight.checkpoint
+        )
+        assert interrupted.final_potential_energy == straight.final_potential_energy
+
+
+@pytest.mark.parametrize("n_replicas", [1, 6])
+def test_villin_early_exit_is_identical(n_replicas):
+    """Replicas leave the stack at their own targets (the last one
+    runs alone in a compacted stack of one): same bits as serial."""
+    built = resolve_model("villin-fast", {})
+    tasks = make_villin_tasks(n_replicas)
+    stops = np.array([40 + 25 * r for r in range(n_replicas)])
+    batched = BatchedSimulation(
+        built.system,
+        make_batched_integrator(
+            "langevin", 0.02, 300.0, 1.0, [t.seed for t in tasks]
+        ),
+        [built.state_builder(t) for t in tasks],
+        report_interval=tasks[0].report_interval,
+    )
+    batched.run_to(stops)
+    energies = batched.potential_energies()
+    for r, task in enumerate(tasks):
+        serial = MDEngine(segment_steps=1000).run(
+            MDTask(**{**task.__dict__, "n_steps": int(stops[r])})
+        )
+        assert checkpoint_bytes(
+            batched.checkpoint(r).to_payload()
+        ) == checkpoint_bytes(serial.checkpoint)
+        np.testing.assert_array_equal(
+            batched.trajectories[r].frames, serial.frames
+        )
+        # batched energies keep their own (sequential) summation order
+        np.testing.assert_allclose(
+            energies[r], serial.final_potential_energy, rtol=1e-12
+        )
+
+
+def test_batched_run_raises_on_non_finite_coordinates_without_reports():
+    """report_interval=0 used to integrate NaNs to the end and return
+    them; every span now ends with the check the report points make."""
+    built = resolve_model("villin-fast", {})
+    tasks = make_villin_tasks(3)
+    states = [built.state_builder(t) for t in tasks]
+    states[1].positions[4, 0] = np.nan
+    batched = BatchedSimulation(
+        built.system,
+        make_batched_integrator(
+            "langevin", 0.02, 300.0, 1.0, [t.seed for t in tasks]
+        ),
+        states,
+        report_interval=0,
+    )
+    with pytest.raises(SimulationError, match=r"replica 1 at step 5"):
+        batched.run(5)

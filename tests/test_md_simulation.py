@@ -14,7 +14,7 @@ from repro.md import (
     Trajectory,
 )
 from repro.md.models.villin import build_villin
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, SimulationError
 from repro.util.serialization import decode_message, encode_message
 
 
@@ -54,6 +54,17 @@ def test_simulation_observers_called(villin_fast):
     sim.add_observer(lambda state: seen.append(state.step))
     sim.run(300)
     assert seen == [0, 100, 200, 300]
+
+
+@pytest.mark.parametrize("report", [0, 50])
+def test_simulation_raises_on_non_finite_coordinates(villin_fast, report):
+    """A blown-up run must not return NaNs: the check made at report
+    points is made once more at the end of run(), so report_interval=0
+    (or a blow-up after the last report) is caught too."""
+    sim = _make_sim(villin_fast, report=report)
+    sim.state.positions[3, 1] = np.nan
+    with pytest.raises(SimulationError, match="non-finite coordinates at step 7"):
+        sim.run(7)
 
 
 def test_simulation_shape_mismatch_rejected(villin_fast):

@@ -8,11 +8,18 @@ reduction-order trap that order rests on.
 """
 
 import copy
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.md.batched import BatchedSystem
+from repro.md.engine import MDTask, resolve_model
 from repro.md.forcefield import (
     ExcludedVolumeForce,
     GoContactForce,
@@ -22,12 +29,14 @@ from repro.md.forcefield import (
     PeriodicDihedralForce,
     ReactionFieldElectrostatics,
 )
+from repro.md.forcefield import base
 from repro.md.forcefield.base import (
     SegmentScatter,
     composite_energy_forces_batch,
 )
 from repro.md.neighborlist import AllPairs
 from repro.md.system import System
+from repro.util.errors import ConfigurationError
 
 REPLICA_COUNTS = (1, 2, 7, 64)
 N_ATOMS = 12
@@ -347,3 +356,306 @@ def test_energy_sum_order_is_sequential_over_interactions(n_replicas):
     pairwise = np.sum(np.ascontiguousarray(term.T), axis=1)
     assert pairwise.tobytes() != sequential.tobytes()
     np.testing.assert_allclose(pairwise, sequential, rtol=1e-9)
+
+
+# -- (d) the level budget: chunked gathers never re-associate ----------------
+
+
+def _budget_for(levels, n_atoms, n_replicas, dim=3):
+    """Element budget that lets one gather take the carry + *levels*."""
+    return (levels + 1) * dim * n_atoms * n_replicas
+
+
+def _scatter_into(start, indices, values):
+    """*start* ``(dim, N, R)`` after ``SegmentScatter.add`` of *values*
+    ``(dim, P, R)``, and how many gathers that took."""
+    dim, n_atoms, n_replicas = start.shape
+    scatter = SegmentScatter(indices, n_atoms)
+    rows = scatter.workspace(dim, n_replicas)
+    rows[:, :-1] = values
+    out = start.copy()
+    scatter.add(out, rows)
+    return out, len(scatter._gathers)
+
+
+def _add_at_into(start, indices, values):
+    """The reference: ``np.add.at`` replica by replica on ``(N, dim)``."""
+    out = np.empty_like(start)
+    for replica in range(start.shape[2]):
+        target = start[:, :, replica].T.copy()
+        np.add.at(target, indices, values[:, :, replica].T)
+        out[:, :, replica] = target.T
+    return out
+
+
+@pytest.mark.parametrize("n_replicas", [1, 2, 6, 64])
+@pytest.mark.parametrize("max_degree", [1, 3, 8, 20])
+def test_scatter_level_budget_never_reassociates(monkeypatch, n_replicas, max_degree):
+    """One level per gather, three, or the whole table at once: the
+    same bits as ``np.add.at`` — signs of zero included — because the
+    running sum rides along as the first gathered level."""
+    rng = np.random.default_rng(1000 * max_degree + n_replicas)
+    indices = _index_list(rng, N_ATOMS, max_degree)
+    shape = (3, len(indices), n_replicas)
+    values = rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 6, shape)
+    # rows of +0.0 and -0.0, and an atom that only ever receives -0.0
+    values[:, rng.random(len(indices)) < 0.2] = 0.0
+    values[:, rng.random(len(indices)) < 0.2] = -0.0
+    values[:, indices == indices[0]] = -0.0
+    assert np.signbit(values).any() and (values == 0.0).any()
+
+    zeros = np.zeros((3, N_ATOMS, n_replicas))
+    expect = _add_at_into(zeros, indices, values)
+    depth = int(np.bincount(indices).max())
+    gathers = []
+    for levels in (1, 3, depth):
+        monkeypatch.setattr(
+            base,
+            "SCATTER_GATHER_ELEMENTS",
+            _budget_for(levels, N_ATOMS, n_replicas),
+        )
+        got, n_gathers = _scatter_into(zeros, indices, values)
+        assert got.tobytes() == expect.tobytes(), levels
+        gathers.append(n_gathers)
+    assert gathers == [depth, -(-depth // 3), 1]
+
+
+def test_scatter_budget_below_one_level_still_takes_one(monkeypatch):
+    """The budget bounds a gather from above only while a level fits:
+    a stack larger than the budget degrades to one level per gather."""
+    indices = np.array([0, 1, 1, 1, 2, 2])
+    values = np.arange(3.0 * 6 * 2).reshape(3, 6, 2)
+    monkeypatch.setattr(base, "SCATTER_GATHER_ELEMENTS", 0)
+    zeros = np.zeros((3, 3, 2))
+    got, n_gathers = _scatter_into(zeros, indices, values)
+    assert n_gathers == 3
+    assert got.tobytes() == _add_at_into(zeros, indices, values).tobytes()
+
+
+def test_scatter_adds_into_a_nonzero_buffer_in_order():
+    """``add`` is ``+=``: what *buf* held is the first term of every
+    atom's left-associated sum, exactly like ``np.add.at`` into it."""
+    rng = np.random.default_rng(5)
+    indices = _index_list(rng, N_ATOMS, 6)
+    shape = (3, len(indices), 2)
+    values = rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 6, shape)
+    start = rng.standard_normal((3, N_ATOMS, 2)) * 1e3
+    got, _ = _scatter_into(start, indices, values)
+    assert got.tobytes() == _add_at_into(start, indices, values).tobytes()
+
+
+def test_scatter_refuses_a_single_atom():
+    """With one atom and one replica a level is a single element and
+    numpy would reduce the level axis pairwise (next test)."""
+    with pytest.raises(ConfigurationError):
+        SegmentScatter(np.array([0, 0]), 1)
+
+
+@pytest.mark.parametrize("n_replicas", [1, 2, 6, 64])
+@pytest.mark.parametrize("n_atoms", [2, 19])
+def test_level_axis_reduce_is_sequential(n_atoms, n_replicas):
+    """``np.add.reduce(stack, axis=1, initial=0.0)`` over a C-contiguous
+    ``(dim, levels, N, R)`` stack adds the ``(N, R)`` planes one after
+    another from ``+0.0`` — the left association of ``np.add.at`` —
+    as long as a plane has at least two elements.  A one-element plane
+    makes the level axis the contiguous inner loop, which numpy sums
+    pairwise: the trap ``SegmentScatter`` excludes by construction."""
+    rng = np.random.default_rng(n_atoms * 100 + n_replicas)
+    shape = (3, 40, n_atoms, n_replicas)
+    stack = rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 6, shape)
+    stack[:, :2] = -0.0  # the +0.0 start must absorb these
+    sequential = np.zeros((3, n_atoms, n_replicas))
+    for level in range(shape[1]):
+        sequential = sequential + stack[:, level]
+    out = np.empty_like(sequential)
+    np.add.reduce(stack, axis=1, initial=0.0, out=out)
+    assert out.tobytes() == sequential.tobytes()
+    assert not np.signbit(out[sequential == 0.0]).any()
+
+    single = stack[:, :, :1, :1]
+    trap = np.add.reduce(np.ascontiguousarray(single), axis=1, initial=0.0)
+    in_order = np.zeros((3, 1, 1))
+    for level in range(shape[1]):
+        in_order = in_order + single[:, level]
+    assert trap.tobytes() != in_order.tobytes()
+    np.testing.assert_allclose(trap, in_order, rtol=1e-9)
+
+
+# -- (e) forces-only evaluation ------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(TERMS))
+@pytest.mark.parametrize("n_replicas", REPLICA_COUNTS)
+def test_forces_do_not_depend_on_need_energy(name, n_replicas):
+    """Serial and batched: skipping the energy changes no force bit."""
+    term = TERMS[name]
+    positions = _stack(n_replicas)
+    for replica in (0, n_replicas - 1):
+        _, with_energy = term.energy_forces(positions[replica])
+        skipped, without = term.energy_forces(positions[replica], need_energy=False)
+        assert skipped is None
+        assert without.tobytes() == with_energy.tobytes()
+    planes = np.ascontiguousarray(positions.transpose(2, 1, 0))
+    ids = np.arange(n_replicas)
+    _, with_energy = term.compute_batch(planes, replica_ids=ids)
+    skipped, without = term.compute_batch(planes, replica_ids=ids, need_energy=False)
+    assert skipped is None
+    assert without.tobytes() == with_energy.tobytes()
+
+
+@pytest.mark.parametrize("n_replicas", REPLICA_COUNTS)
+def test_composite_forces_do_not_depend_on_need_energy(n_replicas):
+    system = System(np.ones(N_ATOMS), forces=list(TERMS.values()))
+    positions = _stack(n_replicas)
+    batched = BatchedSystem(system, n_replicas)
+    energies, with_energy = batched.energy_forces(positions)
+    skipped, without = batched.energy_forces(positions, need_energy=False)
+    assert skipped is None and energies.shape == (n_replicas,)
+    assert without.tobytes() == with_energy.tobytes()
+    for replica in (0, n_replicas - 1):
+        _, serial = system.energy_forces(positions[replica])
+        skipped, serial_without = system.energy_forces(
+            positions[replica], need_energy=False
+        )
+        assert skipped is None
+        assert serial_without.tobytes() == serial.tobytes()
+        assert serial.tobytes() == with_energy[replica].tobytes()
+
+
+class _SpringWithoutKeyword:
+    """A user-written term from before ``need_energy`` existed."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def energy_forces(self, positions):
+        self.calls += 1
+        return 0.5 * float(np.sum(positions**2)), -positions
+
+
+class _BatchedSpringWithoutKeyword(_SpringWithoutKeyword):
+    def compute_batch(self, planes, replica_ids=None):
+        self.calls += 1
+        return 0.5 * np.sum(planes * planes, axis=(0, 1)), -planes
+
+
+@pytest.mark.parametrize(
+    "spring_type", [_SpringWithoutKeyword, _BatchedSpringWithoutKeyword]
+)
+def test_term_without_the_keyword_is_served_on_both_paths(spring_type):
+    """Forces-only callers must not pass ``need_energy`` to a term that
+    does not declare it (decided from the signature, not by catching a
+    ``TypeError``): the term runs, its energy is ignored."""
+    spring = spring_type()
+    system = System(np.ones(N_ATOMS), forces=[TERMS["bond"], spring])
+    positions = _stack(3)
+    _, expect = system.energy_forces(positions[0])
+    skipped, got = system.energy_forces(positions[0], need_energy=False)
+    assert skipped is None and got.tobytes() == expect.tobytes()
+
+    batched = BatchedSystem(system, 3)
+    energies, expect = batched.energy_forces(positions)
+    skipped, got = batched.energy_forces(positions, need_energy=False)
+    assert skipped is None and got.tobytes() == expect.tobytes()
+    np.testing.assert_allclose(
+        energies, [system.energy_forces(p)[0] for p in positions], rtol=1e-12
+    )
+    assert spring.calls > 0
+
+
+# -- (f) energies: the parent commit's bits --------------------------------------
+
+
+GOLDEN_ENERGIES = Path(__file__).parent / "data" / "kernel_energies.json"
+
+
+def _energy_digests():
+    """sha256 of the float64 energies of every fixture term (batched, in
+    a one-term system) and of the villin-fast composite (batched and
+    serial) at R = 1, 2, 6, 64.  ``tests/data/kernel_energies.json`` is
+    this dict as computed by the commit before the forces-only kernels
+    (``python -c "import json, tests.test_scatter_plan as t;
+    print(json.dumps(t._energy_digests(), indent=0, sort_keys=True))"``)."""
+    def digest(energies):
+        raw = np.asarray(energies, dtype=np.float64).tobytes()
+        return hashlib.sha256(raw).hexdigest()
+
+    out = {}
+    built = resolve_model("villin-fast", {})
+    for n_replicas in (1, 2, 6, 64):
+        positions = _stack(n_replicas)
+        for name in sorted(TERMS):
+            system = System(np.ones(N_ATOMS), forces=[TERMS[name]])
+            energies, _ = BatchedSystem(system, n_replicas).energy_forces(positions)
+            out[f"{name}/R{n_replicas}"] = digest(energies)
+        stack = np.stack(
+            [
+                built.state_builder(
+                    MDTask(model="villin-fast", n_steps=1, seed=40 + r)
+                ).positions
+                for r in range(n_replicas)
+            ]
+        )
+        energies, _ = BatchedSystem(built.system, n_replicas).energy_forces(stack)
+        out[f"villin-fast/R{n_replicas}"] = digest(energies)
+        out[f"villin-fast-serial/R{n_replicas}"] = digest(
+            [built.system.energy_forces(p)[0] for p in stack]
+        )
+    return out
+
+
+def test_energies_equal_the_parent_commits_bits():
+    """With energies on, every term and the composite return the bits
+    they returned before the kernels learned to skip them."""
+    golden = json.loads(GOLDEN_ENERGIES.read_text())
+    got = _energy_digests()
+    assert sorted(got) == sorted(golden)
+    assert {k: v for k, v in got.items() if golden[k] != v} == {}
+
+
+# -- (g) the allocation trap, as a guard ----------------------------------------
+
+
+_PAGE_FAULT_PROBE = """
+import resource
+import numpy as np
+from repro.md.batched import BatchedSystem
+from repro.md.engine import MDTask, resolve_model
+
+built = resolve_model("villin-fast", {})
+for n_replicas in (6, 64):
+    stack = np.stack([
+        built.state_builder(MDTask(model="villin-fast", n_steps=1, seed=r)).positions
+        for r in range(n_replicas)
+    ])
+    system, ids = BatchedSystem(built.system, n_replicas), np.arange(n_replicas)
+    for _ in range(20):
+        system.energy_forces(stack, ids, need_energy=False)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(200):
+        system.energy_forces(stack, ids, need_energy=False)
+    print(n_replicas, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_steady_state_evaluations_do_not_page_fault():
+    """After warm-up, 200 composite villin-fast evaluations touch no
+    fresh page at R=6 and fewer than 50 at R=64.  A temporary at or
+    above malloc's mmap threshold (or enough live ones to make the heap
+    trim itself) is mapped afresh on every call and pays a minor fault
+    per 4 KiB — the trap that made a one-shot scatter gather and a
+    196 KiB dihedral expansion *slower* than the loops they replaced.
+    Run in a fresh interpreter so the heap's history is this probe's
+    alone."""
+    pytest.importorskip("resource")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    out = subprocess.run(
+        [sys.executable, "-c", _PAGE_FAULT_PROBE],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    faults = dict(map(int, line.split()) for line in out.splitlines())
+    assert faults[6] == 0
+    assert faults[64] < 50
