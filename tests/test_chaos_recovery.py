@@ -4,8 +4,9 @@ The acceptance scenario injects a worker crash mid-segment *and* a
 link partition, and the failure_recovery swarm must still complete
 with every recovery invariant green.  Each scenario is exercised
 across several fixed seeds (plus ``CHAOS_SEED`` from the environment,
-so CI's chaos matrix can widen coverage), and re-running a seed must
-reproduce the identical event transcript.
+so CI's chaos matrix can widen coverage), and a seed must reproduce
+the identical event transcript (the committed digest; see
+``conftest.reproducible``).
 """
 
 import os
@@ -30,9 +31,9 @@ def crash_and_partition(plan: FaultPlan) -> None:
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_crash_plus_partition_completes_with_invariants_green(seed):
-    scenario = run_swarm_under_faults(
-        configure=crash_and_partition, seed=seed
+def test_crash_plus_partition_completes_with_invariants_green(seed, canned):
+    scenario = canned(
+        "run_swarm_under_faults", seed, configure=crash_and_partition
     )
     runner = scenario.runner
     project = runner._projects["swarm"]
@@ -43,18 +44,15 @@ def test_crash_plus_partition_completes_with_invariants_green(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_same_seed_reproduces_identical_event_log(seed):
-    first = run_swarm_under_faults(configure=crash_and_partition, seed=seed)
-    second = run_swarm_under_faults(configure=crash_and_partition, seed=seed)
-    assert first.transcript == second.transcript
-    assert first.chaos == second.chaos
-    assert sorted(first.controller.finished) == sorted(
-        second.controller.finished
+def test_same_seed_reproduces_identical_event_log(seed, reproducible):
+    # transcript, chaos report, finished commands, metrics and trace
+    reproducible("run_swarm_under_faults", seed, configure=crash_and_partition)
+
+
+def test_crashed_workers_command_resumes_from_checkpoint(canned):
+    scenario = canned(
+        "run_swarm_under_faults", 0, configure=crash_and_partition
     )
-
-
-def test_crashed_workers_command_resumes_from_checkpoint():
-    scenario = run_swarm_under_faults(configure=crash_and_partition, seed=0)
     finished = dict(scenario.controller.finished)
     # the command the dead worker started was NOT restarted from zero:
     # the finishing worker executed only the remaining steps
@@ -159,8 +157,10 @@ def test_slow_worker_takes_more_segments_but_finishes():
     assert all(s >= 9 for s in slow_segments)  # 5000 steps / 500-step segments
 
 
-def test_retry_traffic_visible_after_chaos_run():
-    scenario = run_swarm_under_faults(configure=crash_and_partition, seed=0)
+def test_retry_traffic_visible_after_chaos_run(canned):
+    scenario = canned(
+        "run_swarm_under_faults", 0, configure=crash_and_partition
+    )
     rows = {row["link"]: row for row in scenario.network.traffic_report()}
     retry_rows = [k for k in rows if k.startswith("endpoint:")]
     assert retry_rows, "retries should surface in the traffic report"

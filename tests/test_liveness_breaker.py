@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net.circuit import BreakerPolicy, BreakerState, CircuitBreaker
-from repro.testing import Invariants, run_relay_with_sick_peer
+from repro.testing import Invariants
 from repro.util.errors import ConfigurationError
 
 
@@ -99,8 +99,8 @@ def test_escalated_cooldown_is_capped():
 # -- the canned sick-peer scenario ------------------------------------------
 
 
-def test_sick_peer_trips_and_recovers_the_relay_breaker():
-    out = run_relay_with_sick_peer(seed=0)
+def test_sick_peer_trips_and_recovers_the_relay_breaker(canned):
+    out = canned("run_relay_with_sick_peer", 0)
     breaker = out.breaker
     # the breaker opened on the sick window, skipped while open, and
     # re-closed through half-open probes once the peer recovered
@@ -113,8 +113,8 @@ def test_sick_peer_trips_and_recovers_the_relay_breaker():
     Invariants(out.runner).assert_ok()
 
 
-def test_sick_peer_breaker_surfaces_in_traffic_report():
-    out = run_relay_with_sick_peer(seed=0)
+def test_sick_peer_breaker_surfaces_in_traffic_report(canned):
+    out = canned("run_relay_with_sick_peer", 0)
     rows = [
         row
         for row in out.network.traffic_report()
@@ -124,8 +124,6 @@ def test_sick_peer_breaker_surfaces_in_traffic_report():
     assert rows[0]["state"] == "closed"
 
 
-def test_sick_peer_scenario_is_deterministic():
-    a = run_relay_with_sick_peer(seed=1)
-    b = run_relay_with_sick_peer(seed=1)
-    assert a.transcript == b.transcript
-    assert a.breaker.describe() == b.breaker.describe()
+def test_sick_peer_scenario_is_deterministic(reproducible):
+    # transcript and breaker counters among the digested parts
+    reproducible("run_relay_with_sick_peer", 1)

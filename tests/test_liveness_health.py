@@ -8,7 +8,7 @@ from repro.server.health import (
     HealthRegistry,
     HealthState,
 )
-from repro.testing import Invariants, run_swarm_with_flapping_worker
+from repro.testing import Invariants
 from repro.util.errors import ConfigurationError
 
 
@@ -99,8 +99,8 @@ def test_repeat_quarantine_cooldown_escalates():
 # -- the canned flapping scenario -------------------------------------------
 
 
-def test_flapping_worker_is_quarantined_then_readmitted():
-    out = run_swarm_with_flapping_worker(seed=0)
+def test_flapping_worker_is_quarantined_then_readmitted(canned):
+    out = canned("run_swarm_with_flapping_worker", 0)
     runner, server = out.runner, out.server
     events = runner.events
 
@@ -127,8 +127,8 @@ def test_flapping_worker_is_quarantined_then_readmitted():
     Invariants(runner).assert_ok()
 
 
-def test_flapping_worker_receives_no_workload_while_quarantined():
-    out = run_swarm_with_flapping_worker(seed=0)
+def test_flapping_worker_receives_no_workload_while_quarantined(canned):
+    out = canned("run_swarm_with_flapping_worker", 0)
     events = out.runner.events
     quarantined_at = events.filter(kind=EventKind.WORKER_QUARANTINED)[0].time
     readmitted_at = events.filter(kind=EventKind.WORKER_READMITTED)[0].time
@@ -138,7 +138,5 @@ def test_flapping_worker_receives_no_workload_while_quarantined():
         assert not (quarantined_at <= record.time < readmitted_at)
 
 
-def test_flapping_scenario_is_deterministic():
-    a = run_swarm_with_flapping_worker(seed=3)
-    b = run_swarm_with_flapping_worker(seed=3)
-    assert a.transcript == b.transcript
+def test_flapping_scenario_is_deterministic(reproducible):
+    reproducible("run_swarm_with_flapping_worker", 3)

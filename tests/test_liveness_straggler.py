@@ -10,12 +10,12 @@ straggler's late duplicate as the race's loser -- exactly once.
 import pytest
 
 from repro.core.events import EventKind
-from repro.testing import Invariants, run_swarm_with_straggler
+from repro.testing import Invariants
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_straggler_completes_via_speculation_in_bounded_time(seed):
-    out = run_swarm_with_straggler(seed=seed)
+def test_straggler_completes_via_speculation_in_bounded_time(seed, canned):
+    out = canned("run_swarm_with_straggler", seed)
     runner, server = out.runner, out.server
 
     # the project finished in bounded virtual time: a handful of ticks,
@@ -44,8 +44,8 @@ def test_straggler_completes_via_speculation_in_bounded_time(seed):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_losing_copy_is_journaled_and_dropped_exactly_once(seed):
-    out = run_swarm_with_straggler(seed=seed)
+def test_losing_copy_is_journaled_and_dropped_exactly_once(seed, canned):
+    out = canned("run_swarm_with_straggler", seed)
     runner, server = out.runner, out.server
     events = runner.events
 
@@ -66,19 +66,16 @@ def test_losing_copy_is_journaled_and_dropped_exactly_once(seed):
     assert len(completions) == 1
 
 
-def test_straggler_scenario_is_deterministic():
-    a = run_swarm_with_straggler(seed=2)
-    b = run_swarm_with_straggler(seed=2)
-    assert a.transcript == b.transcript
-    assert a.completed_at == b.completed_at
-    assert a.drain_cycles == b.drain_cycles
+def test_straggler_scenario_is_deterministic(reproducible):
+    # transcript, completed_at and drain_cycles among the digested parts
+    reproducible("run_swarm_with_straggler", 2)
 
 
-def test_checkpoints_evicted_once_commands_complete():
+def test_checkpoints_evicted_once_commands_complete(canned):
     # satellite regression: WorkerRecord.checkpoints must not leak --
     # finished commands (including the speculated one, reported by two
     # workers) leave no checkpoint behind on any worker record
-    out = run_swarm_with_straggler(seed=0)
+    out = canned("run_swarm_with_straggler", 0)
     server = out.server
     finished_ids = [command_id for command_id, _ in out.controller.finished]
     assert finished_ids

@@ -83,8 +83,8 @@ def test_prometheus_round_trip_hand_built():
     assert len(values) == len(reg.collect())
 
 
-def test_prometheus_round_trip_live_run():
-    out = run_swarm_under_faults(seed=0)
+def test_prometheus_round_trip_live_run(canned):
+    out = canned("run_swarm_under_faults", 0)
     reg = out.obs.metrics
     values, types = parse_prometheus_text(to_prometheus_text(reg))
     samples = reg.collect()
@@ -114,6 +114,8 @@ def test_json_lines_export():
 
 
 def test_snapshot_is_deterministic_across_seeded_runs():
+    # the swarm harness's one true run-twice test: it proves seeding
+    # itself works, where the other determinism tests trust a digest
     first = run_swarm_under_faults(seed=3).obs.metrics.snapshot()
     second = run_swarm_under_faults(seed=3).obs.metrics.snapshot()
 

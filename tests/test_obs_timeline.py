@@ -17,7 +17,7 @@ from repro.obs.timeline import (
     des_utilization_breakdown,
     timeline_report_for,
 )
-from repro.testing import run_swarm_under_faults, run_swarm_with_straggler
+from repro.testing import run_swarm_under_faults
 
 
 def _assert_phases_partition(report):
@@ -39,8 +39,8 @@ def _assert_phases_partition(report):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_villin_swarm_phases_sum_to_lifecycle(seed):
-    out = run_swarm_under_faults(seed=seed)
+def test_villin_swarm_phases_sum_to_lifecycle(seed, canned):
+    out = canned("run_swarm_under_faults", seed)
     report = timeline_report_for(out.runner)
     assert len(report.commands) == 3
     assert all(tl.complete for tl in report.commands)
@@ -64,8 +64,8 @@ def test_paced_single_worker_swarm_partitions():
     assert 0.0 <= report.utilization() <= 1.0
 
 
-def test_straggler_timeline_marks_speculation():
-    out = run_swarm_with_straggler(seed=0)
+def test_straggler_timeline_marks_speculation(canned):
+    out = canned("run_swarm_with_straggler", 0)
     report = timeline_report_for(out.runner)
     _assert_phases_partition(report)
     by_id = {tl.command_id: tl for tl in report.commands}
@@ -78,16 +78,16 @@ def test_straggler_timeline_marks_speculation():
     assert report.render_text().count("[speculated]") == 1
 
 
-def test_timeline_without_tracer_still_partitions():
-    out = run_swarm_under_faults(seed=0)
+def test_timeline_without_tracer_still_partitions(canned):
+    out = canned("run_swarm_under_faults", 0)
     report = build_timeline_report(out.runner.events, tracer=None)
     # no spans: everything that isn't transfer/controller is queue wait
     _assert_phases_partition(report)
     assert report.phase_totals["compute"] == 0.0
 
 
-def test_report_renders_every_command():
-    out = run_swarm_under_faults(seed=0)
+def test_report_renders_every_command(canned):
+    out = canned("run_swarm_under_faults", 0)
     report = timeline_report_for(out.runner)
     text = report.render_text()
     for tl in report.commands:

@@ -13,7 +13,6 @@ import json
 import pytest
 
 from repro.obs import SpanContext, Tracer, to_chrome_trace, trace_id_for, validate_chrome_trace
-from repro.testing import run_swarm_under_faults, run_swarm_with_straggler
 
 
 def _spans_by_name(spans):
@@ -47,8 +46,8 @@ def test_trace_ids_are_deterministic():
     assert len(trace_id_for("p", "c")) == 16
 
 
-def test_end_to_end_command_trace_spans_server_and_worker():
-    out = run_swarm_under_faults(seed=0)
+def test_end_to_end_command_trace_spans_server_and_worker(canned):
+    out = canned("run_swarm_under_faults", 0)
     tracer = out.obs.tracer
     worker_names = {w.name for w in out.workers}
 
@@ -81,8 +80,8 @@ def test_end_to_end_command_trace_spans_server_and_worker():
         assert spans["controller.update"][0].start >= execute.end
 
 
-def test_speculation_shares_the_trace_across_workers():
-    out = run_swarm_with_straggler(seed=0)
+def test_speculation_shares_the_trace_across_workers(canned):
+    out = canned("run_swarm_with_straggler", 0)
     tracer = out.obs.tracer
     trace_id = trace_id_for("swarm", "cmd0")
     executes = [
@@ -94,12 +93,12 @@ def test_speculation_shares_the_trace_across_workers():
     assert len({s.component for s in executes}) >= 2
 
 
-def test_chrome_trace_export_validates_and_is_deterministic():
-    first = to_chrome_trace(run_swarm_under_faults(seed=1).obs.tracer)
+def test_chrome_trace_export_validates_and_is_deterministic(reproducible):
+    # the export is one of the digested parts of every scenario run
+    out = reproducible("run_swarm_under_faults", 1)
+    first = to_chrome_trace(out.obs.tracer)
     assert validate_chrome_trace(first) == []
     assert validate_chrome_trace(json.dumps(first)) == []
-    second = to_chrome_trace(run_swarm_under_faults(seed=1).obs.tracer)
-    assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
     names = {e["name"] for e in first["traceEvents"]}
     assert {"process_name", "thread_name", "worker.execute"} <= names

@@ -42,9 +42,9 @@ def restart_after_one(plan: FaultPlan) -> None:
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_restart_completes_with_invariants_green(tmp_path, seed):
-    out = run_swarm_with_server_restart(
-        tmp_path / "journal", configure=restart_after_one, seed=seed
+def test_restart_completes_with_invariants_green(seed, canned):
+    out = canned(
+        "run_swarm_with_server_restart", seed, configure=restart_after_one
     )
     assert out.project.status is ProjectStatus.COMPLETE
     # the kill genuinely interrupted the project
@@ -53,9 +53,9 @@ def test_restart_completes_with_invariants_green(tmp_path, seed):
     Invariants(out.runner).assert_ok()
 
 
-def test_no_result_lost_or_doubled_across_restart(tmp_path):
-    out = run_swarm_with_server_restart(
-        tmp_path / "journal", configure=restart_after_one, seed=1
+def test_no_result_lost_or_doubled_across_restart(canned):
+    out = canned(
+        "run_swarm_with_server_restart", 1, configure=restart_after_one
     )
     events = out.runner.events
     completed = events.filter(kind=EventKind.COMMAND_COMPLETED)
@@ -75,16 +75,12 @@ def test_no_result_lost_or_doubled_across_restart(tmp_path):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_same_seed_reproduces_identical_transcripts(tmp_path, seed):
-    first = run_swarm_with_server_restart(
-        tmp_path / "a", configure=restart_after_one, seed=seed
+def test_same_seed_reproduces_identical_transcripts(seed, reproducible):
+    # both phases' transcripts and the chaos report among the digested
+    # parts; the journal directory differs from the digest's and must not
+    reproducible(
+        "run_swarm_with_server_restart", seed, configure=restart_after_one
     )
-    second = run_swarm_with_server_restart(
-        tmp_path / "b", configure=restart_after_one, seed=seed
-    )
-    assert first.pre["transcript"] == second.pre["transcript"]
-    assert first.transcript == second.transcript
-    assert first.chaos == second.chaos
 
 
 # -------------------------------------------- exactly-once after recovery

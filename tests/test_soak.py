@@ -75,6 +75,8 @@ def test_soak_exports_per_tenant_metrics(soak):
 
 
 def test_soak_is_deterministic_from_its_seed():
+    # the soak harness's one true run-twice test: it proves seeding
+    # itself works, where the churn scenarios trust a committed digest
     a = run_multitenant_soak(n_tenants=12, n_shards=2, seed=3)
     b = run_multitenant_soak(n_tenants=12, n_shards=2, seed=3)
     assert a.transcript == b.transcript
