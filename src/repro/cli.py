@@ -408,11 +408,12 @@ def cmd_demo_umbrella(args, out) -> int:
     return 0
 
 
-def _run_obs_scenario(args) -> dict:
+def _run_obs_scenario(args):
     """Run the chosen canned chaos scenario deterministically.
 
-    Every scenario returns the shared :class:`~repro.obs.Observability`
-    hub under the ``"obs"`` key, plus the runner for timeline builds.
+    Returns its :class:`~repro.testing.ScenarioResult`: ``.obs`` is the
+    deployment's shared :class:`~repro.obs.Observability` hub,
+    ``.runner`` feeds the timeline builds.
     """
     from repro.testing import scenarios
 
@@ -527,35 +528,23 @@ def cmd_soak(args, out) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.partition_churn:
-        with tempfile.TemporaryDirectory() as scratch:
+    fleet = dict(
+        n_tenants=args.tenants,
+        n_shards=args.shards,
+        workers_per_shard=args.workers_per_shard,
+        n_steps=args.steps,
+        seed=args.seed,
+    )
+    with tempfile.TemporaryDirectory() as scratch:
+        journal_root = args.journal_root or scratch
+        if args.partition_churn:
             result = run_multitenant_with_partitioned_shard(
-                args.journal_root or scratch,
-                n_tenants=args.tenants,
-                n_shards=args.shards,
-                workers_per_shard=args.workers_per_shard,
-                n_steps=args.steps,
-                heal_after=args.heal_after,
-                seed=args.seed,
+                journal_root, heal_after=args.heal_after, **fleet
             )
-    elif args.shard_churn:
-        with tempfile.TemporaryDirectory() as scratch:
-            result = run_multitenant_with_shard_crash(
-                args.journal_root or scratch,
-                n_tenants=args.tenants,
-                n_shards=args.shards,
-                workers_per_shard=args.workers_per_shard,
-                n_steps=args.steps,
-                seed=args.seed,
-            )
-    else:
-        result = run_multitenant_soak(
-            n_tenants=args.tenants,
-            n_shards=args.shards,
-            workers_per_shard=args.workers_per_shard,
-            n_steps=args.steps,
-            seed=args.seed,
-        )
+        elif args.shard_churn:
+            result = run_multitenant_with_shard_crash(journal_root, **fleet)
+        else:
+            result = run_multitenant_soak(**fleet)
     completed = result.completed_tenants()
     report = {
         "seed": args.seed,

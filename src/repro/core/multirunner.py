@@ -142,6 +142,11 @@ class MultiProjectRunner(ProjectRunner):
         """The shard name a project routes to (stable across runs)."""
         return self.router.route(project_id)
 
+    def shard(self, name: str) -> Optional[CopernicusServer]:
+        """The live shard server called *name* (``None`` once it was
+        failed over, or if it never was a shard)."""
+        return self._shards_by_name.get(name)
+
     # -- tenancy plumbing ----------------------------------------------------
 
     def apply_fairshare(
@@ -199,9 +204,10 @@ class MultiProjectRunner(ProjectRunner):
     ) -> ShardMonitor:
         """Probe shard liveness from *gateway*; fail over the dead.
 
-        The monitor runs inside the normal drive loop (the
-        :meth:`_liveness_sweep` hook), so a shard crashed mid-run is
-        detected and failed over without any out-of-band driver.
+        The monitor runs inside the normal drive loop (the liveness
+        sweep of :meth:`ProjectRunner.advance`), so a shard crashed
+        mid-run is detected and failed over without any out-of-band
+        driver.
         """
         self.gateway = gateway
         self.monitor = ShardMonitor(

@@ -11,7 +11,7 @@ immediately — adaptivity in action.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Callable, Dict, List, Optional
 
 from repro.core.command import Command
 from repro.core.controller import Controller
@@ -304,8 +304,60 @@ class ProjectRunner:
 
     # -- main loop ------------------------------------------------------------
 
+    def journaled_results(self) -> int:
+        """Results durably applied across every server's journal."""
+        return sum(
+            server.journal.project(pid).results_applied
+            for server in self._servers
+            if server.journal is not None
+            for pid in server.journal.project_ids()
+        )
+
     def _queued_anywhere(self) -> int:
         return sum(len(server.queue) for server in self._servers)
+
+    def adopt_servers(self) -> None:
+        """Point the overlay's servers at this runner's audit trail, so
+        failure handling (deaths, requeues, checkpoints, duplicate
+        drops) lands in the same log the invariant checker replays.
+        :meth:`run` does this itself; call it before cycling by hand."""
+        for server in self._servers:
+            server.events = self.events
+            server.clock = max(server.clock, self.now)
+
+    def cycle(
+        self, interrupt: Optional[Callable[[], bool]] = None
+    ) -> Optional[int]:
+        """One drive cycle: every live worker takes its turn (heartbeat,
+        then fetch and execute), then :meth:`advance`.  Returns the
+        number of commands completed.
+
+        *interrupt* is polled after each worker's turn.  When it holds
+        the cycle is abandoned there — later workers get no turn, the
+        clock does not advance — and ``None`` is returned: how a fault
+        lands *inside* a cycle (the chaos harness's "after N journaled
+        results" triggers).  The next cycle starts over from the first
+        worker at the same virtual time.
+        """
+        progress = 0
+        for worker in self.workers:
+            if worker.crashed:
+                continue
+            # each worker beats/polls at its own jittered offset
+            # within the cycle, not in lockstep at the boundary
+            worker_now = self.now + worker.poll_offset
+            worker.heartbeat(worker_now)
+            progress += worker.work_once(now=worker_now)
+            if interrupt is not None and interrupt():
+                return None
+        self.advance()
+        return progress
+
+    def advance(self) -> None:
+        """Close a cycle: one tick of virtual time, then failure
+        detection across the fleet."""
+        self.now += self.tick
+        self._liveness_sweep()
 
     def run(self, max_cycles: int = 10000) -> None:
         """Cycle until every project completes (or no progress is possible).
@@ -316,29 +368,14 @@ class ProjectRunner:
             If commands remain but no live worker can make progress
             (deadlock), or ``max_cycles`` is exhausted.
         """
-        # Point the overlay's servers at this runner's audit trail so
-        # failure handling (deaths, requeues, checkpoints, duplicate
-        # drops) lands in the same log the invariant checker replays.
-        for server in self._servers:
-            server.events = self.events
-            server.clock = max(server.clock, self.now)
+        self.adopt_servers()
         for _ in range(max_cycles):
-            if self._all_complete():
+            if self.all_complete():
                 return
-            progress = 0
-            for worker in self.workers:
-                if worker.crashed:
-                    continue
-                # each worker beats/polls at its own jittered offset
-                # within the cycle, not in lockstep at the boundary
-                worker_now = self.now + worker.poll_offset
-                worker.heartbeat(worker_now)
-                progress += worker.work_once(now=worker_now)
-            self.now += self.tick
-            self._liveness_sweep()
+            progress = self.cycle()
             self._refresh_status()
             if progress == 0:
-                if self._all_complete():
+                if self.all_complete():
                     return
                 if self._queued_anywhere() == 0 and not self._any_in_flight():
                     raise SchedulingError(
@@ -346,7 +383,7 @@ class ProjectRunner:
                     )
                 if all(w.crashed for w in self.workers):
                     raise SchedulingError("every worker has crashed")
-        if not self._all_complete():
+        if not self.all_complete():
             raise SchedulingError(f"projects unfinished after {max_cycles} cycles")
 
     def _liveness_sweep(self) -> None:
@@ -365,7 +402,9 @@ class ProjectRunner:
             for server in self._servers
         )
 
-    def _all_complete(self) -> bool:
+    def all_complete(self) -> bool:
+        """Whether every submitted project is complete (statuses are
+        refreshed first, so completions are logged as of now)."""
         self._refresh_status()
         return all(
             p.status is ProjectStatus.COMPLETE for p in self._projects.values()

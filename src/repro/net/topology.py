@@ -9,7 +9,7 @@ multi-site layout (two project servers behind a gateway, three clusters
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Optional
 
 from repro.net.transport import Network
 from repro.server.server import CopernicusServer
@@ -158,6 +158,7 @@ def sharded(
     seed: int = 0,
     heartbeat_interval: float = 120.0,
     poll_jitter: float = 0.1,
+    network: Optional[Network] = None,
 ) -> Deployment:
     """A multi-tenant shard fabric: N project servers behind a gateway.
 
@@ -167,12 +168,17 @@ def sharded(
     through the gateway via wildcard fetches, guarded by the per-peer
     circuit breakers — the same relay/head-node fabric as
     :func:`figure1`, reused as a service plane.
+
+    The fabric is built on *network* when one is passed (the chaos
+    harness hands in its fault-injecting overlay; *seed* is then
+    unused), else on a fresh ``Network(seed=seed)``.  Endpoint names are
+    ``gateway``, ``shard{s}`` and ``s{s}w{w}``.
     """
     if n_shards < 1:
         raise ConfigurationError("need at least one shard")
     if workers_per_shard < 1:
         raise ConfigurationError("need at least one worker per shard")
-    net = Network(seed=seed)
+    net = network if network is not None else Network(seed=seed)
     gateway = CopernicusServer(
         "gateway", net, heartbeat_interval=heartbeat_interval
     )

@@ -23,6 +23,14 @@ health scoring quarantines it, then watches the timed re-admission; and
 probes until the relay's circuit breaker opens, skips it, and re-closes
 through half-open probes once the peer recovers.
 
+Every runner is the same three moves: describe the fleet to
+:func:`_deploy_swarm` (shape, policies, pacing, journal) with its
+faults armed on the plan, drive it — :meth:`ProjectRunner.run`, or
+:func:`drive` when the scenario stops somewhere other than "every
+project complete" — and hand back :func:`pack_result` of it.  The
+multi-tenant runners of :mod:`repro.testing.soak` use the same two
+helpers.
+
 Reproducibility contract: the returned
 :meth:`~repro.core.events.EventLog.to_text` transcript is a pure
 function of the arguments, so asserting transcript equality across two
@@ -31,11 +39,11 @@ runs with the same seed *is* the determinism test.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.compat import warn_deprecated
 from repro.core.command import Command
 from repro.core.controller import Controller
 from repro.core.project import Project
@@ -55,25 +63,23 @@ from repro.worker.worker import Worker
 
 @dataclass
 class ScenarioResult:
-    """What a chaos/liveness scenario hands back to its assertions.
-
-    Previously a raw dict; now typed attribute access
-    (``result.server``, ``result.obs`` ...) with per-scenario extras
-    defaulting to ``None``.  ``result["server"]`` still works for
-    legacy call sites but emits a :class:`DeprecationWarning`.
-    """
+    """What a chaos/liveness scenario hands back to its assertions:
+    the deployment (``result.server``, ``result.workers`` ...), what it
+    recorded once driven (``transcript``, ``chaos``), and per-scenario
+    extras defaulting to ``None``."""
 
     runner: ProjectRunner
     server: CopernicusServer
     workers: List[Worker]
     controller: Controller
     network: ChaosNetwork
-    obs: Any
-    transcript: str
-    chaos: Dict
+    #: the ``swarm`` project (resumed, in the server-restart scenario)
+    project: Project
+    #: the event log as text and the chaos report, filled by
+    #: :func:`pack_result` after the drive
+    transcript: str = ""
+    chaos: Optional[Dict] = None
     # -- per-scenario extras --------------------------------------------
-    #: phase-2 resumed project (server-restart scenario)
-    project: Optional[Project] = None
     #: phase-1 summary dict (server-restart scenario)
     pre: Optional[Dict] = None
     #: the deliberately slow worker (straggler scenario)
@@ -94,28 +100,27 @@ class ScenarioResult:
         """The runner's event log (``runner.events`` shorthand)."""
         return self.runner.events
 
-    # -- legacy dict protocol -------------------------------------------
-
-    def __getitem__(self, key: str) -> Any:
-        warn_deprecated(
-            f'scenario["{key}"]', f"ScenarioResult.{key}", stacklevel=2
-        )
-        try:
-            return getattr(self, key)
-        except AttributeError:
-            raise KeyError(key) from None
-
-    def __contains__(self, key: object) -> bool:
-        return isinstance(key, str) and hasattr(self, key)
+    @property
+    def obs(self):
+        """The deployment's observability hub (shared via the network)."""
+        return self.network.obs
 
 
 class SwarmController(Controller):
     """A flat swarm of MD commands; complete when all have returned."""
 
-    def __init__(self, n_commands: int, n_steps: int) -> None:
+    def __init__(
+        self,
+        n_commands: int,
+        n_steps: int,
+        model: str = "villin-fast",
+        report_interval: int = 200,
+    ) -> None:
         self.n_commands = n_commands
         self.n_steps = n_steps
-        self.finished: List[tuple] = []
+        self.model = model
+        self.report_interval = report_interval
+        self.finished: List = []
 
     def on_project_start(self, project):
         return [
@@ -124,9 +129,9 @@ class SwarmController(Controller):
                 project_id=project.project_id,
                 executable="mdrun",
                 payload=MDTask(
-                    model="villin-fast",
+                    model=self.model,
                     n_steps=self.n_steps,
-                    report_interval=200,
+                    report_interval=self.report_interval,
                     seed=k,
                     task_id=f"cmd{k}",
                 ).to_payload(),
@@ -140,6 +145,122 @@ class SwarmController(Controller):
 
     def is_complete(self, project):
         return len(self.finished) >= self.n_commands
+
+
+# -- the three moves every runner is made of --------------------------------
+
+
+def _deploy_swarm(
+    plan: FaultPlan,
+    seed: int,
+    n_commands: int,
+    n_steps: int,
+    n_workers: int,
+    segment_steps: int,
+    heartbeat_interval: float,
+    tick: float,
+    lease_policy: Optional[LeasePolicy] = None,
+    health_policy: Optional[HealthPolicy] = None,
+    pacing: Callable[[int], Optional[int]] = lambda k: None,
+    journal: Optional[ServerJournal] = None,
+    sick_peer: bool = False,
+    resume: bool = False,
+) -> ScenarioResult:
+    """Build the swarm fleet on a fresh chaos overlay and start the project.
+
+    Project server ``srv`` (journaled when *journal* is given) and
+    workers ``w0 .. w{n-1}``, worker ``k`` paced at ``pacing(k)``
+    segments per cycle.  With *sick_peer* the workers hang off a
+    ``relay`` server instead, linked to a third server ``sick``
+    *before* ``srv`` — link order pins the BFS probe order of wildcard
+    fetches.  The ``swarm`` project is submitted to a fresh
+    :class:`SwarmController`, or resumed from the journal.  Returns
+    the deployment as a not-yet-driven :class:`ScenarioResult`.
+    """
+    network = ChaosNetwork(plan=plan, seed=seed)
+    server = CopernicusServer(
+        "srv",
+        network,
+        heartbeat_interval=heartbeat_interval,
+        lease_policy=lease_policy,
+        health_policy=health_policy,
+    )
+    if journal is not None:
+        server.attach_journal(journal)
+    relay = sick = None
+    if sick_peer:
+        relay = CopernicusServer(
+            "relay", network, heartbeat_interval=heartbeat_interval
+        )
+        sick = CopernicusServer(
+            "sick", network, heartbeat_interval=heartbeat_interval
+        )
+        network.connect("relay", "sick")
+        network.connect("relay", "srv")
+    uplink = "relay" if sick_peer else "srv"
+    workers = [
+        Worker(
+            f"w{k}",
+            network,
+            server=uplink,
+            platform=SMPPlatform(cores=1),
+            segment_steps=segment_steps,
+            segments_per_cycle=pacing(k),
+        )
+        for k in range(n_workers)
+    ]
+    for worker in workers:
+        network.connect(uplink, worker.name)
+    for worker in workers:
+        worker.announce(0.0)
+
+    controller = SwarmController(n_commands=n_commands, n_steps=n_steps)
+    runner = ProjectRunner(network, server, workers, tick=tick)
+    if resume:
+        project = runner.resume("swarm", controller)
+    else:
+        project = Project("swarm")
+        runner.submit(project, controller)
+    return ScenarioResult(
+        runner, server, workers, controller, network, project,
+        relay=relay, sick=sick,
+    )
+
+
+def drive(
+    cycle: Callable[[], Optional[int]],
+    until: Callable[[], bool],
+    max_cycles: int,
+) -> Optional[int]:
+    """The one drive loop for scenarios that stop short of (or go on
+    past) "every project complete", which is
+    :meth:`~repro.core.runner.ProjectRunner.run`'s job.
+
+    Calls *cycle* — :meth:`~repro.core.runner.ProjectRunner.cycle`,
+    bound to an ``interrupt`` when the stop can land mid-cycle — until
+    it reports an interrupt (``None``) or *until* holds after it.
+    Returns how many cycles that took, ``None`` when *max_cycles* ran
+    out first.
+    """
+    for n in range(1, max_cycles + 1):
+        if cycle() is None or until():
+            return n
+    return None
+
+
+def pack_result(deployed, **parts):
+    """The one result packer: the driven deployment plus what its
+    runner and network recorded — the event transcript and the chaos
+    report — and the *parts* only this scenario's assertions need."""
+    return dataclasses.replace(
+        deployed,
+        transcript=deployed.runner.events.to_text(),
+        chaos=deployed.network.chaos_report(),
+        **parts,
+    )
+
+
+# -- the canned runners ------------------------------------------------------
 
 
 def run_swarm_under_faults(
@@ -172,81 +293,15 @@ def run_swarm_under_faults(
     ``workers``, ``controller``, ``network``, ``transcript`` and
     ``chaos`` populated.
     """
-    network = ChaosNetwork(plan=plan or FaultPlan(seed=seed), seed=seed)
+    plan = plan or FaultPlan(seed=seed)
     if configure is not None:
-        configure(network.plan)
-    server = CopernicusServer(
-        "srv", network, heartbeat_interval=heartbeat_interval
+        configure(plan)
+    swarm = _deploy_swarm(
+        plan, seed, n_commands, n_steps, n_workers, segment_steps,
+        heartbeat_interval, tick,
     )
-    workers = [
-        Worker(
-            f"w{k}",
-            network,
-            server="srv",
-            platform=SMPPlatform(cores=1),
-            segment_steps=segment_steps,
-        )
-        for k in range(n_workers)
-    ]
-    for worker in workers:
-        network.connect("srv", worker.name)
-    for worker in workers:
-        worker.announce(0.0)
-
-    controller = SwarmController(n_commands=n_commands, n_steps=n_steps)
-    runner = ProjectRunner(network, server, workers, tick=tick)
-    runner.submit(Project("swarm"), controller)
-    runner.run(max_cycles=max_cycles)
-    return ScenarioResult(
-        runner=runner,
-        server=server,
-        workers=workers,
-        controller=controller,
-        network=network,
-        obs=network.obs,
-        transcript=runner.events.to_text(),
-        chaos=network.chaos_report(),
-    )
-
-
-def _build_swarm_deployment(
-    seed: int,
-    plan: FaultPlan,
-    journal_root: Path,
-    n_workers: int,
-    segment_steps: int,
-    heartbeat_interval: float,
-    tick: float,
-    segment_bytes: int,
-    snapshot_every: Optional[int],
-) -> dict:
-    """One server (journaled) + workers on a fresh chaos overlay."""
-    network = ChaosNetwork(plan=plan, seed=seed)
-    server = CopernicusServer(
-        "srv", network, heartbeat_interval=heartbeat_interval
-    )
-    server.attach_journal(
-        ServerJournal(
-            journal_root,
-            segment_bytes=segment_bytes,
-            snapshot_every=snapshot_every,
-        )
-    )
-    workers = [
-        Worker(
-            f"w{k}",
-            network,
-            server="srv",
-            platform=SMPPlatform(cores=1),
-            segment_steps=segment_steps,
-        )
-        for k in range(n_workers)
-    ]
-    for worker in workers:
-        network.connect("srv", worker.name)
-    for worker in workers:
-        worker.announce(0.0)
-    return {"network": network, "server": server, "workers": workers}
+    swarm.runner.run(max_cycles=max_cycles)
+    return pack_result(swarm)
 
 
 def run_swarm_with_server_restart(
@@ -303,72 +358,50 @@ def run_swarm_with_server_restart(
             restart_rule.after_results if restart_rule is not None else 1
         )
 
+    def deploy(plan: FaultPlan, seed: int, resume: bool) -> ScenarioResult:
+        journal = ServerJournal(
+            journal_root,
+            segment_bytes=segment_bytes,
+            snapshot_every=snapshot_every,
+        )
+        return _deploy_swarm(
+            plan, seed, n_commands, n_steps, n_workers, segment_steps,
+            heartbeat_interval, tick, journal=journal, resume=resume,
+        )
+
     # ---- phase 1: run until the crash point, then lose everything ------
-    pre = _build_swarm_deployment(
-        seed, plan, journal_root, n_workers, segment_steps,
-        heartbeat_interval, tick, segment_bytes, snapshot_every,
+    pre = deploy(plan, seed, resume=False)
+    pre.runner.adopt_servers()
+    # the kill lands on a cycle boundary: every worker finishes its turn
+    drive(
+        pre.runner.cycle,
+        lambda: pre.runner.journaled_results() >= crash_after_results,
+        max_cycles,
     )
-    controller = SwarmController(n_commands=n_commands, n_steps=n_steps)
-    runner = ProjectRunner(pre["network"], pre["server"], pre["workers"], tick=tick)
-    pre["server"].events = runner.events
-    runner.submit(Project("swarm"), controller)
-    journal = pre["server"].journal.project("swarm")
-    killed = False
-    for _ in range(max_cycles):
-        for worker in pre["workers"]:
-            if worker.crashed:
-                continue
-            worker.heartbeat(runner.now)
-            worker.work_once(now=runner.now)
-        runner.now += tick
-        for server in runner.servers:
-            server.check_liveness(runner.now)
-        if journal.results_applied >= crash_after_results:
-            killed = True
-            break
-    if not killed:
+    results_applied = pre.runner.journaled_results()
+    if results_applied < crash_after_results:
         raise SchedulingError(
             f"project finished before {crash_after_results} results could "
             f"trigger the server kill; lower crash_after_results"
         )
     if restart_rule is not None:
         restart_rule.fired += 1
-        plan.firings.append((pre["network"].delivery_index, restart_rule))
-    pre["server"].journal.close()  # the "crash": nothing unflushed survives
+        plan.firings.append((pre.network.delivery_index, restart_rule))
+    pre.server.journal.close()  # the "crash": nothing unflushed survives
     pre_summary = {
-        "runner": runner,
-        "server": pre["server"],
-        "transcript": runner.events.to_text(),
-        "results_applied": journal.results_applied,
+        "runner": pre.runner,
+        "server": pre.server,
+        "transcript": pre.runner.events.to_text(),
+        "results_applied": results_applied,
     }
 
     if mutate_journal is not None:
         mutate_journal(journal_root)
 
     # ---- phase 2: fresh deployment, resume from the journal ------------
-    post = _build_swarm_deployment(
-        seed + 1, FaultPlan(seed=seed + 1), journal_root, n_workers,
-        segment_steps, heartbeat_interval, tick, segment_bytes,
-        snapshot_every,
-    )
-    fresh_controller = SwarmController(n_commands=n_commands, n_steps=n_steps)
-    restarted = ProjectRunner(
-        post["network"], post["server"], post["workers"], tick=tick
-    )
-    project = restarted.resume("swarm", fresh_controller)
-    restarted.run(max_cycles=max_cycles)
-    return ScenarioResult(
-        pre=pre_summary,
-        runner=restarted,
-        server=post["server"],
-        workers=post["workers"],
-        controller=fresh_controller,
-        network=post["network"],
-        project=project,
-        obs=post["network"].obs,
-        transcript=restarted.events.to_text(),
-        chaos=post["network"].chaos_report(),
-    )
+    post = deploy(FaultPlan(seed=seed + 1), seed + 1, resume=True)
+    post.runner.run(max_cycles=max_cycles)
+    return pack_result(post, pre=pre_summary)
 
 
 def run_swarm_with_straggler(
@@ -399,73 +432,46 @@ def run_swarm_with_straggler(
     finishes — so the losing result comes home and is journaled as
     ``SPECULATION_LOST`` while the dedup barrier drops it.
     """
-    network = ChaosNetwork(plan=FaultPlan(seed=seed), seed=seed)
-    network.plan.straggler(
-        "w0", factor=straggler_factor, segments_per_cycle=1
-    )
-    server = CopernicusServer(
-        "srv",
-        network,
-        heartbeat_interval=heartbeat_interval,
+    plan = FaultPlan(seed=seed)
+    plan.straggler("w0", factor=straggler_factor, segments_per_cycle=1)
+    swarm = _deploy_swarm(
+        plan, seed, n_commands, n_steps, n_workers, segment_steps,
+        heartbeat_interval, tick,
         # shrink the hours->virtual-seconds calibration so a healthy
         # command's deadline lands within ~2 ticks of its grant
         lease_policy=LeasePolicy(
             slack=2.0, min_seconds=tick, hours_to_seconds=300.0
         ),
     )
-    workers = [
-        Worker(
-            f"w{k}",
-            network,
-            server="srv",
-            platform=SMPPlatform(cores=1),
-            segment_steps=segment_steps,
-        )
-        for k in range(n_workers)
-    ]
-    for worker in workers:
-        network.connect("srv", worker.name)
-    for worker in workers:
-        worker.announce(0.0)
-
-    controller = SwarmController(n_commands=n_commands, n_steps=n_steps)
-    runner = ProjectRunner(network, server, workers, tick=tick)
-    runner.submit(Project("swarm"), controller)
+    runner, straggler = swarm.runner, swarm.workers[0]
     runner.run(max_cycles=max_cycles)
     completed_at = runner.now
 
-    # drain: the straggler is still grinding its doomed copy; keep the
-    # fleet heartbeating and cycle it until the late result lands
-    straggler = workers[0]
-    drain_cycles = 0
-    for _ in range(max_drain_cycles):
-        if straggler._active is None and not straggler._backlog:
-            break
-        for worker in workers:
+    def drain_cycle() -> int:
+        # the straggler is still grinding its doomed copy: the fleet
+        # keeps heartbeating, but only the straggler polls and works
+        for worker in swarm.workers:
             if not worker.crashed:
                 worker.heartbeat(runner.now)
-        straggler.work_once(now=runner.now)
-        runner.now += tick
-        for srv in runner.servers:
-            srv.check_liveness(runner.now)
-        drain_cycles += 1
-    else:
+        done = straggler.work_once(now=runner.now)
+        runner.advance()
+        return done
+
+    drain_cycles = 0
+    if not straggler.idle:
+        drain_cycles = drive(
+            drain_cycle, lambda: straggler.idle, max_drain_cycles
+        )
+    if drain_cycles is None:
         raise SchedulingError(
             f"straggler still mid-command after {max_drain_cycles} "
             f"drain cycles"
         )
-    return ScenarioResult(
-        runner=runner,
-        server=server,
-        workers=workers,
+    return pack_result(
+        swarm,
         straggler=straggler,
-        controller=controller,
-        network=network,
         completed_at=completed_at,
         drain_cycles=drain_cycles,
-        obs=network.obs,
-        transcript=runner.events.to_text(),
-        chaos=network.chaos_report(),
     )
 
 
@@ -498,18 +504,17 @@ def run_swarm_with_flapping_worker(
     The healthy workers are paced (one segment per cycle) so the
     project outlives the whole quarantine/re-admission arc.
     """
-    network = ChaosNetwork(plan=FaultPlan(seed=seed), seed=seed)
-    network.plan.flapping_worker(
+    plan = FaultPlan(seed=seed)
+    plan.flapping_worker(
         "w0",
         up_deliveries=up_deliveries,
         down_deliveries=down_deliveries,
         after_index=flap_after_index,
         until_index=flap_after_index + up_deliveries + down_deliveries,
     )
-    server = CopernicusServer(
-        "srv",
-        network,
-        heartbeat_interval=heartbeat_interval,
+    swarm = _deploy_swarm(
+        plan, seed, n_commands, n_steps, n_workers, segment_steps,
+        heartbeat_interval, tick,
         # keep lease deadlines out of the way: this scenario is about
         # health scoring, not stragglers
         lease_policy=LeasePolicy(min_seconds=100000.0),
@@ -519,41 +524,13 @@ def run_swarm_with_flapping_worker(
             alpha=0.5,
             quarantine_seconds=quarantine_seconds,
         ),
+        # pace the healthy workers so the run is long enough for the
+        # quarantine to expire; the flapper stays unpaced so a revival
+        # never interleaves checkpoints with a requeued copy
+        pacing=lambda k: None if k == 0 else 1,
     )
-    workers = [
-        Worker(
-            f"w{k}",
-            network,
-            server="srv",
-            platform=SMPPlatform(cores=1),
-            segment_steps=segment_steps,
-            # pace the healthy workers so the run is long enough for
-            # the quarantine to expire; the flapper stays unpaced so a
-            # revival never interleaves checkpoints with a requeued copy
-            segments_per_cycle=None if k == 0 else 1,
-        )
-        for k in range(n_workers)
-    ]
-    for worker in workers:
-        network.connect("srv", worker.name)
-    for worker in workers:
-        worker.announce(0.0)
-
-    controller = SwarmController(n_commands=n_commands, n_steps=n_steps)
-    runner = ProjectRunner(network, server, workers, tick=tick)
-    runner.submit(Project("swarm"), controller)
-    runner.run(max_cycles=max_cycles)
-    return ScenarioResult(
-        runner=runner,
-        server=server,
-        workers=workers,
-        flapper=workers[0],
-        controller=controller,
-        network=network,
-        obs=network.obs,
-        transcript=runner.events.to_text(),
-        chaos=network.chaos_report(),
-    )
+    swarm.runner.run(max_cycles=max_cycles)
+    return pack_result(swarm, flapper=swarm.workers[0])
 
 
 def run_relay_with_sick_peer(
@@ -580,47 +557,16 @@ def run_relay_with_sick_peer(
     probes, and the breaker re-closes — all visible in the returned
     breaker counters.
     """
-    network = ChaosNetwork(plan=FaultPlan(seed=seed), seed=seed)
-    network.plan.sick_peer("sick", until_index=sick_until_index)
-    srv = CopernicusServer(
-        "srv", network, heartbeat_interval=heartbeat_interval
-    )
-    relay = CopernicusServer(
-        "relay", network, heartbeat_interval=heartbeat_interval
-    )
-    sick = CopernicusServer(
-        "sick", network, heartbeat_interval=heartbeat_interval
+    plan = FaultPlan(seed=seed)
+    plan.sick_peer("sick", until_index=sick_until_index)
+    swarm = _deploy_swarm(
+        plan, seed, n_commands, n_steps, 1, segment_steps,
+        heartbeat_interval, tick, sick_peer=True,
     )
     # a short cooldown so the open -> half-open -> closed arc completes
     # within the project's lifetime
-    relay.breaker_policy = BreakerPolicy(cooldown_seconds=cooldown_seconds)
-    # link order pins the BFS probe order: sick first, then srv
-    network.connect("relay", "sick")
-    network.connect("relay", "srv")
-    worker = Worker(
-        "w0",
-        network,
-        server="relay",
-        platform=SMPPlatform(cores=1),
-        segment_steps=segment_steps,
+    swarm.relay.breaker_policy = BreakerPolicy(
+        cooldown_seconds=cooldown_seconds
     )
-    network.connect("relay", "w0")
-    worker.announce(0.0)
-
-    controller = SwarmController(n_commands=n_commands, n_steps=n_steps)
-    runner = ProjectRunner(network, srv, [worker], tick=tick)
-    runner.submit(Project("swarm"), controller)
-    runner.run(max_cycles=max_cycles)
-    return ScenarioResult(
-        runner=runner,
-        server=srv,
-        relay=relay,
-        sick=sick,
-        workers=[worker],
-        breaker=relay.breaker_for("sick"),
-        controller=controller,
-        network=network,
-        obs=network.obs,
-        transcript=runner.events.to_text(),
-        chaos=network.chaos_report(),
-    )
+    swarm.runner.run(max_cycles=max_cycles)
+    return pack_result(swarm, breaker=swarm.relay.breaker_for("sick"))

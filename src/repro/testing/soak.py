@@ -23,18 +23,15 @@ verdict; CI runs it across seeds via ``python -m repro soak``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core.command import Command
-from repro.core.controller import Controller
 from repro.core.events import EventKind, EventLog
 from repro.core.multirunner import MigrationReport, MultiProjectRunner
 from repro.core.project import Project, ProjectStatus
-from repro.md.engine import MDTask
 from repro.net.protocol import MessageType
-from repro.net.topology import LATENCY_CAMPUS, LATENCY_LOCAL
+from repro.net.topology import sharded
 from repro.server.fairshare import (
     DEFAULT_MAX_WAIT_SECONDS,
     FairSharePolicy,
@@ -46,8 +43,8 @@ from repro.server.shardmon import ShardProbePolicy
 from repro.testing.chaos import ChaosNetwork
 from repro.testing.faultplan import FaultPlan
 from repro.testing.invariants import Invariants
+from repro.testing.scenarios import SwarmController, drive, pack_result
 from repro.util.errors import ConfigurationError, SchedulingError
-from repro.worker.platform import SMPPlatform
 from repro.worker.worker import Worker
 
 #: The two cheap models the tenant mix alternates between.
@@ -72,7 +69,7 @@ class TenantSpec:
         )
 
 
-class TenantSwarmController(Controller):
+class TenantSwarmController(SwarmController):
     """A flat per-tenant swarm whose command ids collide across tenants.
 
     Every tenant issues ``cmd0 .. cmd{n-1}`` on purpose: the scoped
@@ -82,32 +79,15 @@ class TenantSwarmController(Controller):
     """
 
     def __init__(self, spec: TenantSpec) -> None:
+        super().__init__(
+            spec.n_commands, spec.n_steps, model=spec.model,
+            report_interval=max(1, spec.n_steps // 2),
+        )
         self.spec = spec
-        self.finished: List[str] = []
-
-    def on_project_start(self, project):
-        return [
-            Command(
-                command_id=f"cmd{k}",
-                project_id=project.project_id,
-                executable="mdrun",
-                payload=MDTask(
-                    model=self.spec.model,
-                    n_steps=self.spec.n_steps,
-                    report_interval=max(1, self.spec.n_steps // 2),
-                    seed=k,
-                    task_id=f"cmd{k}",
-                ).to_payload(),
-            )
-            for k in range(self.spec.n_commands)
-        ]
 
     def on_command_finished(self, project, command, result):
         self.finished.append(command.command_id)
         return []
-
-    def is_complete(self, project):
-        return len(self.finished) >= self.spec.n_commands
 
 
 def default_tenant_mix(n_tenants: int, n_steps: int = 300) -> List[TenantSpec]:
@@ -152,62 +132,6 @@ def default_soak_faults(plan: FaultPlan) -> None:
     )
 
 
-def _build_fabric(
-    network: ChaosNetwork,
-    n_shards: int,
-    workers_per_shard: int,
-    cores_per_worker: int,
-    heartbeat_interval: float,
-    segment_steps: int,
-    segments_per_cycle: Optional[int] = None,
-) -> Tuple[CopernicusServer, List[CopernicusServer], List[Worker]]:
-    """The standard soak fabric: gateway + shards + per-shard workers.
-
-    Endpoint names are ``gateway``, ``shard{s}`` and ``s{s}w{w}`` —
-    the names fault plans and scenario victims address.
-    ``segments_per_cycle`` paces execution (a command spans several
-    work cycles instead of finishing within one), which scenarios use
-    to keep work genuinely in flight across a fault boundary.
-    """
-    gateway = CopernicusServer(
-        "gateway", network, heartbeat_interval=heartbeat_interval
-    )
-    shards: List[CopernicusServer] = []
-    workers: List[Worker] = []
-    for s in range(n_shards):
-        shard = CopernicusServer(
-            f"shard{s}", network, heartbeat_interval=heartbeat_interval
-        )
-        shards.append(shard)
-        network.connect("gateway", f"shard{s}", latency=LATENCY_CAMPUS)
-        for w in range(workers_per_shard):
-            name = f"s{s}w{w}"
-            worker = Worker(
-                name,
-                network,
-                server=f"shard{s}",
-                platform=SMPPlatform(cores=cores_per_worker),
-                segment_steps=segment_steps,
-                segments_per_cycle=segments_per_cycle,
-            )
-            network.connect(f"shard{s}", name, latency=LATENCY_LOCAL)
-            workers.append(worker)
-    for worker in workers:
-        worker.announce(0.0)
-    return gateway, shards, workers
-
-
-def _journaled_results(shards: List[CopernicusServer]) -> int:
-    """Results durably applied across every shard's journal."""
-    total = 0
-    for shard in shards:
-        if shard.journal is None:
-            continue
-        for pid in shard.journal.project_ids():
-            total += shard.journal.project(pid).results_applied
-    return total
-
-
 def live_completions(events: EventLog) -> List[Tuple[str, str]]:
     """The ``(project, command)`` completion multiset of a run.
 
@@ -227,7 +151,9 @@ def live_completions(events: EventLog) -> List[Tuple[str, str]]:
 
 @dataclass
 class SoakResult:
-    """Everything a soak assertion (or the CI artifact) needs."""
+    """Everything a soak assertion (or the CI artifact) needs: the
+    deployment, and — filled by :func:`_verdict` once driven — what it
+    recorded and whether the invariants held."""
 
     runner: MultiProjectRunner
     network: ChaosNetwork
@@ -235,13 +161,15 @@ class SoakResult:
     workers: List[Worker]
     schedulers: Dict[str, FairShareScheduler]
     specs: List[TenantSpec]
-    controllers: Dict[str, TenantSwarmController]
+    #: The *live* post-run controllers — for migrated tenants the fresh
+    #: replay controller, not the one originally submitted.
+    controllers: Optional[Dict[str, TenantSwarmController]] = None
     #: All fourteen invariants, checked post-run (empty = green).
-    violations: List[str]
+    violations: Optional[List[str]] = None
     #: Per-tenant rollup (shard, status, issue/complete, ledger).
-    report: Dict[str, Dict]
-    transcript: str
-    chaos: Dict
+    report: Optional[Dict[str, Dict]] = None
+    transcript: str = ""
+    chaos: Optional[Dict] = None
 
     @property
     def events(self):
@@ -255,6 +183,98 @@ class SoakResult:
         return sum(
             1 for r in self.report.values() if r["status"] == "complete"
         )
+
+
+def _deploy_soak(
+    result_type,
+    specs: Optional[List[TenantSpec]],
+    n_tenants: int,
+    n_steps: int,
+    plan: Optional[FaultPlan],
+    configure: Optional[Callable[[FaultPlan], None]],
+    seed: int,
+    n_shards: int,
+    workers_per_shard: int,
+    cores_per_worker: int,
+    heartbeat_interval: float,
+    segment_steps: int,
+    segments_per_cycle: Optional[int],
+    tick: float,
+    max_wait_seconds: float,
+    journal_root: Optional[Path] = None,
+    probe_policy: Optional[ShardProbePolicy] = None,
+) -> SoakResult:
+    """The wiring all three soak runners share; returns the deployment
+    as a not-yet-driven *result_type*.
+
+    Tenant population (*specs*, default :func:`default_tenant_mix`),
+    chaos overlay with its fault weather (*plan* / *configure*, default
+    :func:`default_soak_faults`), the :func:`~repro.net.topology.sharded`
+    fabric on that overlay, the runner, fair-share, and every tenant
+    submitted with a controller factory.  With *journal_root* the
+    shards are journaled and the gateway's shard monitor attached: a
+    fabric that can fail over.
+    """
+    specs = specs if specs is not None else default_tenant_mix(
+        n_tenants, n_steps=n_steps
+    )
+    if not specs:
+        raise ConfigurationError("a soak needs at least one tenant")
+    if len({spec.name for spec in specs}) != len(specs):
+        raise ConfigurationError("tenant names must be unique")
+
+    network = ChaosNetwork(plan=plan or FaultPlan(seed=seed), seed=seed)
+    if plan is None and configure is None:
+        default_soak_faults(network.plan)
+    if configure is not None:
+        configure(network.plan)
+
+    fabric = sharded(
+        n_shards, workers_per_shard, cores_per_worker,
+        heartbeat_interval=heartbeat_interval, poll_jitter=0.0,
+        network=network,
+    )
+    for worker in fabric.workers:
+        worker.segment_steps = segment_steps
+        worker.segments_per_cycle = segments_per_cycle
+    runner = MultiProjectRunner(
+        network, fabric.project_servers, fabric.workers, tick=tick
+    )
+    if journal_root is not None:
+        runner.attach_journals(journal_root)
+    schedulers = runner.apply_fairshare(
+        FairSharePolicy(
+            tenants={spec.name: spec.policy() for spec in specs},
+            max_wait_seconds=max_wait_seconds,
+        )
+    )
+    if journal_root is not None:
+        runner.attach_shard_monitor(fabric.gateway, probe_policy)
+    for spec in specs:
+        runner.submit(
+            Project(spec.name),
+            TenantSwarmController(spec),
+            controller_factory=lambda spec=spec: TenantSwarmController(spec),
+        )
+    return result_type(
+        runner, network, runner.shards, fabric.workers, schedulers, specs
+    )
+
+
+def _verdict(fleet: SoakResult, **story) -> SoakResult:
+    """Check all fourteen invariants and pack the driven *fleet*
+    (*story*: the churn runners' extra fields)."""
+    runner = fleet.runner
+    return pack_result(
+        fleet,
+        shards=runner.shards,  # a failover removed the victim
+        controllers={
+            spec.name: runner.controller(spec.name) for spec in fleet.specs
+        },
+        violations=Invariants(runner).check(),
+        report=runner.tenant_report(),
+        **story,
+    )
 
 
 def run_multitenant_soak(
@@ -295,99 +315,69 @@ def run_multitenant_soak(
         Callback to add faults to the plan (endpoint names are
         ``gateway``, ``shard{s}``, ``s{s}w{w}``).
     """
-    specs = specs if specs is not None else default_tenant_mix(
-        n_tenants, n_steps=n_steps
+    fleet = _deploy_soak(
+        SoakResult, specs, n_tenants, n_steps, plan, configure, seed,
+        n_shards, workers_per_shard, cores_per_worker, heartbeat_interval,
+        segment_steps, segments_per_cycle, tick, max_wait_seconds,
     )
-    if not specs:
-        raise ConfigurationError("soak needs at least one tenant")
-    if len({spec.name for spec in specs}) != len(specs):
-        raise ConfigurationError("tenant names must be unique")
-
-    network = ChaosNetwork(plan=plan or FaultPlan(seed=seed), seed=seed)
-    if plan is None and configure is None:
-        default_soak_faults(network.plan)
-    if configure is not None:
-        configure(network.plan)
-
-    gateway, shards, workers = _build_fabric(
-        network, n_shards, workers_per_shard, cores_per_worker,
-        heartbeat_interval, segment_steps, segments_per_cycle,
-    )
-
-    runner = MultiProjectRunner(network, shards, workers, tick=tick)
-    policy = FairSharePolicy(
-        tenants={spec.name: spec.policy() for spec in specs},
-        max_wait_seconds=max_wait_seconds,
-    )
-    schedulers = runner.apply_fairshare(policy)
-
-    controllers: Dict[str, TenantSwarmController] = {}
-    for spec in specs:
-        controller = TenantSwarmController(spec)
-        runner.submit(Project(spec.name), controller)
-        controllers[spec.name] = controller
-    runner.run(max_cycles=max_cycles)
-
-    violations = Invariants(runner).check()
-    return SoakResult(
-        runner=runner,
-        network=network,
-        shards=shards,
-        workers=workers,
-        schedulers=schedulers,
-        specs=specs,
-        controllers=controllers,
-        violations=violations,
-        report=runner.tenant_report(),
-        transcript=runner.events.to_text(),
-        chaos=network.chaos_report(),
-    )
+    fleet.runner.run(max_cycles=max_cycles)
+    return _verdict(fleet)
 
 
 @dataclass
 class ShardCrashResult(SoakResult):
-    """A :class:`SoakResult` plus the failover story.
+    """A :class:`SoakResult` plus the failover story."""
 
-    ``controllers`` holds the *live* post-run controllers — for
-    migrated tenants that is the fresh replay controller, not the one
-    originally submitted.
-    """
+    #: Event kinds that make up :meth:`migration_timeline`.
+    TIMELINE_KINDS = frozenset({
+        EventKind.SHARD_DEAD,
+        EventKind.SERVER_RECOVERED,
+        EventKind.COMMAND_RESTORED,
+        EventKind.PROJECT_MIGRATED,
+    })
 
+    #: The crash-free run of the same seed (None when skipped).
+    baseline: Optional[SoakResult] = None
     #: The shard that was killed.
     victim: str = ""
     #: Delivery index at which the victim started refusing traffic.
     crash_delivery_index: int = 0
     #: Fleet-wide journaled results at the crash moment.
     results_before_crash: int = 0
-    #: Per-project failover accounting, in migration order.
-    migrations: List[MigrationReport] = None  # type: ignore[assignment]
-    #: ``(project, command)`` live-completion multiset of this run.
-    completions: List[Tuple[str, str]] = None  # type: ignore[assignment]
-    #: The crash-free run of the same seed (None when skipped).
-    baseline: Optional[SoakResult] = None
-    #: The baseline's live-completion multiset (None when skipped).
-    baseline_completions: Optional[List[Tuple[str, str]]] = None
+
+    @property
+    def migrations(self) -> List[MigrationReport]:
+        """Per-project failover accounting, in migration order."""
+        return list(self.runner.migrations)
+
+    @property
+    def completions(self) -> List[Tuple[str, str]]:
+        """``(project, command)`` live-completion multiset of this run."""
+        return live_completions(self.runner.events)
+
+    @property
+    def baseline_completions(self) -> Optional[List[Tuple[str, str]]]:
+        """The baseline's live-completion multiset (None when skipped)."""
+        if self.baseline is None:
+            return None
+        return live_completions(self.baseline.runner.events)
 
     @property
     def exactly_once(self) -> bool:
         """Whether the post-failover result set equals the crash-free
         run's — no result lost, none duplicated, none leaked across
         tenants (vacuously true when the baseline was skipped)."""
-        return (
-            self.baseline_completions is None
-            or self.completions == self.baseline_completions
+        return self.baseline is None or (
+            self.completions == self.baseline_completions
         )
+
+    def _timeline_records(self):
+        return self.runner.events.all()
 
     def migration_timeline(self) -> List[Dict[str, Any]]:
         """The failover as an ordered record list (the CI artifact):
         shard death, per-project recovery/replay, migration flips and
         post-crash requeues."""
-        kinds = {
-            EventKind.SHARD_DEAD,
-            EventKind.SERVER_RECOVERED,
-            EventKind.COMMAND_RESTORED,
-            EventKind.PROJECT_MIGRATED,
-        }
         return [
             {
                 "time": record.time,
@@ -395,9 +385,90 @@ class ShardCrashResult(SoakResult):
                 "project": record.project_id,
                 **record.details,
             }
-            for record in self.runner.events.all()
-            if record.kind in kinds
+            for record in self._timeline_records()
+            if record.kind in self.TIMELINE_KINDS
         ]
+
+
+def _deploy_churn(
+    result_type,
+    journal_root: str | Path,
+    baseline: bool,
+    max_cycles: int,
+    **deployment,
+) -> ShardCrashResult:
+    """Act 1 of a churn scenario: the fault-free baseline of the same
+    seed and tenants (unless skipped), then the journaled, monitored
+    fleet the fault will hit.  *deployment*: :func:`_deploy_soak`'s
+    arguments, of which the baseline takes all but the fault plan."""
+    if deployment["n_shards"] < 2:
+        raise ConfigurationError(
+            "shard failover needs >= 2 shards (a successor must exist)"
+        )
+    fleet_only = ("plan", "configure", "probe_policy")
+    base = None
+    if baseline:
+        base = run_multitenant_soak(
+            max_cycles=max_cycles,
+            **{k: v for k, v in deployment.items() if k not in fleet_only},
+        )
+    fleet = _deploy_soak(
+        result_type, journal_root=Path(journal_root), **deployment
+    )
+    fleet.baseline = base
+    return fleet
+
+
+def _reach_fault_point(
+    fleet: ShardCrashResult,
+    victim: Optional[str],
+    threshold: int,
+    max_cycles: int,
+    fault: str,
+    knob: str,
+) -> None:
+    """Act 2 of a churn scenario: drive the fleet until *threshold*
+    results are durably journaled fleet-wide, then record the moment
+    (``victim``, ``results_before_crash``, ``crash_delivery_index``).
+
+    The threshold is polled after every worker's turn, not once per
+    cycle: one full worker sweep can journal many results, and the
+    fault should land as close to the threshold as the delivery stream
+    allows.  A *victim* left to the scenario is decided at that moment:
+    the shard hosting the most still-incomplete tenants (ties by
+    name), so the failover always has live work to migrate.
+    """
+    runner = fleet.runner
+    if victim is not None and runner.shard(victim) is None:
+        raise ConfigurationError(f"victim {victim!r} is not a shard")
+
+    def reached() -> bool:
+        return runner.journaled_results() >= threshold
+
+    runner.adopt_servers()
+    drive(
+        lambda: runner.cycle(interrupt=reached), runner.all_complete,
+        max_cycles,
+    )
+    if not reached():
+        raise SchedulingError(
+            f"tenants finished before {threshold} results could trigger "
+            f"{fault}; lower {knob}"
+        )
+    if victim is None:
+        if runner.all_complete():
+            raise SchedulingError(
+                f"every tenant finished before {fault}; lower {knob}"
+            )
+        incomplete: Dict[str, int] = {}
+        for spec in fleet.specs:
+            if runner.project(spec.name).status is not ProjectStatus.COMPLETE:
+                home = runner.shard_of(spec.name)
+                incomplete[home] = incomplete.get(home, 0) + 1
+        victim = max(sorted(incomplete), key=lambda name: incomplete[name])
+    fleet.victim = victim
+    fleet.results_before_crash = runner.journaled_results()
+    fleet.crash_delivery_index = fleet.network.delivery_index
 
 
 def run_multitenant_with_shard_crash(
@@ -454,68 +525,20 @@ def run_multitenant_with_shard_crash(
     headline verdict and ``violations`` covers all fourteen
     invariants.
     """
-    journal_root = Path(journal_root)
-    specs = specs if specs is not None else default_tenant_mix(
-        n_tenants, n_steps=n_steps
-    )
-    if not specs:
-        raise ConfigurationError("shard-crash scenario needs >= 1 tenant")
-    if len({spec.name for spec in specs}) != len(specs):
-        raise ConfigurationError("tenant names must be unique")
-    if n_shards < 2:
-        raise ConfigurationError(
-            "shard failover needs >= 2 shards (a successor must exist)"
-        )
-
-    base: Optional[SoakResult] = None
-    baseline_completions: Optional[List[Tuple[str, str]]] = None
-    if baseline:
-        base = run_multitenant_soak(
-            n_shards=n_shards,
-            workers_per_shard=workers_per_shard,
-            cores_per_worker=cores_per_worker,
-            n_steps=n_steps,
-            specs=specs,
-            max_wait_seconds=max_wait_seconds,
-            heartbeat_interval=heartbeat_interval,
-            tick=tick,
-            segment_steps=segment_steps,
-            max_cycles=max_cycles,
-            seed=seed,
-        )
-        baseline_completions = live_completions(base.runner.events)
-
-    network = ChaosNetwork(plan=plan or FaultPlan(seed=seed), seed=seed)
-    if plan is None and configure is None:
-        default_soak_faults(network.plan)
-    if configure is not None:
-        configure(network.plan)
-
-    gateway, shards, workers = _build_fabric(
-        network, n_shards, workers_per_shard, cores_per_worker,
-        heartbeat_interval, segment_steps,
-    )
-    runner = MultiProjectRunner(network, shards, workers, tick=tick)
-    runner.attach_journals(journal_root)
-    policy = FairSharePolicy(
-        tenants={spec.name: spec.policy() for spec in specs},
+    fleet = _deploy_churn(
+        ShardCrashResult, journal_root, baseline, max_cycles,
+        n_tenants=n_tenants, n_shards=n_shards,
+        workers_per_shard=workers_per_shard,
+        cores_per_worker=cores_per_worker, n_steps=n_steps, specs=specs,
+        plan=plan, configure=configure, probe_policy=probe_policy,
         max_wait_seconds=max_wait_seconds,
+        heartbeat_interval=heartbeat_interval, tick=tick,
+        segment_steps=segment_steps, segments_per_cycle=None, seed=seed,
     )
-    schedulers = runner.apply_fairshare(policy)
-    runner.attach_shard_monitor(gateway, probe_policy)
-
-    for spec in specs:
-        runner.submit(
-            Project(spec.name),
-            TenantSwarmController(spec),
-            controller_factory=lambda spec=spec: TenantSwarmController(spec),
-        )
-
-    crash_rule = network.plan.shard_crash_point(victim)
+    plan = fleet.network.plan
+    crash_rule = plan.shard_crash_point(victim)
     if crash_rule is not None:
         victim = crash_rule.dst
-    if victim is not None and victim not in {s.name for s in shards}:
-        raise ConfigurationError(f"victim {victim!r} is not a shard")
     threshold = crash_after_results
     if threshold is None:
         threshold = (
@@ -523,86 +546,22 @@ def run_multitenant_with_shard_crash(
         ) or 3
 
     # ---- act 2: drive until the crash point, then pull the plug --------
-    for server in runner.servers:
-        server.events = runner.events
-        server.clock = max(server.clock, runner.now)
-    crashed = False
-    for _ in range(max_cycles):
-        for worker in workers:
-            if worker.crashed:
-                continue
-            worker_now = runner.now + worker.poll_offset
-            worker.heartbeat(worker_now)
-            worker.work_once(now=worker_now)
-            # check mid-cycle: one full worker sweep can journal many
-            # results, and the kill should land as close to the
-            # threshold as the delivery stream allows
-            if _journaled_results(runner.shards) >= threshold:
-                crashed = True
-                break
-        if crashed:
-            break
-        runner.now += tick
-        runner._liveness_sweep()
-        if runner._all_complete():
-            break
-    if not crashed:
-        raise SchedulingError(
-            f"tenants finished before {threshold} results could trigger "
-            f"the shard kill; lower crash_after_results"
-        )
-    if victim is None:
-        # the default victim is decided at the crash moment: the shard
-        # hosting the most still-incomplete tenants (ties by name), so
-        # the failover always has live work to migrate
-        if runner._all_complete():
-            raise SchedulingError(
-                "every tenant finished before the crash point; lower "
-                "crash_after_results"
-            )
-        incomplete: Dict[str, int] = {}
-        for spec in specs:
-            if runner.project(spec.name).status is not ProjectStatus.COMPLETE:
-                home = runner.shard_of(spec.name)
-                incomplete[home] = incomplete.get(home, 0) + 1
-        victim = max(sorted(incomplete), key=lambda name: incomplete[name])
+    _reach_fault_point(
+        fleet, victim, threshold, max_cycles,
+        "the shard kill", "crash_after_results",
+    )
     if crash_rule is None:
-        crash_rule = network.plan.crash_shard(victim, after_results=threshold)
-    results_before_crash = _journaled_results(runner.shards)
-    crash_index = network.delivery_index
+        crash_rule = plan.crash_shard(fleet.victim, after_results=threshold)
     crash_rule.fired += 1
-    network.plan.firings.append((crash_index, crash_rule))
+    plan.firings.append((fleet.crash_delivery_index, crash_rule))
     # the actual kill: a permanent crash window — from this delivery
     # on the victim's process is gone and every message to or from it
     # raises, exactly what the monitor's probes will run into
-    network.plan.crash_server(victim, after_index=crash_index)
+    plan.crash_server(fleet.victim, after_index=fleet.crash_delivery_index)
 
     # ---- act 3: detection, failover and completion ---------------------
-    runner.run(max_cycles=max_cycles)
-
-    violations = Invariants(runner).check()
-    return ShardCrashResult(
-        runner=runner,
-        network=network,
-        shards=runner.shards,
-        workers=workers,
-        schedulers=schedulers,
-        specs=specs,
-        controllers={
-            spec.name: runner.controller(spec.name) for spec in specs
-        },
-        violations=violations,
-        report=runner.tenant_report(),
-        transcript=runner.events.to_text(),
-        chaos=network.chaos_report(),
-        victim=victim,
-        crash_delivery_index=crash_index,
-        results_before_crash=results_before_crash,
-        migrations=list(runner.migrations),
-        completions=live_completions(runner.events),
-        baseline=base,
-        baseline_completions=baseline_completions,
-    )
+    fleet.runner.run(max_cycles=max_cycles)
+    return _verdict(fleet)
 
 
 @dataclass
@@ -618,6 +577,14 @@ class PartitionResult(ShardCrashResult):
     rejected (``FENCING_REJECTED``) rather than applied.
     """
 
+    TIMELINE_KINDS = ShardCrashResult.TIMELINE_KINDS | {
+        EventKind.EPOCH_BUMPED,
+        EventKind.FENCING_REJECTED,
+        EventKind.PROJECT_FENCED,
+        EventKind.PROJECT_PARKED,
+        EventKind.PROJECT_UNPARKED,
+    }
+
     #: Delivery index at which the gateway<->victim link was severed
     #: (both directions, as two directed rules).
     partition_index: int = 0
@@ -626,49 +593,24 @@ class PartitionResult(ShardCrashResult):
     #: ``(project, command)`` completions the zombie applied locally
     #: during split-brain — journaled under its stale epoch, fenced at
     #: demotion, never delivered to a live controller.
-    zombie_completions: List[Tuple[str, str]] = None  # type: ignore[assignment]
+    zombie_completions: List[Tuple[str, str]] = field(default_factory=list)
     #: The zombie's detached event log: its split-brain story
     #: (PROJECT_FENCED included) lands here, not in the fleet's log.
-    zombie_events: Optional[EventLog] = None
+    zombie_events: EventLog = field(default_factory=EventLog)
     #: Demotion reports the gateway's monitor collected from the
     #: healed zombie's probe answers.
     demotions: List[Dict] = None  # type: ignore[assignment]
     #: End-of-run fencing counters from the shared metrics registry.
     fencing: Dict[str, float] = None  # type: ignore[assignment]
 
-    def migration_timeline(self) -> List[Dict[str, Any]]:
-        """The partition as an ordered record list (the CI artifact):
-        shard death, migrations, epoch bumps, fencing rejections and
-        the zombie's demotion — merged from the fleet's log and the
-        zombie's detached one, in time order."""
-        kinds = {
-            EventKind.SHARD_DEAD,
-            EventKind.SERVER_RECOVERED,
-            EventKind.COMMAND_RESTORED,
-            EventKind.PROJECT_MIGRATED,
-            EventKind.EPOCH_BUMPED,
-            EventKind.FENCING_REJECTED,
-            EventKind.PROJECT_FENCED,
-            EventKind.PROJECT_PARKED,
-            EventKind.PROJECT_UNPARKED,
-        }
-        merged = list(self.runner.events.all())
-        if self.zombie_events is not None:
-            merged.extend(self.zombie_events.all())
-        timeline = [
-            {
-                "time": record.time,
-                "kind": record.kind.value,
-                "project": record.project_id,
-                **record.details,
-            }
-            for record in merged
-            if record.kind in kinds
-        ]
+    def _timeline_records(self):
+        """:meth:`migration_timeline` here also tells the epoch bumps,
+        the fencing rejections and the zombie's demotion: the fleet's
+        log and the zombie's detached one, merged in time order."""
+        merged = list(self.runner.events.all()) + list(self.zombie_events.all())
         # stable by time only: same-tick events keep their causal
         # insertion order (shard_dead before the restores it caused)
-        timeline.sort(key=lambda entry: entry["time"])
-        return timeline
+        return sorted(merged, key=lambda record: record.time)
 
 
 def run_multitenant_with_partitioned_shard(
@@ -731,118 +673,37 @@ def run_multitenant_with_partitioned_shard(
     completions excluded) is the headline verdict, ``violations``
     covers all fourteen invariants.
     """
-    journal_root = Path(journal_root)
-    specs = specs if specs is not None else default_tenant_mix(
-        n_tenants, n_steps=n_steps
-    )
-    if not specs:
-        raise ConfigurationError("partition scenario needs >= 1 tenant")
-    if len({spec.name for spec in specs}) != len(specs):
-        raise ConfigurationError("tenant names must be unique")
-    if n_shards < 2:
-        raise ConfigurationError(
-            "shard failover needs >= 2 shards (a successor must exist)"
-        )
     if heal_after < 1:
         raise ConfigurationError(
             f"heal_after must be >= 1, got {heal_after}"
         )
-
-    base: Optional[SoakResult] = None
-    baseline_completions: Optional[List[Tuple[str, str]]] = None
-    if baseline:
-        base = run_multitenant_soak(
-            n_shards=n_shards,
-            workers_per_shard=workers_per_shard,
-            cores_per_worker=cores_per_worker,
-            n_steps=n_steps,
-            specs=specs,
-            max_wait_seconds=max_wait_seconds,
-            heartbeat_interval=heartbeat_interval,
-            tick=tick,
-            segment_steps=segment_steps,
-            segments_per_cycle=segments_per_cycle,
-            max_cycles=max_cycles,
-            seed=seed,
-        )
-        baseline_completions = live_completions(base.runner.events)
-
-    network = ChaosNetwork(plan=plan or FaultPlan(seed=seed), seed=seed)
-    if plan is None and configure is None:
-        default_soak_faults(network.plan)
-    if configure is not None:
-        configure(network.plan)
-
     # paced execution by default (segments_per_cycle): commands span
     # several work cycles, so the island genuinely has work in flight
     # when the failover happens — the split-brain regime completes it
     # under the stale epoch instead of having drained before the cut
     # mattered
-    gateway, shards, workers = _build_fabric(
-        network, n_shards, workers_per_shard, cores_per_worker,
-        heartbeat_interval, segment_steps, segments_per_cycle,
-    )
-    runner = MultiProjectRunner(network, shards, workers, tick=tick)
-    runner.attach_journals(journal_root)
-    policy = FairSharePolicy(
-        tenants={spec.name: spec.policy() for spec in specs},
+    fleet = _deploy_churn(
+        PartitionResult, journal_root, baseline, max_cycles,
+        n_tenants=n_tenants, n_shards=n_shards,
+        workers_per_shard=workers_per_shard,
+        cores_per_worker=cores_per_worker, n_steps=n_steps, specs=specs,
+        plan=plan, configure=configure, probe_policy=probe_policy,
         max_wait_seconds=max_wait_seconds,
+        heartbeat_interval=heartbeat_interval, tick=tick,
+        segment_steps=segment_steps,
+        segments_per_cycle=segments_per_cycle, seed=seed,
     )
-    schedulers = runner.apply_fairshare(policy)
-    runner.attach_shard_monitor(gateway, probe_policy)
-
-    for spec in specs:
-        runner.submit(
-            Project(spec.name),
-            TenantSwarmController(spec),
-            controller_factory=lambda spec=spec: TenantSwarmController(spec),
-        )
+    runner, network = fleet.runner, fleet.network
 
     # ---- act 2: drive to the partition point, then cut the link --------
-    for server in runner.servers:
-        server.events = runner.events
-        server.clock = max(server.clock, runner.now)
-    threshold = partition_after_results
-    partitioned = False
-    for _ in range(max_cycles):
-        for worker in workers:
-            if worker.crashed:
-                continue
-            worker_now = runner.now + worker.poll_offset
-            worker.heartbeat(worker_now)
-            worker.work_once(now=worker_now)
-            if _journaled_results(runner.shards) >= threshold:
-                partitioned = True
-                break
-        if partitioned:
-            break
-        runner.now += tick
-        runner._liveness_sweep()
-        if runner._all_complete():
-            break
-    if not partitioned:
-        raise SchedulingError(
-            f"tenants finished before {threshold} results could trigger "
-            f"the partition; lower partition_after_results"
-        )
-    if victim is None:
-        if runner._all_complete():
-            raise SchedulingError(
-                "every tenant finished before the partition point; lower "
-                "partition_after_results"
-            )
-        incomplete: Dict[str, int] = {}
-        for spec in specs:
-            if runner.project(spec.name).status is not ProjectStatus.COMPLETE:
-                home = runner.shard_of(spec.name)
-                incomplete[home] = incomplete.get(home, 0) + 1
-        victim = max(sorted(incomplete), key=lambda name: incomplete[name])
-    zombie = runner._shards_by_name.get(victim)
-    if zombie is None:
-        raise ConfigurationError(f"victim {victim!r} is not a live shard")
-    island_workers = [w for w in workers if w.server == victim]
-    results_before = _journaled_results(runner.shards)
-    partition_index = network.delivery_index
+    _reach_fault_point(
+        fleet, victim, partition_after_results, max_cycles,
+        "the partition", "partition_after_results",
+    )
+    victim = fleet.victim
+    zombie = runner.shard(victim)
+    island_workers = [w for w in fleet.workers if w.server == victim]
+    partition_index = fleet.crash_delivery_index
     heal_index = partition_index + heal_after
     # the actual cut: both directions of the gateway<->victim edge go
     # dark for heal_after deliveries.  The victim's own workers stay
@@ -855,48 +716,38 @@ def run_multitenant_with_partitioned_shard(
     )
 
     # ---- act 3: failover, split-brain, heal, demotion -------------------
-    zombie_log = EventLog()
-    zombie_completions: List[Tuple[str, str]] = []
     rewired = False
-    done = False
-    for _ in range(max_cycles):
-        for worker in workers:
-            if worker.crashed:
-                continue
-            worker_now = runner.now + worker.poll_offset
-            worker.heartbeat(worker_now)
-            worker.work_once(now=worker_now)
-        runner.now += tick
-        runner._liveness_sweep()
+
+    def settled() -> bool:
+        nonlocal rewired
         if not rewired and runner.migrations:
-            # The fleet just failed over — but the zombie is alive on
-            # the island side of the cut.  Detach it from the fleet's
-            # world so the harness observes a true split-brain: its
-            # workers point back at it (the failover re-homed them at
-            # a successor they cannot reach), its events land in a
-            # private log, and its result sinks record locally — the
-            # live controllers for its projects now run on the
-            # successors, and feeding them from the stale regime would
-            # falsify the exactly-once comparison this scenario exists
-            # to make.
+            # The fleet just failed over, but the zombie is alive on
+            # its island.  Detach it (see the docstring): the failover
+            # re-homed its workers at a successor they cannot reach,
+            # and the live controllers now run on the successors —
+            # feeding them from the stale regime would falsify the
+            # exactly-once comparison this scenario exists to make.
             for worker in island_workers:
                 worker.server = victim
-            zombie.events = zombie_log
-            for pid in list(zombie._sinks):
-                zombie._sinks[pid] = (
-                    lambda command, result, pid=pid:
-                    zombie_completions.append((pid, command.command_id))
-                )
+            zombie.events = fleet.zombie_events
+            for spec in fleet.specs:
+                if zombie.hosts(spec.name):
+                    zombie.host_project(
+                        spec.name,
+                        lambda command, result, pid=spec.name:
+                        fleet.zombie_completions.append(
+                            (pid, command.command_id)
+                        ),
+                    )
             rewired = True
-        if (
+        return bool(
             rewired
             and network.delivery_index >= heal_index
             and runner.monitor.demotions
-            and runner._all_complete()
-        ):
-            done = True
-            break
-    if not done:
+            and runner.all_complete()
+        )
+
+    if drive(runner.cycle, settled, max_cycles) is None:
         raise SchedulingError(
             f"partition scenario did not converge within {max_cycles} "
             f"cycles (rewired={rewired}, "
@@ -905,32 +756,10 @@ def run_multitenant_with_partitioned_shard(
         )
 
     metrics = network.obs.metrics
-    violations = Invariants(runner).check()
-    return PartitionResult(
-        runner=runner,
-        network=network,
-        shards=runner.shards,
-        workers=workers,
-        schedulers=schedulers,
-        specs=specs,
-        controllers={
-            spec.name: runner.controller(spec.name) for spec in specs
-        },
-        violations=violations,
-        report=runner.tenant_report(),
-        transcript=runner.events.to_text(),
-        chaos=network.chaos_report(),
-        victim=victim,
-        crash_delivery_index=partition_index,
-        results_before_crash=results_before,
-        migrations=list(runner.migrations),
-        completions=live_completions(runner.events),
-        baseline=base,
-        baseline_completions=baseline_completions,
+    return _verdict(
+        fleet,
         partition_index=partition_index,
         heal_index=heal_index,
-        zombie_completions=zombie_completions,
-        zombie_events=zombie_log,
         demotions=[dict(r) for r in runner.monitor.demotions],
         fencing={
             "rejections_total": metrics.total(

@@ -501,6 +501,12 @@ class Worker(Endpoint):
                 delivered += 1
         return delivered
 
+    @property
+    def idle(self) -> bool:
+        """Whether no command is parked mid-execution or fetched but
+        unstarted — the next :meth:`work_once` polls for a workload."""
+        return self._active is None and not self._backlog
+
     def work_once(self, now: float = 0.0) -> int:
         """One poll cycle: resume parked work, fetch and run commands.
 
@@ -515,7 +521,7 @@ class Worker(Endpoint):
         done = self.flush_pending_results()
         if self.crashed:
             return done
-        if self._active is None and not self._backlog:
+        if self.idle:
             fetched = self.request_workload(now=now)
             # adaptive coalescing: merge whatever compatible work the
             # workload actually contains, up to the announced capacity

@@ -17,6 +17,7 @@ import hashlib
 import inspect
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,24 +25,11 @@ import pytest
 import repro.testing
 from repro.obs.trace import to_chrome_trace
 from repro.server.wal import ProjectJournal, WriteAheadLog
-from repro.testing import FaultPlan, scenarios, soak
+from repro.testing import FaultPlan
 
 DIGESTS = Path(__file__).parent / "data" / "scenario_digests.json"
 WRITE_DIGESTS = os.environ.get("SCENARIO_DIGESTS") == "write"
-RUNNERS = {
-    scenarios: (
-        "run_swarm_under_faults",
-        "run_swarm_with_server_restart",
-        "run_swarm_with_straggler",
-        "run_swarm_with_flapping_worker",
-        "run_relay_with_sick_peer",
-    ),
-    soak: (
-        "run_multitenant_soak",
-        "run_multitenant_with_shard_crash",
-        "run_multitenant_with_partitioned_shard",
-    ),
-}
+RUNNERS = [name for name in repro.testing.__all__ if name.startswith("run_")]
 
 
 def _shown(value):
@@ -144,11 +132,11 @@ class DigestBook:
 
 
 BOOK = DigestBook()
-for _module, _names in RUNNERS.items():
-    for _name in _names:
-        _checked = BOOK.wrap(_name, getattr(_module, _name))
-        setattr(_module, _name, _checked)
-        setattr(repro.testing, _name, _checked)
+for _name in RUNNERS:
+    _runner = getattr(repro.testing, _name)
+    _checked = BOOK.wrap(_name, _runner)
+    setattr(sys.modules[_runner.__module__], _name, _checked)
+    setattr(repro.testing, _name, _checked)
 
 
 def pytest_sessionfinish(session):
