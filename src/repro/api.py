@@ -88,19 +88,6 @@ __all__ = [
     "run_tenants",
 ]
 
-def __getattr__(name: str):
-    # MAX_AUTO_BATCH moved to repro.md.dispatch alongside the other
-    # kernel-dispatch constants; keep the old spelling importable.
-    if name == "MAX_AUTO_BATCH":
-        from repro.compat import warn_deprecated
-
-        warn_deprecated(
-            "repro.api.MAX_AUTO_BATCH", "repro.md.dispatch.MAX_AUTO_BATCH"
-        )
-        return _MAX_AUTO_BATCH
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 @dataclass
 class Ensemble:
     """R independent replicas of one model, declared in one place.

@@ -48,8 +48,8 @@ def _canonical_weighting(weighting):
 
     Adapter instances pass through unchanged (the sweep harness uses
     them for custom schemes); strings go through the registry, which
-    warns on legacy aliases and raises a typed error listing the
-    registered adapters for unknown names.
+    raises a typed error listing the registered adapters for unknown
+    names.
     """
     if isinstance(weighting, Adapter):
         return weighting
@@ -85,9 +85,7 @@ class MSMProjectConfig:
     weighting:
         A scheme name from the adapter registry (``uniform``,
         ``min-counts``, ``weighted-counts``, ``uncertainty``, or
-        anything added via :func:`repro.lab.register_adapter`); the
-        legacy names ``even``/``adaptive``/``mincounts`` still work
-        with a deprecation warning.
+        anything added via :func:`repro.lab.register_adapter`).
     weighting_params:
         Keyword arguments for the adapter factory (e.g.
         ``{"n": 2.0}`` for ``weighted-counts``).
@@ -122,8 +120,7 @@ class MSMProjectConfig:
 
     def __post_init__(self) -> None:
         # resolving eagerly gives the typed unknown-scheme error (with
-        # the registered adapter names) at config time, not mid-run;
-        # legacy aliases are canonicalised here with their warning
+        # the registered adapter names) at config time, not mid-run
         self.weighting = _canonical_weighting(self.weighting)
         resolve_adapter(self.weighting, **self.weighting_params)
         for name in (

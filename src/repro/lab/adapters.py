@@ -21,11 +21,6 @@ Shipped schemes (the MAccelerator set):
 ``uncertainty``
     Dirichlet-posterior transition-uncertainty weights (the paper's
     *adaptive* regime).
-
-The pre-laboratory scheme names ``even`` / ``adaptive`` /
-``mincounts`` keep working through deprecation shims
-(:data:`LEGACY_SCHEME_ALIASES`); new code should use the canonical
-names above.
 """
 
 from __future__ import annotations
@@ -49,7 +44,6 @@ __all__ = [
     "MinCountsAdapter",
     "WeightedCountsAdapter",
     "UncertaintyAdapter",
-    "LEGACY_SCHEME_ALIASES",
     "register_adapter",
     "registered_adapters",
     "normalize_scheme",
@@ -149,13 +143,6 @@ _ADAPTER_REGISTRY: Dict[str, Callable[..., Adapter]] = {
     "uncertainty": UncertaintyAdapter,
 }
 
-#: Pre-laboratory scheme names, kept working with a deprecation shim.
-LEGACY_SCHEME_ALIASES: Dict[str, str] = {
-    "even": "uniform",
-    "adaptive": "uncertainty",
-    "mincounts": "min-counts",
-}
-
 
 def register_adapter(
     name: str, factory: Callable[..., Adapter], overwrite: bool = False
@@ -169,16 +156,14 @@ def register_adapter(
     Raises
     ------
     ConfigurationError
-        If *name* collides with an existing scheme or legacy alias and
-        *overwrite* is not set, or *factory* is not callable.
+        If *name* collides with an existing scheme and *overwrite* is
+        not set, or *factory* is not callable.
     """
     if not name or not isinstance(name, str):
         raise ConfigurationError("adapter name must be a non-empty string")
     if not callable(factory):
         raise ConfigurationError("adapter factory must be callable")
-    if not overwrite and (
-        name in _ADAPTER_REGISTRY or name in LEGACY_SCHEME_ALIASES
-    ):
+    if not overwrite and name in _ADAPTER_REGISTRY:
         raise ConfigurationError(
             f"adapter {name!r} is already registered; pass overwrite=True "
             f"to replace it"
@@ -187,12 +172,12 @@ def register_adapter(
 
 
 def registered_adapters() -> List[str]:
-    """Canonical scheme names, sorted (legacy aliases excluded)."""
+    """Canonical scheme names, sorted."""
     return sorted(_ADAPTER_REGISTRY)
 
 
 def normalize_scheme(scheme: str) -> str:
-    """Canonicalise a scheme name, warning on legacy aliases.
+    """Check that *scheme* names a registered adapter and return it.
 
     Raises
     ------
@@ -200,16 +185,6 @@ def normalize_scheme(scheme: str) -> str:
         If *scheme* names no registered adapter; the message lists the
         registered scheme names so the fix is in the traceback.
     """
-    if scheme in LEGACY_SCHEME_ALIASES:
-        from repro.compat import warn_deprecated
-
-        canonical = LEGACY_SCHEME_ALIASES[scheme]
-        warn_deprecated(
-            f"weighting scheme {scheme!r}",
-            f"{canonical!r} (see repro.lab.adapters)",
-            stacklevel=4,
-        )
-        return canonical
     if scheme not in _ADAPTER_REGISTRY:
         raise ConfigurationError(
             f"unknown weighting scheme {scheme!r}; registered adapters: "

@@ -60,8 +60,6 @@ BATCH_DISPATCH_MIN_REPLICAS = 2
 
 #: Upper bound on auto-selected worker batch capacity (one kernel call
 #: propagating more replicas than this stops paying for itself).
-#: Moved here from ``repro.api`` so the policy lives beside the other
-#: dispatch constants; the old name is shimmed with a deprecation.
 MAX_AUTO_BATCH = 64
 
 

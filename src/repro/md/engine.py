@@ -580,36 +580,6 @@ def resolve_model(model: str, model_params: Optional[Dict] = None) -> BuiltModel
     return builder(model, dict(model_params or {}))
 
 
-def _legacy_task_builder(name: str) -> Callable:
-    def build(task: MDTask):
-        built = resolve_model(task.model, task.model_params)
-        return built.system, built.state_builder(task)
-
-    build.__name__ = name
-    return build
-
-
-_LEGACY_BUILDER_NAMES = (
-    "_build_villin_task",
-    "_build_muller_brown_task",
-    "_build_lj_fluid_task",
-    "_build_double_well_task",
-)
-
-
-def __getattr__(name: str):
-    if name in _LEGACY_BUILDER_NAMES:
-        from repro.compat import warn_deprecated
-
-        warn_deprecated(
-            f"repro.md.engine.{name}",
-            "repro.md.engine.resolve_model",
-            stacklevel=2,
-        )
-        return _legacy_task_builder(name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 class MDEngine:
     """Executes :class:`MDTask` commands; the worker-side 'executable'.
 

@@ -1151,19 +1151,6 @@ class CopernicusServer(Endpoint):
         self._check_stragglers(now)
         return dead
 
-    #: Backwards-compatible alias: the failure check grew into a full
-    #: liveness sweep (PR 3) but callers predate the rename.
-    def check_failures(self, now: float) -> List[str]:
-        """Deprecated alias for :meth:`check_liveness`."""
-        from repro.compat import warn_deprecated
-
-        warn_deprecated(
-            "CopernicusServer.check_failures",
-            "CopernicusServer.check_liveness",
-            stacklevel=2,
-        )
-        return self.check_liveness(now)
-
     def _check_stragglers(self, now: float) -> None:
         """Speculatively re-queue commands whose leases are overdue."""
         for lease in self.leases.overdue(now):

@@ -1,9 +1,8 @@
-"""The redesigned ``repro.api`` facade and its deprecation shims.
+"""The redesigned ``repro.api`` facade.
 
 Covers the declarative surface (Ensemble / Project / run / RunOutcome),
-the keyword-only :meth:`Simulation.configure` builder, the shared model
-registry, and the requirement that every legacy entry point still works
-but warns through :mod:`repro.compat`.
+the keyword-only :meth:`Simulation.configure` builder and the shared
+model registry.
 """
 
 import warnings
@@ -140,13 +139,6 @@ def test_auto_batch_capacity_is_capped():
     assert project._auto_batch_capacity() == MAX_AUTO_BATCH
 
 
-def test_max_auto_batch_legacy_alias_warns():
-    from repro.md.dispatch import MAX_AUTO_BATCH
-
-    with pytest.warns(DeprecationWarning, match="repro.md.dispatch"):
-        assert api.MAX_AUTO_BATCH == MAX_AUTO_BATCH
-
-
 # -- Simulation.configure -----------------------------------------------------
 
 
@@ -211,51 +203,6 @@ def test_register_model_round_trip():
 def test_make_integrator_rejects_unknown_name():
     with pytest.raises(ConfigurationError):
         make_integrator("leapfrog", timestep=0.02)
-
-
-# -- deprecation shims --------------------------------------------------------
-
-
-def test_compat_reexports_warn_and_resolve():
-    import repro.compat as compat
-
-    for legacy in ("Network", "MDEngine", "Simulation"):
-        with pytest.warns(DeprecationWarning, match="repro.compat"):
-            resolved = getattr(compat, legacy)
-        assert resolved is not None
-    with pytest.raises(AttributeError):
-        compat.NoSuchName
-
-
-def test_check_failures_alias_warns_and_forwards():
-    from repro.net.transport import Network
-    from repro.server.server import CopernicusServer
-
-    server = CopernicusServer("srv", Network(seed=0))
-    with pytest.warns(DeprecationWarning, match="check_liveness"):
-        server.check_failures(0.0)
-
-
-def test_scenario_result_getitem_warns_but_works():
-    from repro.testing.scenarios import ScenarioResult
-
-    result = ScenarioResult(
-        runner=None,
-        server="srv",
-        workers=[],
-        controller=None,
-        network=None,
-        obs=None,
-        transcript="",
-        chaos=None,
-    )
-    with pytest.warns(DeprecationWarning, match="ScenarioResult.server"):
-        assert result["server"] == "srv"
-    with pytest.raises(KeyError):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            result["no_such_field"]
-    assert "server" in result
 
 
 def test_public_api_importable_without_warnings():

@@ -6,7 +6,6 @@ import pytest
 from repro.core import AdaptiveMSMController, MSMProjectConfig
 from repro.lab.adapters import (
     Adapter,
-    LEGACY_SCHEME_ALIASES,
     MinCountsAdapter,
     UncertaintyAdapter,
     UniformAdapter,
@@ -92,21 +91,6 @@ def test_adapter_parameter_validation():
         UncertaintyAdapter(prior=0.0)
 
 
-# ------------------------------------------------------- legacy aliases
-
-
-@pytest.mark.parametrize("legacy,canonical", sorted(LEGACY_SCHEME_ALIASES.items()))
-def test_legacy_names_warn_and_map(legacy, canonical):
-    with pytest.warns(DeprecationWarning, match=legacy):
-        assert normalize_scheme(legacy) == canonical
-
-
-def test_legacy_name_resolves_to_canonical_adapter():
-    with pytest.warns(DeprecationWarning):
-        adapter = resolve_adapter("adaptive")
-    assert isinstance(adapter, UncertaintyAdapter)
-
-
 # ----------------------------------------------------------- the plugin
 
 
@@ -136,8 +120,6 @@ def test_register_adapter_collisions():
     with pytest.raises(ConfigurationError):
         register_adapter("uniform", UniformAdapter)
     with pytest.raises(ConfigurationError):
-        register_adapter("even", UniformAdapter)  # legacy alias collides
-    with pytest.raises(ConfigurationError):
         register_adapter("", UniformAdapter)
     with pytest.raises(ConfigurationError):
         register_adapter("not-callable", object())
@@ -162,12 +144,8 @@ def test_config_accepts_adapter_instance_and_params():
 
 
 def test_config_rejects_unknown_scheme_with_registry_listing():
-    with pytest.raises(ConfigurationError) as excinfo:
-        MSMProjectConfig(weighting="magic")
-    assert "uniform" in str(excinfo.value)
-
-
-def test_config_legacy_weighting_warns():
-    with pytest.warns(DeprecationWarning):
-        cfg = MSMProjectConfig(weighting="even")
-    assert cfg.weighting == "uniform"
+    # "even" was a pre-laboratory alias of "uniform"; it is unknown now
+    for weighting in ("magic", "even"):
+        with pytest.raises(ConfigurationError) as excinfo:
+            MSMProjectConfig(weighting=weighting)
+        assert "uniform" in str(excinfo.value)

@@ -43,13 +43,6 @@ def test_config_validation():
         SweepConfig(schemes=("magic",))
 
 
-def test_config_normalises_legacy_scheme_names():
-    with pytest.warns(DeprecationWarning):
-        config = SweepConfig(schemes=("even", "adaptive"), baseline="even")
-    assert config.schemes == ("uniform", "uncertainty")
-    assert config.baseline == "uniform"
-
-
 def test_generations_respect_the_budget():
     config = SweepConfig(**TINY)
     assert config.generations_for(200, 4) == 6
