@@ -1,5 +1,4 @@
-"""Batched ensemble kernel vs the serial engine (BENCH_batched.json,
-BENCH_kernel.json).
+"""Batched ensemble kernel vs the serial engine (BENCH_kernel.json).
 
 Measures steps/second propagating R villin-fast replicas at
 R ∈ {1, 8, 64} two ways — R serial :meth:`MDEngine.run` calls, and one
@@ -26,10 +25,8 @@ Run as a script (CI's ``bench`` job)::
 
     PYTHONPATH=src python benchmarks/bench_batched_engine.py
 
-Writes ``BENCH_batched.json`` (the historical speedup document, now
-with per-R steps/s deltas against the committed baseline) and
-``BENCH_kernel.json`` (the kernel-pass floors).  Exits nonzero when a
-floor is breached:
+Writes ``BENCH_kernel.json`` (the sweep rows, the crossover rows and
+the kernel-pass floors).  Exits nonzero when a floor is breached:
 
 - R=1 auto-dispatch "speedup" >= 1.0.  In words: below the crossover
   "auto" runs the serial loop, so this row times the *same kernel*
@@ -41,8 +38,7 @@ floor is breached:
   after, median 6.1x; with the tolerance the check trips below 5.5,
   under every reading taken after and over every one taken before),
 - R=64 speedup >= 11.3 (the lowest of five readings, 12.3-13.5x, taken
-  when the replica-minor kernels landed, less the noise tolerance;
-  ``--min-speedup`` defaults to the same value),
+  when the replica-minor kernels landed, less the noise tolerance),
 - serial throughput >= 3,500 steps/s.
 
 Floor checks allow ``NOISE_TOLERANCE`` (relative) slack: back-to-back
@@ -79,7 +75,6 @@ REPLICA_COUNTS = (1, 8, 64)
 CROSSOVER_COUNTS = (1, 2, 3, 4)
 N_STEPS = 300
 REPORT_INTERVAL = 100
-DEFAULT_MIN_SPEEDUP = 11.3
 #: Relative slack applied to every floor check (run-to-run jitter).
 NOISE_TOLERANCE = 0.08
 #: BENCH_kernel.json floors (see module docstring).
@@ -90,7 +85,6 @@ FLOORS = {
     "serial_steps_per_sec": 3500.0,
 }
 _ROOT = Path(__file__).resolve().parent.parent
-RESULT_PATH = _ROOT / "BENCH_batched.json"
 KERNEL_RESULT_PATH = _ROOT / "BENCH_kernel.json"
 
 #: Best-of-k repeat count per replica count (larger cells are longer
@@ -172,33 +166,6 @@ def measure(n_replicas: int, dispatch: str = "auto") -> dict:
     }
 
 
-def _baseline_deltas(rows: list) -> list:
-    """Per-R steps/s deltas vs the committed BENCH_batched.json."""
-    try:
-        baseline = json.loads(RESULT_PATH.read_text())
-    except (OSError, ValueError):
-        return []
-    by_r = {row["n_replicas"]: row for row in baseline.get("results", [])}
-    deltas = []
-    for row in rows:
-        base = by_r.get(row["n_replicas"])
-        if base is None:
-            continue
-        deltas.append(
-            {
-                "n_replicas": row["n_replicas"],
-                "serial_steps_per_sec_delta": row["serial_steps_per_sec"]
-                / base["serial_steps_per_sec"]
-                - 1.0,
-                "batched_steps_per_sec_delta": row["batched_steps_per_sec"]
-                / base["batched_steps_per_sec"]
-                - 1.0,
-                "speedup_delta": row["speedup"] - base["speedup"],
-            }
-        )
-    return deltas
-
-
 def run_benchmark() -> dict:
     """Full sweep; returns the combined benchmark document (cached)."""
     global _cached_document
@@ -215,7 +182,6 @@ def run_benchmark() -> dict:
         "model": MODEL,
         "n_steps": N_STEPS,
         "report_interval": REPORT_INTERVAL,
-        "baseline_deltas": _baseline_deltas(rows),
         "results": rows,
         "crossover": {
             "dispatch_min_replicas": BATCH_DISPATCH_MIN_REPLICAS,
@@ -263,15 +229,6 @@ def check_floors(kernel: dict) -> list:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=DEFAULT_MIN_SPEEDUP,
-        help="fail if the largest-R batched speedup is below this",
-    )
-    parser.add_argument(
-        "--out", type=Path, default=RESULT_PATH, help="output JSON path"
-    )
-    parser.add_argument(
         "--kernel-out",
         type=Path,
         default=KERNEL_RESULT_PATH,
@@ -281,7 +238,6 @@ def main(argv=None) -> int:
 
     document = run_benchmark()
     kernel = kernel_document(document)
-    args.out.write_text(json.dumps(document, indent=2) + "\n")
     args.kernel_out.write_text(json.dumps(kernel, indent=2) + "\n")
     for row in document["results"]:
         print(
@@ -296,37 +252,12 @@ def main(argv=None) -> int:
             f"forced-batched R={row['n_replicas']}: "
             f"{row['speedup']:.2f}x vs serial"
         )
-    for delta in document["baseline_deltas"]:
-        print(
-            f"vs baseline R={delta['n_replicas']:>3}: "
-            f"serial {delta['serial_steps_per_sec_delta']:+.1%}, "
-            f"batched {delta['batched_steps_per_sec_delta']:+.1%}, "
-            f"speedup {delta['speedup_delta']:+.2f}"
-        )
-    print(f"wrote {args.out} and {args.kernel_out}")
+    print(f"wrote {args.kernel_out}")
 
-    failed = False
-    top = document["results"][-1]
-    if top["speedup"] < args.min_speedup:
-        print(
-            f"FAIL: R={top['n_replicas']} speedup {top['speedup']:.2f}x "
-            f"< required {args.min_speedup:.2f}x",
-            file=sys.stderr,
-        )
-        failed = True
-    for breach in check_floors(kernel):
+    breaches = check_floors(kernel)
+    for breach in breaches:
         print(f"FAIL: {breach}", file=sys.stderr)
-        failed = True
-    return 1 if failed else 0
-
-
-def test_batched_speedup_r64(tmp_path):
-    """Benchmark entry for the pytest-driven bench suite."""
-    document = run_benchmark()
-    (tmp_path / "BENCH_batched.json").write_text(json.dumps(document))
-    top = document["results"][-1]
-    assert top["n_replicas"] == max(REPLICA_COUNTS)
-    assert top["speedup"] >= DEFAULT_MIN_SPEEDUP
+    return 1 if breaches else 0
 
 
 def test_kernel_floors(tmp_path):
