@@ -21,8 +21,8 @@ from repro.testing import Invariants, run_swarm_under_faults
 N_STEPS = 5000
 
 
-def build_and_run(seed: int = 0) -> dict:
-    """Run the chaos scenario; returns the scenario dict (see
+def build_and_run(seed: int = 0):
+    """Run the chaos scenario; returns its ``ScenarioResult`` (see
     :func:`repro.testing.scenarios.run_swarm_under_faults`)."""
 
     def configure(plan):

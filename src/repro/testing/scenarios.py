@@ -39,8 +39,7 @@ runs with the same seed *is* the determinism test.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
@@ -252,7 +251,7 @@ def pack_result(deployed, **parts):
     """The one result packer: the driven deployment plus what its
     runner and network recorded — the event transcript and the chaos
     report — and the *parts* only this scenario's assertions need."""
-    return dataclasses.replace(
+    return replace(
         deployed,
         transcript=deployed.runner.events.to_text(),
         chaos=deployed.network.chaos_report(),

@@ -157,19 +157,29 @@ class SoakResult:
 
     runner: MultiProjectRunner
     network: ChaosNetwork
-    shards: List[CopernicusServer]
     workers: List[Worker]
     schedulers: Dict[str, FairShareScheduler]
     specs: List[TenantSpec]
-    #: The *live* post-run controllers — for migrated tenants the fresh
-    #: replay controller, not the one originally submitted.
-    controllers: Optional[Dict[str, TenantSwarmController]] = None
     #: All fourteen invariants, checked post-run (empty = green).
     violations: Optional[List[str]] = None
     #: Per-tenant rollup (shard, status, issue/complete, ledger).
     report: Optional[Dict[str, Dict]] = None
     transcript: str = ""
     chaos: Optional[Dict] = None
+
+    @property
+    def shards(self) -> List[CopernicusServer]:
+        """The live shard servers (a failover removes its victim)."""
+        return self.runner.shards
+
+    @property
+    def controllers(self) -> Dict[str, TenantSwarmController]:
+        """The *live* controllers — for migrated tenants the fresh
+        replay controller, not the one originally submitted."""
+        return {
+            spec.name: self.runner.controller(spec.name)
+            for spec in self.specs
+        }
 
     @property
     def events(self):
@@ -256,23 +266,16 @@ def _deploy_soak(
             TenantSwarmController(spec),
             controller_factory=lambda spec=spec: TenantSwarmController(spec),
         )
-    return result_type(
-        runner, network, runner.shards, fabric.workers, schedulers, specs
-    )
+    return result_type(runner, network, fabric.workers, schedulers, specs)
 
 
 def _verdict(fleet: SoakResult, **story) -> SoakResult:
     """Check all fourteen invariants and pack the driven *fleet*
     (*story*: the churn runners' extra fields)."""
-    runner = fleet.runner
     return pack_result(
         fleet,
-        shards=runner.shards,  # a failover removed the victim
-        controllers={
-            spec.name: runner.controller(spec.name) for spec in fleet.specs
-        },
-        violations=Invariants(runner).check(),
-        report=runner.tenant_report(),
+        violations=Invariants(fleet.runner).check(),
+        report=fleet.runner.tenant_report(),
         **story,
     )
 
@@ -395,25 +398,25 @@ def _deploy_churn(
     journal_root: str | Path,
     baseline: bool,
     max_cycles: int,
-    **deployment,
+    plan: Optional[FaultPlan],
+    configure: Optional[Callable[[FaultPlan], None]],
+    probe_policy: Optional[ShardProbePolicy],
+    **soak,
 ) -> ShardCrashResult:
     """Act 1 of a churn scenario: the fault-free baseline of the same
-    seed and tenants (unless skipped), then the journaled, monitored
-    fleet the fault will hit.  *deployment*: :func:`_deploy_soak`'s
-    arguments, of which the baseline takes all but the fault plan."""
-    if deployment["n_shards"] < 2:
+    seed and tenants (*soak*: arguments :func:`run_multitenant_soak`
+    and :func:`_deploy_soak` share) unless skipped, then the journaled,
+    monitored fleet the fault will hit."""
+    if soak["n_shards"] < 2:
         raise ConfigurationError(
             "shard failover needs >= 2 shards (a successor must exist)"
         )
-    fleet_only = ("plan", "configure", "probe_policy")
     base = None
     if baseline:
-        base = run_multitenant_soak(
-            max_cycles=max_cycles,
-            **{k: v for k, v in deployment.items() if k not in fleet_only},
-        )
+        base = run_multitenant_soak(max_cycles=max_cycles, **soak)
     fleet = _deploy_soak(
-        result_type, journal_root=Path(journal_root), **deployment
+        result_type, plan=plan, configure=configure,
+        journal_root=Path(journal_root), probe_policy=probe_policy, **soak,
     )
     fleet.baseline = base
     return fleet
@@ -527,10 +530,10 @@ def run_multitenant_with_shard_crash(
     """
     fleet = _deploy_churn(
         ShardCrashResult, journal_root, baseline, max_cycles,
+        plan, configure, probe_policy,
         n_tenants=n_tenants, n_shards=n_shards,
         workers_per_shard=workers_per_shard,
         cores_per_worker=cores_per_worker, n_steps=n_steps, specs=specs,
-        plan=plan, configure=configure, probe_policy=probe_policy,
         max_wait_seconds=max_wait_seconds,
         heartbeat_interval=heartbeat_interval, tick=tick,
         segment_steps=segment_steps, segments_per_cycle=None, seed=seed,
@@ -607,7 +610,8 @@ class PartitionResult(ShardCrashResult):
         """:meth:`migration_timeline` here also tells the epoch bumps,
         the fencing rejections and the zombie's demotion: the fleet's
         log and the zombie's detached one, merged in time order."""
-        merged = list(self.runner.events.all()) + list(self.zombie_events.all())
+        merged = list(self.runner.events.all())
+        merged.extend(self.zombie_events.all())
         # stable by time only: same-tick events keep their causal
         # insertion order (shard_dead before the restores it caused)
         return sorted(merged, key=lambda record: record.time)
@@ -684,10 +688,10 @@ def run_multitenant_with_partitioned_shard(
     # mattered
     fleet = _deploy_churn(
         PartitionResult, journal_root, baseline, max_cycles,
+        plan, configure, probe_policy,
         n_tenants=n_tenants, n_shards=n_shards,
         workers_per_shard=workers_per_shard,
         cores_per_worker=cores_per_worker, n_steps=n_steps, specs=specs,
-        plan=plan, configure=configure, probe_policy=probe_policy,
         max_wait_seconds=max_wait_seconds,
         heartbeat_interval=heartbeat_interval, tick=tick,
         segment_steps=segment_steps,

@@ -121,10 +121,10 @@ class DigestBook:
         return checked
 
     def check(self, key: str, found: dict) -> None:
-        expected = self.entries.setdefault(key, found) if WRITE_DIGESTS else (
-            # no entry: arguments tier-1 does not use (CHAOS_SEED=101)
-            self.entries.get(key, found)
-        )
+        # no entry when checking: arguments tier-1 does not use
+        # (CHAOS_SEED=101); twice when writing: the two must agree
+        lookup = self.entries.setdefault if WRITE_DIGESTS else self.entries.get
+        expected = lookup(key, found)
         differing = sorted(k for k in found if found[k] != expected.get(k))
         assert not differing, (
             f"{key}: {differing} differ from tests/data/scenario_digests.json"

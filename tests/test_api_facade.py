@@ -10,7 +10,6 @@ import warnings
 import numpy as np
 import pytest
 
-from repro import api
 from repro.api import Ensemble, Project, RunOutcome, run
 from repro.md.engine import (
     BuiltModel,
