@@ -3,10 +3,12 @@
 Measures steps/second propagating R villin-fast replicas at
 R ∈ {1, 8, 64} two ways — R serial :meth:`MDEngine.run` calls, and one
 :meth:`MDEngine.run_batched` call under the default ``dispatch="auto"``
-policy — verifying per-replica bit-identity along the way.  A second
-sweep forces ``dispatch="batched"`` at R ∈ {1, 2, 3, 4} to measure the
-raw kernel crossover that calibrates
-:data:`repro.md.dispatch.BATCH_DISPATCH_MIN_REPLICAS`.
+policy (the batched kernel at every R) — verifying per-replica
+bit-identity along the way.  Two more sweeps force
+``dispatch="batched"``: villin-fast at R ∈ {1, 2, 3, 4}, and the small
+models (double-well, Müller–Brown, the ``markov-ala20`` chain; 3 000
+steps, so the step loop and not the model build is what is timed) at
+R ∈ {1, 3, 9} — the stacks a tenant's handful of replicas makes.
 
 Timing hygiene: thread counts are pinned to 1 (before numpy loads),
 one warm-up run precedes measurement, and each cell is timed over k
@@ -28,18 +30,29 @@ Run as a script (CI's ``bench`` job)::
 Writes ``BENCH_kernel.json`` (the sweep rows, the crossover rows and
 the kernel-pass floors).  Exits nonzero when a floor is breached:
 
-- R=1 auto-dispatch "speedup" >= 1.0.  In words: below the crossover
-  "auto" runs the serial loop, so this row times the *same kernel*
-  through ``run_batched`` and through ``run``; the floor says the
-  batched entry point's framing costs nothing measurable, and a reading
-  of 0.95-1.05 is noise around equality, not a speed-up or a loss,
+- R=1 speedup >= 1.0: a stack of one through the batched kernel is no
+  slower than the serial kernel (1.05-1.24x in 21 of 22 readings taken
+  when the forces-only kernels landed), which is what lets "auto" mean
+  batched at every R,
 - R=8 speedup >= 6.0 (the small-stack regime the adaptive loop runs in:
   4.5-4.9x before the forces-only / multi-level-gather kernels, 5.9-6.9x
   after, median 6.1x; with the tolerance the check trips below 5.5,
   under every reading taken after and over every one taken before),
 - R=64 speedup >= 11.3 (the lowest of five readings, 12.3-13.5x, taken
   when the replica-minor kernels landed, less the noise tolerance),
-- serial throughput >= 3,500 steps/s.
+- R=3 speedup of both toy surfaces >= 1.5 (``toy_r3_speedup`` is the
+  lower of double-well and Müller–Brown; 2.4-2.9x when their kernels
+  landed),
+- R=3 speedup of the chain >= 1.0 (``chain_r3_speedup``; 1.15-1.2x).  A
+  serial chain step is a draw, a bisection and a coordinate write —
+  1.6 us — so all a stack can amortise is the driver's per-step
+  bookkeeping: it pays from R=3 (2x at R=9) and a stack of one is half
+  the serial speed, which nothing in-tree runs.
+
+``serial_steps_per_sec`` is reported, not gated: it is absolute, and on
+this host's slow regime it read 2.5-3.0k against a floor of 3.5k with
+no code change (eleven runs, CHANGES.md PR 20); every floor above is
+its ratio form.
 
 Floor checks allow ``NOISE_TOLERANCE`` (relative) slack: back-to-back
 runs of the identical binary jitter by a few percent on shared
@@ -67,13 +80,20 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.md.dispatch import BATCH_DISPATCH_MIN_REPLICAS
 from repro.md.engine import BatchedMDTask, MDEngine, MDTask
 
 MODEL = "villin-fast"
 REPLICA_COUNTS = (1, 8, 64)
 CROSSOVER_COUNTS = (1, 2, 3, 4)
 N_STEPS = 300
+#: model -> integrator of the small-model sweep.
+SMALL_MODELS = {
+    "double-well": "langevin",
+    "muller-brown": "langevin",
+    "markov-ala20": "markov-chain",
+}
+SMALL_MODEL_COUNTS = (1, 3, 9)
+SMALL_MODEL_STEPS = 3000
 REPORT_INTERVAL = 100
 #: Relative slack applied to every floor check (run-to-run jitter).
 NOISE_TOLERANCE = 0.08
@@ -82,7 +102,8 @@ FLOORS = {
     "r1_speedup": 1.0,
     "r8_speedup": 6.0,
     "r64_speedup": 11.3,
-    "serial_steps_per_sec": 3500.0,
+    "toy_r3_speedup": 1.5,
+    "chain_r3_speedup": 1.0,
 }
 _ROOT = Path(__file__).resolve().parent.parent
 KERNEL_RESULT_PATH = _ROOT / "BENCH_kernel.json"
@@ -90,16 +111,22 @@ KERNEL_RESULT_PATH = _ROOT / "BENCH_kernel.json"
 #: Best-of-k repeat count per replica count (larger cells are longer
 #: and proportionally less noisy, so they get fewer repeats; R=8 has a
 #: floor of its own and gets as many as R=1).
-_REPEATS = {1: 5, 2: 4, 3: 4, 4: 3, 8: 5}
+_REPEATS = {1: 5, 2: 4, 3: 4, 4: 3, 8: 5, 9: 3}
 _cached_document = None
 
 
-def _tasks(n_replicas: int, dispatch: str = "auto") -> list:
+def _tasks(
+    n_replicas: int,
+    dispatch: str = "auto",
+    model: str = MODEL,
+    n_steps: int = N_STEPS,
+) -> list:
     return [
         MDTask(
-            model=MODEL,
-            n_steps=N_STEPS,
+            model=model,
+            n_steps=n_steps,
             report_interval=REPORT_INTERVAL,
+            integrator=SMALL_MODELS.get(model, "langevin"),
             seed=100 + r,
             task_id=f"bench/r{r}",
             dispatch=dispatch,
@@ -124,18 +151,26 @@ def _time_alternating(fns, repeats: int):
     return list(zip(seconds, results))
 
 
-def measure(n_replicas: int, dispatch: str = "auto") -> dict:
+def measure(
+    n_replicas: int,
+    dispatch: str = "auto",
+    model: str = MODEL,
+    n_steps: int = N_STEPS,
+) -> dict:
     """Serial vs batched steps/sec for one replica count."""
     engine = MDEngine()
-    total_steps = n_replicas * N_STEPS
+    total_steps = n_replicas * n_steps
     repeats = _REPEATS.get(n_replicas, 1)
 
     btask = BatchedMDTask.from_tasks(
-        _tasks(n_replicas, dispatch=dispatch), batch_id="bench"
+        _tasks(n_replicas, dispatch, model, n_steps), batch_id="bench"
     )
     (serial_rounds, serial), (batched_rounds, batched) = _time_alternating(
         [
-            lambda: [engine.run(task) for task in _tasks(n_replicas)],
+            lambda: [
+                engine.run(task)
+                for task in _tasks(n_replicas, model=model, n_steps=n_steps)
+            ],
             lambda: engine.run_batched(btask),
         ],
         repeats,
@@ -153,7 +188,7 @@ def measure(n_replicas: int, dispatch: str = "auto") -> dict:
     batched_rate = total_steps / batched_seconds
     return {
         "n_replicas": n_replicas,
-        "n_steps": N_STEPS,
+        "n_steps": n_steps,
         "dispatch_requested": dispatch,
         "dispatch_used": batched.dispatch,
         "serial_seconds": serial_seconds,
@@ -177,16 +212,21 @@ def run_benchmark() -> dict:
 
     rows = [measure(n) for n in REPLICA_COUNTS]
     crossover = [measure(n, dispatch="batched") for n in CROSSOVER_COUNTS]
+    small_models = {
+        model: [
+            measure(n, "batched", model, SMALL_MODEL_STEPS)
+            for n in SMALL_MODEL_COUNTS
+        ]
+        for model in SMALL_MODELS
+    }
     _cached_document = {
         "benchmark": "batched_engine",
         "model": MODEL,
         "n_steps": N_STEPS,
         "report_interval": REPORT_INTERVAL,
         "results": rows,
-        "crossover": {
-            "dispatch_min_replicas": BATCH_DISPATCH_MIN_REPLICAS,
-            "rows": crossover,
-        },
+        "crossover": {"rows": crossover},
+        "small_models": small_models,
     }
     return _cached_document
 
@@ -197,6 +237,12 @@ def kernel_document(document: dict) -> dict:
     best_serial = max(
         row["serial_steps_per_sec"] for row in document["results"]
     )
+    r3 = {
+        model: row["speedup"]
+        for model, rows in document["small_models"].items()
+        for row in rows
+        if row["n_replicas"] == 3
+    }
     return {
         "benchmark": "kernel_pass",
         "model": MODEL,
@@ -206,8 +252,13 @@ def kernel_document(document: dict) -> dict:
         "r1_speedup": by_r[1]["speedup"],
         "r8_speedup": by_r[8]["speedup"],
         "r64_speedup": by_r[64]["speedup"],
+        "toy_r3_speedup": min(
+            r3[model] for model in r3 if not model.startswith("markov")
+        ),
+        "chain_r3_speedup": r3["markov-ala20"],
         "serial_steps_per_sec": best_serial,
         "crossover": document["crossover"],
+        "small_models": document["small_models"],
         "results": document["results"],
     }
 
@@ -247,10 +298,11 @@ def main(argv=None) -> int:
             f"speedup {row['speedup']:.2f}x  "
             f"(dispatch={row['dispatch_used']})"
         )
-    for row in document["crossover"]["rows"]:
+    forced = {MODEL: document["crossover"]["rows"], **document["small_models"]}
+    for model, rows in forced.items():
         print(
-            f"forced-batched R={row['n_replicas']}: "
-            f"{row['speedup']:.2f}x vs serial"
+            f"forced-batched {model}: "
+            + "  ".join(f"R={r['n_replicas']} {r['speedup']:.2f}x" for r in rows)
         )
     print(f"wrote {args.kernel_out}")
 
@@ -261,14 +313,11 @@ def main(argv=None) -> int:
 
 
 def test_kernel_floors(tmp_path):
-    """The kernel-pass floors (R=1 at parity, R=8 >= 6.0x, R=64 >= 11.3x)."""
+    """The kernel-pass floors (R=1 >= 1.0x, R=8 >= 6.0x, R=64 >= 11.3x;
+    at R=3 the toys >= 1.5x and the chain >= 1.0x)."""
     kernel = kernel_document(run_benchmark())
     (tmp_path / "BENCH_kernel.json").write_text(json.dumps(kernel))
-    assert [row["dispatch_used"] for row in kernel["results"]] == [
-        "serial",
-        "batched",
-        "batched",
-    ]
+    assert {row["dispatch_used"] for row in kernel["results"]} == {"batched"}
     assert check_floors(kernel) == []
 
 

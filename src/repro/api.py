@@ -50,7 +50,7 @@ The single-process simulation entry point is
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.core.command import Command
 from repro.core.controller import Controller
@@ -100,10 +100,10 @@ class Ensemble:
     ``precision`` ("float64" default, "float32" opt-in fast path) and
     ``dispatch`` ("auto"/"serial"/"batched") select the numeric kernel
     and the batched execution policy for every replica.  "auto" (the
-    default) batches whenever the measured crossover says batching
-    wins (:data:`repro.md.dispatch.BATCH_DISPATCH_MIN_REPLICAS`);
-    "float32" runs serially because it is outside the batched kernel's
-    bit-identity contract.
+    default) batches whenever the integrator has a batched form;
+    "serial" keeps the replicas off the batched path (workers do not
+    coalesce them); "float32" runs serially because it is outside the
+    batched kernel's bit-identity contract.
     """
 
     model: str
@@ -161,6 +161,23 @@ class Ensemble:
             )
             for task in self.tasks()
         ]
+
+
+def _auto_batch_capacity(workloads: Iterable[Sequence[Ensemble]]) -> int:
+    """Worker ``batch_capacity`` for a deployment that runs *workloads*,
+    one ensemble list per project: the largest ensemble's replica count,
+    capped at :data:`repro.md.dispatch.MAX_AUTO_BATCH`.
+
+    An empty list stands for a custom controller, which owns its tasks:
+    it gets the full cap, and what the controller issues (and each
+    command's dispatch policy) decides what actually coalesces.
+    """
+    largest = 1
+    for ensembles in workloads:
+        if not ensembles:
+            return _MAX_AUTO_BATCH
+        largest = max(largest, max(e.n_replicas for e in ensembles))
+    return min(_MAX_AUTO_BATCH, largest)
 
 
 class _EnsembleController(Controller):
@@ -273,17 +290,6 @@ class Project:
         self.ensembles.append(ensemble)
         return self
 
-    def _auto_batch_capacity(self) -> int:
-        # Custom controllers get the full cap too: the default path is
-        # batched, and per-command dispatch policy (resolved against
-        # the measured crossover) decides whether a coalesced batch
-        # actually runs through the batched kernel.
-        if not self.ensembles:
-            return _MAX_AUTO_BATCH
-        return min(
-            _MAX_AUTO_BATCH, max(e.n_replicas for e in self.ensembles)
-        )
-
     def run(
         self,
         *,
@@ -341,7 +347,7 @@ class Project:
                 )
             controller = _EnsembleController(self.ensembles)
         if batch_capacity is None:
-            batch_capacity = self._auto_batch_capacity()
+            batch_capacity = _auto_batch_capacity([self.ensembles])
 
         network = Network(seed=seed)
         server = CopernicusServer("srv", network)
@@ -495,6 +501,13 @@ def run_tenants(
     tenant's quota/weight/max_queued), hashes every tenant's project
     onto its shard and drives them all to completion together.
 
+    Workers coalesce compatible ``mdrun`` commands into batched kernel
+    calls exactly as under :meth:`Project.run` (same capacity rule,
+    over all tenants), but only ever within one tenant: every member
+    keeps its own lease, journal record and result, and counts against
+    its tenant's quota.  ``Ensemble(dispatch="serial")`` opts a
+    tenant's replicas out.
+
     Parameters
     ----------
     tenants:
@@ -521,6 +534,7 @@ def run_tenants(
         workers_per_shard=workers_per_shard,
         cores_per_worker=cores,
         seed=seed,
+        batch_capacity=_auto_batch_capacity(t.ensembles for t in tenants),
     )
     runner = MultiProjectRunner(
         deployment.network,

@@ -14,7 +14,9 @@ whole ensemble:
 - :class:`BatchedLangevinIntegrator` / :class:`BatchedVelocityVerletIntegrator`
   advance the whole stack with vectorised arithmetic while drawing
   noise from *per-replica* RNG streams, so every replica's trajectory
-  is bit-identical to the serial integrator seeded the same way;
+  is bit-identical to the serial integrator seeded the same way
+  (:class:`BatchedMarkovChainIntegrator` does the same for the exact
+  chains' jumps);
 - :class:`BatchedSimulation` adds per-replica trajectories,
   checkpoints, step targets and an early-exit mask: finished or folded
   replicas are compacted out of the working arrays and stop consuming
@@ -168,6 +170,29 @@ class _BatchedIntegratorBase:
         return system.energy_forces(positions, replica_ids, need_energy=False)[1]
 
 
+class _BatchedStochasticIntegrator(_BatchedIntegratorBase):
+    """A batched integrator whose replicas each own a random stream.
+
+    Stream *r* is seeded exactly as the serial integrator of replica
+    *r* would be, and its PCG64 state is what that replica's
+    checkpoints carry.
+    """
+
+    def __init__(
+        self, timestep: float, rngs: Sequence[int | RandomStream] = ()
+    ) -> None:
+        super().__init__(timestep)
+        self.rngs = [ensure_stream(rng) for rng in rngs]
+
+    def rng_state_of(self, replica: int) -> dict:
+        """Serialisable generator state for one replica."""
+        return self.rngs[replica].generator.bit_generator.state
+
+    def set_rng_state_of(self, replica: int, state: dict) -> None:
+        """Restore one replica's generator state."""
+        self.rngs[replica].generator.bit_generator.state = state
+
+
 class BatchedVelocityVerletIntegrator(_BatchedIntegratorBase):
     """Batched symplectic NVE integrator (no thermostat).
 
@@ -197,7 +222,7 @@ class BatchedVelocityVerletIntegrator(_BatchedIntegratorBase):
         return new_forces
 
 
-class BatchedLangevinIntegrator(_BatchedIntegratorBase):
+class BatchedLangevinIntegrator(_BatchedStochasticIntegrator):
     """Batched BAOAB Langevin dynamics with per-replica noise streams.
 
     Each replica owns its own :class:`~repro.util.rng.RandomStream`
@@ -216,7 +241,7 @@ class BatchedLangevinIntegrator(_BatchedIntegratorBase):
         friction: float = 1.0,
         rngs: Sequence[int | RandomStream] = (),
     ) -> None:
-        super().__init__(timestep)
+        super().__init__(timestep, rngs)
         if temperature < 0:
             raise ConfigurationError(
                 f"temperature must be >= 0, got {temperature}"
@@ -227,18 +252,9 @@ class BatchedLangevinIntegrator(_BatchedIntegratorBase):
             )
         self.temperature = float(temperature)
         self.friction = float(friction)
-        self.rngs = [ensure_stream(rng) for rng in rngs]
         self._decay = np.exp(-friction * self.timestep)
         self._noise_scale = np.sqrt(1.0 - self._decay * self._decay)
         self._masses: Optional[np.ndarray] = None
-
-    def rng_state_of(self, replica: int) -> dict:
-        """Serialisable noise-generator state for one replica."""
-        return self.rngs[replica].generator.bit_generator.state
-
-    def set_rng_state_of(self, replica: int, state: dict) -> None:
-        """Restore one replica's noise-generator state."""
-        self.rngs[replica].generator.bit_generator.state = state
 
     def step(
         self,
@@ -290,6 +306,65 @@ class BatchedLangevinIntegrator(_BatchedIntegratorBase):
         return self._inv_m, self._noise_sigma
 
 
+class BatchedMarkovChainIntegrator(_BatchedStochasticIntegrator):
+    """Batched discrete jumps: R chains of one spec per step call.
+
+    The batched form of :class:`~repro.md.integrators.
+    MarkovChainIntegrator`.  Each replica draws one ``random()`` per
+    step from its own stream (seeded as the serial integrator's, drawn
+    in ascending replica order; a finished replica stops drawing) and
+    looks its successor up exactly as the serial integrator does, so
+    positions, clocks and checkpointed PCG64 states are those of R
+    serial runs.  What the stack saves is everything around the
+    lookup: one step call, one coordinate write and one share of the
+    driver's bookkeeping for R jumps.
+
+    The stack's state indices (and its replicas' draw functions) are
+    kept between steps.  They are read back from the coordinates
+    whenever :meth:`step` is handed a stack it did not write last —
+    :class:`BatchedSimulation` makes a new compacted array for every
+    span and after every restore, and only this integrator writes to it
+    in between.
+    """
+
+    def __init__(
+        self, timestep: float, rngs: Sequence[int | RandomStream] = ()
+    ) -> None:
+        super().__init__(timestep, rngs)
+        self._stack: Optional[np.ndarray] = None
+        self._current: List[int] = []
+        self._draws: List[Callable[[], float]] = []
+
+    def step(
+        self,
+        system: BatchedSystem,
+        positions: np.ndarray,
+        velocities: np.ndarray,
+        forces: np.ndarray,
+        replica_ids: np.ndarray,
+    ) -> np.ndarray:
+        """Advance the (possibly compacted) stack one jump in place."""
+        spec = getattr(system.system, "spec", None)
+        if spec is None:
+            raise ConfigurationError(
+                "the markov-chain integrator needs a MarkovChainSystem "
+                "(a system with a chain spec)"
+            )
+        if positions is not self._stack:
+            self._stack = positions
+            self._current = spec.discretize(positions).tolist()
+            self._draws = [
+                self.rngs[replica].generator.random for replica in replica_ids
+            ]
+        sample_next = spec.sample_next
+        self._current = [
+            sample_next(state, draw())
+            for state, draw in zip(self._current, self._draws)
+        ]
+        positions[...] = spec.positions_of(self._current)
+        return forces
+
+
 def make_batched_integrator(
     name: str,
     timestep: float,
@@ -299,21 +374,21 @@ def make_batched_integrator(
 ) -> Optional[_BatchedIntegratorBase]:
     """Batched integrator for *name*, or ``None`` if only serial exists.
 
-    Seeds follow the engine convention for the serial path (the
-    Langevin noise stream of task ``seed`` is ``seed + 1``), so a
-    caller handing the same task seeds to both paths gets bit-identical
+    Seeds follow the engine convention for the serial path (the noise
+    or jump stream of task ``seed`` is ``seed + 1``), so a caller
+    handing the same task seeds to both paths gets bit-identical
     dynamics.  Integrators without a batched form (Nosé–Hoover) return
     ``None`` and the engine falls back to a per-replica serial loop.
     """
+    streams = [seed + 1 for seed in seeds]
     if name == "langevin":
         return BatchedLangevinIntegrator(
-            timestep,
-            temperature,
-            friction=friction,
-            rngs=[seed + 1 for seed in seeds],
+            timestep, temperature, friction=friction, rngs=streams
         )
     if name == "verlet":
         return BatchedVelocityVerletIntegrator(timestep)
+    if name == "markov-chain":
+        return BatchedMarkovChainIntegrator(timestep, rngs=streams)
     return None
 
 
@@ -410,6 +485,7 @@ class BatchedSimulation:
             )
         self._prime()
         interval = self.report_interval
+        timestep = self.integrator.timestep
         while True:
             idx = np.flatnonzero(self.active & (self.batch.steps < stop))
             if idx.size == 0:
@@ -421,15 +497,23 @@ class BatchedSimulation:
             forces = self._forces[idx]
             steps = self.batch.steps[idx]
             times = self.batch.times[idx]
-            for _ in range(span):
-                forces = self.integrator.step(
-                    self.system, positions, velocities, forces, idx
-                )
-                steps += 1
-                times += self.integrator.timestep
+            while span:
+                # Step to the next report any row has due (rows resumed
+                # from different checkpoints sit at different counts),
+                # so no step in between pays for report bookkeeping.
+                chunk = span
                 if interval:
-                    due = np.flatnonzero(steps % interval == 0)
-                    for row in due:
+                    chunk = min(span, int(np.min(interval - steps % interval)))
+                for _ in range(chunk):
+                    forces = self.integrator.step(
+                        self.system, positions, velocities, forces, idx
+                    )
+                    # one add per step, as serial: k * dt is other bits
+                    times += timestep
+                steps += chunk
+                span -= chunk
+                if interval:
+                    for row in np.flatnonzero(steps % interval == 0):
                         self._check_finite(positions[row], idx[row], steps[row])
                         self.trajectories[int(idx[row])].append(
                             positions[row], times[row]

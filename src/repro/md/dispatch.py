@@ -19,11 +19,12 @@ Two keyword-only choices travel with every simulation command
 ``dispatch``
     How ``run_batched`` propagates a replica stack.  ``"batched"``
     forces the vectorised ``(R, N, dim)`` kernel, ``"serial"`` forces a
-    per-replica loop, and ``"auto"`` (default) picks whichever is
-    faster for the stack's replica count using the measured crossover
-    below.  Per-replica results are bit-identical either way — the
-    policy is purely a speed decision, recorded in
-    :class:`~repro.md.engine.BatchedMDResult` for observability.
+    per-replica loop, and ``"auto"`` (default) takes the batched kernel
+    whenever the integrator has a batched form: every in-tree force
+    term vectorises, and stacks have two or more rows (workers coalesce
+    groups, a lone command runs through ``MDEngine.run``).
+    Per-replica results are bit-identical either way; the path taken is
+    recorded in :class:`~repro.md.engine.BatchedMDResult`.
 """
 
 from __future__ import annotations
@@ -37,26 +38,6 @@ DEFAULT_PRECISION = "float64"
 #: Valid ``dispatch=`` values, default first.
 DISPATCHES = ("auto", "serial", "batched")
 DEFAULT_DISPATCH = "auto"
-
-#: Smallest replica count at which ``dispatch="auto"`` picks the batched
-#: kernel.  Measured with ``benchmarks/bench_batched_engine.py`` (300
-#: steps, single thread, the forced-batched rows of
-#: ``BENCH_kernel.json``): on villin-fast the forces-only kernels have
-#: closed the R=1 gap — forced-batched reads 1.05-1.24x at R=1 in 21
-#: of 22 runs of the script (one outlier at 0.76x, which is what every
-#: run read before them), 1.9-2.4x at R=2, 2.3-3.1x at R=3, 3.3-4.3x
-#: at R=4, 5.9-6.9x at R=8 and >12x at R=64 — so for terms
-#: with a ``compute_batch`` the crossover is 1.  The constant is global,
-#: though, and the single-particle toys have no ``compute_batch``:
-#: through the per-replica fallback a forced-batched stack of one runs
-#: at ~0.6x (double-well) and 0.5-0.8x (Muller-Brown) of the serial
-#: loop.  Sending a
-#: one-replica batched task to the batched kernel would gain nothing
-#: measurable on villin-fast and halve the toys, so the constant stays 2
-#: until the toys have batched kernels (ROADMAP "One MD kernel", item
-#: (b)).  (Single commands never reach this policy: the worker runs
-#: them through ``MDEngine.run``.)
-BATCH_DISPATCH_MIN_REPLICAS = 2
 
 #: Upper bound on auto-selected worker batch capacity (one kernel call
 #: propagating more replicas than this stops paying for itself).
@@ -81,16 +62,9 @@ def validate_dispatch(dispatch: str) -> str:
     return dispatch
 
 
-def resolve_dispatch(dispatch: str, n_replicas: int) -> str:
-    """Resolve a dispatch policy to ``"serial"`` or ``"batched"``.
-
-    ``"auto"`` picks the batched kernel only at replica counts where it
-    is measured to win (:data:`BATCH_DISPATCH_MIN_REPLICAS`); explicit
-    choices pass through unchanged.
+def resolve_dispatch(dispatch: str) -> str:
+    """Resolve a dispatch policy to ``"serial"`` or ``"batched"``:
+    ``"auto"`` means batched, explicit choices pass through unchanged.
     """
     validate_dispatch(dispatch)
-    if dispatch != "auto":
-        return dispatch
-    if n_replicas < BATCH_DISPATCH_MIN_REPLICAS:
-        return "serial"
-    return "batched"
+    return "batched" if dispatch == "auto" else dispatch

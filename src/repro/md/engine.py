@@ -672,10 +672,9 @@ class MDEngine:
     ) -> BatchedMDResult:
         """Run a batched task; per-replica results match serial bit-for-bit.
 
-        The task's ``dispatch`` policy decides the path: ``"auto"``
-        uses the vectorised kernel only at replica counts where it is
-        measured to win (see :mod:`repro.md.dispatch`), ``"serial"`` /
-        ``"batched"`` force one.  Integrators without a batched form
+        The task's ``dispatch`` policy decides the path: ``"auto"`` and
+        ``"batched"`` use the vectorised kernel, ``"serial"`` the
+        per-replica loop.  Integrators without a batched form
         (Nosé–Hoover) always take the serial per-replica loop, so every
         coalescible command is also runnable here.  The chosen path is
         recorded in ``BatchedMDResult.dispatch``.  *abort_after_steps*
@@ -690,7 +689,7 @@ class MDEngine:
             btask.friction,
             btask.seeds,
         )
-        mode = resolve_dispatch(btask.dispatch, btask.n_replicas)
+        mode = resolve_dispatch(btask.dispatch)
         if integrator is None or mode == "serial":
             return BatchedMDResult(
                 results=[

@@ -195,6 +195,11 @@ class MarkovChainIntegrator(_IntegratorBase):
     Follows the Langevin noise-stream conventions (``rng`` seeded with
     ``task seed + 1``, PCG64 state exposed as ``rng_state``) so
     checkpoints resume the exact same jump sequence.
+
+    The state the particle was last put in is remembered with its
+    coordinates, so a step reads the position back (``spec.state_of``)
+    only when the particle is somewhere else: the first step, after a
+    restore, or when the caller moved it.
     """
 
     def __init__(
@@ -202,6 +207,8 @@ class MarkovChainIntegrator(_IntegratorBase):
     ) -> None:
         super().__init__(timestep)
         self.rng = ensure_stream(rng)
+        #: ``(spec, state index, its coordinates as a list)`` after a step
+        self._landed = (None, 0, None)
 
     @property
     def rng_state(self) -> dict:
@@ -222,9 +229,12 @@ class MarkovChainIntegrator(_IntegratorBase):
                 "the markov-chain integrator needs a MarkovChainSystem "
                 "(a system with a chain spec)"
             )
-        current = spec.state_of(state.positions)
+        landed_spec, current, coordinates = self._landed
+        if landed_spec is not spec or state.positions.tolist() != coordinates:
+            current = spec.state_of(state.positions)
         nxt = spec.sample_next(current, float(self.rng.generator.random()))
         state.positions[...] = spec.position_of(nxt)
+        self._landed = (spec, nxt, state.positions.tolist())
         self._advance_clock(state)
         return forces
 

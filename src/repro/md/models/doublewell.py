@@ -40,6 +40,25 @@ class DoubleWellForce:
         forces = -(4.0 * self.barrier / self.width) * q * u
         return energy, forces
 
+    def compute_batch(
+        self,
+        planes: np.ndarray,
+        replica_ids: Optional[np.ndarray] = None,
+        need_energy: bool = True,
+    ) -> Tuple[Optional[np.ndarray], np.ndarray]:
+        """:meth:`energy_forces` over ``(dim, N, R)`` component planes.
+
+        The same expressions elementwise over the replica axis, so each
+        replica's forces are the serial bits.
+        """
+        u = planes / self.width
+        q = u * u - 1.0
+        energies = (
+            self.barrier * np.sum(q * q, axis=(0, 1)) if need_energy else None
+        )
+        forces = -(4.0 * self.barrier / self.width) * q * u
+        return energies, forces
+
     def minima(self) -> np.ndarray:
         """The two minima positions along one coordinate."""
         return np.array([-self.width, self.width])
@@ -67,6 +86,19 @@ class TiltedDoubleWellForce(DoubleWellForce):
             energy += self.slope * float(np.sum(positions))
         forces = forces - self.slope
         return energy, forces
+
+    def compute_batch(
+        self,
+        planes: np.ndarray,
+        replica_ids: Optional[np.ndarray] = None,
+        need_energy: bool = True,
+    ) -> Tuple[Optional[np.ndarray], np.ndarray]:
+        """:meth:`energy_forces` over ``(dim, N, R)`` component planes."""
+        energies, forces = super().compute_batch(planes, replica_ids, need_energy)
+        if need_energy:
+            energies += self.slope * np.sum(planes, axis=(0, 1))
+        forces -= self.slope
+        return energies, forces
 
 
 def double_well_system(

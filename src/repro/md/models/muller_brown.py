@@ -12,6 +12,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.md.forcefield.base import plane_dot
 from repro.md.system import State, System
 from repro.util.rng import RandomStream, ensure_stream
 
@@ -22,6 +23,10 @@ _b = np.array([0.0, 0.0, 11.0, 0.6])
 _c = np.array([-10.0, -10.0, -6.5, 0.7])
 _x0 = np.array([1.0, 0.0, -0.5, -1.0])
 _y0 = np.array([0.0, 0.5, 1.5, 1.0])
+# The same six as (4, 1, 1) columns, for the batched kernel's planes.
+_A3, _a3, _b3, _c3, _x03, _y03 = (
+    p[:, None, None] for p in (_A, _a, _b, _c, _x0, _y0)
+)
 
 #: Approximate locations of the three minima (useful for tests).
 MINIMA = np.array([[-0.558, 1.442], [0.623, 0.028], [-0.050, 0.467]])
@@ -61,6 +66,33 @@ class MullerBrownForce:
         dE_dy = np.sum(terms * (_b * dx + 2.0 * _c * dy), axis=1)
         forces = -self.scale * np.stack([dE_dx, dE_dy], axis=1)
         return energy, forces
+
+    def compute_batch(
+        self,
+        planes: np.ndarray,
+        replica_ids: Optional[np.ndarray] = None,
+        need_energy: bool = True,
+    ) -> Tuple[Optional[np.ndarray], np.ndarray]:
+        """:meth:`energy_forces` over ``(2, N, R)`` component planes.
+
+        The four terms lead, as ``(4, N, R)``: every product associates
+        as in the serial kernel, ``np.exp`` sees a contiguous array as
+        it does there, and :func:`~repro.md.forcefield.base.plane_dot`
+        adds the four terms left to right like serial's ``np.sum`` over
+        its length-4 axis — each replica's forces are the serial bits.
+        """
+        dx = planes[0] - _x03
+        dy = planes[1] - _y03
+        expo = _a3 * dx * dx + _b3 * dx * dy + _c3 * dy * dy
+        terms = _A3 * np.exp(expo)
+        energies = (
+            self.scale * np.sum(terms, axis=(0, 1)) if need_energy else None
+        )
+        forces = np.empty(planes.shape)
+        forces[0] = plane_dot(terms, 2.0 * _a3 * dx + _b3 * dy)
+        forces[1] = plane_dot(terms, _b3 * dx + 2.0 * _c3 * dy)
+        forces *= -self.scale
+        return energies, forces
 
     def energy_grid(
         self, x: np.ndarray, y: np.ndarray

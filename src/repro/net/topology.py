@@ -159,6 +159,7 @@ def sharded(
     heartbeat_interval: float = 120.0,
     poll_jitter: float = 0.1,
     network: Optional[Network] = None,
+    batch_capacity: int = 1,
 ) -> Deployment:
     """A multi-tenant shard fabric: N project servers behind a gateway.
 
@@ -173,6 +174,10 @@ def sharded(
     harness hands in its fault-injecting overlay; *seed* is then
     unused), else on a fresh ``Network(seed=seed)``.  Endpoint names are
     ``gateway``, ``shard{s}`` and ``s{s}w{w}``.
+
+    Every worker announces *batch_capacity*: how many compatible
+    ``mdrun`` commands of one tenant it may coalesce into a batched
+    kernel call (the default of 1 is no coalescing).
     """
     if n_shards < 1:
         raise ConfigurationError("need at least one shard")
@@ -194,6 +199,7 @@ def sharded(
             worker = Worker(
                 name, net, server=f"shard{s}",
                 platform=SMPPlatform(cores=cores_per_worker),
+                batch_capacity=batch_capacity,
             )
             net.connect(f"shard{s}", name, latency=LATENCY_LOCAL)
             workers.append(worker)

@@ -13,12 +13,16 @@ import pytest
 
 from repro.md.batched import BatchedSimulation, make_batched_integrator
 from repro.md.engine import (
+    MODEL_REGISTRY,
     BatchedMDResult,
     BatchedMDTask,
     MDEngine,
     MDTask,
     resolve_model,
 )
+from repro.md.integrators import make_integrator
+from repro.md.models.doublewell import DoubleWellForce, TiltedDoubleWellForce
+from repro.md.models.muller_brown import MullerBrownForce
 from repro.util.errors import ConfigurationError, SimulationError
 from repro.util.serialization import encode_message
 
@@ -45,6 +49,14 @@ def make_tasks(model=MODEL, n_steps=N_STEPS, integrator="langevin", **kw):
 def checkpoint_bytes(payload):
     """Canonical bytes of a checkpoint payload (ndarray-safe compare)."""
     return encode_message(payload)
+
+
+def resumed_from(tasks, partials):
+    """*tasks* continuing from the checkpoints of their partial results."""
+    return [
+        MDTask(**{**task.__dict__, "checkpoint": partial.checkpoint})
+        for task, partial in zip(tasks, partials)
+    ]
 
 
 def assert_results_identical(serial, batched):
@@ -99,15 +111,7 @@ def test_batched_identity_across_checkpoint_restore():
     assert_results_identical(serial_partial, batched_partial.results)
     assert not any(r.completed for r in batched_partial.results)
 
-    resumed_tasks = [
-        MDTask(
-            **{
-                **task.__dict__,
-                "checkpoint": partial.checkpoint,
-            }
-        )
-        for task, partial in zip(tasks, serial_partial)
-    ]
+    resumed_tasks = resumed_from(tasks, serial_partial)
     serial_final = [engine.run(t) for t in resumed_tasks]
     batched_final = engine.run_batched(BatchedMDTask.from_tasks(resumed_tasks))
     assert_results_identical(serial_final, batched_final.results)
@@ -142,10 +146,7 @@ def test_batched_early_exit_masks():
     partial = engine.run_batched(
         BatchedMDTask.from_tasks(tasks), abort_after_steps=100
     )
-    resumed = [
-        MDTask(**{**task.__dict__, "checkpoint": result.checkpoint})
-        for task, result in zip(tasks, partial.results)
-    ]
+    resumed = resumed_from(tasks, partial.results)
     # one replica already finished separately: zero remaining steps
     done = MDEngine().run(resumed[0])
     resumed[0] = MDTask(**{**resumed[0].__dict__, "checkpoint": done.checkpoint})
@@ -201,8 +202,7 @@ def test_batched_simulation_checkpoints_match_serial_simulation():
 
 
 def make_villin_tasks(n_replicas):
-    """villin-fast through the batched kernels whatever the stack size
-    (``dispatch="batched"``: ``"auto"`` would run R=1 serially)."""
+    """villin-fast through the batched kernels whatever the stack size."""
     return make_tasks("villin-fast", n_steps=120, dispatch="batched")[:n_replicas]
 
 
@@ -220,10 +220,7 @@ def test_villin_resume_from_checkpoint_is_identical(n_replicas):
     assert_results_identical(serial_partial, batched_partial.results)
     assert not any(r.completed for r in batched_partial.results)
 
-    resumed = [
-        MDTask(**{**task.__dict__, "checkpoint": partial.checkpoint})
-        for task, partial in zip(tasks, batched_partial.results)
-    ]
+    resumed = resumed_from(tasks, batched_partial.results)
     serial_final = [engine.run(t) for t in resumed]
     batched_final = engine.run_batched(BatchedMDTask.from_tasks(resumed))
     assert batched_final.dispatch == "batched"
@@ -287,3 +284,164 @@ def test_batched_run_raises_on_non_finite_coordinates_without_reports():
     )
     with pytest.raises(SimulationError, match=r"replica 1 at step 5"):
         batched.run(5)
+
+
+# -- the small models: toy surfaces and exact chains as stacks ---------------
+
+#: (model, model_params, integrator) of every small-model family.
+SMALL_MODELS = [
+    pytest.param("double-well", {}, "langevin", id="double-well"),
+    pytest.param("double-well", {"dim": 2}, "langevin", id="double-well-2d"),
+    pytest.param("double-well", {"slope": 0.8}, "langevin", id="tilted"),
+    pytest.param("muller-brown", {}, "langevin", id="muller-brown"),
+    pytest.param("markov-ala20", {}, "markov-chain", id="markov-ala20"),
+    pytest.param("markov-mb", {}, "markov-chain", id="markov-mb"),
+]
+
+
+def make_small_tasks(model, params, integrator, n_replicas):
+    return make_tasks(
+        model, n_steps=230, integrator=integrator, model_params=params
+    )[:n_replicas]
+
+
+@pytest.mark.parametrize("n_replicas", [1, 2, 3, 9])
+@pytest.mark.parametrize("model, params, integrator", SMALL_MODELS)
+def test_small_model_stack_is_bit_identical(model, params, integrator, n_replicas):
+    """Frames, times, checkpoint (PCG64 state included) and final energy
+    of a default-dispatch stack equal ``MDEngine.run`` per task."""
+    engine = MDEngine(segment_steps=100)
+    tasks = make_small_tasks(model, params, integrator, n_replicas)
+    assert all(task.dispatch == "auto" for task in tasks)
+    serial = [engine.run(task) for task in tasks]
+    batched = engine.run_batched(BatchedMDTask.from_tasks(tasks))
+    assert batched.dispatch == "batched"
+    assert_results_identical(serial, batched.results)
+    assert all(r.checkpoint["rng_state"] for r in batched.results)
+
+
+@pytest.mark.parametrize("model, params, integrator", SMALL_MODELS)
+def test_small_model_stack_compacts_identically(model, params, integrator):
+    """Unequal stop steps: rows leave the stack one by one and the last
+    runs in a compacted stack of one — same bits as serial."""
+    built = resolve_model(model, params)
+    tasks = make_small_tasks(model, params, integrator, 3)
+    stops = np.array([40, 115, 90])
+    batched = BatchedSimulation(
+        built.system,
+        make_batched_integrator(integrator, 0.02, 300.0, 1.0, [t.seed for t in tasks]),
+        [built.state_builder(t) for t in tasks],
+        report_interval=tasks[0].report_interval,
+    )
+    batched.run_to(stops)
+    for r, task in enumerate(tasks):
+        serial = MDEngine(segment_steps=1000).run(
+            MDTask(**{**task.__dict__, "n_steps": int(stops[r])})
+        )
+        assert checkpoint_bytes(
+            batched.checkpoint(r).to_payload()
+        ) == checkpoint_bytes(serial.checkpoint)
+        np.testing.assert_array_equal(batched.trajectories[r].frames, serial.frames)
+        np.testing.assert_array_equal(batched.trajectories[r].times, serial.times)
+
+
+@pytest.mark.parametrize("model, params, integrator", SMALL_MODELS)
+def test_small_model_stack_resumes_identically(model, params, integrator):
+    """Abort and resume from the returned checkpoints; then resume rows
+    that sit at *different* step counts (their reports fall on
+    different steps of one span): both equal serial."""
+    engine = MDEngine(segment_steps=40)
+    tasks = make_small_tasks(model, params, integrator, 3)
+    serial_partial = [engine.run(t, abort_after_steps=70) for t in tasks]
+    batched_partial = engine.run_batched(
+        BatchedMDTask.from_tasks(tasks), abort_after_steps=70
+    )
+    assert_results_identical(serial_partial, batched_partial.results)
+    assert not any(r.completed for r in batched_partial.results)
+
+    resumed = resumed_from(tasks, batched_partial.results)
+    serial_final = [engine.run(t) for t in resumed]
+    batched_final = engine.run_batched(BatchedMDTask.from_tasks(resumed))
+    assert_results_identical(serial_final, batched_final.results)
+    for interrupted, task in zip(batched_final.results, tasks):
+        assert checkpoint_bytes(interrupted.checkpoint) == checkpoint_bytes(
+            engine.run(task).checkpoint
+        )
+
+    staggered = resumed_from(
+        tasks,
+        [engine.run(t, abort_after_steps=30 + 45 * r) for r, t in enumerate(tasks)],
+    )
+    assert_results_identical(
+        [engine.run(t) for t in staggered],
+        engine.run_batched(BatchedMDTask.from_tasks(staggered)).results,
+    )
+
+
+TOY_FORCES = [
+    pytest.param(DoubleWellForce(5.0, 1.3), 1, id="double-well"),
+    pytest.param(DoubleWellForce(4.0, 0.7), 2, id="double-well-2d"),
+    pytest.param(TiltedDoubleWellForce(4.0, 1.1, 0.8), 1, id="tilted"),
+    pytest.param(MullerBrownForce(0.05), 2, id="muller-brown"),
+]
+
+
+@pytest.mark.parametrize("n_replicas", [1, 2, 3, 9])
+@pytest.mark.parametrize("force, dim", TOY_FORCES)
+def test_toy_compute_batch_equals_serial_forces(force, dim, n_replicas):
+    """Force planes are the serial bits per replica, and skipping the
+    energy never changes one."""
+    rng = np.random.default_rng(7)
+    for _ in range(25):
+        stack = rng.normal(scale=0.9, size=(n_replicas, 1, dim))
+        planes = np.ascontiguousarray(stack.transpose(2, 1, 0))
+        energies, forces = force.compute_batch(planes)
+        none, forces_only = force.compute_batch(planes, need_energy=False)
+        assert none is None
+        np.testing.assert_array_equal(forces_only, forces)
+        for r in range(n_replicas):
+            energy, serial = force.energy_forces(stack[r])
+            np.testing.assert_array_equal(forces[:, :, r].T, serial)
+            np.testing.assert_allclose(energies[r], energy, rtol=1e-13)
+
+
+@pytest.mark.parametrize("n_replicas", [1, 2, 3, 9])
+def test_exp_over_a_plane_equals_exp_over_the_serial_row(n_replicas):
+    """The one transcendental of the toy kernels: ``np.exp`` of a
+    contiguous ``(4, R)`` plane gives, element for element, what it
+    gives for each replica's contiguous ``(1, 4)`` row."""
+    rng = np.random.default_rng(11)
+    rows = rng.uniform(-40.0, 3.0, size=(n_replicas, 1, 4))
+    plane = np.ascontiguousarray(rows[:, 0, :].T)
+    assert plane.flags.c_contiguous and plane.shape == (4, n_replicas)
+    batched = np.exp(plane)
+    for r in range(n_replicas):
+        np.testing.assert_array_equal(batched[:, r], np.exp(rows[r])[0])
+
+
+@pytest.mark.parametrize("n_replicas", [1, 3])
+@pytest.mark.parametrize("model", sorted(MODEL_REGISTRY))
+def test_every_registered_force_term_vectorises(model, n_replicas):
+    """No in-tree term reaches the per-replica loop of
+    ``batch_energy_forces``: each has a ``compute_batch`` and it returns
+    a result at the stack sizes the fallback used to serve."""
+    built = resolve_model(model, {})
+    states = [
+        built.state_builder(MDTask(model=model, n_steps=1, seed=r))
+        for r in range(n_replicas)
+    ]
+    stack = np.stack([state.positions for state in states])
+    planes = np.ascontiguousarray(stack.transpose(2, 1, 0))
+    for force in built.system.forces:
+        out = force.compute_batch(
+            planes, replica_ids=np.arange(n_replicas), need_energy=False
+        )
+        assert out is not None, type(force).__name__
+        assert out[1].shape == planes.shape
+
+
+def test_every_integrator_but_nose_hoover_has_a_batched_form():
+    for name in ("langevin", "verlet", "markov-chain", "nose-hoover"):
+        make_integrator(name, timestep=0.02)  # the name is registered
+        batched = make_batched_integrator(name, 0.02, 300.0, 1.0, [0, 1])
+        assert (batched is None) == (name == "nose-hoover")

@@ -197,6 +197,44 @@ def test_quota_frees_up_after_release():
     assert scheduler.check_ledger() == []
 
 
+def test_riders_count_against_quota_and_stay_in_their_tenant():
+    """A worker with batch capacity gets riders only from the seed
+    command's own tenant, and only while that tenant's quota admits
+    them: a quota-2 tenant's third replica waits and then runs alone."""
+    from repro.md.engine import MDTask
+
+    def replica(tenant, r):
+        task = MDTask(model="double-well", n_steps=10, seed=r, task_id=f"r{r}")
+        return Command(
+            command_id=task.task_id, project_id=tenant,
+            executable="mdrun", payload=task.to_payload(),
+        )
+
+    scheduler = FairShareScheduler(
+        FairSharePolicy(tenants={"a": TenantPolicy(quota=2)})
+    )
+    queue = CommandQueue()
+    fill(queue, [replica(t, r) for t in ("a", "b") for r in range(3)])
+    batching = WorkerCapabilities(
+        worker="w0", platform="smp", cores=1,
+        executables=["mdrun", "mdrun_batch"], batch_capacity=3,
+    )
+
+    def ids(workload):
+        return [(c.project_id, c.command_id) for c, _ in workload]
+
+    first = build(scheduler, queue, batching)
+    assert ids(first) == [("a", "r0"), ("a", "r1")]  # same keys in b: not taken
+    second = build(scheduler, queue, batching)
+    assert ids(second) == [("b", "r0"), ("b", "r1"), ("b", "r2")]
+    assert build(scheduler, queue, batching) == []  # a/r2 held by the quota
+    for command, _ in first:
+        scheduler.release(command)
+    assert ids(build(scheduler, queue, batching)) == [("a", "r2")]
+    assert scheduler.ledgers["a"].peak_in_flight == 2
+    assert scheduler.check_ledger() == []
+
+
 # -- backpressure ----------------------------------------------------------
 
 def test_backpressure_defers_beyond_max_queued():

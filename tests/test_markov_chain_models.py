@@ -41,6 +41,26 @@ def test_sample_next_inverts_the_cdf():
     assert spec.sample_next(2, 0.49) == 1
 
 
+def test_sample_next_is_searchsorted_right_at_and_around_every_edge():
+    spec = muller_brown_chain_spec()
+    cumulative = np.cumsum(spec.transition_matrix, axis=1)
+    cumulative[:, -1] = 1.0
+    rng = np.random.default_rng(3)
+    for state in range(spec.n_states):
+        edges = cumulative[state][cumulative[state] < 1.0]
+        draws = np.concatenate(
+            [edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0), rng.random(20)]
+        )
+        for u in draws:
+            assert spec.sample_next(state, float(u)) == int(
+                np.searchsorted(cumulative[state], u, side="right")
+            )
+    np.testing.assert_array_equal(
+        spec.positions_of([3, 0, 3]),
+        np.stack([spec.position_of(s) for s in (3, 0, 3)]),
+    )
+
+
 def test_discretize_round_trips_positions():
     spec = alanine_chain_spec()
     for state in (0, 7, spec.n_states - 1):
@@ -152,6 +172,40 @@ def test_chain_sampling_statistics_match_truth():
     # a flat 8-state chain mixes in ~100s of steps; 20k steps pin the
     # histogram to the exact stationary law within a few percent
     assert np.abs(visits - pi).max() < 0.05
+
+
+def test_integrator_rereads_a_particle_the_caller_moved():
+    """The integrator remembers where it put the particle; a caller
+    that moves it between steps (or restores a checkpoint) must get the
+    jump out of the state the particle is *in*."""
+    from repro.md.integrators import MarkovChainIntegrator
+
+    system = build_markov_chain("markov-ala20")
+    spec = system.spec
+
+    def jumps(move_to):
+        integrator = MarkovChainIntegrator(0.02, rng=5)
+        state = markov_chain_initial_state(system)
+        visited = []
+        for step in range(40):
+            if step == 20 and move_to is not None:
+                state.positions[...] = spec.position_of(move_to)
+            start = spec.state_of(state.positions)
+            integrator.step(system, state, None)
+            visited.append((start, spec.state_of(state.positions)))
+        return visited, integrator.rng_state
+
+    # same uniforms either way, so the reference is a chain whose every
+    # step re-derives the state from the coordinates
+    moved, rng_state = jumps(move_to=13)
+    assert moved[20][0] == 13
+    draws = MarkovChainIntegrator(0.02, rng=5).rng.generator
+    for start, end in moved:
+        assert end == spec.sample_next(start, float(draws.random()))
+    assert rng_state == draws.bit_generator.state
+    assert abs(moved[20][1] - 13) <= 1  # a neighbour of 13, not of the old state
+    untouched, _ = jumps(move_to=None)
+    assert untouched[:20] == moved[:20]
 
 
 def test_markov_chain_initial_state_bounds():

@@ -22,11 +22,7 @@ import pytest
 from repro import api
 from repro.api import Ensemble, Project
 from repro.core.command import Command
-from repro.md.dispatch import (
-    BATCH_DISPATCH_MIN_REPLICAS,
-    MAX_AUTO_BATCH,
-    resolve_dispatch,
-)
+from repro.md.dispatch import MAX_AUTO_BATCH, resolve_dispatch
 from repro.md.engine import BatchedMDResult, BatchedMDTask, MDEngine, MDTask
 from repro.md.precision import (
     FLOAT32_ENERGY_DRIFT_KT,
@@ -123,26 +119,27 @@ def test_payloads_round_trip_and_default():
 # -- dispatch policy ----------------------------------------------------------
 
 
-def test_resolve_dispatch_follows_the_measured_crossover():
-    for n in range(1, BATCH_DISPATCH_MIN_REPLICAS):
-        assert resolve_dispatch("auto", n) == "serial"
-    assert resolve_dispatch("auto", BATCH_DISPATCH_MIN_REPLICAS) == "batched"
-    assert resolve_dispatch("serial", 64) == "serial"
-    assert resolve_dispatch("batched", 1) == "batched"
+def test_resolve_dispatch_auto_means_batched():
+    assert resolve_dispatch("auto") == "batched"
+    assert resolve_dispatch("serial") == "serial"
+    assert resolve_dispatch("batched") == "batched"
+    with pytest.raises(ConfigurationError):
+        resolve_dispatch("fastest")
 
 
 def test_auto_dispatch_mode_is_recorded_in_the_result():
+    """"auto" is batched at every stack size (a stack of one included);
+    only an integrator without a batched form runs the serial loop."""
     engine = MDEngine()
-    small = BatchedMDTask.from_tasks([_task(seed=0)], batch_id="small")
-    large = BatchedMDTask.from_tasks(
-        [_task(seed=r) for r in range(8)], batch_id="large"
+    for n_replicas in (1, 8):
+        stack = BatchedMDTask.from_tasks([_task(seed=r) for r in range(n_replicas)])
+        assert engine.run_batched(stack).dispatch == "batched"
+    thermostatted = engine.run_batched(
+        BatchedMDTask.from_tasks([_task(seed=0, integrator="nose-hoover")])
     )
-    small_result = engine.run_batched(small)
-    large_result = engine.run_batched(large)
-    assert small_result.dispatch == "serial"
-    assert large_result.dispatch == "batched"
+    assert thermostatted.dispatch == "serial"
     # observability survives the wire
-    restored = BatchedMDResult.from_payload(small_result.to_payload())
+    restored = BatchedMDResult.from_payload(thermostatted.to_payload())
     assert restored.dispatch == "serial"
 
 
@@ -209,8 +206,10 @@ def test_custom_controller_projects_default_to_the_full_batch_cap():
         def is_complete(self, project):
             return True
 
+    from repro.api import _auto_batch_capacity
+
     project = Project("c", controller=_NullController())
-    assert project._auto_batch_capacity() == MAX_AUTO_BATCH
+    assert _auto_batch_capacity([project.ensembles]) == MAX_AUTO_BATCH
 
 
 def test_simulation_configure_float32_runs_in_single_precision():
