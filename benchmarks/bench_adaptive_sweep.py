@@ -1,4 +1,4 @@
-"""Adaptive-strategy sweep + regression floor (BENCH_adaptive.json).
+"""Adaptive-strategy sweep (BENCH_adaptive.json + REPORT_adaptive.md).
 
 Runs the laboratory's [scheme x adaptive-frequency x parallelism] grid
 on the 20-state ground-truth chain (``markov-ala20``) and writes the
@@ -7,17 +7,18 @@ wins where" markdown report.
 
 Run as a script (CI's ``lab`` job)::
 
-    PYTHONPATH=src python benchmarks/bench_adaptive_sweep.py \
-        --seeds 0 1 2 --min-speedup 1.5
+    PYTHONPATH=src python benchmarks/bench_adaptive_sweep.py --seeds 0 1 2
+    git diff --exit-code BENCH_adaptive.json REPORT_adaptive.md
 
-Exits nonzero if uncertainty-weighted adaptive sampling fails to beat
-uniform by the floor (default 1.5x) on time-to-threshold, pooled over
-the given seeds.  Pooling uses budget-censored times (a scheme that
-never reaches the threshold is scored at the full step budget, a
+The sweep is deterministic per seed, so the committed files are the
+gate: CI regenerates them and fails if a byte moved.  The script also
+prints the uncertainty-vs-uniform ratio on time-to-threshold at the
+floor cell (400 steps/command, 8 trajectories), pooled over the given
+seeds.  Pooling uses budget-censored times (a scheme that never
+reaches the threshold is scored at the full step budget, a
 conservative lower bound on its true time), because single-seed
 time-to-threshold on a barrier chain is a first-passage time with
-heavy-tailed noise — the pooled ratio is the stable quantity a
-regression floor can sit on.
+heavy-tailed noise.  The ratio is reported, not enforced.
 """
 
 from __future__ import annotations
@@ -29,13 +30,12 @@ from pathlib import Path
 from repro.lab.sweep import SweepConfig, render_report, run_sweep
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_MIN_SPEEDUP = 1.5
 FLOOR_STEPS = 400
 FLOOR_TRAJS = 8
 
 
 def _floor_config(seed: int) -> SweepConfig:
-    """The single cell the regression floor is measured on."""
+    """The single cell the pooled ratio is measured on."""
     return SweepConfig(
         schemes=("uniform", "uncertainty"),
         steps_per_command=(FLOOR_STEPS,),
@@ -48,12 +48,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--seeds", type=int, nargs="+", default=[0, 1, 2],
-        help="seeds pooled into the regression floor (grid artifacts "
+        help="seeds pooled into the reported ratio (grid artifacts "
         "come from the first seed)",
-    )
-    parser.add_argument(
-        "--min-speedup", type=float, default=DEFAULT_MIN_SPEEDUP,
-        help="pooled uncertainty-vs-uniform floor (default 1.5)",
     )
     parser.add_argument(
         "--out", default=str(REPO_ROOT / "BENCH_adaptive.json"),
@@ -95,15 +91,8 @@ def main(argv=None) -> int:
     pooled = uniform_steps / uncertainty_steps
     print(
         f"[lab] pooled uncertainty-vs-uniform speedup over seeds "
-        f"{args.seeds}: {pooled:.2f}x (floor {args.min_speedup:.2f}x)"
+        f"{args.seeds}: {pooled:.2f}x"
     )
-    if pooled < args.min_speedup:
-        print(
-            f"[lab] REGRESSION: pooled speedup {pooled:.2f}x is below "
-            f"the {args.min_speedup:.2f}x floor",
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 

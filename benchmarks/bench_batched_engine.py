@@ -1,14 +1,13 @@
 """Batched ensemble kernel vs the serial engine (BENCH_kernel.json).
 
 Measures steps/second propagating R villin-fast replicas at
-R ∈ {1, 8, 64} two ways — R serial :meth:`MDEngine.run` calls, and one
-:meth:`MDEngine.run_batched` call under the default ``dispatch="auto"``
-policy (the batched kernel at every R) — verifying per-replica
-bit-identity along the way.  Two more sweeps force
-``dispatch="batched"``: villin-fast at R ∈ {1, 2, 3, 4}, and the small
-models (double-well, Müller–Brown, the ``markov-ala20`` chain; 3 000
-steps, so the step loop and not the model build is what is timed) at
-R ∈ {1, 3, 9} — the stacks a tenant's handful of replicas makes.
+R ∈ {1, 2, 3, 4, 8, 64} two ways — R serial :meth:`MDEngine.run`
+calls, and one :meth:`MDEngine.run_batched` call (the batched kernel)
+— verifying per-replica bit-identity along the way.  A second sweep
+runs the small models (double-well, Müller–Brown, the ``markov-ala20``
+chain; 3 000 steps, so the step loop and not the model build is what
+is timed) at R ∈ {1, 3, 9} — the stacks a tenant's handful of replicas
+makes.
 
 Timing hygiene: thread counts are pinned to 1 (before numpy loads),
 one warm-up run precedes measurement, and each cell is timed over k
@@ -27,13 +26,13 @@ Run as a script (CI's ``bench`` job)::
 
     PYTHONPATH=src python benchmarks/bench_batched_engine.py
 
-Writes ``BENCH_kernel.json`` (the sweep rows, the crossover rows and
-the kernel-pass floors).  Exits nonzero when a floor is breached:
+Writes ``BENCH_kernel.json`` (the sweep rows and the kernel-pass
+floors).  Exits nonzero when a floor is breached:
 
 - R=1 speedup >= 1.0: a stack of one through the batched kernel is no
   slower than the serial kernel (1.05-1.24x in 21 of 22 readings taken
-  when the forces-only kernels landed), which is what lets "auto" mean
-  batched at every R,
+  when the forces-only kernels landed), which is why every stack, one
+  replica included, runs batched,
 - R=8 speedup >= 6.0 (the small-stack regime the adaptive loop runs in:
   4.5-4.9x before the forces-only / multi-level-gather kernels, 5.9-6.9x
   after, median 6.1x; with the tolerance the check trips below 5.5,
@@ -83,8 +82,7 @@ import numpy as np
 from repro.md.engine import BatchedMDTask, MDEngine, MDTask
 
 MODEL = "villin-fast"
-REPLICA_COUNTS = (1, 8, 64)
-CROSSOVER_COUNTS = (1, 2, 3, 4)
+REPLICA_COUNTS = (1, 2, 3, 4, 8, 64)
 N_STEPS = 300
 #: model -> integrator of the small-model sweep.
 SMALL_MODELS = {
@@ -115,12 +113,7 @@ _REPEATS = {1: 5, 2: 4, 3: 4, 4: 3, 8: 5, 9: 3}
 _cached_document = None
 
 
-def _tasks(
-    n_replicas: int,
-    dispatch: str = "auto",
-    model: str = MODEL,
-    n_steps: int = N_STEPS,
-) -> list:
+def _tasks(n_replicas: int, model: str = MODEL, n_steps: int = N_STEPS) -> list:
     return [
         MDTask(
             model=model,
@@ -129,7 +122,6 @@ def _tasks(
             integrator=SMALL_MODELS.get(model, "langevin"),
             seed=100 + r,
             task_id=f"bench/r{r}",
-            dispatch=dispatch,
         )
         for r in range(n_replicas)
     ]
@@ -151,19 +143,14 @@ def _time_alternating(fns, repeats: int):
     return list(zip(seconds, results))
 
 
-def measure(
-    n_replicas: int,
-    dispatch: str = "auto",
-    model: str = MODEL,
-    n_steps: int = N_STEPS,
-) -> dict:
+def measure(n_replicas: int, model: str = MODEL, n_steps: int = N_STEPS) -> dict:
     """Serial vs batched steps/sec for one replica count."""
     engine = MDEngine()
     total_steps = n_replicas * n_steps
     repeats = _REPEATS.get(n_replicas, 1)
 
     btask = BatchedMDTask.from_tasks(
-        _tasks(n_replicas, dispatch, model, n_steps), batch_id="bench"
+        _tasks(n_replicas, model, n_steps), batch_id="bench"
     )
     (serial_rounds, serial), (batched_rounds, batched) = _time_alternating(
         [
@@ -189,8 +176,6 @@ def measure(
     return {
         "n_replicas": n_replicas,
         "n_steps": n_steps,
-        "dispatch_requested": dispatch,
-        "dispatch_used": batched.dispatch,
         "serial_seconds": serial_seconds,
         "batched_seconds": batched_seconds,
         "serial_steps_per_sec": serial_rate,
@@ -211,12 +196,8 @@ def run_benchmark() -> dict:
     MDEngine().run(_tasks(1)[0])
 
     rows = [measure(n) for n in REPLICA_COUNTS]
-    crossover = [measure(n, dispatch="batched") for n in CROSSOVER_COUNTS]
     small_models = {
-        model: [
-            measure(n, "batched", model, SMALL_MODEL_STEPS)
-            for n in SMALL_MODEL_COUNTS
-        ]
+        model: [measure(n, model, SMALL_MODEL_STEPS) for n in SMALL_MODEL_COUNTS]
         for model in SMALL_MODELS
     }
     _cached_document = {
@@ -225,7 +206,6 @@ def run_benchmark() -> dict:
         "n_steps": N_STEPS,
         "report_interval": REPORT_INTERVAL,
         "results": rows,
-        "crossover": {"rows": crossover},
         "small_models": small_models,
     }
     return _cached_document
@@ -257,7 +237,6 @@ def kernel_document(document: dict) -> dict:
         ),
         "chain_r3_speedup": r3["markov-ala20"],
         "serial_steps_per_sec": best_serial,
-        "crossover": document["crossover"],
         "small_models": document["small_models"],
         "results": document["results"],
     }
@@ -295,13 +274,11 @@ def main(argv=None) -> int:
             f"R={row['n_replicas']:>3}  "
             f"serial {row['serial_steps_per_sec']:>9.0f} steps/s  "
             f"batched {row['batched_steps_per_sec']:>9.0f} steps/s  "
-            f"speedup {row['speedup']:.2f}x  "
-            f"(dispatch={row['dispatch_used']})"
+            f"speedup {row['speedup']:.2f}x"
         )
-    forced = {MODEL: document["crossover"]["rows"], **document["small_models"]}
-    for model, rows in forced.items():
+    for model, rows in document["small_models"].items():
         print(
-            f"forced-batched {model}: "
+            f"{model}: "
             + "  ".join(f"R={r['n_replicas']} {r['speedup']:.2f}x" for r in rows)
         )
     print(f"wrote {args.kernel_out}")
@@ -317,7 +294,6 @@ def test_kernel_floors(tmp_path):
     at R=3 the toys >= 1.5x and the chain >= 1.0x)."""
     kernel = kernel_document(run_benchmark())
     (tmp_path / "BENCH_kernel.json").write_text(json.dumps(kernel))
-    assert {row["dispatch_used"] for row in kernel["results"]} == {"batched"}
     assert check_floors(kernel) == []
 
 

@@ -49,7 +49,7 @@ The single-process simulation entry point is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.core.command import Command
@@ -57,14 +57,8 @@ from repro.core.controller import Controller
 from repro.core.multirunner import MultiProjectRunner
 from repro.core.project import Project as _CoreProject
 from repro.core.runner import ProjectRunner
-from repro.md.dispatch import (
-    DEFAULT_DISPATCH,
-    DEFAULT_PRECISION,
-    MAX_AUTO_BATCH as _MAX_AUTO_BATCH,
-    validate_dispatch,
-    validate_precision,
-)
 from repro.md.engine import MDResult, MDTask, resolve_model
+from repro.md.precision import DEFAULT_PRECISION, validate_precision
 from repro.net import topology
 from repro.net.transport import Network
 from repro.server.fairshare import (
@@ -97,12 +91,10 @@ class Ensemble:
     (:data:`repro.md.engine.BATCH_COMPATIBLE_FIELDS`) — a deployment
     with coalescing workers propagates them in one kernel call.
 
-    ``precision`` ("float64" default, "float32" opt-in fast path) and
-    ``dispatch`` ("auto"/"serial"/"batched") select the numeric kernel
-    and the batched execution policy for every replica.  "auto" (the
-    default) batches whenever the integrator has a batched form;
-    "serial" keeps the replicas off the batched path (workers do not
-    coalesce them); "float32" runs serially because it is outside the
+    ``precision`` ("float64" default, "float32" opt-in fast path)
+    selects the numeric kernel for every replica; this is the one place
+    a project sets it.  Replicas stack whenever the integrator has a
+    batched form; "float32" runs serially because it is outside the
     batched kernel's bit-identity contract.
     """
 
@@ -118,7 +110,6 @@ class Ensemble:
     model_params: Dict = field(default_factory=dict)
     name: str = "ensemble"
     precision: str = DEFAULT_PRECISION
-    dispatch: str = DEFAULT_DISPATCH
 
     def __post_init__(self) -> None:
         if self.n_replicas < 1:
@@ -126,7 +117,6 @@ class Ensemble:
         if self.steps < 1:
             raise ConfigurationError("steps must be >= 1")
         validate_precision(self.precision)
-        validate_dispatch(self.dispatch)
         # Fail at declaration time, not when a worker unpacks the task.
         resolve_model(self.model, self.model_params)
 
@@ -145,7 +135,6 @@ class Ensemble:
                 model_params=dict(self.model_params),
                 task_id=f"{self.name}/r{r}",
                 precision=self.precision,
-                dispatch=self.dispatch,
             )
             for r in range(self.n_replicas)
         ]
@@ -163,21 +152,26 @@ class Ensemble:
         ]
 
 
+#: Upper bound on auto-selected worker batch capacity (one kernel call
+#: propagating more replicas than this stops paying for itself).
+MAX_AUTO_BATCH = 64
+
+
 def _auto_batch_capacity(workloads: Iterable[Sequence[Ensemble]]) -> int:
     """Worker ``batch_capacity`` for a deployment that runs *workloads*,
     one ensemble list per project: the largest ensemble's replica count,
-    capped at :data:`repro.md.dispatch.MAX_AUTO_BATCH`.
+    capped at :data:`MAX_AUTO_BATCH`.
 
     An empty list stands for a custom controller, which owns its tasks:
-    it gets the full cap, and what the controller issues (and each
-    command's dispatch policy) decides what actually coalesces.
+    it gets the full cap, and what the controller issues decides what
+    actually coalesces.
     """
     largest = 1
     for ensembles in workloads:
         if not ensembles:
-            return _MAX_AUTO_BATCH
+            return MAX_AUTO_BATCH
         largest = max(largest, max(e.n_replicas for e in ensembles))
-    return min(_MAX_AUTO_BATCH, largest)
+    return min(MAX_AUTO_BATCH, largest)
 
 
 class _EnsembleController(Controller):
@@ -300,8 +294,6 @@ class Project:
         tick: float = 60.0,
         segment_steps: int = 2000,
         max_cycles: int = 100000,
-        precision: Optional[str] = None,
-        dispatch: Optional[str] = None,
     ) -> RunOutcome:
         """Build a deployment, run the project to completion.
 
@@ -312,33 +304,14 @@ class Project:
         batch_capacity:
             Commands each worker may coalesce into one batched kernel
             call.  Default (``None``) adapts: the largest ensemble's
-            replica count, capped at
-            :data:`repro.md.dispatch.MAX_AUTO_BATCH`.
+            replica count, capped at :data:`MAX_AUTO_BATCH`.
         seed:
             Seeds the simulated network.
         tick / segment_steps / max_cycles:
             Runner cadence, checkpoint granularity, cycle budget.
-        precision / dispatch:
-            When given, restamp every ensemble's ``precision`` /
-            ``dispatch`` for this run (see :class:`Ensemble`).  Not
-            applicable to custom controllers, which own their tasks.
         """
         if n_workers < 1:
             raise ConfigurationError("n_workers must be >= 1")
-        if precision is not None or dispatch is not None:
-            if self.controller is not None:
-                raise ConfigurationError(
-                    "precision/dispatch overrides apply to ensembles; "
-                    "a custom controller owns its own task parameters"
-                )
-            overrides = {}
-            if precision is not None:
-                overrides["precision"] = precision
-            if dispatch is not None:
-                overrides["dispatch"] = dispatch
-            # replace() re-runs Ensemble.__post_init__, so bad values
-            # raise ConfigurationError here, not on a worker.
-            self.ensembles = [replace(e, **overrides) for e in self.ensembles]
         controller = self.controller
         if controller is None:
             if not self.ensembles:
@@ -505,8 +478,7 @@ def run_tenants(
     calls exactly as under :meth:`Project.run` (same capacity rule,
     over all tenants), but only ever within one tenant: every member
     keeps its own lease, journal record and result, and counts against
-    its tenant's quota.  ``Ensemble(dispatch="serial")`` opts a
-    tenant's replicas out.
+    its tenant's quota.
 
     Parameters
     ----------

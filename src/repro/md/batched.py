@@ -9,8 +9,8 @@ into ``(R, N, dim)`` arrays so that overhead is amortised across the
 whole ensemble:
 
 - :class:`BatchedSystem` wraps one shared system and evaluates all
-  force terms through their ``compute_batch`` paths (with per-replica
-  loop fallback, see :mod:`repro.md.forcefield.base`);
+  force terms through their ``compute_batch`` kernels (see
+  :mod:`repro.md.forcefield.base`);
 - :class:`BatchedLangevinIntegrator` / :class:`BatchedVelocityVerletIntegrator`
   advance the whole stack with vectorised arithmetic while drawing
   noise from *per-replica* RNG streams, so every replica's trajectory
@@ -143,8 +143,6 @@ class BatchedSystem:
         ``r`` is replica ``r``.  Step loops pass ``need_energy=False``
         and get ``None`` for the energies (same force bits).
         """
-        if replica_ids is None:
-            replica_ids = np.arange(positions.shape[0])
         return composite_energy_forces_batch(
             self.system.forces, positions, replica_ids, need_energy
         )
@@ -365,20 +363,27 @@ class BatchedMarkovChainIntegrator(_BatchedStochasticIntegrator):
         return forces
 
 
+#: Integrators with a batched form: the stacking rule's one list.  A
+#: command coalesces only if its integrator is here (see
+#: :func:`repro.worker.coalesce.coalesce_key`), and a stack of any
+#: other integrator cannot be built.
+BATCHED_INTEGRATORS = ("langevin", "verlet", "markov-chain")
+
+
 def make_batched_integrator(
     name: str,
     timestep: float,
     temperature: float,
     friction: float,
     seeds: Sequence[int],
-) -> Optional[_BatchedIntegratorBase]:
-    """Batched integrator for *name*, or ``None`` if only serial exists.
+) -> _BatchedIntegratorBase:
+    """Batched integrator for *name*, one of :data:`BATCHED_INTEGRATORS`.
 
     Seeds follow the engine convention for the serial path (the noise
     or jump stream of task ``seed`` is ``seed + 1``), so a caller
     handing the same task seeds to both paths gets bit-identical
-    dynamics.  Integrators without a batched form (Nosé–Hoover) return
-    ``None`` and the engine falls back to a per-replica serial loop.
+    dynamics.  Any other name (Nosé–Hoover has no batched form) raises
+    :class:`ConfigurationError`.
     """
     streams = [seed + 1 for seed in seeds]
     if name == "langevin":
@@ -389,7 +394,10 @@ def make_batched_integrator(
         return BatchedVelocityVerletIntegrator(timestep)
     if name == "markov-chain":
         return BatchedMarkovChainIntegrator(timestep, rngs=streams)
-    return None
+    raise ConfigurationError(
+        f"integrator {name!r} has no batched form; stackable integrators "
+        f"are {BATCHED_INTEGRATORS}"
+    )
 
 
 class BatchedSimulation:

@@ -19,15 +19,12 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.md.batched import BatchedSimulation, make_batched_integrator
-from repro.md.dispatch import (
-    DEFAULT_DISPATCH,
+from repro.md.integrators import make_integrator
+from repro.md.precision import (
     DEFAULT_PRECISION,
-    resolve_dispatch,
-    validate_dispatch,
+    apply_precision,
     validate_precision,
 )
-from repro.md.integrators import make_integrator
-from repro.md.precision import apply_precision
 from repro.md.models.doublewell import double_well_initial_state, double_well_system
 from repro.md.models.muller_brown import (
     muller_brown_initial_state,
@@ -74,9 +71,6 @@ class MDTask:
         (the opt-in fast path, see :mod:`repro.md.precision`).
         Float32 cannot resume from a checkpoint — resuming requires
         bit-identity — so that combination is rejected here.
-    dispatch:
-        ``"auto"`` / ``"serial"`` / ``"batched"``: how this task may
-        be propagated when stacked (see :mod:`repro.md.dispatch`).
     """
 
     model: str
@@ -92,11 +86,9 @@ class MDTask:
     model_params: Dict = field(default_factory=dict)
     task_id: str = ""
     precision: str = DEFAULT_PRECISION
-    dispatch: str = DEFAULT_DISPATCH
 
     def __post_init__(self) -> None:
         validate_precision(self.precision)
-        validate_dispatch(self.dispatch)
         if self.precision != "float64" and self.checkpoint is not None:
             raise ConfigurationError(
                 "precision='float32' cannot resume from a checkpoint: "
@@ -118,7 +110,6 @@ class MDTask:
             "model_params": dict(self.model_params),
             "task_id": self.task_id,
             "precision": self.precision,
-            "dispatch": self.dispatch,
         }
         if self.initial_positions is not None:
             payload["initial_positions"] = np.asarray(self.initial_positions)
@@ -128,7 +119,8 @@ class MDTask:
 
     @classmethod
     def from_payload(cls, payload: Dict) -> "MDTask":
-        """Inverse of :meth:`to_payload`."""
+        """Inverse of :meth:`to_payload` (keys it does not write, such
+        as an older writer's ``"dispatch"``, are ignored)."""
         return cls(
             model=payload["model"],
             n_steps=int(payload["n_steps"]),
@@ -147,7 +139,6 @@ class MDTask:
             model_params=dict(payload.get("model_params", {})),
             task_id=payload.get("task_id", ""),
             precision=payload.get("precision", DEFAULT_PRECISION),
-            dispatch=payload.get("dispatch", DEFAULT_DISPATCH),
         )
 
 
@@ -203,7 +194,6 @@ BATCH_COMPATIBLE_FIELDS = (
     "timestep",
     "model_params",
     "precision",
-    "dispatch",
 )
 
 
@@ -231,7 +221,6 @@ class BatchedMDTask:
     model_params: Dict = field(default_factory=dict)
     batch_id: str = ""
     precision: str = DEFAULT_PRECISION
-    dispatch: str = DEFAULT_DISPATCH
 
     def __post_init__(self) -> None:
         n_rep = len(self.seeds)
@@ -244,7 +233,6 @@ class BatchedMDTask:
             if per_replica is not None and len(per_replica) != n_rep:
                 raise ConfigurationError(f"{name}/seeds length mismatch")
         validate_precision(self.precision)
-        validate_dispatch(self.dispatch)
         if self.precision != "float64":
             raise ConfigurationError(
                 "precision='float32' is rejected for batched stacks: "
@@ -299,7 +287,6 @@ class BatchedMDTask:
             model_params=dict(first.model_params),
             batch_id=batch_id or first.task_id,
             precision=first.precision,
-            dispatch=first.dispatch,
         )
 
     def replica_task(self, replica: int) -> MDTask:
@@ -326,7 +313,6 @@ class BatchedMDTask:
             model_params=dict(self.model_params),
             task_id=self.task_ids[replica],
             precision=self.precision,
-            dispatch=self.dispatch,
         )
 
     def tasks(self) -> List[MDTask]:
@@ -348,7 +334,6 @@ class BatchedMDTask:
             "model_params": dict(self.model_params),
             "batch_id": self.batch_id,
             "precision": self.precision,
-            "dispatch": self.dispatch,
         }
         if self.initial_positions is not None:
             payload["initial_positions"] = [
@@ -382,7 +367,6 @@ class BatchedMDTask:
             model_params=dict(payload.get("model_params", {})),
             batch_id=payload.get("batch_id", ""),
             precision=payload.get("precision", DEFAULT_PRECISION),
-            dispatch=payload.get("dispatch", DEFAULT_DISPATCH),
         )
 
 
@@ -394,16 +378,10 @@ class BatchedMDResult:
     checkpoints, frames and step counts are bit-identical to serial
     execution — the property that lets the distribution stack treat a
     coalesced command group exactly like individually-run commands.
-
-    ``dispatch`` records which path actually propagated the stack
-    (``"batched"`` — the vectorised kernel — or ``"serial"`` — the
-    per-replica loop, chosen by policy or integrator fallback); since
-    both paths are bit-identical it is purely observability.
     """
 
     results: List[MDResult]
     batch_id: str = ""
-    dispatch: str = "batched"
 
     @property
     def completed(self) -> bool:
@@ -419,7 +397,6 @@ class BatchedMDResult:
         return {
             "batch_id": self.batch_id,
             "results": [result.to_payload() for result in self.results],
-            "dispatch": self.dispatch,
         }
 
     @classmethod
@@ -428,7 +405,6 @@ class BatchedMDResult:
         return cls(
             results=[MDResult.from_payload(p) for p in payload["results"]],
             batch_id=payload.get("batch_id", ""),
-            dispatch=payload.get("dispatch", "batched"),
         )
 
 
@@ -672,14 +648,11 @@ class MDEngine:
     ) -> BatchedMDResult:
         """Run a batched task; per-replica results match serial bit-for-bit.
 
-        The task's ``dispatch`` policy decides the path: ``"auto"`` and
-        ``"batched"`` use the vectorised kernel, ``"serial"`` the
-        per-replica loop.  Integrators without a batched form
-        (Nosé–Hoover) always take the serial per-replica loop, so every
-        coalescible command is also runnable here.  The chosen path is
-        recorded in ``BatchedMDResult.dispatch``.  *abort_after_steps*
-        bounds the further steps of every replica, mirroring
-        :meth:`run`.
+        The stack runs through the vectorised kernel; an integrator
+        without a batched form (not in
+        :data:`~repro.md.batched.BATCHED_INTEGRATORS`) raises
+        :class:`ConfigurationError`.  *abort_after_steps* bounds the
+        further steps of every replica, mirroring :meth:`run`.
         """
         start_wall = _walltime.perf_counter()
         integrator = make_batched_integrator(
@@ -689,16 +662,6 @@ class MDEngine:
             btask.friction,
             btask.seeds,
         )
-        mode = resolve_dispatch(btask.dispatch)
-        if integrator is None or mode == "serial":
-            return BatchedMDResult(
-                results=[
-                    self.run(task, abort_after_steps)
-                    for task in btask.tasks()
-                ],
-                batch_id=btask.batch_id,
-                dispatch="serial",
-            )
         built = resolve_model(btask.model, btask.model_params)
         simulation = BatchedSimulation(
             built.system,
@@ -753,6 +716,4 @@ class MDEngine:
                     ),
                 )
             )
-        return BatchedMDResult(
-            results=results, batch_id=btask.batch_id, dispatch="batched"
-        )
+        return BatchedMDResult(results=results, batch_id=btask.batch_id)

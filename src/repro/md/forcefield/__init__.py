@@ -1,8 +1,10 @@
 """Force-field terms for the MD engine.
 
-Every force implements ``energy_forces(positions) -> (energy, forces)``
-with positions of shape ``(n_atoms, dim)`` and forces of the same
-shape, in kJ/mol and kJ/mol/nm.  All terms are fully vectorised —
+Every force implements the :class:`~repro.md.forcefield.base.Force`
+protocol: ``energy_forces(positions, need_energy=True) -> (energy,
+forces)`` with positions of shape ``(n_atoms, dim)`` and forces of the
+same shape, in kJ/mol and kJ/mol/nm, and its batched twin
+``compute_batch``.  All terms are fully vectorised —
 pair/triple/quad indices are precomputed once and the hot path is pure
 numpy fancy indexing plus ``np.add.at`` scatter-adds, the "SIMD kernel"
 level of the paper's parallelism hierarchy.

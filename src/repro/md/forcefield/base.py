@@ -1,14 +1,18 @@
-"""Force interface (serial and batched).
+"""The force protocol and its serial and batched sums.
 
-Serial terms implement ``energy_forces(positions (N, dim))``.  The
-batched path evaluates R independent replicas of one system per call
-and works on **replica-minor component planes**:
+Every force term implements two methods (:class:`Force`):
+``energy_forces(positions (N, dim), need_energy=True)`` and
+``compute_batch(planes, replica_ids=None, need_energy=True)``.  A
+:class:`~repro.md.system.System` checks each term once, when it is
+added (:func:`check_force`), so a term that lacks either method or the
+keyword is a :class:`ConfigurationError` naming the term, never a slow
+path found mid-run.
+
+The batched path evaluates R independent replicas of one system per
+call and works on **replica-minor component planes**:
 :func:`composite_energy_forces_batch` transposes the ``(R, N, dim)``
 stack once to ``(dim, N, R)``, every term's ``compute_batch(planes,
-replica_ids)`` returns ``(energies (R,), force planes (dim, N, R))``
-(or ``None`` when it cannot vectorise for the given configuration,
-e.g. a positions-dependent neighbour list —
-:func:`batch_energy_forces` then loops ``energy_forces`` per replica),
+replica_ids)`` returns ``(energies (R,), force planes (dim, N, R))``,
 and the summed planes are transposed back once.
 
 Why this layout: gathering atom rows with ``np.take(planes, idx,
@@ -29,14 +33,10 @@ construction rather than by tolerance:
   ``np.add.at`` order (:class:`SegmentScatter`).
 
 **Forces-only evaluation.**  Every step of every integrator needs
-forces and throws the energy away, so ``energy_forces`` and
-``compute_batch`` take ``need_energy=True``: with ``False`` a kernel
-skips its energy lines and the energy slot of the returned pair is not
-meaningful (``None`` from the in-tree kernels).  The keyword never
-changes a force bit.  Terms written without it are still served:
-whether a method declares the keyword is read once from its signature
-(:func:`energy_kwargs`), and one that does not is simply called
-the old way and its energy ignored.
+forces and throws the energy away, so both methods take
+``need_energy=True``: with ``False`` a kernel skips its energy lines
+and the energy slot of the returned pair is ``None``.  The keyword
+never changes a force bit.
 
 Per-replica *energies* are ``np.sum(term, axis=0)`` over a C-contiguous
 ``(P, R)`` plane: numpy adds the P rows one after another, so every
@@ -51,54 +51,53 @@ feeds back into a trajectory.
 
 from __future__ import annotations
 
-import functools
 import inspect
-from typing import Dict, Iterable, Optional, Protocol, Tuple, runtime_checkable
+from typing import Iterable, Optional, Protocol, Tuple
 
 import numpy as np
 
 from repro.util.errors import ConfigurationError
 
 
-@runtime_checkable
 class Force(Protocol):
-    """Anything that yields an energy and per-atom forces."""
+    """A force term: one replica or a stack of them, energies optional."""
 
     def energy_forces(
-        self, positions: np.ndarray
-    ) -> Tuple[float, np.ndarray]:  # pragma: no cover - protocol
-        """Return ``(potential_energy, forces)`` at *positions*.
+        self, positions: np.ndarray, need_energy: bool = True
+    ) -> Tuple[Optional[float], np.ndarray]:  # pragma: no cover - protocol
+        """``(potential_energy, forces)`` at ``(N, dim)`` *positions*."""
+        ...
 
-        A term may also declare ``need_energy=True`` (see the module
-        docstring); the protocol does not require it.
+    def compute_batch(
+        self,
+        planes: np.ndarray,
+        replica_ids: Optional[np.ndarray] = None,
+        need_energy: bool = True,
+    ) -> Tuple[Optional[np.ndarray], np.ndarray]:  # pragma: no cover
+        """``(energies (R,), force planes (dim, N, R))`` at *planes*.
+
+        *replica_ids* maps each column to its original replica (the
+        batched simulation compacts finished replicas out); terms with
+        per-replica caches key on it, ``None`` means column ``r`` is
+        replica ``r``.
         """
         ...
 
 
-_FORCES_ONLY: Dict[str, bool] = {"need_energy": False}
-_NO_KWARGS: Dict[str, bool] = {}
-
-
-@functools.lru_cache(maxsize=256)
-def _declares_need_energy(function) -> bool:
-    return "need_energy" in inspect.signature(function).parameters
-
-
-def energy_kwargs(method, need_energy: bool) -> Dict[str, bool]:
-    """Keyword arguments that pass *need_energy* on to a term's *method*.
-
-    ``{"need_energy": False}`` when the caller wants forces only and
-    the ``energy_forces`` / ``compute_batch`` method declares the
-    keyword; ``{}`` otherwise — energies wanted (every term's default),
-    or a term without the keyword, which then computes an energy the
-    caller ignores.  The signature is inspected once per function, not
-    per call, and a ``TypeError`` raised inside a kernel is never
-    mistaken for a missing keyword.
-    """
-    if need_energy:
-        return _NO_KWARGS
-    function = getattr(method, "__func__", method)
-    return _FORCES_ONLY if _declares_need_energy(function) else _NO_KWARGS
+def check_force(force) -> None:
+    """Raise :class:`ConfigurationError` unless *force* meets :class:`Force`."""
+    lacks = []
+    for name in ("energy_forces", "compute_batch"):
+        method = getattr(force, name, None)
+        if not callable(method):
+            lacks.append(f"{name}()")
+        elif "need_energy" not in inspect.signature(method).parameters:
+            lacks.append(f"the need_energy keyword of {name}()")
+    if lacks:
+        raise ConfigurationError(
+            f"force term {type(force).__name__} does not implement the "
+            f"Force protocol: it lacks {' and '.join(lacks)}"
+        )
 
 
 def composite_energy_forces(
@@ -120,8 +119,7 @@ def composite_energy_forces(
         total_f = out
         total_f[...] = 0.0
     for force in forces:
-        fn = force.energy_forces
-        e, f = fn(positions, **energy_kwargs(fn, need_energy))
+        e, f = force.energy_forces(positions, need_energy=need_energy)
         if need_energy:
             total_e += e
         total_f += f
@@ -325,49 +323,6 @@ def pair_force_planes(
     return forces
 
 
-def batch_energy_forces(
-    force: Force,
-    positions: np.ndarray,
-    planes: np.ndarray,
-    replica_ids: Optional[np.ndarray] = None,
-    need_energy: bool = True,
-) -> Tuple[Optional[np.ndarray], np.ndarray]:
-    """One term over a replica batch: ``(energies, force planes)``.
-
-    *positions* is the ``(R, N, dim)`` stack and *planes* its
-    ``(dim, N, R)`` transpose.  Dispatches to the force's
-    ``compute_batch(planes, replica_ids=...)`` when available and
-    applicable; otherwise loops ``energy_forces`` per replica (the
-    fallback for force terms that cannot vectorise).  Either way the
-    returned forces match the serial kernel bit-for-bit per replica.
-
-    *replica_ids* maps each row of *positions* to its original replica
-    index (the batched simulation compacts finished replicas out, so
-    row ``r`` is not replica ``r`` in general).  Force terms with
-    per-replica caches — shared lazy neighbour lists — key on it.
-
-    With ``need_energy=False`` a term that declares the keyword skips
-    its energies and the first element of the result is not meaningful.
-    """
-    fn = getattr(force, "compute_batch", None)
-    if fn is not None:
-        out = fn(
-            planes, replica_ids=replica_ids, **energy_kwargs(fn, need_energy)
-        )
-        if out is not None:
-            return out
-    fn = force.energy_forces
-    skip = energy_kwargs(fn, need_energy)
-    energies = np.empty(positions.shape[0]) if need_energy else None
-    forces = np.empty(planes.shape)
-    for rep in range(positions.shape[0]):
-        e, f = fn(positions[rep], **skip)
-        if need_energy:
-            energies[rep] = e
-        forces[:, :, rep] = f.T
-    return energies, forces
-
-
 def composite_energy_forces_batch(
     forces: Iterable[Force],
     positions: np.ndarray,
@@ -381,14 +336,15 @@ def composite_energy_forces_batch(
     The stack is transposed to component planes once on entry and the
     summed force planes back to ``(R, N, dim)`` once on exit.  With
     ``need_energy=False`` the ``(R,)`` energy accumulator does not
-    exist and ``None`` is returned in its place.
+    exist and ``None`` is returned in its place.  *replica_ids* is
+    handed to every term (see :meth:`Force.compute_batch`).
     """
     planes = np.ascontiguousarray(positions.transpose(2, 1, 0))
     total_e = np.zeros(positions.shape[0]) if need_energy else None
     total_f = np.zeros(planes.shape)
     for force in forces:
-        e, f = batch_energy_forces(
-            force, positions, planes, replica_ids, need_energy
+        e, f = force.compute_batch(
+            planes, replica_ids=replica_ids, need_energy=need_energy
         )
         if need_energy:
             total_e += e

@@ -21,39 +21,35 @@ from repro.md.forcefield.base import (
 from repro.util.errors import ConfigurationError
 
 
-def _static_pairs(pair_provider):
-    """Shared (i, j) arrays for a replica batch, or ``None``.
-
-    Vectorising over replicas requires one pair list valid for every
-    replica, so only positions-independent providers (e.g.
-    :class:`~repro.md.neighborlist.AllPairs`) qualify.
-    """
-    if not getattr(pair_provider, "positions_independent", False):
-        return None
-    return pair_provider.pairs(None)
-
-
 def _per_replica_batch(term, planes, replica_ids, need_energy=True):
-    """Per-replica evaluation through a shared neighbour-list manager.
+    """Per-replica evaluation for a positions-dependent pair provider.
 
-    For providers exposing ``replica_pairs(replica, positions)``
-    (:class:`~repro.md.neighborlist.SharedNeighborList`): each replica
-    column of the ``(dim, N, R)`` planes is evaluated with its *own
-    replica's* lazily-cached pair list, keyed by the true replica id so
-    the batched simulation's compaction of finished replicas cannot mix
-    caches up.  The kernel is the exact serial one
-    (``term._energy_forces_pairs``), so results are bit-identical to a
-    serial run of each replica.  Returns ``None`` for providers without
-    a per-replica cache (a cell list prunes differently per replica),
-    which sends the caller to the serial ``energy_forces`` loop.
+    Vectorising over replicas needs one pair list valid for every
+    replica, which only a positions-independent provider (e.g.
+    :class:`~repro.md.neighborlist.AllPairs`) has.  Otherwise each
+    replica column of the ``(dim, N, R)`` planes runs the exact
+    serial kernel (``term._energy_forces_pairs``), so results are
+    bit-identical to a serial run of each replica.  A provider with
+    ``replica_pairs(replica, positions)``
+    (:class:`~repro.md.neighborlist.SharedNeighborList`) hands each
+    column its *own replica's* lazily-cached list, keyed by the true
+    replica id so the batched simulation's compaction cannot mix caches
+    up (``None`` ids: column ``r`` is replica ``r``); any other provider
+    (a cell list, a bare Verlet list) is asked for ``pairs(positions)``
+    column by column.
     """
-    if replica_ids is None or not hasattr(term.pair_provider, "replica_pairs"):
-        return None
+    provider = term.pair_provider
+    replica_pairs = getattr(provider, "replica_pairs", None)
+    if replica_ids is None:
+        replica_ids = range(planes.shape[2])
     energies = np.empty(planes.shape[2]) if need_energy else None
     forces = np.empty(planes.shape)
     for row, replica in enumerate(replica_ids):
         positions = np.ascontiguousarray(planes[:, :, row].T)
-        i, j = term.pair_provider.replica_pairs(int(replica), positions)
+        if replica_pairs is None:
+            i, j = provider.pairs(positions)
+        else:
+            i, j = replica_pairs(int(replica), positions)
         energy, row_forces = term._energy_forces_pairs(
             positions, i, j, need_energy
         )
@@ -164,15 +160,11 @@ class LennardJonesForce:
         planes: np.ndarray,
         replica_ids: Optional[np.ndarray] = None,
         need_energy: bool = True,
-    ) -> Optional[Tuple[Optional[np.ndarray], np.ndarray]]:
-        """Batched ``energy_forces`` over ``(dim, N, R)`` planes.
-
-        ``None`` if the provider is dynamic and has no per-replica cache.
-        """
-        pairs = _static_pairs(self.pair_provider)
-        if pairs is None:
+    ) -> Tuple[Optional[np.ndarray], np.ndarray]:
+        """Batched ``energy_forces`` over ``(dim, N, R)`` planes."""
+        if not getattr(self.pair_provider, "positions_independent", False):
             return _per_replica_batch(self, planes, replica_ids, need_energy)
-        i, j = pairs
+        i, j = self.pair_provider.pairs(None)
         if len(i) == 0:
             return empty_batch(planes)
         rij = pair_vectors(planes, i, j)
@@ -278,15 +270,11 @@ class ReactionFieldElectrostatics:
         planes: np.ndarray,
         replica_ids: Optional[np.ndarray] = None,
         need_energy: bool = True,
-    ) -> Optional[Tuple[Optional[np.ndarray], np.ndarray]]:
-        """Batched ``energy_forces`` over ``(dim, N, R)`` planes.
-
-        ``None`` if the provider is dynamic and has no per-replica cache.
-        """
-        pairs = _static_pairs(self.pair_provider)
-        if pairs is None:
+    ) -> Tuple[Optional[np.ndarray], np.ndarray]:
+        """Batched ``energy_forces`` over ``(dim, N, R)`` planes."""
+        if not getattr(self.pair_provider, "positions_independent", False):
             return _per_replica_batch(self, planes, replica_ids, need_energy)
-        i, j = pairs
+        i, j = self.pair_provider.pairs(None)
         if len(i) == 0:
             return empty_batch(planes)
         rij = pair_vectors(planes, i, j)
@@ -372,15 +360,11 @@ class ExcludedVolumeForce:
         planes: np.ndarray,
         replica_ids: Optional[np.ndarray] = None,
         need_energy: bool = True,
-    ) -> Optional[Tuple[Optional[np.ndarray], np.ndarray]]:
-        """Batched ``energy_forces`` over ``(dim, N, R)`` planes.
-
-        ``None`` if the provider is dynamic and has no per-replica cache.
-        """
-        pairs = _static_pairs(self.pair_provider)
-        if pairs is None:
+    ) -> Tuple[Optional[np.ndarray], np.ndarray]:
+        """Batched ``energy_forces`` over ``(dim, N, R)`` planes."""
+        if not getattr(self.pair_provider, "positions_independent", False):
             return _per_replica_batch(self, planes, replica_ids, need_energy)
-        i, j = pairs
+        i, j = self.pair_provider.pairs(None)
         if len(i) == 0:
             return empty_batch(planes)
         rij = pair_vectors(planes, i, j)

@@ -11,7 +11,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.md.forcefield.base import energy_kwargs
 from repro.md.system import State, System
 from repro.util.errors import ConfigurationError
 from repro.util.rng import RandomStream, ensure_stream
@@ -27,8 +26,8 @@ def make_integrator(
     seed: int = 0,
 ):
     """Build an integrator by name — the one lookup shared by the MD
-    engine, the batched kernel's serial fallback and the
-    :meth:`~repro.md.simulation.Simulation.configure` facade.
+    engine and the :meth:`~repro.md.simulation.Simulation.configure`
+    facade.
 
     ``seed`` follows the engine convention: the Langevin noise stream
     is ``seed + 1`` (stream 0 is reserved for initial velocities), so a
@@ -62,11 +61,8 @@ class _IntegratorBase:
 
     @staticmethod
     def _forces(system: System, positions: np.ndarray) -> np.ndarray:
-        """Forces alone: no step reads the energy, so *system* skips it
-        if its ``energy_forces`` declares ``need_energy`` (a system-like
-        object written without the keyword is called the old way)."""
-        fn = system.energy_forces
-        return fn(positions, **energy_kwargs(fn, False))[1]
+        """Forces alone: no step reads the energy, so *system* skips it."""
+        return system.energy_forces(positions, need_energy=False)[1]
 
     def _inverse_masses(self, masses: np.ndarray) -> np.ndarray:
         """``1/m`` as an ``(N, 1)`` column.

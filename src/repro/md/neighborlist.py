@@ -96,8 +96,8 @@ class CellList:
         Pairs never returned.
     """
 
-    #: Pair lists are rebuilt from coordinates, so batched kernels must
-    #: fall back to per-replica evaluation.
+    #: Pair lists are rebuilt from coordinates, so batched kernels
+    #: evaluate per replica.
     positions_independent = False
 
     def __init__(

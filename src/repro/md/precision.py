@@ -23,8 +23,10 @@ Tolerance bounds (enforced by ``tests/test_precision_dispatch.py``):
 Because float32 trajectories are *not* bit-reproducible across
 machines or library versions, the engine rejects the combination with
 anything that contractually requires bit-identity: resuming from a
-checkpoint, batched stacks, and worker-side command coalescing
-(see :mod:`repro.md.dispatch`).
+checkpoint, batched stacks, and worker-side command coalescing.
+``precision=`` is set per command (:class:`~repro.md.engine.MDTask`)
+and per ensemble (:class:`repro.api.Ensemble`) and validated by
+:func:`validate_precision`.
 """
 
 from __future__ import annotations
@@ -37,8 +39,9 @@ from repro.md.forcefield.base import composite_energy_forces
 from repro.md.system import State, System
 from repro.util.errors import ConfigurationError
 
-#: numpy dtype for each ``precision=`` value.
+#: numpy dtype for each ``precision=`` value, default first.
 PRECISION_DTYPES = {"float64": np.float64, "float32": np.float32}
+DEFAULT_PRECISION = "float64"
 
 #: Documented bound on the relative RMS force error of the float32
 #: path against float64, at a configuration drawn from equilibrium.
@@ -47,6 +50,16 @@ FLOAT32_FORCE_RTOL = 1e-4
 #: Documented bound on the extra total-energy drift of a float32 NVE
 #: run versus its float64 twin, in kT per particle over 500 steps.
 FLOAT32_ENERGY_DRIFT_KT = 0.05
+
+
+def validate_precision(precision: str) -> str:
+    """Return *precision* or raise a typed :class:`ConfigurationError`."""
+    if precision not in PRECISION_DTYPES:
+        raise ConfigurationError(
+            f"precision must be one of {tuple(PRECISION_DTYPES)}, "
+            f"got {precision!r}"
+        )
+    return precision
 
 
 class FusedForceEvaluator:
@@ -70,13 +83,8 @@ class FusedForceEvaluator:
     """
 
     def __init__(self, system: System, precision: str = "float32") -> None:
-        if precision not in PRECISION_DTYPES:
-            raise ConfigurationError(
-                f"precision must be one of {tuple(PRECISION_DTYPES)}, "
-                f"got {precision!r}"
-            )
         self.system = system
-        self.precision = precision
+        self.precision = validate_precision(precision)
         self.dtype = PRECISION_DTYPES[precision]
         shape = (system.n_atoms, system.dim)
         self._buffers = (
@@ -169,11 +177,6 @@ def apply_precision(
     wraps the system in a :class:`FusedForceEvaluator` so every force
     evaluation runs through the fused single-precision accumulator.
     """
-    if precision == "float64":
+    if validate_precision(precision) == "float64":
         return system, state
-    if precision not in PRECISION_DTYPES:
-        raise ConfigurationError(
-            f"precision must be one of {tuple(PRECISION_DTYPES)}, "
-            f"got {precision!r}"
-        )
     return FusedForceEvaluator(system, precision), cast_state(state, precision)

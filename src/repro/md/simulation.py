@@ -15,8 +15,8 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.md.dispatch import DEFAULT_DISPATCH, DEFAULT_PRECISION
 from repro.md.integrators import NoseHooverIntegrator
+from repro.md.precision import DEFAULT_PRECISION
 from repro.md.system import State, System
 from repro.md.trajectory import Trajectory
 from repro.util.errors import ConfigurationError, SimulationError
@@ -133,9 +133,6 @@ class Simulation:
         #: Numeric precision of the force/integration kernels
         #: ("float64" default; "float32" opt-in via :meth:`configure`).
         self.precision: str = DEFAULT_PRECISION
-        #: Dispatch policy recorded for batched execution ("auto",
-        #: "serial" or "batched"); informational on a serial Simulation.
-        self.dispatch: str = DEFAULT_DISPATCH
         self._forces: Optional[np.ndarray] = None
         self._observers: List[Callable[[State], None]] = []
 
@@ -154,7 +151,6 @@ class Simulation:
         initial_positions: Optional[np.ndarray] = None,
         model_params: Optional[Dict] = None,
         precision: str = DEFAULT_PRECISION,
-        dispatch: str = DEFAULT_DISPATCH,
     ) -> "Simulation":
         """Build a ready-to-run simulation from a model name.
 
@@ -170,18 +166,15 @@ class Simulation:
         ``precision`` selects the numeric kernel: ``"float64"`` (the
         default, bit-reproducible) or ``"float32"`` (opt-in fast path
         with fused force accumulation; tolerance bounds documented in
-        :mod:`repro.md.precision`).  ``dispatch`` records the batched
-        execution policy (``"auto"``/``"serial"``/``"batched"``) for
-        when this configuration is submitted as a replica ensemble; it
-        does not change a single serial simulation.
+        :mod:`repro.md.precision`).
 
         Raises
         ------
         UnknownModelError
             If *model* is not registered.
         ConfigurationError
-            If *integrator* is unknown, *precision*/*dispatch* are not
-            recognised, or parameters are invalid.
+            If *integrator* is unknown, *precision* is not recognised,
+            or parameters are invalid.
         """
         # Imported here: the engine module imports this one.
         from repro.md.engine import MDTask, resolve_model
@@ -200,7 +193,6 @@ class Simulation:
             initial_positions=initial_positions,
             model_params=dict(model_params or {}),
             precision=precision,
-            dispatch=dispatch,
         )
         built = resolve_model(task.model, task.model_params)
         system, state = apply_precision(
@@ -219,7 +211,6 @@ class Simulation:
             report_interval=report_interval,
         )
         simulation.precision = task.precision
-        simulation.dispatch = task.dispatch
         if steps is not None:
             simulation.default_steps = int(steps)
         return simulation

@@ -7,7 +7,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.md.forcefield.base import composite_energy_forces
+from repro.md.forcefield.base import check_force, composite_energy_forces
 from repro.util.errors import ConfigurationError
 from repro.util.rng import RandomStream
 from repro.util.units import KB
@@ -165,8 +165,9 @@ class System:
         The bonded connectivity.  Optional for unstructured systems
         (e.g. particles on a model potential surface).
     forces:
-        Sequence of force objects, each implementing
-        ``energy_forces(positions) -> (energy, forces)``.
+        Sequence of force terms, each implementing the
+        :class:`~repro.md.forcefield.base.Force` protocol (checked
+        here: a term that does not raises :class:`ConfigurationError`).
     dim:
         Spatial dimensionality (3 for molecular systems, 2 for model
         surfaces such as Müller–Brown).
@@ -192,7 +193,9 @@ class System:
                 f"{len(self.masses)}"
             )
         self.topology = topology
-        self.forces = list(forces) if forces is not None else []
+        self.forces = []
+        for force in forces or ():
+            self.add_force(force)
         self.dim = dim
 
     @property
@@ -201,7 +204,8 @@ class System:
         return len(self.masses)
 
     def add_force(self, force) -> None:
-        """Append a force term."""
+        """Append a force term (checked against the Force protocol)."""
+        check_force(force)
         self.forces.append(force)
 
     def energy_forces(
@@ -212,8 +216,8 @@ class System:
         Sums every registered force term.  Forces accumulate into a
         single preallocated buffer — no per-term temporaries survive.
         Step loops pass ``need_energy=False``: the energy is then
-        ``None`` and terms that declare the keyword skip computing it
-        (the forces are the same bits either way).
+        ``None`` and every term skips computing it (the forces are the
+        same bits either way).
         """
         return composite_energy_forces(self.forces, positions, need_energy)
 

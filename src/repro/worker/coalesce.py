@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.command import Command
+from repro.md.batched import BATCHED_INTEGRATORS
 from repro.md.engine import BatchedMDTask, MDTask
 from repro.util.errors import ConfigurationError
 
@@ -55,7 +56,11 @@ def coalesce_key(command: Command) -> Optional[Tuple]:
     """Grouping key for *command*, or ``None`` when it must run serially.
 
     Two commands with equal (non-``None``) keys propagate identically
-    batched or not, so they may share one kernel call.
+    batched or not, so they may share one kernel call.  The stacking
+    rule: a command stacks unless it resumes a checkpoint, runs in
+    float32 (outside the batched kernel's bit-identity contract) or
+    names an integrator without a batched form
+    (:data:`~repro.md.batched.BATCHED_INTEGRATORS`).
     """
     if command.executable != COALESCIBLE_EXECUTABLE:
         return None
@@ -64,12 +69,9 @@ def coalesce_key(command: Command) -> Optional[Tuple]:
     payload = command.payload
     if payload.get("checkpoint") is not None:
         return None
-    # float32 runs are outside the bit-identity contract the batched
-    # kernel guarantees, and an explicit dispatch="serial" is a request
-    # to stay off the batched path — neither may coalesce.
     if payload.get("precision", "float64") != "float64":
         return None
-    if payload.get("dispatch", "auto") == "serial":
+    if payload.get("integrator", "langevin") not in BATCHED_INTEGRATORS:
         return None
     try:
         return (
@@ -84,8 +86,6 @@ def coalesce_key(command: Command) -> Optional[Tuple]:
             float(payload.get("temperature", 300.0)),
             float(payload.get("friction", 1.0)),
             float(payload.get("timestep", 0.02)),
-            payload.get("precision", "float64"),
-            payload.get("dispatch", "auto"),
             repr(sorted(payload.get("model_params", {}).items())),
         )
     except (KeyError, TypeError, ValueError):

@@ -130,9 +130,7 @@ def test_run_explicit_batch_capacity_one_disables_coalescing():
 
 
 def test_auto_batch_capacity_is_capped():
-    from repro.md.dispatch import MAX_AUTO_BATCH
-
-    from repro.api import _auto_batch_capacity
+    from repro.api import MAX_AUTO_BATCH, _auto_batch_capacity
 
     big = Ensemble(model=MODEL, n_replicas=500, steps=STEPS)
     assert _auto_batch_capacity([[big]]) == MAX_AUTO_BATCH

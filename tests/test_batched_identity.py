@@ -11,7 +11,11 @@ ISSUE 5's tentpole.
 import numpy as np
 import pytest
 
-from repro.md.batched import BatchedSimulation, make_batched_integrator
+from repro.md.batched import (
+    BATCHED_INTEGRATORS,
+    BatchedSimulation,
+    make_batched_integrator,
+)
 from repro.md.engine import (
     MODEL_REGISTRY,
     BatchedMDResult,
@@ -90,13 +94,12 @@ def test_batched_verlet_bit_identical():
     assert_results_identical(serial, batched.results)
 
 
-def test_batched_nose_hoover_serial_fallback():
-    """No batched Nosé–Hoover form; the kernel's fallback still matches."""
-    engine = MDEngine(segment_steps=100)
-    tasks = make_tasks(integrator="nose-hoover")
-    serial = [engine.run(task) for task in tasks]
-    batched = engine.run_batched(BatchedMDTask.from_tasks(tasks))
-    assert_results_identical(serial, batched.results)
+def test_batched_nose_hoover_stack_is_refused():
+    """No batched Nosé–Hoover form: the stack is a typed error, not a
+    serial loop in disguise (such commands never coalesce)."""
+    stack = BatchedMDTask.from_tasks(make_tasks(integrator="nose-hoover"))
+    with pytest.raises(ConfigurationError, match="nose-hoover"):
+        MDEngine(segment_steps=100).run_batched(stack)
 
 
 def test_batched_identity_across_checkpoint_restore():
@@ -203,7 +206,7 @@ def test_batched_simulation_checkpoints_match_serial_simulation():
 
 def make_villin_tasks(n_replicas):
     """villin-fast through the batched kernels whatever the stack size."""
-    return make_tasks("villin-fast", n_steps=120, dispatch="batched")[:n_replicas]
+    return make_tasks("villin-fast", n_steps=120)[:n_replicas]
 
 
 @pytest.mark.parametrize("n_replicas", [1, 6])
@@ -216,14 +219,12 @@ def test_villin_resume_from_checkpoint_is_identical(n_replicas):
     batched_partial = engine.run_batched(
         BatchedMDTask.from_tasks(tasks), abort_after_steps=70
     )
-    assert batched_partial.dispatch == "batched"
     assert_results_identical(serial_partial, batched_partial.results)
     assert not any(r.completed for r in batched_partial.results)
 
     resumed = resumed_from(tasks, batched_partial.results)
     serial_final = [engine.run(t) for t in resumed]
     batched_final = engine.run_batched(BatchedMDTask.from_tasks(resumed))
-    assert batched_final.dispatch == "batched"
     assert_results_identical(serial_final, batched_final.results)
     assert all(r.completed for r in batched_final.results)
     for interrupted, task in zip(batched_final.results, tasks):
@@ -309,13 +310,11 @@ def make_small_tasks(model, params, integrator, n_replicas):
 @pytest.mark.parametrize("model, params, integrator", SMALL_MODELS)
 def test_small_model_stack_is_bit_identical(model, params, integrator, n_replicas):
     """Frames, times, checkpoint (PCG64 state included) and final energy
-    of a default-dispatch stack equal ``MDEngine.run`` per task."""
+    of a stack equal ``MDEngine.run`` per task."""
     engine = MDEngine(segment_steps=100)
     tasks = make_small_tasks(model, params, integrator, n_replicas)
-    assert all(task.dispatch == "auto" for task in tasks)
     serial = [engine.run(task) for task in tasks]
     batched = engine.run_batched(BatchedMDTask.from_tasks(tasks))
-    assert batched.dispatch == "batched"
     assert_results_identical(serial, batched.results)
     assert all(r.checkpoint["rng_state"] for r in batched.results)
 
@@ -422,9 +421,9 @@ def test_exp_over_a_plane_equals_exp_over_the_serial_row(n_replicas):
 @pytest.mark.parametrize("n_replicas", [1, 3])
 @pytest.mark.parametrize("model", sorted(MODEL_REGISTRY))
 def test_every_registered_force_term_vectorises(model, n_replicas):
-    """No in-tree term reaches the per-replica loop of
-    ``batch_energy_forces``: each has a ``compute_batch`` and it returns
-    a result at the stack sizes the fallback used to serve."""
+    """Every registered model builds (its ``System`` checked each term
+    against the Force protocol), and every term's ``compute_batch``
+    returns force planes of the stack's shape."""
     built = resolve_model(model, {})
     states = [
         built.state_builder(MDTask(model=model, n_steps=1, seed=r))
@@ -433,15 +432,18 @@ def test_every_registered_force_term_vectorises(model, n_replicas):
     stack = np.stack([state.positions for state in states])
     planes = np.ascontiguousarray(stack.transpose(2, 1, 0))
     for force in built.system.forces:
-        out = force.compute_batch(
+        energies, forces = force.compute_batch(
             planes, replica_ids=np.arange(n_replicas), need_energy=False
         )
-        assert out is not None, type(force).__name__
-        assert out[1].shape == planes.shape
+        assert energies is None, type(force).__name__
+        assert forces.shape == planes.shape, type(force).__name__
 
 
 def test_every_integrator_but_nose_hoover_has_a_batched_form():
-    for name in ("langevin", "verlet", "markov-chain", "nose-hoover"):
+    assert BATCHED_INTEGRATORS == ("langevin", "verlet", "markov-chain")
+    for name in BATCHED_INTEGRATORS:
         make_integrator(name, timestep=0.02)  # the name is registered
-        batched = make_batched_integrator(name, 0.02, 300.0, 1.0, [0, 1])
-        assert (batched is None) == (name == "nose-hoover")
+        make_batched_integrator(name, 0.02, 300.0, 1.0, [0, 1])
+    make_integrator("nose-hoover", timestep=0.02)
+    with pytest.raises(ConfigurationError, match="no batched form"):
+        make_batched_integrator("nose-hoover", 0.02, 300.0, 1.0, [0, 1])

@@ -192,7 +192,8 @@ mdrun_payloads = st.fixed_dictionaries(
         "model": st.sampled_from(["villin", "villin", "villin", "ala2"]),
         "n_steps": st.sampled_from([100, 100, 100, 200]),
     },
-    optional={"dispatch": st.sampled_from(["auto", "serial"])},
+    # nose-hoover has no batched form: a command that never rides
+    optional={"integrator": st.sampled_from(["langevin", "nose-hoover"])},
 )
 
 

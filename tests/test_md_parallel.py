@@ -118,7 +118,7 @@ def test_decomposed_dynamics_track_serial(villin):
             self.dim = system.dim
             self.n_atoms = system.n_atoms
 
-        def energy_forces(self, positions):
+        def energy_forces(self, positions, need_energy=True):
             e, f, _ = self._dd.compute_forces(positions)
             return e, f
 

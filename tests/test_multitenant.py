@@ -250,7 +250,7 @@ def batches(monkeypatch):
     return made
 
 
-def swarm_tenants(dispatch="auto"):
+def swarm_tenants():
     """The bench's ``serial_swarm --quick`` in shape: one tenant per
     small-model family plus villin-fast, the first under ``quota=2`` —
     with three replicas, so the quota has something to hold back."""
@@ -263,7 +263,7 @@ def swarm_tenants(dispatch="auto"):
             model=model, n_replicas=replicas, steps=steps,
             report_interval=steps // 10,
             integrator="markov-chain" if model.startswith("markov") else "langevin",
-            seed=10 * k, dispatch=dispatch,
+            seed=10 * k,
         )
         tenants.append(
             Tenant(f"t{k:02d}", ensembles=[ensemble], quota=2 if k == 0 else None)
@@ -336,10 +336,10 @@ def test_identical_tenants_on_one_worker_never_share_a_batch(batches):
     """Same model, parameters and seeds on one shard with one worker
     that fetches all four commands at once: the only thing keeping the
     tenants apart is the project id in the coalesce key."""
-    def twins(dispatch="auto"):
+    def twins():
         return [
             Tenant(name, ensembles=[
-                Ensemble(model="double-well", n_replicas=2, steps=100, dispatch=dispatch)
+                Ensemble(model="double-well", n_replicas=2, steps=100)
             ])
             for name in ("alice", "bob")
         ]
@@ -351,13 +351,12 @@ def test_identical_tenants_on_one_worker_never_share_a_batch(batches):
     ]
     assert result_bytes(out.project("alice")) == result_bytes(out.project("bob"))
 
-    # dispatch="serial" is the opt-out: same fabric, no batch
+    # workers that never stack: no batch, the same bytes
     del batches[:]
-    serial = run_tenants(twins("serial"), n_shards=1, workers_per_shard=1, cores=4)
+    plain = run_on_uncoalescing_fabric(twins())
     assert batches == []
-    assert [r["steps_completed"] for _, r in serial.project("bob").results_log] == [
-        100, 100,
-    ]
+    for name in ("alice", "bob"):
+        assert result_bytes(plain[name]) == result_bytes(out.project(name))
 
 
 def chaos_fleet(journal_root, specs, batch_capacity, seed=3):

@@ -171,7 +171,6 @@ def test_batched_verlet_matches_serial_bitwise():
             report_interval=20,
             seed=20 + r,
             model_params=VERLET_PARAMS,
-            dispatch="batched",
             task_id=f"nl/r{r}",
         )
         for r in range(4)
@@ -179,6 +178,5 @@ def test_batched_verlet_matches_serial_bitwise():
     engine = MDEngine()
     serial = [engine.run(task) for task in tasks]
     batched = engine.run_batched(BatchedMDTask.from_tasks(tasks, batch_id="b"))
-    assert batched.dispatch == "batched"
     for serial_result, batched_result in zip(serial, batched.results):
         assert np.array_equal(serial_result.frames, batched_result.frames)

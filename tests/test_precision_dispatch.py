@@ -1,15 +1,16 @@
-"""The redesigned precision/dispatch API.
+"""The precision API and the stacking rule.
 
 Three layers under test:
 
-- **Validation**: unknown ``precision=``/``dispatch=`` values raise a
-  typed :class:`ConfigurationError` at every entry point, and
-  ``"float32"`` is rejected wherever bit-identity is contractually
-  required (resume checkpoints, batched stacks, coalesced commands).
-- **Dispatch policy**: ``"auto"`` resolves against the measured
-  crossover, the chosen mode is recorded in
-  :class:`~repro.md.engine.BatchedMDResult`, and forced serial vs
-  forced batched stay bit-identical (the policy is purely speed).
+- **Validation**: unknown ``precision=`` values raise a typed
+  :class:`ConfigurationError` at every entry point, and ``"float32"``
+  is rejected wherever bit-identity is contractually required (resume
+  checkpoints, batched stacks, coalesced commands).
+- **The stacking rule**: a command coalesces unless it is float32 or
+  its integrator is not in :data:`~repro.md.batched.BATCHED_INTEGRATORS`,
+  and ``run_batched`` refuses a stack it cannot propagate instead of
+  running it some other way.  Payloads written before the rule
+  (carrying a ``"dispatch"`` key) still load.
 - **Float32 tolerances**: the opt-in fast path meets the documented
   force-error and energy-drift bounds of :mod:`repro.md.precision`
   (tolerance tests — deliberately *not* bit-identity tests; see
@@ -19,10 +20,8 @@ Three layers under test:
 import numpy as np
 import pytest
 
-from repro import api
-from repro.api import Ensemble, Project
+from repro.api import MAX_AUTO_BATCH, Ensemble, Project
 from repro.core.command import Command
-from repro.md.dispatch import MAX_AUTO_BATCH, resolve_dispatch
 from repro.md.engine import BatchedMDResult, BatchedMDTask, MDEngine, MDTask
 from repro.md.precision import (
     FLOAT32_ENERGY_DRIFT_KT,
@@ -31,8 +30,9 @@ from repro.md.precision import (
 )
 from repro.md.simulation import Simulation
 from repro.util.errors import ConfigurationError
+from repro.util.serialization import encode_message
 from repro.util.units import KB
-from repro.worker.coalesce import coalesce_key
+from repro.worker.coalesce import coalesce_commands, coalesce_key
 
 MODEL = "double-well"
 STEPS = 60
@@ -45,31 +45,25 @@ def _task(seed=0, **kwargs):
     return MDTask(seed=seed, task_id=f"t{seed}", **kwargs)
 
 
-def _command(task):
+def _command(task, payload=None):
     return Command(
         command_id=task.task_id,
         project_id="p",
         executable="mdrun",
-        payload=task.to_payload(),
+        payload=payload if payload is not None else task.to_payload(),
     )
 
 
 # -- validation ---------------------------------------------------------------
 
 
-def test_unknown_precision_and_dispatch_rejected_everywhere():
+def test_unknown_precision_rejected_everywhere():
     with pytest.raises(ConfigurationError):
         _task(precision="float16")
     with pytest.raises(ConfigurationError):
-        _task(dispatch="vectorised")
-    with pytest.raises(ConfigurationError):
         Simulation.configure(model=MODEL, steps=10, precision="double")
     with pytest.raises(ConfigurationError):
-        Simulation.configure(model=MODEL, steps=10, dispatch="gpu")
-    with pytest.raises(ConfigurationError):
         Ensemble(model=MODEL, precision="float16")
-    with pytest.raises(ConfigurationError):
-        Ensemble(model=MODEL, dispatch="sometimes")
 
 
 def test_float32_cannot_resume_from_a_checkpoint():
@@ -90,100 +84,66 @@ def test_batched_stack_rejects_float32():
         BatchedMDTask.from_tasks(tasks, batch_id="b")
 
 
-def test_coalesce_refuses_float32_and_forced_serial():
+# -- the stacking rule ----------------------------------------------------------
+
+
+def test_coalesce_refuses_float32_and_unbatched_integrators():
     assert coalesce_key(_command(_task())) is not None
     assert coalesce_key(_command(_task(precision="float32"))) is None
-    assert coalesce_key(_command(_task(dispatch="serial"))) is None
-    # dispatch participates in the key: auto and batched don't merge
-    assert coalesce_key(_command(_task())) != coalesce_key(
-        _command(_task(dispatch="batched"))
-    )
+    assert coalesce_key(_command(_task(integrator="nose-hoover"))) is None
+    for integrator in ("langevin", "verlet"):
+        assert coalesce_key(_command(_task(integrator=integrator))) is not None
 
 
 def test_payloads_round_trip_and_default():
-    task = _task(precision="float32", dispatch="serial")
+    task = _task(precision="float32")
     restored = MDTask.from_payload(task.to_payload())
-    assert (restored.precision, restored.dispatch) == ("float32", "serial")
+    assert restored.precision == "float32"
+    assert "dispatch" not in task.to_payload()
 
     legacy = task.to_payload()
-    del legacy["precision"], legacy["dispatch"]
-    restored = MDTask.from_payload(legacy)
-    assert (restored.precision, restored.dispatch) == ("float64", "auto")
+    del legacy["precision"]
+    assert MDTask.from_payload(legacy).precision == "float64"
 
-    btask = BatchedMDTask.from_tasks(
-        [_task(seed=r, dispatch="batched") for r in range(2)], batch_id="b"
+    btask = BatchedMDTask.from_tasks([_task(seed=r) for r in range(2)], batch_id="b")
+    assert BatchedMDTask.from_payload(btask.to_payload()).to_payload() == (
+        btask.to_payload()
     )
-    assert BatchedMDTask.from_payload(btask.to_payload()).dispatch == "batched"
 
 
-# -- dispatch policy ----------------------------------------------------------
+def test_a_parent_written_serial_payload_loads_and_now_coalesces():
+    """Journals written while commands carried ``"dispatch"`` recover:
+    the key is ignored, and an old ``"serial"`` request stacks."""
+    tasks = [_task(seed=r) for r in range(3)]
+    old = [{**task.to_payload(), "dispatch": "serial"} for task in tasks]
+    for task, payload in zip(tasks, old):
+        assert MDTask.from_payload(payload).to_payload() == task.to_payload()
+    commands = [_command(t, p) for t, p in zip(tasks, old)]
+    assert coalesce_key(commands[0]) == coalesce_key(_command(tasks[0]))
+    (batch,) = coalesce_commands(commands, capacity=3)
+    assert len(batch.members) == 3
 
-
-def test_resolve_dispatch_auto_means_batched():
-    assert resolve_dispatch("auto") == "batched"
-    assert resolve_dispatch("serial") == "serial"
-    assert resolve_dispatch("batched") == "batched"
-    with pytest.raises(ConfigurationError):
-        resolve_dispatch("fastest")
-
-
-def test_auto_dispatch_mode_is_recorded_in_the_result():
-    """"auto" is batched at every stack size (a stack of one included);
-    only an integrator without a batched form runs the serial loop."""
-    engine = MDEngine()
-    for n_replicas in (1, 8):
-        stack = BatchedMDTask.from_tasks([_task(seed=r) for r in range(n_replicas)])
-        assert engine.run_batched(stack).dispatch == "batched"
-    thermostatted = engine.run_batched(
-        BatchedMDTask.from_tasks([_task(seed=0, integrator="nose-hoover")])
-    )
-    assert thermostatted.dispatch == "serial"
-    # observability survives the wire
-    restored = BatchedMDResult.from_payload(thermostatted.to_payload())
-    assert restored.dispatch == "serial"
-
-
-def test_forced_serial_and_forced_batched_are_bit_identical():
-    engine = MDEngine()
-    serial = engine.run_batched(
-        BatchedMDTask.from_tasks(
-            [_task(seed=r, dispatch="serial") for r in range(4)], batch_id="s"
-        )
-    )
-    batched = engine.run_batched(
-        BatchedMDTask.from_tasks(
-            [_task(seed=r, dispatch="batched") for r in range(4)], batch_id="b"
-        )
-    )
-    assert (serial.dispatch, batched.dispatch) == ("serial", "batched")
-    for serial_result, batched_result in zip(serial.results, batched.results):
-        assert np.array_equal(serial_result.frames, batched_result.frames)
+    result = MDEngine().run_batched(BatchedMDTask.from_tasks(tasks))
+    old_result = {**result.to_payload(), "dispatch": "serial"}
+    restored = BatchedMDResult.from_payload(old_result)
+    assert encode_message(restored.to_payload()) == encode_message(result.to_payload())
+    old_btask = {**BatchedMDTask.from_tasks(tasks).to_payload(), "dispatch": "batched"}
+    assert BatchedMDTask.from_payload(old_btask).n_replicas == 3
 
 
 # -- the facades --------------------------------------------------------------
 
 
-def test_ensemble_threads_precision_and_dispatch_into_tasks():
-    ensemble = Ensemble(
-        model=MODEL, n_replicas=2, steps=STEPS,
-        precision="float32", dispatch="serial",
-    )
+def test_ensemble_threads_precision_into_tasks():
+    ensemble = Ensemble(model=MODEL, n_replicas=2, steps=STEPS, precision="float32")
     for task in ensemble.tasks():
-        assert (task.precision, task.dispatch) == ("float32", "serial")
+        assert task.precision == "float32"
     for command in ensemble.commands("p"):
         assert command.payload["precision"] == "float32"
         assert coalesce_key(command) is None
-
-
-def test_project_run_restamps_ensembles():
-    project = Project(
-        "p", ensembles=[Ensemble(model=MODEL, n_replicas=2, steps=STEPS)]
-    )
-    outcome = project.run(max_cycles=2000, dispatch="serial")
-    assert outcome.status == "complete"
-    assert all(e.dispatch == "serial" for e in project.ensembles)
-    with pytest.raises(ConfigurationError):
-        project.run(precision="float128")
+    # the ensemble is the one place precision is set
+    with pytest.raises(TypeError):
+        Project("p", ensembles=[ensemble]).run(precision="float64")
 
 
 def test_project_run_float32_end_to_end():

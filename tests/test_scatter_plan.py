@@ -34,7 +34,9 @@ from repro.md.forcefield.base import (
     SegmentScatter,
     composite_energy_forces_batch,
 )
-from repro.md.neighborlist import AllPairs
+from repro.fep.sampling import _WindowForce
+from repro.fep.systems import HarmonicWindow
+from repro.md.neighborlist import AllPairs, CellList, VerletList
 from repro.md.system import System
 from repro.util.errors import ConfigurationError
 
@@ -305,28 +307,17 @@ def test_composite_sums_terms_in_registration_order():
         assert forces[replica].tobytes() == expect.tobytes()
 
 
-def test_term_without_batched_kernel_falls_back_to_the_serial_loop():
-    class Spring:
-        def energy_forces(self, positions):
-            return 0.5 * float(np.sum(positions**2)), -positions
-
-    positions = _stack(3)
-    energies, forces = composite_energy_forces_batch([Spring()], positions)
-    assert forces.tobytes() == (0.0 - positions).tobytes()
-    assert energies.tolist() == [0.5 * float(np.sum(p**2)) for p in positions]
-
-
 def test_type_error_inside_a_kernel_propagates():
-    """No retry without ``replica_ids``: a TypeError raised inside a
-    term's batched kernel is a bug in that kernel and must surface."""
+    """No retry on another path: a TypeError raised inside a term's
+    batched kernel is a bug in that kernel and must surface."""
 
     class Broken:
         calls = 0
 
-        def energy_forces(self, positions):
-            raise AssertionError("serial fallback must not be reached")
+        def energy_forces(self, positions, need_energy=True):
+            raise AssertionError("the serial kernel must not be reached")
 
-        def compute_batch(self, planes, replica_ids=None):
+        def compute_batch(self, planes, replica_ids=None, need_energy=True):
             Broken.calls += 1
             raise TypeError("unsupported operand inside the kernel")
 
@@ -522,45 +513,115 @@ def test_composite_forces_do_not_depend_on_need_energy(n_replicas):
         assert serial.tobytes() == with_energy[replica].tobytes()
 
 
+def _spring(positions, need_energy=True):
+    return 0.5 * float(np.sum(positions**2)), -positions
+
+
+class _SerialOnlySpring:
+    energy_forces = staticmethod(_spring)
+
+
 class _SpringWithoutKeyword:
     """A user-written term from before ``need_energy`` existed."""
 
-    def __init__(self):
-        self.calls = 0
-
     def energy_forces(self, positions):
-        self.calls += 1
-        return 0.5 * float(np.sum(positions**2)), -positions
+        return _spring(positions)
 
-
-class _BatchedSpringWithoutKeyword(_SpringWithoutKeyword):
     def compute_batch(self, planes, replica_ids=None):
-        self.calls += 1
         return 0.5 * np.sum(planes * planes, axis=(0, 1)), -planes
 
 
-@pytest.mark.parametrize(
-    "spring_type", [_SpringWithoutKeyword, _BatchedSpringWithoutKeyword]
-)
-def test_term_without_the_keyword_is_served_on_both_paths(spring_type):
-    """Forces-only callers must not pass ``need_energy`` to a term that
-    does not declare it (decided from the signature, not by catching a
-    ``TypeError``): the term runs, its energy is ignored."""
-    spring = spring_type()
-    system = System(np.ones(N_ATOMS), forces=[TERMS["bond"], spring])
-    positions = _stack(3)
-    _, expect = system.energy_forces(positions[0])
-    skipped, got = system.energy_forces(positions[0], need_energy=False)
-    assert skipped is None and got.tobytes() == expect.tobytes()
+class _BatchWithoutKeyword(_SerialOnlySpring):
+    compute_batch = _SpringWithoutKeyword.compute_batch
 
-    batched = BatchedSystem(system, 3)
-    energies, expect = batched.energy_forces(positions)
-    skipped, got = batched.energy_forces(positions, need_energy=False)
-    assert skipped is None and got.tobytes() == expect.tobytes()
-    np.testing.assert_allclose(
-        energies, [system.energy_forces(p)[0] for p in positions], rtol=1e-12
+
+@pytest.mark.parametrize(
+    "term, lacks",
+    [
+        (_SerialOnlySpring(), "compute_batch()"),
+        (_SpringWithoutKeyword(), "need_energy keyword of energy_forces()"),
+        (_BatchWithoutKeyword(), "need_energy keyword of compute_batch()"),
+    ],
+    ids=["no-compute-batch", "no-keyword", "no-batch-keyword"],
+)
+def test_a_term_outside_the_force_protocol_is_refused(term, lacks):
+    """Checked once, where the term joins a system — not a slow path
+    found at step 40 000 — and the message names the term."""
+    name = type(term).__name__
+    with pytest.raises(ConfigurationError) as refused:
+        System(np.ones(N_ATOMS), forces=[TERMS["bond"], term])
+    assert name in str(refused.value) and lacks in str(refused.value)
+
+    system = System(np.ones(N_ATOMS), forces=[TERMS["bond"]])
+    with pytest.raises(ConfigurationError) as refused:
+        system.add_force(term)
+    assert name in str(refused.value) and lacks in str(refused.value)
+    assert system.forces == [TERMS["bond"]]
+
+
+@pytest.mark.parametrize("n_replicas", [1, 3])
+def test_fep_window_force_batched_equals_serial(n_replicas):
+    """The free-energy window adapter meets the protocol: its force
+    planes are the serial bits on both system paths."""
+    force = _WindowForce(HarmonicWindow(k=7.3, x0=0.4))
+    system = System(masses=[1.0], forces=[force], dim=1)
+    positions = np.random.default_rng(n_replicas).normal(size=(n_replicas, 1, 1))
+    batched = BatchedSystem(system, n_replicas)
+    energies, forces = batched.energy_forces(positions)
+    skipped, forces_only = batched.energy_forces(positions, need_energy=False)
+    assert skipped is None and forces_only.tobytes() == forces.tobytes()
+    for replica in range(n_replicas):
+        energy, serial = system.energy_forces(positions[replica])
+        assert forces[replica].tobytes() == serial.tobytes()
+        np.testing.assert_allclose(energies[replica], energy, rtol=1e-15)
+
+
+# -- positions-dependent pair lists: per replica, in the term ----------------
+
+#: Nonbonded terms built over a pair provider, each provider's cutoff
+#: the term's own.
+PRUNED_TERMS = {
+    "lj": (0.9, lambda pairs: LennardJonesForce(pairs, 0.3, 0.8, cutoff=0.9)),
+    "reaction-field": (
+        0.9,
+        lambda pairs: ReactionFieldElectrostatics(
+            pairs, np.linspace(-1.0, 1.0, N_ATOMS), cutoff=0.9
+        ),
+    ),
+    "excluded-volume": (
+        0.7,
+        lambda pairs: ExcludedVolumeForce(pairs, sigma=0.35, cutoff_factor=2.0),
+    ),
+}
+PROVIDERS = {"cell-list": CellList, "verlet": VerletList}
+
+
+@pytest.mark.parametrize("n_replicas", [1, 3])
+@pytest.mark.parametrize("provider", sorted(PROVIDERS))
+@pytest.mark.parametrize("name", sorted(PRUNED_TERMS))
+def test_positions_dependent_pairs_batched_equal_serial(name, provider, n_replicas):
+    """A cell list or a bare Verlet list cannot share one pair list
+    across replicas, so ``compute_batch`` asks it once per column: the
+    force planes are each replica's serial bits, whether the ids are
+    ``None``, ``0..R-1`` or a compacted, non-contiguous subset."""
+    cutoff, build = PRUNED_TERMS[name]
+    reference = build(PROVIDERS[provider](cutoff))
+    batched = BatchedSystem(
+        System(np.ones(N_ATOMS), forces=[build(PROVIDERS[provider](cutoff))]),
+        n_replicas,
     )
-    assert spring.calls > 0
+    positions = _stack(n_replicas)
+    serial = [reference.energy_forces(p) for p in positions]
+    for ids in (None, np.arange(n_replicas)):
+        energies, forces = batched.energy_forces(positions, ids)
+        for replica, (energy, expect) in enumerate(serial):
+            assert forces[replica].tobytes() == expect.tobytes()
+            assert energies[replica] == energy
+    if n_replicas == 3:
+        ids = np.array([0, 2])
+        _, forces = batched.energy_forces(positions[ids], ids, need_energy=False)
+        for row, replica in enumerate(ids):
+            assert forces[row].tobytes() == serial[replica][1].tobytes()
 
 
 # -- (f) energies: the parent commit's bits --------------------------------------
