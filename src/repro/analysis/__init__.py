@@ -1,30 +1,15 @@
 """Trajectory analysis: alignment, RMSD, statistics, folding observables."""
 
 from repro.analysis.rmsd import kabsch_align, rmsd, rmsd_to_reference
-from repro.analysis.stats import (
-    block_average,
-    standard_error,
-    running_mean,
-    ensemble_mean_sd,
-)
-from repro.analysis.folding import (
-    fraction_folded,
-    first_passage_time,
-    half_time,
-)
-from repro.analysis.surface import FreeEnergySurface, free_energy_surface
+from repro.analysis.stats import standard_error, ensemble_mean_sd
+from repro.analysis.folding import fraction_folded, half_time
 
 __all__ = [
     "kabsch_align",
     "rmsd",
     "rmsd_to_reference",
-    "block_average",
     "standard_error",
-    "running_mean",
     "ensemble_mean_sd",
     "fraction_folded",
-    "first_passage_time",
     "half_time",
-    "FreeEnergySurface",
-    "free_energy_surface",
 ]

@@ -1,4 +1,4 @@
-"""Folding observables: folded fraction, first-passage and half times.
+"""Folding observables: folded fraction and half times.
 
 The paper's kinetic claims (Fig. 4) rest on two observables: the
 fraction of the ensemble within an RMSD threshold of native (3.5 A for
@@ -24,25 +24,6 @@ def fraction_folded(
     if threshold <= 0:
         raise ConfigurationError(f"threshold must be positive, got {threshold}")
     return float(np.mean(rmsd_values < threshold))
-
-
-def first_passage_time(
-    values: np.ndarray, times: np.ndarray, threshold: float, below: bool = True
-) -> Optional[float]:
-    """Time of the first crossing of *threshold* (None if never).
-
-    ``below=True`` reports the first time ``values < threshold``
-    (e.g. RMSD dropping below a folded cutoff).
-    """
-    values = np.asarray(values, dtype=float)
-    times = np.asarray(times, dtype=float)
-    if values.shape != times.shape:
-        raise ConfigurationError("values and times must align")
-    hit = values < threshold if below else values > threshold
-    idx = np.flatnonzero(hit)
-    if len(idx) == 0:
-        return None
-    return float(times[idx[0]])
 
 
 def half_time(

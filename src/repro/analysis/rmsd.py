@@ -95,21 +95,3 @@ def rmsd_to_reference(
         ref = reference
     diff = aligned - ref[None]
     return np.sqrt(np.mean(np.sum(diff * diff, axis=-1), axis=-1))
-
-
-def pairwise_rmsd_to_targets(
-    frames: np.ndarray, targets: np.ndarray, align: bool = True
-) -> np.ndarray:
-    """RMSD matrix between frames and several targets.
-
-    Returns ``(n_frames, n_targets)``.  Used by the k-centers
-    clustering assignment step, so it loops over the (few) targets and
-    vectorises over the (many) frames.
-    """
-    targets = np.asarray(targets, dtype=float)
-    if targets.ndim != 3:
-        raise ConfigurationError(f"targets must be 3-D, got {targets.shape}")
-    out = np.empty((len(frames), len(targets)))
-    for t, target in enumerate(targets):
-        out[:, t] = rmsd_to_reference(frames, target, align=align)
-    return out

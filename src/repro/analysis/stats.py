@@ -1,4 +1,4 @@
-"""Statistical helpers: block averaging, standard errors, ensemble curves."""
+"""Statistical helpers: standard errors and ensemble curves."""
 
 from __future__ import annotations
 
@@ -9,43 +9,12 @@ import numpy as np
 from repro.util.errors import ConfigurationError
 
 
-def block_average(series: np.ndarray, n_blocks: int = 5) -> Tuple[float, float]:
-    """Mean and block-averaged standard error of a correlated series.
-
-    Correlated MD time series underestimate error when treated as i.i.d.;
-    block averaging over ``n_blocks`` contiguous blocks is the standard
-    correction.  Returns ``(mean, standard_error)``.
-    """
-    series = np.asarray(series, dtype=float)
-    if series.ndim != 1 or len(series) == 0:
-        raise ConfigurationError("series must be a non-empty 1-D array")
-    if n_blocks < 2:
-        raise ConfigurationError(f"need at least 2 blocks, got {n_blocks}")
-    if len(series) < n_blocks:
-        raise ConfigurationError(
-            f"series of length {len(series)} cannot form {n_blocks} blocks"
-        )
-    usable = (len(series) // n_blocks) * n_blocks
-    blocks = series[:usable].reshape(n_blocks, -1).mean(axis=1)
-    err = float(np.std(blocks, ddof=1) / np.sqrt(n_blocks))
-    return float(series.mean()), err
-
-
 def standard_error(series: np.ndarray) -> float:
     """Naive (i.i.d.) standard error of the mean."""
     series = np.asarray(series, dtype=float)
     if len(series) < 2:
         raise ConfigurationError("need at least two samples")
     return float(np.std(series, ddof=1) / np.sqrt(len(series)))
-
-
-def running_mean(series: np.ndarray, window: int) -> np.ndarray:
-    """Centered-origin running mean with a trailing window."""
-    series = np.asarray(series, dtype=float)
-    if window < 1:
-        raise ConfigurationError(f"window must be >= 1, got {window}")
-    kernel = np.ones(window) / window
-    return np.convolve(series, kernel, mode="valid")
 
 
 def ensemble_mean_sd(
@@ -63,28 +32,3 @@ def ensemble_mean_sd(
             f"curves must be (n_members >= 2, n_points), got {curves.shape}"
         )
     return curves.mean(axis=0), curves.std(axis=0, ddof=1)
-
-
-def autocorrelation_time(series: np.ndarray, max_lag: int | None = None) -> float:
-    """Integrated autocorrelation time (in samples) of a 1-D series.
-
-    Integrates the normalised autocorrelation function until it first
-    crosses zero — the standard initial-positive-sequence estimator.
-    """
-    series = np.asarray(series, dtype=float)
-    n = len(series)
-    if n < 4:
-        raise ConfigurationError("series too short for autocorrelation")
-    x = series - series.mean()
-    var = float(np.dot(x, x)) / n
-    if var == 0:
-        return 0.5
-    if max_lag is None:
-        max_lag = n // 2
-    tau = 0.5
-    for lag in range(1, max_lag):
-        c = float(np.dot(x[:-lag], x[lag:])) / ((n - lag) * var)
-        if c <= 0:
-            break
-        tau += c
-    return tau

@@ -37,6 +37,8 @@ from repro.version import __version__
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from repro.msm.adaptive import WEIGHTINGS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Copernicus reproduction: parallel adaptive MD",
@@ -53,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     msm.add_argument("--generations", type=int, default=3)
     msm.add_argument(
         "--weighting",
-        choices=["uniform", "min-counts", "weighted-counts", "uncertainty"],
+        choices=sorted(WEIGHTINGS),
         default="uncertainty",
     )
     msm.add_argument("--seed", type=int, default=0)

@@ -31,29 +31,15 @@ from repro.analysis.rmsd import rmsd_to_reference
 from repro.core.command import Command
 from repro.core.controller import Controller
 from repro.core.project import Project
-from repro.lab.adapters import Adapter, normalize_scheme, resolve_adapter
 from repro.md.engine import MDTask
 from repro.md.models.villin import build_villin
-from repro.msm.adaptive import allocate_starts
+from repro.msm.adaptive import WEIGHTINGS, allocate_starts, check_weighting
 from repro.msm.cluster import ClusterResult, KCentersClustering
 from repro.msm.counts import count_matrix_multi
 from repro.msm.metrics import EuclideanMetric, RMSDMetric
 from repro.msm.model import MarkovStateModel
 from repro.util.errors import ConfigurationError, EstimationError
 from repro.util.rng import RandomStream
-
-
-def _canonical_weighting(weighting):
-    """Canonical scheme name for a config ``weighting`` value.
-
-    Adapter instances pass through unchanged (the sweep harness uses
-    them for custom schemes); strings go through the registry, which
-    raises a typed error listing the registered adapters for unknown
-    names.
-    """
-    if isinstance(weighting, Adapter):
-        return weighting
-    return normalize_scheme(weighting)
 
 
 @dataclass
@@ -83,11 +69,11 @@ class MSMProjectConfig:
     n_generations:
         Clustering rounds before completion [~8-10].
     weighting:
-        A scheme name from the adapter registry (``uniform``,
-        ``min-counts``, ``weighted-counts``, ``uncertainty``, or
-        anything added via :func:`repro.lab.register_adapter`).
+        A spawning-scheme name from
+        :data:`repro.msm.adaptive.WEIGHTINGS` (``uniform``,
+        ``min-counts``, ``weighted-counts``, ``uncertainty``).
     weighting_params:
-        Keyword arguments for the adapter factory (e.g.
+        Keyword arguments for that weight function (e.g.
         ``{"n": 2.0}`` for ``weighted-counts``).
     integrator:
         Integrator name handed to every MD command (``langevin``
@@ -119,10 +105,9 @@ class MSMProjectConfig:
     preferred_cores: int = 1
 
     def __post_init__(self) -> None:
-        # resolving eagerly gives the typed unknown-scheme error (with
-        # the registered adapter names) at config time, not mid-run
-        self.weighting = _canonical_weighting(self.weighting)
-        resolve_adapter(self.weighting, **self.weighting_params)
+        # an unknown scheme or out-of-range parameter fails here, not
+        # at the first generation boundary
+        check_weighting(self.weighting, self.weighting_params)
         for name in (
             "n_starting_conformations",
             "trajectories_per_start",
@@ -158,9 +143,8 @@ class TrajectoryRecord:
 class AdaptiveMSMController(Controller):
     """The adaptive-sampling MSM plugin.
 
-    The spawning scheme is a pluggable :class:`repro.lab.Adapter`:
-    pass one explicitly, or let the controller resolve
-    ``config.weighting`` through the adapter registry.  An optional
+    The spawning scheme is ``config.weighting``, looked up in
+    :data:`repro.msm.adaptive.WEIGHTINGS`.  An optional
     *convergence* checker (anything with an
     ``evaluate(frames_by_traj, **context)`` method, e.g.
     :class:`repro.lab.ConvergenceChecker`) is invoked at every
@@ -171,13 +155,9 @@ class AdaptiveMSMController(Controller):
     def __init__(
         self,
         config: MSMProjectConfig,
-        adapter: Optional[Adapter] = None,
         convergence=None,
     ) -> None:
         self.config = config
-        if adapter is None:
-            adapter = resolve_adapter(config.weighting, **config.weighting_params)
-        self.adapter = adapter
         self.convergence = convergence
         self.rng = RandomStream(config.seed)
         self._is_villin = config.model.startswith("villin")
@@ -432,13 +412,12 @@ class AdaptiveMSMController(Controller):
         dtrajs = [labels[idx] for _, idx in index]
         counts = count_matrix_multi(dtrajs, n_states, cfg.lag_frames)
         try:
-            weights = self.adapter.weights(counts)
+            weights = WEIGHTINGS[cfg.weighting](counts, **cfg.weighting_params)
         except EstimationError:
             # nothing countable at this lag yet (every command shorter
-            # than lag_frames): spawn uniformly via allocate_starts'
-            # all-zero fallback and let the next generation's counts
-            # decide
-            weights = np.zeros(n_states)
+            # than lag_frames): spawn evenly over every state and let
+            # the next generation's counts decide
+            weights = np.ones(n_states)
 
         summary = {
             "generation": self.generation,

@@ -30,8 +30,7 @@ from repro.des.core import (
     Interrupt,
     SimulationStopped,
 )
-from repro.des.resources import Resource, Store, PriorityStore
-from repro.des.monitor import Monitor, TimeWeightedMonitor
+from repro.des.resources import Store
 
 __all__ = [
     "Environment",
@@ -42,9 +41,5 @@ __all__ = [
     "AnyOf",
     "Interrupt",
     "SimulationStopped",
-    "Resource",
     "Store",
-    "PriorityStore",
-    "Monitor",
-    "TimeWeightedMonitor",
 ]

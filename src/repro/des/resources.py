@@ -1,93 +1,13 @@
-"""Shared resources for the DES kernel: capacity resources and stores.
+"""A blocking FIFO store for the DES kernel.
 
-These model the contended entities of a Copernicus deployment — core
-pools on a cluster, a server's command queue, bandwidth-limited links.
+The scheduler performance model queues trajectory chains in one.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Callable, List, Optional
+from typing import Any, List
 
 from repro.des.core import Environment, Event
-
-
-class _Request(Event):
-    """A pending claim on resource capacity."""
-
-    def __init__(self, resource: "Resource", amount: int) -> None:
-        super().__init__(resource.env)
-        self.amount = amount
-
-
-class Resource:
-    """A counted resource with FIFO queuing.
-
-    Unlike SimPy's unit-capacity requests, a request may claim several
-    units at once — that is how the scheduler model expresses "this
-    command needs k cores".
-
-    Example
-    -------
-    >>> from repro.des import Environment, Resource
-    >>> env = Environment()
-    >>> cores = Resource(env, capacity=4)
-    """
-
-    def __init__(self, env: Environment, capacity: int) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.env = env
-        self.capacity = int(capacity)
-        self._in_use = 0
-        self._waiting: List[_Request] = []
-
-    @property
-    def in_use(self) -> int:
-        """Units currently claimed."""
-        return self._in_use
-
-    @property
-    def available(self) -> int:
-        """Units currently free."""
-        return self.capacity - self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        """Number of requests waiting for capacity."""
-        return len(self._waiting)
-
-    def request(self, amount: int = 1) -> Event:
-        """Return an event that fires once *amount* units are granted."""
-        if amount <= 0:
-            raise ValueError(f"request amount must be positive, got {amount}")
-        if amount > self.capacity:
-            raise ValueError(
-                f"request of {amount} exceeds capacity {self.capacity}"
-            )
-        req = _Request(self, amount)
-        self._waiting.append(req)
-        self._grant()
-        return req
-
-    def release(self, amount: int = 1) -> None:
-        """Return *amount* units to the pool."""
-        if amount <= 0:
-            raise ValueError(f"release amount must be positive, got {amount}")
-        if amount > self._in_use:
-            raise ValueError(
-                f"releasing {amount} but only {self._in_use} in use"
-            )
-        self._in_use -= amount
-        self._grant()
-
-    def _grant(self) -> None:
-        # FIFO: only the head of the queue may be granted, which avoids
-        # starving large requests behind a stream of small ones.
-        while self._waiting and self._waiting[0].amount <= self.available:
-            req = self._waiting.pop(0)
-            self._in_use += req.amount
-            req.succeed(req.amount)
 
 
 class Store:
@@ -121,65 +41,4 @@ class Store:
     def _dispatch(self) -> None:
         while self._items and self._getters:
             getter = self._getters.pop(0)
-            getter.succeed(self._pop_item())
-
-    def _pop_item(self) -> Any:
-        return self._items.pop(0)
-
-
-class PriorityStore(Store):
-    """A store whose :meth:`get` returns the lowest-priority-value item.
-
-    Items must be orderable; Copernicus command queues use
-    ``(routing_priority, sequence, command)`` tuples so that the encoded
-    routing priority effectively determines run priority, as the paper
-    describes.
-    """
-
-    def __init__(self, env: Environment) -> None:
-        super().__init__(env)
-        self._heap: List[Any] = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    @property
-    def items(self) -> List[Any]:
-        """Buffered items in priority order."""
-        return sorted(self._heap)
-
-    def put(self, item: Any) -> None:
-        """Add an item; wakes the oldest waiting getter."""
-        heapq.heappush(self._heap, item)
-        self._dispatch()
-
-    def _dispatch(self) -> None:
-        while self._heap and self._getters:
-            getter = self._getters.pop(0)
-            getter.succeed(heapq.heappop(self._heap))
-
-    def _pop_item(self) -> Any:  # pragma: no cover - unused via override
-        return heapq.heappop(self._heap)
-
-
-def filtered_get(
-    store: Store, predicate: Callable[[Any], bool]
-) -> Optional[Any]:
-    """Remove and return the first buffered item matching *predicate*.
-
-    Returns ``None`` when nothing matches; never blocks.  Useful for
-    servers that pop only commands matching a worker's capabilities.
-    """
-    if isinstance(store, PriorityStore):
-        # Scan in priority order so the best-priority match wins.
-        for item in sorted(store._heap):
-            if predicate(item):
-                store._heap.remove(item)
-                heapq.heapify(store._heap)
-                return item
-        return None
-    for i, item in enumerate(store._items):
-        if predicate(item):
-            store._items.pop(i)
-            return item
-    return None
+            getter.succeed(self._items.pop(0))

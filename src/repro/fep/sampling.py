@@ -24,7 +24,7 @@ from repro.util.units import KB
 
 
 class _WindowForce:
-    """Adapter: a HarmonicWindow as an MD force on one 1-D particle."""
+    """A HarmonicWindow as an MD force on one 1-D particle."""
 
     def __init__(self, window: HarmonicWindow) -> None:
         self.window = window

@@ -1,7 +1,7 @@
 """The adaptive-strategy laboratory.
 
-`repro.lab` is the scoreboard for adaptive sampling: pluggable
-selection schemes (:mod:`repro.lab.adapters`), exact-ground-truth
+`repro.lab` is the scoreboard for adaptive sampling: the spawning
+schemes of :data:`repro.msm.adaptive.WEIGHTINGS`, exact-ground-truth
 Markov-chain toy systems (:mod:`repro.md.models.markov_chain`), a
 model-vs-truth :class:`ConvergenceChecker`
 (:mod:`repro.lab.convergence`), and a sweep harness that drives the
@@ -9,15 +9,10 @@ model-vs-truth :class:`ConvergenceChecker`
 reports which adaptive scheme wins where (:mod:`repro.lab.sweep`).
 """
 
+from repro.lab.convergence import ConvergenceChecker, ConvergenceReport
+from repro.lab.sweep import SweepConfig, SweepResult, render_report, run_sweep
+
 __all__ = [
-    "Adapter",
-    "UniformAdapter",
-    "MinCountsAdapter",
-    "WeightedCountsAdapter",
-    "UncertaintyAdapter",
-    "register_adapter",
-    "registered_adapters",
-    "resolve_adapter",
     "ConvergenceChecker",
     "ConvergenceReport",
     "SweepConfig",
@@ -25,33 +20,3 @@ __all__ = [
     "run_sweep",
     "render_report",
 ]
-
-_LAZY = {
-    "Adapter": ("repro.lab.adapters", "Adapter"),
-    "UniformAdapter": ("repro.lab.adapters", "UniformAdapter"),
-    "MinCountsAdapter": ("repro.lab.adapters", "MinCountsAdapter"),
-    "WeightedCountsAdapter": ("repro.lab.adapters", "WeightedCountsAdapter"),
-    "UncertaintyAdapter": ("repro.lab.adapters", "UncertaintyAdapter"),
-    "register_adapter": ("repro.lab.adapters", "register_adapter"),
-    "registered_adapters": ("repro.lab.adapters", "registered_adapters"),
-    "resolve_adapter": ("repro.lab.adapters", "resolve_adapter"),
-    "ConvergenceChecker": ("repro.lab.convergence", "ConvergenceChecker"),
-    "ConvergenceReport": ("repro.lab.convergence", "ConvergenceReport"),
-    "SweepConfig": ("repro.lab.sweep", "SweepConfig"),
-    "SweepResult": ("repro.lab.sweep", "SweepResult"),
-    "run_sweep": ("repro.lab.sweep", "run_sweep"),
-    "render_report": ("repro.lab.sweep", "render_report"),
-}
-
-
-def __getattr__(name: str):
-    # Lazy exports keep `repro.core.msm_controller -> repro.lab.adapters`
-    # from dragging in repro.lab.sweep (which imports repro.api and
-    # would close an import cycle back into repro.core).
-    try:
-        module_name, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attr)

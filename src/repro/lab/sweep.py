@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.lab.convergence import ConvergenceChecker, time_to_threshold
 from repro.md.models.markov_chain import build_markov_chain
+from repro.msm.adaptive import check_weighting
 from repro.util.errors import ConfigurationError
 
 __all__ = ["SweepConfig", "SweepResult", "run_sweep", "render_report"]
@@ -42,8 +43,8 @@ class SweepConfig:
         A registered ground-truth chain model (``markov-ala20`` /
         ``markov-mb``).
     schemes:
-        Adapter scheme names to race (resolved through the registry,
-        so registered third-party schemes work too).
+        Spawning-scheme names to race (keys of
+        :data:`repro.msm.adaptive.WEIGHTINGS`).
     steps_per_command:
         The adaptive-frequency axis: steps each command runs before
         its generation boundary — smaller means the strategy adapts
@@ -78,12 +79,10 @@ class SweepConfig:
     baseline: str = "uniform"
 
     def __post_init__(self) -> None:
-        from repro.lab.adapters import normalize_scheme
-
-        self.schemes = tuple(normalize_scheme(s) for s in self.schemes)
+        self.schemes = tuple(check_weighting(s) for s in self.schemes)
         self.steps_per_command = tuple(int(s) for s in self.steps_per_command)
         self.n_trajectories = tuple(int(p) for p in self.n_trajectories)
-        self.baseline = normalize_scheme(self.baseline)
+        self.baseline = check_weighting(self.baseline)
         if not self.schemes:
             raise ConfigurationError("sweep needs at least one scheme")
         if self.baseline not in self.schemes:

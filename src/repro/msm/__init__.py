@@ -10,12 +10,7 @@ the adaptive-sampling weight schemes that drive trajectory spawning.
 """
 
 from repro.msm.metrics import EuclideanMetric, RMSDMetric
-from repro.msm.cluster import (
-    KCentersClustering,
-    KMedoidsClustering,
-    RegularSpatialClustering,
-    ClusterResult,
-)
+from repro.msm.cluster import KCentersClustering, ClusterResult
 from repro.msm.counts import count_transitions, count_matrix_multi
 from repro.msm.estimation import (
     estimate_transition_matrix,
@@ -41,13 +36,6 @@ from repro.msm.validation import (
     chapman_kolmogorov,
 )
 from repro.msm.model import MarkovStateModel
-from repro.msm.featurize import (
-    PairwiseDistanceFeaturizer,
-    ContactFeaturizer,
-    DihedralFeaturizer,
-    FeatureUnion,
-    villin_featurizer,
-)
 from repro.msm.lumping import (
     lump_states,
     coarse_grain,
@@ -67,8 +55,6 @@ __all__ = [
     "EuclideanMetric",
     "RMSDMetric",
     "KCentersClustering",
-    "KMedoidsClustering",
-    "RegularSpatialClustering",
     "ClusterResult",
     "count_transitions",
     "count_matrix_multi",
@@ -99,9 +85,4 @@ __all__ = [
     "coarse_grain",
     "metastability",
     "spectral_embedding",
-    "PairwiseDistanceFeaturizer",
-    "ContactFeaturizer",
-    "DihedralFeaturizer",
-    "FeatureUnion",
-    "villin_featurizer",
 ]

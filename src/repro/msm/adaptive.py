@@ -73,30 +73,65 @@ def weighted_counts_weights(counts: np.ndarray, n: float = 1.0) -> np.ndarray:
 def uncertainty_weights(counts: np.ndarray, prior: float = 1.0) -> np.ndarray:
     """Weights from the Dirichlet posterior variance of each row.
 
-    ``w_i proportional to sum_j p_ij (1 - p_ij) / (n_i + K + 1)`` with
-    posterior means ``p_ij = (c_ij + prior/K) / (n_i + prior)``.
-    States with no outgoing counts receive the maximum row weight, so
-    newly discovered states are sampled first — which is what makes the
-    scheme *adaptive* rather than merely refining.
+    ``w_i proportional to sum_j p_ij (1 - p_ij) / (n_i + prior + 1)``
+    with posterior means ``p_ij = (c_ij + prior/K) / (n_i + prior)``.
+    States with no outgoing counts get the largest weight, so newly
+    discovered states are sampled first — which is what makes the
+    scheme *adaptive* rather than merely refining: such a row is the
+    bare prior (``p_ij = 1/K``, the largest ``sum_j p_ij (1 - p_ij)``)
+    over the smallest denominator.  With ``K >= 2`` and ``prior > 0``
+    every ``p_ij`` lies strictly inside (0, 1), so every visited row
+    has positive weight; a single state is certain and gets weight 1.
     """
+    if prior <= 0:
+        raise ConfigurationError(f"prior must be positive, got {prior}")
     counts = _check_counts(counts)
     n_states = counts.shape[0]
     visited = (counts.sum(axis=1) + counts.sum(axis=0)) > 0
     if not visited.any():
         raise EstimationError("no visited states")
+    if n_states == 1:
+        return np.ones(1)
     row_totals = counts.sum(axis=1)
     alpha = counts + prior / n_states
     alpha_total = row_totals + prior
     p = alpha / alpha_total[:, None]
     variance = (p * (1.0 - p)).sum(axis=1) / (alpha_total + 1.0)
     w = np.where(visited, variance, 0.0)
-    # unvisited-out states (seen only as destinations) are maximally uncertain
-    no_out = visited & (row_totals == 0)
-    if w[visited].max() > 0:
-        w[no_out] = np.where(w[no_out] > 0, w[no_out], w.max())
-    if w.sum() == 0:
-        return even_weights(counts)
     return w / w.sum()
+
+
+#: Spawning schemes by name: each maps a transition count matrix (plus
+#: its own keyword arguments) to normalised weights over visited states.
+WEIGHTINGS = {
+    "uniform": even_weights,
+    "min-counts": mincounts_weights,
+    "weighted-counts": weighted_counts_weights,
+    "uncertainty": uncertainty_weights,
+}
+
+
+def check_weighting(name: str, params: dict | None = None) -> str:
+    """Return *name* if it names a scheme in :data:`WEIGHTINGS`.
+
+    With *params*, also evaluate the scheme once on a tiny count matrix
+    so an out-of-range parameter (``n < 0``, ``prior <= 0``) raises now,
+    at configuration time, rather than at the first generation boundary.
+
+    Raises
+    ------
+    ConfigurationError
+        If *name* is not a scheme (the message lists the known names) or
+        a parameter is out of range.
+    """
+    if not isinstance(name, str) or name not in WEIGHTINGS:
+        raise ConfigurationError(
+            f"unknown weighting scheme {name!r}; known schemes: "
+            f"{sorted(WEIGHTINGS)}"
+        )
+    if params is not None:
+        WEIGHTINGS[name](np.ones((2, 2)), **params)
+    return name
 
 
 def allocate_starts(
@@ -108,10 +143,8 @@ def allocate_starts(
 
     Uses largest-remainder apportionment with random tie-breaking, so
     the allocation is exact (sums to ``n_trajectories``), proportional
-    and reproducible.  An all-zero weight vector (every state pruned,
-    or nothing visited yet) falls back to uniform apportionment over
-    all states, so callers always get exactly ``n_trajectories`` starts
-    back — the invariant the MSM controller's generation size rests on.
+    and reproducible.  Weights must have a positive sum: an all-zero
+    vector has no proportional apportionment and is rejected.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 1 or len(weights) == 0:
@@ -122,9 +155,7 @@ def allocate_starts(
         raise ConfigurationError("n_trajectories must be >= 0")
     total = weights.sum()
     if total <= 0:
-        # nothing visited: spread the starts evenly rather than dying
-        weights = np.ones_like(weights)
-        total = weights.sum()
+        raise ConfigurationError("weights must not all be zero")
     stream = ensure_stream(rng)
     quota = weights / total * n_trajectories
     base = np.floor(quota).astype(int)

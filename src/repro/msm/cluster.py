@@ -1,11 +1,10 @@
-"""Kinetic clustering: k-centers and k-medoids.
+"""Kinetic clustering: k-centers.
 
 The paper's MSM plugin clusters pooled trajectory snapshots into
 microstates (10,000 clusters for villin).  K-centers is the standard
 choice for that first pass: it is deterministic given a seed, runs in
 ``O(k n)`` metric evaluations and guarantees every frame lies within
-the final cover radius of its centre.  K-medoids refines assignments
-at fixed k when cluster compactness matters more than cover guarantees.
+the final cover radius of its centre.
 """
 
 from __future__ import annotations
@@ -129,129 +128,6 @@ class KCentersClustering:
             labels[closer] = len(center_indices) - 1
 
         idx = np.asarray(center_indices)
-        return ClusterResult(
-            assignments=labels,
-            centers=frames[idx],
-            center_indices=idx,
-            distances=dist,
-        )
-
-
-class RegularSpatialClustering:
-    """Regular spatial clustering: centres at least ``dmin`` apart.
-
-    Scans the frames once, promoting any frame farther than *dmin*
-    from every existing centre to a new centre.  Unlike k-centers the
-    cluster count adapts to the volume of sampled space — useful when
-    the explored region grows generation by generation, as in adaptive
-    sampling.
-    """
-
-    def __init__(self, dmin: float, metric=None, max_centers: int = 10000) -> None:
-        if dmin <= 0:
-            raise ConfigurationError(f"dmin must be positive, got {dmin}")
-        if max_centers < 1:
-            raise ConfigurationError("max_centers must be >= 1")
-        self.dmin = float(dmin)
-        self.metric = metric or EuclideanMetric()
-        self.max_centers = int(max_centers)
-
-    def fit(self, frames: np.ndarray) -> ClusterResult:
-        """Cluster *frames*; centres are actual frames, >= dmin apart."""
-        frames = np.asarray(frames, dtype=float)
-        n = len(frames)
-        if n == 0:
-            raise ConfigurationError("cannot cluster zero frames")
-        center_indices = [0]
-        min_dist = self.metric.to_target(frames, frames[0])
-        labels = np.zeros(n, dtype=int)
-        for i in range(1, n):
-            if min_dist[i] > self.dmin:
-                if len(center_indices) >= self.max_centers:
-                    break
-                center_indices.append(i)
-                d_new = self.metric.to_target(frames, frames[i])
-                closer = d_new < min_dist
-                min_dist[closer] = d_new[closer]
-                labels[closer] = len(center_indices) - 1
-        idx = np.asarray(center_indices)
-        return ClusterResult(
-            assignments=labels,
-            centers=frames[idx],
-            center_indices=idx,
-            distances=min_dist,
-        )
-
-
-class KMedoidsClustering:
-    """PAM-lite k-medoids: swap each medoid for its cluster's best frame.
-
-    Starts from a k-centers solution and iterates assignment/update
-    until medoids stop moving (or ``max_iter``).
-    """
-
-    def __init__(
-        self,
-        n_clusters: int,
-        metric=None,
-        seed: int | RandomStream = 0,
-        max_iter: int = 10,
-    ) -> None:
-        if n_clusters < 1:
-            raise ConfigurationError(f"n_clusters must be >= 1, got {n_clusters}")
-        if max_iter < 1:
-            raise ConfigurationError("max_iter must be >= 1")
-        self.n_clusters = n_clusters
-        self.metric = metric or EuclideanMetric()
-        self.rng = ensure_stream(seed)
-        self.max_iter = max_iter
-
-    def fit(self, frames: np.ndarray) -> ClusterResult:
-        """Cluster *frames* by iterative medoid refinement."""
-        frames = np.asarray(frames, dtype=float)
-        n = len(frames)
-        seeded = KCentersClustering(
-            n_clusters=self.n_clusters, metric=self.metric, seed=self.rng
-        ).fit(frames)
-        medoids = list(seeded.center_indices)
-
-        for _ in range(self.max_iter):
-            # assignment pass
-            dist = np.full(n, np.inf)
-            labels = np.zeros(n, dtype=int)
-            for c, m in enumerate(medoids):
-                d = self.metric.to_target(frames, frames[m])
-                closer = d < dist
-                dist[closer] = d[closer]
-                labels[closer] = c
-            # update pass: per cluster, pick the member minimising the
-            # summed distance to the other members
-            changed = False
-            for c in range(len(medoids)):
-                members = np.flatnonzero(labels == c)
-                if len(members) <= 1:
-                    continue
-                total = np.empty(len(members))
-                member_frames = frames[members]
-                for k, m in enumerate(members):
-                    total[k] = self.metric.to_target(
-                        member_frames, frames[m]
-                    ).sum()
-                best = int(members[np.argmin(total)])
-                if best != medoids[c]:
-                    medoids[c] = best
-                    changed = True
-            if not changed:
-                break
-
-        dist = np.full(n, np.inf)
-        labels = np.zeros(n, dtype=int)
-        for c, m in enumerate(medoids):
-            d = self.metric.to_target(frames, frames[m])
-            closer = d < dist
-            dist[closer] = d[closer]
-            labels[closer] = c
-        idx = np.asarray(medoids)
         return ClusterResult(
             assignments=labels,
             centers=frames[idx],

@@ -16,7 +16,6 @@ from repro.msm.connectivity import trim_counts
 from repro.msm.counts import count_matrix_multi
 from repro.msm.estimation import estimate_transition_matrix
 from repro.util.errors import EstimationError
-from repro.util.rng import RandomStream, ensure_stream
 
 
 def implied_timescale_scan(
@@ -61,47 +60,6 @@ def markovian_lag(
         if abs(t_b - t_a) / t_a <= tolerance:
             return a
     return lags[-1]
-
-
-def bootstrap_timescales(
-    dtrajs: Sequence[np.ndarray],
-    n_states: int,
-    lag: int,
-    frame_time: float = 1.0,
-    k: int = 3,
-    n_bootstrap: int = 50,
-    rng: int | RandomStream | None = 0,
-):
-    """Trajectory-bootstrap error bars on the implied timescales.
-
-    Resamples whole trajectories with replacement (the standard MSM
-    bootstrap, preserving within-trajectory correlation), re-estimates
-    the MSM each time, and returns ``(mean, std)`` arrays of shape
-    ``(k,)`` over the finite bootstrap estimates.
-    """
-    dtrajs = [np.asarray(d, dtype=int) for d in dtrajs]
-    if len(dtrajs) < 2:
-        raise EstimationError("bootstrap needs at least two trajectories")
-    if n_bootstrap < 2:
-        raise EstimationError("n_bootstrap must be >= 2")
-    stream = ensure_stream(rng)
-    estimates = np.full((n_bootstrap, k), np.nan)
-    for b in range(n_bootstrap):
-        picks = stream.integers(0, len(dtrajs), size=len(dtrajs))
-        sample = [dtrajs[p] for p in picks]
-        try:
-            counts = count_matrix_multi(sample, n_states, lag)
-            trimmed, _ = trim_counts(counts)
-            T = estimate_transition_matrix(trimmed)
-            estimates[b] = implied_timescales(T, lag * frame_time, k=k)
-        except EstimationError:
-            continue
-    with np.errstate(invalid="ignore"):
-        mean = np.nanmean(estimates, axis=0)
-        std = np.nanstd(estimates, axis=0)
-    if np.all(np.isnan(mean)):
-        raise EstimationError("every bootstrap replicate failed")
-    return mean, std
 
 
 def chapman_kolmogorov(

@@ -30,10 +30,6 @@ utilization numbers.
 The same module computes the run's *critical path*: the dependency
 chain of commands (each follow-up hangs off the completion that
 triggered it) whose completion decided the makespan.
-
-For DES scheduler simulations (:mod:`repro.perfmodel.scheduler_sim`)
-:func:`des_utilization_breakdown` splits worker-hours into
-compute/controller/idle from a :class:`SchedulerResult`.
 """
 
 from __future__ import annotations
@@ -336,28 +332,3 @@ def timeline_report_for(runner) -> TimelineReport:
     if obs is not None:
         tracer = obs.tracer
     return build_timeline_report(runner.events, tracer)
-
-
-def des_utilization_breakdown(result) -> Dict[str, float]:
-    """Worker-hour breakdown of one DES scheduler run.
-
-    Takes a :class:`~repro.perfmodel.scheduler_sim.SchedulerResult` and
-    splits the active workers' total hours into ``compute`` (busy on
-    trajectory quanta), ``controller`` (generation barriers: every
-    worker stands down while the controller clusters) and ``idle``
-    (tail imbalance).  The three sum to ``worker_hours`` exactly.
-    """
-    spec = result.spec
-    active = min(spec.n_workers, spec.n_commands)
-    worker_hours = active * result.hours
-    compute = result.worker_utilization * active * result.hours
-    controller = active * spec.n_generations * spec.cluster_overhead_hours
-    controller = min(controller, max(0.0, worker_hours - compute))
-    idle = max(0.0, worker_hours - compute - controller)
-    return {
-        "worker_hours": worker_hours,
-        "compute": compute,
-        "controller": controller,
-        "idle": idle,
-        "utilization": compute / worker_hours if worker_hours else 0.0,
-    }

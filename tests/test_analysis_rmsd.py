@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.analysis.rmsd import (
     kabsch_align,
-    pairwise_rmsd_to_targets,
     rmsd,
     rmsd_to_reference,
 )
@@ -95,18 +94,6 @@ def test_rmsd_to_reference_batch():
 def test_rmsd_to_reference_requires_3d():
     with pytest.raises(ConfigurationError):
         rmsd_to_reference(np.zeros((5, 3)), np.zeros((5, 3)))
-
-
-def test_pairwise_rmsd_to_targets_shape():
-    rng = RandomStream(7)
-    frames = rng.normal(size=(6, 5, 3))
-    targets = rng.normal(size=(3, 5, 3))
-    mat = pairwise_rmsd_to_targets(frames, targets)
-    assert mat.shape == (6, 3)
-    # self-consistency: column t equals rmsd_to_reference against target t
-    np.testing.assert_allclose(
-        mat[:, 1], rmsd_to_reference(frames, targets[1]), atol=1e-12
-    )
 
 
 def test_villin_native_vs_extended_rmsd_scale():

@@ -3,48 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.analysis.folding import first_passage_time, fraction_folded, half_time
-from repro.analysis.stats import (
-    autocorrelation_time,
-    block_average,
-    ensemble_mean_sd,
-    running_mean,
-    standard_error,
-)
+from repro.analysis.folding import fraction_folded, half_time
+from repro.analysis.stats import ensemble_mean_sd, standard_error
 from repro.util.errors import ConfigurationError
-from repro.util.rng import RandomStream
-
-
-def test_block_average_iid_matches_naive():
-    rng = RandomStream(0)
-    x = rng.normal(size=10000)
-    mean, err = block_average(x, n_blocks=10)
-    assert mean == pytest.approx(0.0, abs=0.05)
-    assert err == pytest.approx(standard_error(x), rel=0.6)
-
-
-def test_block_average_correlated_error_larger():
-    """Strongly correlated data must yield a larger block error."""
-    rng = RandomStream(1)
-    # AR(1) with strong correlation
-    n = 20000
-    x = np.empty(n)
-    x[0] = 0.0
-    noise = rng.normal(size=n)
-    for i in range(1, n):
-        x[i] = 0.99 * x[i - 1] + noise[i]
-    _, block_err = block_average(x, n_blocks=10)
-    naive = standard_error(x)
-    assert block_err > 3 * naive
-
-
-def test_block_average_validation():
-    with pytest.raises(ConfigurationError):
-        block_average(np.arange(10.0), n_blocks=1)
-    with pytest.raises(ConfigurationError):
-        block_average(np.arange(3.0), n_blocks=5)
-    with pytest.raises(ConfigurationError):
-        block_average(np.zeros((2, 2)))
 
 
 def test_standard_error_value():
@@ -58,20 +19,6 @@ def test_standard_error_needs_two():
         standard_error(np.array([1.0]))
 
 
-def test_running_mean_constant():
-    x = np.full(10, 3.0)
-    np.testing.assert_allclose(running_mean(x, 4), 3.0)
-
-
-def test_running_mean_length():
-    assert len(running_mean(np.arange(10.0), 3)) == 8
-
-
-def test_running_mean_invalid_window():
-    with pytest.raises(ConfigurationError):
-        running_mean(np.arange(5.0), 0)
-
-
 def test_ensemble_mean_sd():
     curves = np.array([[0.0, 1.0], [2.0, 3.0]])
     mean, sd = ensemble_mean_sd(curves)
@@ -82,28 +29,6 @@ def test_ensemble_mean_sd():
 def test_ensemble_mean_sd_needs_two_members():
     with pytest.raises(ConfigurationError):
         ensemble_mean_sd(np.zeros((1, 5)))
-
-
-def test_autocorrelation_time_white_noise_small():
-    rng = RandomStream(2)
-    tau = autocorrelation_time(rng.normal(size=5000))
-    assert tau < 2.0
-
-
-def test_autocorrelation_time_correlated_larger():
-    rng = RandomStream(3)
-    n = 5000
-    x = np.empty(n)
-    x[0] = 0.0
-    noise = rng.normal(size=n)
-    for i in range(1, n):
-        x[i] = 0.95 * x[i - 1] + noise[i]
-    assert autocorrelation_time(x) > 5.0
-
-
-def test_autocorrelation_time_too_short():
-    with pytest.raises(ConfigurationError):
-        autocorrelation_time(np.array([1.0, 2.0]))
 
 
 # ------------------------------------------------------------ folding
@@ -119,29 +44,6 @@ def test_fraction_folded_validation():
         fraction_folded(np.array([]), 0.35)
     with pytest.raises(ConfigurationError):
         fraction_folded(np.array([0.1]), -1.0)
-
-
-def test_first_passage_time_below():
-    values = np.array([1.0, 0.8, 0.2, 0.9])
-    times = np.array([0.0, 1.0, 2.0, 3.0])
-    assert first_passage_time(values, times, threshold=0.35) == 2.0
-
-
-def test_first_passage_time_above():
-    values = np.array([0.0, 0.5, 1.2])
-    times = np.array([0.0, 1.0, 2.0])
-    assert first_passage_time(values, times, 1.0, below=False) == 2.0
-
-
-def test_first_passage_never_returns_none():
-    values = np.ones(5)
-    times = np.arange(5.0)
-    assert first_passage_time(values, times, 0.5) is None
-
-
-def test_first_passage_shape_mismatch():
-    with pytest.raises(ConfigurationError):
-        first_passage_time(np.ones(3), np.ones(4), 0.5)
 
 
 def test_half_time_linear_curve():

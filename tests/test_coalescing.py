@@ -31,7 +31,6 @@ from repro.worker.coalesce import (
     merge_commands,
     split_results,
 )
-from repro.worker.executor import ParallelExecutor
 from repro.worker.platform import SMPPlatform
 from repro.worker.worker import Worker
 
@@ -112,23 +111,6 @@ def test_split_results_validates_lengths():
     batch = merge_commands([mdrun_command(0), mdrun_command(1)])
     with pytest.raises(ConfigurationError):
         split_results(batch, {"results": [{}]})
-
-
-# -- executor level -----------------------------------------------------------
-
-
-def test_parallel_executor_coalescing_matches_serial_results():
-    commands = [mdrun_command(k) for k in range(4)]
-    commands.append(mdrun_command(7, n_steps=N_STEPS + 60))
-    plain = ParallelExecutor(n_processes=1).run_commands(commands)
-    merged = ParallelExecutor(n_processes=1, coalesce_limit=4).run_commands(
-        commands
-    )
-    assert [c.command_id for c, _ in merged] == [
-        c.command_id for c, _ in plain
-    ]
-    for (_, expect), (_, got) in zip(plain, merged):
-        assert encode_message(scrub(got)) == encode_message(scrub(expect))
 
 
 # -- matching level ------------------------------------------------------------

@@ -250,7 +250,7 @@ def test_msm_history_contains_weights(mb_adaptive_run):
 def test_msm_survives_uncountable_first_generation():
     # commands shorter than the lag: generation 0 has zero countable
     # transitions, so every weight scheme raises internally and the
-    # controller must fall back to uniform spawning instead of dying
+    # controller spawns evenly over all states instead of dying
     net, server, workers = simple_rig(cores=2, segment_steps=2000)
     runner = ProjectRunner(net, server, workers)
     cfg = MSMProjectConfig(
@@ -272,8 +272,8 @@ def test_msm_survives_uncountable_first_generation():
     assert project.status is ProjectStatus.COMPLETE
     gen0 = controller.history[0]
     assert gen0["counts"].sum() == 0
-    np.testing.assert_array_equal(gen0["weights"], 0.0)
-    # the uniform fallback still spawned a full second generation
+    np.testing.assert_array_equal(gen0["weights"], 1.0)
+    # the even spawn still filled a full second generation
     assert project.completed == 2 * cfg.n_trajectories
 
 

@@ -1,80 +1,6 @@
-"""Tests for DES resources, stores and monitors."""
+"""Tests for the DES kernel's blocking FIFO store."""
 
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from repro.des import Environment, Monitor, PriorityStore, Resource, Store
-from repro.des.resources import filtered_get
-from repro.des.monitor import TimeWeightedMonitor
-
-
-def run_jobs(capacity, jobs):
-    """Run (amount, duration) jobs against one resource; return finish log."""
-    env = Environment()
-    res = Resource(env, capacity=capacity)
-    log = []
-
-    def job(env, name, amount, duration):
-        yield res.request(amount)
-        yield env.timeout(duration)
-        res.release(amount)
-        log.append((name, env.now))
-
-    for i, (amount, duration) in enumerate(jobs):
-        env.process(job(env, i, amount, duration))
-    env.run()
-    return log, res
-
-
-def test_resource_serialises_when_full():
-    log, _ = run_jobs(1, [(1, 5), (1, 5)])
-    assert log == [(0, 5.0), (1, 10.0)]
-
-
-def test_resource_parallel_when_capacity_allows():
-    log, _ = run_jobs(2, [(1, 5), (1, 5)])
-    assert log == [(0, 5.0), (1, 5.0)]
-
-
-def test_resource_multi_unit_request():
-    # job0 takes all 4 cores for 10; job1 (2 cores) must wait.
-    log, _ = run_jobs(4, [(4, 10), (2, 5)])
-    assert log == [(0, 10.0), (1, 15.0)]
-
-
-def test_resource_fifo_no_overtake():
-    # Head-of-line big request blocks later small ones (no starvation).
-    log, _ = run_jobs(4, [(3, 10), (4, 1), (1, 1)])
-    assert log[0] == (0, 10.0)
-    assert log[1] == (1, 11.0)
-    assert log[2] == (2, 12.0)
-
-
-def test_resource_released_fully():
-    _, res = run_jobs(3, [(2, 4), (3, 1), (1, 2)])
-    assert res.in_use == 0
-    assert res.available == 3
-
-
-def test_resource_request_exceeding_capacity_rejected():
-    env = Environment()
-    res = Resource(env, capacity=2)
-    with pytest.raises(ValueError):
-        res.request(3)
-
-
-def test_resource_over_release_rejected():
-    env = Environment()
-    res = Resource(env, capacity=2)
-    with pytest.raises(ValueError):
-        res.release(1)
-
-
-def test_resource_zero_capacity_rejected():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Resource(env, capacity=0)
+from repro.des import Environment, Store
 
 
 def test_store_fifo_order():
@@ -115,104 +41,3 @@ def test_store_get_blocks_until_put():
     env.process(producer(env))
     env.run()
     assert times == [9.0]
-
-
-def test_priority_store_orders_items():
-    env = Environment()
-    store = PriorityStore(env)
-    for p in [5, 1, 3]:
-        store.put((p, f"cmd{p}"))
-    got = []
-
-    def consumer(env):
-        while len(got) < 3:
-            item = yield store.get()
-            got.append(item[0])
-
-    env.process(consumer(env))
-    env.run()
-    assert got == [1, 3, 5]
-
-
-def test_priority_store_len_and_items():
-    env = Environment()
-    store = PriorityStore(env)
-    store.put((2, "b"))
-    store.put((1, "a"))
-    assert len(store) == 2
-    assert store.items[0][0] == 1
-
-
-def test_filtered_get_plain_store():
-    env = Environment()
-    store = Store(env)
-    for i in range(5):
-        store.put(i)
-    assert filtered_get(store, lambda x: x % 2 == 1) == 1
-    assert len(store) == 4
-
-
-def test_filtered_get_priority_store_keeps_heap():
-    env = Environment()
-    store = PriorityStore(env)
-    for p in [4, 2, 6, 1]:
-        store.put((p, "x"))
-    assert filtered_get(store, lambda item: item[0] > 3) == (4, "x")
-    assert store.items == [(1, "x"), (2, "x"), (6, "x")]
-
-
-def test_filtered_get_no_match_returns_none():
-    env = Environment()
-    store = Store(env)
-    store.put(2)
-    assert filtered_get(store, lambda x: x > 10) is None
-    assert len(store) == 1
-
-
-def test_monitor_mean_max():
-    m = Monitor("queue")
-    for t, v in [(0, 1), (1, 3), (2, 5)]:
-        m.record(t, v)
-    assert m.mean() == pytest.approx(3.0)
-    assert m.maximum() == pytest.approx(5.0)
-    assert len(m) == 3
-
-
-def test_monitor_empty_raises():
-    with pytest.raises(ValueError):
-        Monitor().mean()
-
-
-def test_time_weighted_monitor():
-    m = TimeWeightedMonitor("util")
-    m.record(0, 0.0)   # 0 for 10 units
-    m.record(10, 1.0)  # 1 for 10 units
-    assert m.time_average(until=20) == pytest.approx(0.5)
-
-
-def test_time_weighted_monitor_until_in_past_rejected():
-    m = TimeWeightedMonitor()
-    m.record(5, 1.0)
-    with pytest.raises(ValueError):
-        m.time_average(until=1.0)
-
-
-@settings(max_examples=30)
-@given(
-    st.integers(min_value=1, max_value=8),
-    st.lists(
-        st.tuples(
-            st.integers(min_value=1, max_value=8),
-            st.floats(min_value=0.1, max_value=10),
-        ),
-        min_size=1,
-        max_size=15,
-    ),
-)
-def test_property_resource_conservation(capacity, jobs):
-    """All jobs complete and capacity is fully restored afterwards."""
-    jobs = [(min(a, capacity), d) for a, d in jobs]
-    log, res = run_jobs(capacity, jobs)
-    assert len(log) == len(jobs)
-    assert res.in_use == 0
-    assert res.queue_length == 0

@@ -3,8 +3,7 @@
 A Fig. 1-style multi-site deployment runs an adaptive MSM project and
 a BAR free-energy project simultaneously while one worker crashes
 mid-command; results are persisted to a project store; afterwards the
-event log, the monitoring snapshot, the replayed store and the final
-science are all checked against each other.
+event log, the replayed store and the final science are all checked against each other.
 """
 
 import numpy as np
@@ -19,7 +18,6 @@ from repro.core import (
     ProjectRunner,
 )
 from repro.core.events import EventKind
-from repro.core.monitoring import render_text, status_snapshot
 from repro.core.project import ProjectStatus
 from repro.net.topology import figure1
 from repro.server.datastore import ProjectStore, replay
@@ -153,22 +151,6 @@ def test_store_replay_matches_live_run(scenario):
         fresh.cluster_model.center_indices,
         live_controller.cluster_model.center_indices,
     )
-
-
-def test_monitoring_snapshot_consistent(scenario):
-    runner, _, _ = scenario["msm"]
-    snapshot = status_snapshot(runner)
-    assert snapshot["projects"][0]["status"] == "complete"
-    text = render_text(snapshot)
-    assert "msm_villin" in text
-    # the dead worker shows as not alive on its server
-    flaky_name = scenario["flaky"].name
-    server_entries = {
-        name: alive
-        for server in snapshot["servers"]
-        for name, alive in server["workers"].items()
-    }
-    assert server_entries.get(flaky_name) is False
 
 
 def test_event_log_accounting(scenario):

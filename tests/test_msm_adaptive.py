@@ -1,11 +1,18 @@
-"""Tests for adaptive-sampling weights, validation tools and the MSM facade."""
+"""Tests for adaptive-sampling weights, the scheme table, validation tools
+and the MSM facade."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.msm_controller import (
+    AdaptiveMSMController,
+    MSMProjectConfig,
+    TrajectoryRecord,
+)
 from repro.msm.adaptive import (
+    WEIGHTINGS,
     allocate_starts,
     even_weights,
     mincounts_weights,
@@ -33,6 +40,15 @@ def markov_chain_dtraj(T, n_steps, seed=0, start=0):
 
 
 # -------------------------------------------------------------- weights
+
+
+_count_matrices = st.integers(min_value=2, max_value=7).flatmap(
+    lambda k: st.lists(
+        st.lists(st.integers(min_value=0, max_value=50), min_size=k, max_size=k),
+        min_size=k,
+        max_size=k,
+    )
+).map(np.asarray).filter(lambda c: (c.sum(axis=0) + c.sum(axis=1)).max() > 0)
 
 
 def test_even_weights_uniform_over_visited():
@@ -76,6 +92,27 @@ def test_uncertainty_weights_destination_only_state_max():
     assert w[2] == pytest.approx(w.max())
 
 
+def test_uncertainty_weights_single_state_is_certain():
+    # K = 1: the only posterior p is exactly 1, so the row variance is 0
+    np.testing.assert_array_equal(uncertainty_weights(np.array([[7.0]])), [1.0])
+
+
+@settings(max_examples=60)
+@given(_count_matrices, st.floats(min_value=1e-3, max_value=1e3))
+def test_property_uncertainty_weights_positive_on_every_visited_row(
+    counts, prior
+):
+    """K >= 2 and prior > 0 put every posterior p_ij strictly inside (0, 1),
+    so every visited row has positive weight (the sum is never zero) and a
+    row with no outgoing counts, the bare prior, has the largest weight."""
+    counts = counts.astype(float)
+    w = uncertainty_weights(counts, prior=prior)
+    visited = (counts.sum(axis=0) + counts.sum(axis=1)) > 0
+    assert np.all(w[visited] > 0)
+    no_out = visited & (counts.sum(axis=1) == 0)
+    assert np.all(w[no_out] == w.max())
+
+
 def test_weights_reject_nonsquare():
     for fn in (even_weights, mincounts_weights, uncertainty_weights):
         with pytest.raises(EstimationError):
@@ -109,10 +146,9 @@ def test_allocate_starts_validation():
         allocate_starts(np.array([np.nan, 1.0]), 5)
 
 
-def test_allocate_starts_all_zero_falls_back_to_uniform():
-    alloc = allocate_starts(np.zeros(4), 8, rng=0)
-    assert alloc.sum() == 8
-    assert set(alloc.tolist()) == {2}
+def test_allocate_starts_rejects_all_zero_weights():
+    with pytest.raises(ConfigurationError):
+        allocate_starts(np.zeros(4), 8, rng=0)
 
 
 @settings(max_examples=40)
@@ -132,14 +168,6 @@ def test_property_allocation_exact_and_proportional(weights, n, seed):
 
 
 # ------------------------------------------- weight-function properties
-
-_count_matrices = st.integers(min_value=2, max_value=7).flatmap(
-    lambda k: st.lists(
-        st.lists(st.integers(min_value=0, max_value=50), min_size=k, max_size=k),
-        min_size=k,
-        max_size=k,
-    )
-).map(np.asarray).filter(lambda c: (c.sum(axis=0) + c.sum(axis=1)).max() > 0)
 
 _weight_functions = [
     even_weights,
@@ -179,14 +207,102 @@ def test_property_weighted_counts_monotone_in_exponent(counts):
 
 def test_weighted_counts_endpoints_match_named_schemes():
     counts = np.array([[5.0, 1.0, 0.0], [2.0, 8.0, 0.0], [0.0, 0.0, 0.0]])
+    weighted = WEIGHTINGS["weighted-counts"]
     np.testing.assert_allclose(
-        weighted_counts_weights(counts, n=0.0), even_weights(counts)
+        weighted(counts, n=0.0), WEIGHTINGS["uniform"](counts)
     )
     np.testing.assert_allclose(
-        weighted_counts_weights(counts, n=1.0), mincounts_weights(counts)
+        weighted(counts, n=1.0), WEIGHTINGS["min-counts"](counts)
     )
     with pytest.raises(ConfigurationError):
-        weighted_counts_weights(counts, n=-0.5)
+        weighted(counts, n=-0.5)
+
+
+# ---------------------------------------------------------- scheme table
+
+
+def test_weightings_table_names_the_four_schemes():
+    assert sorted(WEIGHTINGS) == [
+        "min-counts",
+        "uncertainty",
+        "uniform",
+        "weighted-counts",
+    ]
+
+
+def test_weightings_table_maps_to_weight_functions():
+    assert WEIGHTINGS == {
+        "uniform": even_weights,
+        "min-counts": mincounts_weights,
+        "weighted-counts": weighted_counts_weights,
+        "uncertainty": uncertainty_weights,
+    }
+    counts = np.array([[4.0, 2.0, 0.0], [1.0, 9.0, 0.0], [0.0, 0.0, 0.0]])
+    np.testing.assert_allclose(
+        WEIGHTINGS["weighted-counts"](counts, n=2.0),
+        weighted_counts_weights(counts, n=2.0),
+    )
+    np.testing.assert_allclose(
+        WEIGHTINGS["uncertainty"](counts, prior=2.0),
+        uncertainty_weights(counts, prior=2.0),
+    )
+
+
+def test_weight_parameter_validation():
+    counts = np.ones((2, 2))
+    with pytest.raises(ConfigurationError):
+        weighted_counts_weights(counts, n=-1.0)
+    for prior in (0.0, -1.0):
+        with pytest.raises(ConfigurationError):
+            uncertainty_weights(counts, prior=prior)
+
+
+def test_unknown_weighting_error_lists_table_names():
+    with pytest.raises(ConfigurationError) as excinfo:
+        MSMProjectConfig(weighting="magic")
+    message = str(excinfo.value)
+    for name in WEIGHTINGS:
+        assert name in message
+
+
+def test_config_rejects_bad_weighting_at_construction():
+    # "even" was a pre-laboratory alias of "uniform"; it is unknown now
+    for weighting in ("magic", "even", None):
+        with pytest.raises(ConfigurationError) as excinfo:
+            MSMProjectConfig(weighting=weighting)
+        for name in WEIGHTINGS:
+            assert name in str(excinfo.value)
+    for weighting, params in (
+        ("weighted-counts", {"n": -1.0}),
+        ("uncertainty", {"prior": 0.0}),
+    ):
+        with pytest.raises(ConfigurationError):
+            MSMProjectConfig(weighting=weighting, weighting_params=params)
+
+
+def test_controller_weights_come_from_the_table(monkeypatch):
+    seen = []
+
+    def spy(counts, **params):
+        seen.append(params)
+        return weighted_counts_weights(counts, **params)
+
+    monkeypatch.setitem(WEIGHTINGS, "weighted-counts", spy)
+    cfg = MSMProjectConfig(
+        model="double-well",
+        weighting="weighted-counts",
+        weighting_params={"n": 3.0},
+        n_clusters=3,
+        lag_frames=1,
+    )
+    controller = AdaptiveMSMController(cfg)
+    frames = RandomStream(0).normal(size=(30, 1, 1))
+    controller.trajectories["t0"] = TrajectoryRecord("t0", 0, frames=frames)
+    summary = controller._cluster_and_summarise()
+    assert seen[-1] == {"n": 3.0}
+    np.testing.assert_array_equal(
+        summary["weights"], weighted_counts_weights(summary["counts"], n=3.0)
+    )
 
 
 # ------------------------------------------------------------ validation
@@ -303,44 +419,3 @@ def test_msm_mfpt_positive():
     msm = MarkovStateModel(lag=1).fit(dtrajs)
     m = msm.mfpt(np.array([False, True]))
     assert m[0] > 0 and m[1] == 0
-
-
-# ------------------------------------------------------------ bootstrap
-
-
-def test_bootstrap_timescales_recovers_truth():
-    from repro.msm.validation import bootstrap_timescales
-
-    T = np.array([[0.95, 0.05], [0.1, 0.9]])
-    dtrajs = [markov_chain_dtraj(T, 4000, seed=k) for k in range(8)]
-    mean, std = bootstrap_timescales(
-        dtrajs, 2, lag=1, k=1, n_bootstrap=30, rng=0
-    )
-    expected = -1.0 / np.log(1 - 0.05 - 0.1)
-    assert mean[0] == pytest.approx(expected, rel=0.3)
-    assert std[0] > 0
-    # true value within a few bootstrap sigmas
-    assert abs(mean[0] - expected) < 4 * std[0] + 1.0
-
-
-def test_bootstrap_timescales_error_shrinks_with_data():
-    from repro.msm.validation import bootstrap_timescales
-
-    T = np.array([[0.95, 0.05], [0.1, 0.9]])
-    short = [markov_chain_dtraj(T, 500, seed=k) for k in range(6)]
-    long = [markov_chain_dtraj(T, 20000, seed=k) for k in range(6)]
-    _, std_short = bootstrap_timescales(short, 2, lag=1, k=1, rng=1)
-    _, std_long = bootstrap_timescales(long, 2, lag=1, k=1, rng=1)
-    assert std_long[0] < std_short[0]
-
-
-def test_bootstrap_timescales_validation():
-    from repro.msm.validation import bootstrap_timescales
-    from repro.util.errors import EstimationError
-
-    with pytest.raises(EstimationError):
-        bootstrap_timescales([np.array([0, 1])], 2, lag=1)
-    with pytest.raises(EstimationError):
-        bootstrap_timescales(
-            [np.array([0, 1]), np.array([1, 0])], 2, lag=1, n_bootstrap=1
-        )

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.rmsd import rmsd
-from repro.msm.cluster import KCentersClustering, KMedoidsClustering
+from repro.msm.cluster import KCentersClustering
 from repro.msm.metrics import EuclideanMetric, RMSDMetric
 from repro.util.errors import ConfigurationError
 from repro.util.rng import RandomStream
@@ -121,32 +121,6 @@ def test_kcenters_with_rmsd_metric_on_conformations():
     assert result.assignments[-1] == result.assignments[0]
 
 
-def test_kmedoids_refines_centers_to_blob_cores():
-    pts, labels = three_blobs(seed=4)
-    result = KMedoidsClustering(n_clusters=3, seed=1).fit(pts)
-    assert result.n_clusters == 3
-    for blob in range(3):
-        assigned = result.assignments[labels == blob]
-        assert len(set(assigned.tolist())) == 1
-    # medoids are real data points
-    for c_idx in result.center_indices:
-        assert 0 <= c_idx < len(pts)
-
-
-def test_kmedoids_mean_distance_not_worse_than_kcenters():
-    pts, _ = three_blobs(seed=7, spread=0.6)
-    kc = KCentersClustering(n_clusters=3, seed=2).fit(pts)
-    km = KMedoidsClustering(n_clusters=3, seed=2).fit(pts)
-    assert km.distances.mean() <= kc.distances.mean() + 1e-9
-
-
-def test_kmedoids_invalid_params():
-    with pytest.raises(ConfigurationError):
-        KMedoidsClustering(n_clusters=0)
-    with pytest.raises(ConfigurationError):
-        KMedoidsClustering(n_clusters=2, max_iter=0)
-
-
 @settings(max_examples=25, deadline=None)
 @given(
     st.integers(min_value=1, max_value=12),
@@ -166,61 +140,3 @@ def test_property_kcenters_cover_radius_shrinks(k, n, seed):
     for c in range(r_few.n_clusters):
         d = metric.to_target(pts, r_few.centers[c])
         assert np.all(r_few.distances <= d + 1e-9)
-
-
-# ------------------------------------------------------- regular spatial
-
-
-def test_regular_spatial_centers_min_separation():
-    from repro.msm.cluster import RegularSpatialClustering
-
-    pts, _ = three_blobs(seed=9)
-    result = RegularSpatialClustering(dmin=1.0).fit(pts)
-    centers = result.centers
-    for a in range(len(centers)):
-        for b in range(a + 1, len(centers)):
-            assert np.linalg.norm(centers[a] - centers[b]) > 1.0
-
-
-def test_regular_spatial_adapts_cluster_count():
-    """A larger sampled volume yields more centres at fixed dmin."""
-    from repro.msm.cluster import RegularSpatialClustering
-
-    rng = RandomStream(10)
-    small = rng.uniform(0, 1.0, size=(300, 2))
-    large = rng.uniform(0, 4.0, size=(300, 2))
-    k_small = RegularSpatialClustering(dmin=0.4).fit(small).n_clusters
-    k_large = RegularSpatialClustering(dmin=0.4).fit(large).n_clusters
-    assert k_large > k_small
-
-
-def test_regular_spatial_separates_blobs():
-    from repro.msm.cluster import RegularSpatialClustering
-
-    pts, labels = three_blobs(seed=11)
-    result = RegularSpatialClustering(dmin=2.0).fit(pts)
-    assert result.n_clusters == 3
-    for blob in range(3):
-        assigned = result.assignments[labels == blob]
-        assert len(set(assigned.tolist())) == 1
-
-
-def test_regular_spatial_max_centers_cap():
-    from repro.msm.cluster import RegularSpatialClustering
-
-    rng = RandomStream(12)
-    pts = rng.uniform(0, 10.0, size=(500, 2))
-    result = RegularSpatialClustering(dmin=0.1, max_centers=5).fit(pts)
-    assert result.n_clusters == 5
-
-
-def test_regular_spatial_validation():
-    from repro.msm.cluster import RegularSpatialClustering
-    from repro.util.errors import ConfigurationError
-
-    with pytest.raises(ConfigurationError):
-        RegularSpatialClustering(dmin=0.0)
-    with pytest.raises(ConfigurationError):
-        RegularSpatialClustering(dmin=1.0, max_centers=0)
-    with pytest.raises(ConfigurationError):
-        RegularSpatialClustering(dmin=1.0).fit(np.zeros((0, 2)))

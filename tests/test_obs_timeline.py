@@ -6,7 +6,7 @@ duration to within 1% — and hence the report's phase totals to the
 total simulated lifecycle seconds.  The phases are an exact partition
 by construction; these tests pin that property against live runs,
 paced runs (non-trivial queue time) and degraded runs (speculation,
-requeues), plus the DES-side breakdown.
+requeues).
 """
 
 import pytest
@@ -14,7 +14,6 @@ import pytest
 from repro.obs.timeline import (
     PHASES,
     build_timeline_report,
-    des_utilization_breakdown,
     timeline_report_for,
 )
 from repro.testing import run_swarm_under_faults
@@ -94,19 +93,3 @@ def test_report_renders_every_command(canned):
         assert tl.command_id in text
     assert "critical path" in text
     assert "utilization" in text
-
-
-def test_des_breakdown_sums_exactly():
-    from repro.perfmodel import ProjectSpec
-    from repro.perfmodel.scheduler_sim import simulate_project
-
-    spec = ProjectSpec(total_cores=96, cores_per_sim=1)
-    result = simulate_project(spec)
-    breakdown = des_utilization_breakdown(result)
-    assert breakdown["compute"] + breakdown["controller"] + breakdown[
-        "idle"
-    ] == pytest.approx(breakdown["worker_hours"])
-    assert 0.0 <= breakdown["utilization"] <= 1.0
-    assert breakdown["utilization"] == pytest.approx(
-        breakdown["compute"] / breakdown["worker_hours"]
-    )
