@@ -7,17 +7,20 @@ Here an executable is a named function ``(payload, abort_after_steps)
 -> (result_payload, completed)``; the ``mdrun`` entry wraps the MD
 engine, the free-energy entry wraps a lambda-window sampler.
 
-Functions are registered at module level (not as closures) so they can
-cross a ``ProcessPoolExecutor`` boundary for genuine multi-core
-execution of a workload.
+``mdrun_batch`` runs a coalesced stack.  A stack wide enough to pay
+for it runs as contiguous replica shards on every CPU of the host, one
+in this process and the others on a persistent fork pool, joined back
+in replica order (:mod:`repro.worker.shards`).  That is host execution
+only: the cores a worker announces still decide what it is matched to.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.md.engine import BatchedMDTask, MDEngine, MDTask
+from repro.md.engine import MDEngine, MDTask
 from repro.util.errors import ConfigurationError
+from repro.worker.shards import run_batch
 
 ExecutableFn = Callable[[dict, Optional[int]], Tuple[dict, bool]]
 
@@ -32,21 +35,6 @@ def mdrun_executable(
     return result.to_payload(), result.completed
 
 
-def mdrun_batch_executable(
-    payload: dict, abort_after_steps: Optional[int] = None
-) -> Tuple[dict, bool]:
-    """Batched MD: R coalesced commands in one kernel call.
-
-    Per-replica outputs (frames, checkpoints, step counts) are
-    bit-identical to running each member through ``mdrun`` — see
-    :mod:`repro.worker.coalesce`.
-    """
-    task = BatchedMDTask.from_payload(payload)
-    engine = MDEngine()
-    result = engine.run_batched(task, abort_after_steps=abort_after_steps)
-    return result.to_payload(), result.completed
-
-
 def fepsample_executable(
     payload: dict, abort_after_steps: Optional[int] = None
 ) -> Tuple[dict, bool]:
@@ -57,10 +45,10 @@ def fepsample_executable(
     return run_fep_window(payload), True
 
 
-#: Global registry usable from worker subprocesses.
+#: Global registry of the built-in executables.
 _GLOBAL_EXECUTABLES: Dict[str, ExecutableFn] = {
     "mdrun": mdrun_executable,
-    "mdrun_batch": mdrun_batch_executable,
+    "mdrun_batch": run_batch,
     "fepsample": fepsample_executable,
 }
 
@@ -68,7 +56,7 @@ _GLOBAL_EXECUTABLES: Dict[str, ExecutableFn] = {
 def run_executable(
     name: str, payload: dict, abort_after_steps: Optional[int] = None
 ) -> Tuple[dict, bool]:
-    """Run a registered executable by name (process-pool safe)."""
+    """Run a registered executable by name."""
     try:
         fn = _GLOBAL_EXECUTABLES[name]
     except KeyError:

@@ -26,6 +26,14 @@ class PlatformInfo:
     interconnect: str = "shared-memory"
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, so cpusets count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
 class SMPPlatform:
     """A shared-memory machine: one node, several cores."""
 
@@ -39,7 +47,7 @@ class SMPPlatform:
 
     def detect(self) -> PlatformInfo:
         """Detect (or accept user-specified) resources."""
-        cores = self._cores if self._cores is not None else os.cpu_count() or 1
+        cores = self._cores if self._cores is not None else usable_cpus()
         return PlatformInfo(
             name=self.name,
             cores=cores,

@@ -1,5 +1,7 @@
 """Tests for workers: platforms, executables, execution, crash recovery."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,15 @@ def test_smp_platform_detect_explicit():
 def test_smp_platform_autodetect():
     info = SMPPlatform().detect()
     assert info.cores >= 1
+
+
+def test_smp_platform_autodetect_counts_usable_cpus(monkeypatch):
+    """Affinity masks and cpusets shrink what a worker may announce."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 9}, raising=False)
+    assert SMPPlatform().detect().cores == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert SMPPlatform().detect().cores == 64
 
 
 def test_smp_platform_invalid():
