@@ -467,11 +467,16 @@ class BatchedSimulation:
         )
         if self.report_interval:
             # Serial parity: a replica that never runs (deactivated
-            # before priming, e.g. restored already at its target)
-            # records no initial frame, exactly like an engine run
-            # that skips Simulation.run entirely.
+            # before priming, e.g. restored already at its target), or
+            # that resumes off the report grid, records no initial
+            # frame, exactly like Simulation.run.
+            on_grid = self.batch.steps % self.report_interval == 0
             for replica in range(self.n_replicas):
-                if self.active[replica] and len(self.trajectories[replica]) == 0:
+                if (
+                    self.active[replica]
+                    and on_grid[replica]
+                    and len(self.trajectories[replica]) == 0
+                ):
                     self.trajectories[replica].append(
                         self.batch.positions[replica],
                         self.batch.times[replica],

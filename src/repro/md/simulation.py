@@ -240,7 +240,13 @@ class Simulation:
             raise ConfigurationError(f"n_steps must be >= 0, got {n_steps}")
         if self._forces is None:
             self._forces = self.integrator.initial_forces(self.system, self.state)
-            if self.report_interval and len(self.trajectory) == 0:
+            # A run resumed off the report grid records no priming
+            # frame: a direct run never reports at that step.
+            if (
+                self.report_interval
+                and len(self.trajectory) == 0
+                and self.state.step % self.report_interval == 0
+            ):
                 self._report()
         for _ in range(n_steps):
             self._forces = self.integrator.step(

@@ -406,12 +406,15 @@ class Worker(Endpoint):
 
             prev_f, prev_t = accumulated["frames"], accumulated["times"]
             cur_f, cur_t = segment["frames"], segment["times"]
-            if len(prev_f) and len(cur_f):
-                # segments overlap at the checkpoint frame; drop duplicates
+            if not len(cur_f):
+                # a segment that crossed no report step adds no frames
+                merged["frames"], merged["times"] = prev_f, prev_t
+            elif len(prev_f):
+                # a segment resumed on the report grid re-records the
+                # checkpoint frame; drop the duplicate
                 keep = cur_t > prev_t[-1] + 1e-12
-                cur_f, cur_t = cur_f[keep], cur_t[keep]
-            merged["frames"] = np.concatenate([prev_f, cur_f]) if len(prev_f) else cur_f
-            merged["times"] = np.concatenate([prev_t, cur_t]) if len(prev_t) else cur_t
+                merged["frames"] = np.concatenate([prev_f, cur_f[keep]])
+                merged["times"] = np.concatenate([prev_t, cur_t[keep]])
         if "steps_completed" in segment and "steps_completed" in accumulated:
             merged["steps_completed"] = (
                 accumulated["steps_completed"] + segment["steps_completed"]

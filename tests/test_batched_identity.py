@@ -29,6 +29,7 @@ from repro.md.models.doublewell import DoubleWellForce, TiltedDoubleWellForce
 from repro.md.models.muller_brown import MullerBrownForce
 from repro.util.errors import ConfigurationError, SimulationError
 from repro.util.serialization import encode_message
+from repro.worker import Worker
 
 R = 8
 N_STEPS = 250
@@ -199,6 +200,63 @@ def test_batched_simulation_checkpoints_match_serial_simulation():
         assert checkpoint_bytes(
             batched.checkpoint(r).to_payload()
         ) == checkpoint_bytes(serial.checkpoint)
+
+
+def off_grid_tasks(model, n_replicas):
+    """900-step tasks reporting every 150 steps: a 400-step segment
+    boundary falls off the report grid."""
+    return [
+        MDTask(
+            model=model,
+            n_steps=900,
+            report_interval=150,
+            seed=20 + r,
+            task_id=f"g{r}",
+        )
+        for r in range(n_replicas)
+    ]
+
+
+@pytest.mark.parametrize("model", ["double-well", "villin-fast"])
+def test_segments_resumed_off_the_report_grid_add_no_frames(model):
+    """Three checkpointed 400-step segments, merged as a worker merges
+    them, equal one direct run: a resumed segment records no priming
+    frame at a step the report grid skips (here 400 and 800)."""
+    engine = MDEngine()
+    (task,) = off_grid_tasks(model, 1)
+    merged, resumed, segments = None, task, 0
+    while merged is None or not merged["completed"]:
+        result = engine.run(resumed, abort_after_steps=400).to_payload()
+        merged = Worker._merge_segment(merged, result)
+        resumed = MDTask(**{**task.__dict__, "checkpoint": result["checkpoint"]})
+        segments += 1
+    direct = engine.run(task)
+    assert segments == 3
+    assert len(direct.times) == 7
+    np.testing.assert_array_equal(merged["frames"], direct.frames)
+    np.testing.assert_array_equal(merged["times"], direct.times)
+
+
+def test_batched_segments_resumed_off_the_report_grid_add_no_frames():
+    """The same on a batched R=3 stack: every replica's merged frames
+    are bit-equal to its direct serial run."""
+    engine = MDEngine()
+    tasks = off_grid_tasks("double-well", 3)
+    btask = BatchedMDTask.from_tasks(tasks)
+    merged = None
+    while merged is None or not all(r["completed"] for r in merged["results"]):
+        result = engine.run_batched(btask, abort_after_steps=400).to_payload()
+        merged = Worker._merge_segment(merged, result)
+        btask = BatchedMDTask.from_tasks(
+            [
+                MDTask(**{**task.__dict__, "checkpoint": r["checkpoint"]})
+                for task, r in zip(tasks, result["results"])
+            ]
+        )
+    for task, got in zip(tasks, merged["results"]):
+        direct = engine.run(task)
+        np.testing.assert_array_equal(got["frames"], direct.frames)
+        np.testing.assert_array_equal(got["times"], direct.times)
 
 
 # -- the forces-only component-plane kernels, at the stack sizes they serve --

@@ -1,5 +1,9 @@
 """Tests for counting, estimation, connectivity and spectral analysis."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -263,6 +267,108 @@ def test_map_dtrajs_to_subset():
 def test_connected_set_rejects_nonsquare():
     with pytest.raises(EstimationError):
         largest_connected_set(np.ones((2, 3)))
+
+
+def test_connected_set_rejects_empty_matrix():
+    with pytest.raises(EstimationError, match="empty"):
+        largest_connected_set(np.zeros((0, 0)))
+
+
+def networkx_largest_connected_set(counts, directed):
+    """The reference answer: networkx's components, the same
+    (total counts, size) key, the first component on a tie."""
+    nx = pytest.importorskip("networkx")
+    graph = nx.from_numpy_array(
+        counts, create_using=nx.DiGraph if directed else nx.Graph
+    )
+    components = (
+        nx.strongly_connected_components(graph)
+        if directed
+        else nx.connected_components(graph)
+    )
+    return max(
+        (np.sort(np.fromiter(c, dtype=int)) for c in components),
+        key=lambda idx: (float(counts[idx].sum()), len(idx)),
+    )
+
+
+def random_count_matrix(rng, n):
+    """Sparse or dense patterns of small integer counts (ties are
+    common) or float weights, with self-loops and all-zero rows."""
+    density = rng.choice([rng.uniform(0.0, 0.15), rng.uniform(0.3, 0.9)])
+    pattern = rng.random((n, n)) < density
+    if rng.random() < 0.5:
+        counts = pattern * rng.integers(1, 3, (n, n))
+    else:
+        counts = pattern * rng.random((n, n))
+    counts[np.diag_indices(n)] *= rng.random(n) < 0.5
+    counts[rng.random(n) < 0.1] = 0
+    return counts
+
+
+@pytest.mark.parametrize("directed", [True, False])
+@pytest.mark.parametrize("seed", range(4))
+def test_largest_connected_set_matches_networkx(seed, directed):
+    rng = np.random.default_rng(seed)
+    for _ in range(150):
+        counts = random_count_matrix(rng, int(rng.integers(1, 41)))
+        got = largest_connected_set(counts, directed=directed)
+        assert np.array_equal(
+            got, networkx_largest_connected_set(counts, directed)
+        ), counts
+
+
+@pytest.mark.parametrize("directed, expected", [(True, [3, 4]), (False, [0, 3, 4])])
+def test_largest_connected_set_tie_goes_to_networkx_choice(directed, expected):
+    # 0 -> 3 leads into the 2-cycle 3 <-> 4, which ties 1 <-> 2 on
+    # weight and size.  The search from source 0 finishes {3, 4} first,
+    # so that is networkx's pick even though {1, 2} has smaller states.
+    C = np.zeros((5, 5))
+    C[3, 4] = C[4, 3] = C[1, 2] = C[2, 1] = 2
+    C[0, 3] = 1
+    got = largest_connected_set(C, directed=directed)
+    np.testing.assert_array_equal(got, networkx_largest_connected_set(C, directed))
+    np.testing.assert_array_equal(got, expected)
+
+
+def test_largest_connected_set_long_chain_is_not_recursive():
+    """A 5 000-state path (a cycle when closed) is one component, found
+    without touching the recursion limit."""
+    n = 5000
+    path = np.eye(n, k=1)
+    np.testing.assert_array_equal(largest_connected_set(path, directed=False), np.arange(n))
+    path[-1, 0] = 1
+    np.testing.assert_array_equal(largest_connected_set(path), np.arange(n))
+
+
+_FOOTPRINT_PROBE = """
+import sys
+import repro.api, repro.core.msm_controller, repro.msm, repro.lab
+print(sorted(m for m in ("networkx", "scipy") if m in sys.modules))
+sys.modules["networkx"] = None  # any import of it now fails
+import numpy as np
+from repro.msm import MarkovStateModel, trim_counts
+rng = np.random.default_rng(0)
+dtrajs = [rng.integers(0, 5, 200) for _ in range(3)]
+msm = MarkovStateModel(lag=1).fit(dtrajs, n_states=6)
+print(msm.transition_matrix.shape)
+print(trim_counts(np.array([[1, 5, 1], [4, 1, 0], [0, 0, 0]]))[1].tolist())
+"""
+
+
+def test_runtime_needs_neither_networkx_nor_scipy():
+    """The run path imports neither, and fits an MSM with networkx
+    unimportable.  A fresh interpreter, so this suite's own imports
+    cannot hide one."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    out = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT_PROBE],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.splitlines()
+    assert out == ["[]", "(5, 5)", "[0, 1]"]
 
 
 # ------------------------------------------------------------ properties

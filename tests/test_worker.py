@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.command import Command
-from repro.md.engine import MDTask
+from repro.md.engine import MDEngine, MDTask
 from repro.net import Network
 from repro.server import CopernicusServer
 from repro.worker import (
@@ -165,6 +165,33 @@ def test_worker_segments_merge_frames():
     # report interval 100, 600 steps -> frames at 0,100,...,600
     assert len(times) == 7
     assert result["steps_completed"] == 600
+
+
+@pytest.mark.parametrize("report_interval, n_frames", [(150, 7), (500, 2)])
+def test_worker_segmented_command_frames_equal_direct_run(report_interval, n_frames):
+    """Segments that resume off the report grid (400-step segments) add
+    no frames, and a segment that crosses no report step (800-900 at
+    interval 500) adds none either: the command's result is the direct
+    engine run's, bit for bit."""
+    net, server, worker = make_rig(segment_steps=400)
+    results = []
+    server.host_project("p", lambda c, r: results.append(r))
+    task = MDTask(
+        model="villin-fast",
+        n_steps=900,
+        report_interval=report_interval,
+        seed=2,
+        task_id="c0",
+    )
+    server.submit_commands(
+        [Command(command_id="c0", project_id="p", executable="mdrun", payload=task.to_payload())]
+    )
+    worker.announce(0.0)
+    worker.work_once(now=1.0)
+    direct = MDEngine().run(task)
+    assert len(direct.times) == n_frames
+    np.testing.assert_array_equal(np.asarray(results[0]["frames"]), direct.frames)
+    np.testing.assert_array_equal(np.asarray(results[0]["times"]), direct.times)
 
 
 def test_worker_heartbeats_during_segments():
