@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.controller import Controller
 from repro.core.events import EventKind
@@ -131,6 +131,9 @@ class MultiProjectRunner(ProjectRunner):
         #: Names of shards failed over so far (workers still pointing
         #: at one are re-homed when a replacement shard joins).
         self._dead_shards: set = set()
+        #: (outstanding, completed, shard) last exported per tenant, so
+        #: a status refresh sets only the gauges that changed.
+        self._gauged: Dict[str, Tuple[int, int, str]] = {}
 
     # -- routing -------------------------------------------------------------
 
@@ -547,19 +550,24 @@ class MultiProjectRunner(ProjectRunner):
     def _refresh_status(self) -> None:
         super()._refresh_status()
         for pid, project in self._projects.items():
+            shard = self.shard_of(pid)
+            gauged = (project.outstanding, project.completed, shard)
+            if self._gauged.get(pid) == gauged:
+                continue
+            self._gauged[pid] = gauged
             self.obs.metrics.set_gauge(
                 "repro_tenant_commands_outstanding",
                 project.outstanding,
                 help="Issued-minus-completed commands per tenant.",
                 project=pid,
-                shard=self.shard_of(pid),
+                shard=shard,
             )
             self.obs.metrics.set_gauge(
                 "repro_tenant_commands_completed",
                 project.completed,
                 help="Completed commands per tenant.",
                 project=pid,
-                shard=self.shard_of(pid),
+                shard=shard,
             )
 
     def tenant_report(self) -> Dict[str, Dict]:

@@ -251,6 +251,8 @@ class Network:
         self._endpoints: Dict[str, Endpoint] = {}
         self._links: Dict[Tuple[str, str], Link] = {}
         self._adjacency: Dict[str, List[str]] = {}
+        #: (src, dst) -> shortest path; cleared whenever the graph grows
+        self._routes: Dict[Tuple[str, str], List[str]] = {}
         #: filesystem name -> set of endpoint names mounting it
         self._filesystems: Dict[str, set] = {}
         #: Virtual clock accumulating transfer time of the longest path
@@ -282,6 +284,7 @@ class Network:
             raise CommunicationError(f"duplicate endpoint name {endpoint.name!r}")
         self._endpoints[endpoint.name] = endpoint
         self._adjacency[endpoint.name] = []
+        self._routes.clear()
 
     def endpoint(self, name: str) -> Endpoint:
         """Look up an endpoint by name."""
@@ -313,6 +316,7 @@ class Network:
         self._links[key] = link
         self._adjacency[a].append(b)
         self._adjacency[b].append(a)
+        self._routes.clear()
         return link
 
     def attach_filesystem(self, fs_name: str, endpoints: List[str]) -> None:
@@ -350,11 +354,21 @@ class Network:
     def shortest_path(self, src: str, dst: str) -> List[str]:
         """Lowest-latency path between two endpoints (Dijkstra).
 
+        Paths are memoised per ``(src, dst)`` until an endpoint or link
+        is added (link latencies are read as they were when the route
+        was found); each call returns a fresh list.
+
         Raises
         ------
         CommunicationError
             If no path exists.
         """
+        route = self._routes.get((src, dst))
+        if route is None:
+            route = self._routes[(src, dst)] = self._dijkstra(src, dst)
+        return list(route)
+
+    def _dijkstra(self, src: str, dst: str) -> List[str]:
         import heapq
 
         if src not in self._endpoints or dst not in self._endpoints:

@@ -279,11 +279,9 @@ class FairShareScheduler:
         """
         from repro.worker.coalesce import BATCH_EXECUTABLE, coalesce_key
 
-        # the one sort of this build: per-tenant lanes in queue order
-        ordered = queue.commands()
-        lanes: Dict[str, List[Command]] = {}
-        for command in ordered:
-            lanes.setdefault(command.project_id, []).append(command)
+        # per-tenant lanes in queue order, kept by the queue itself (a
+        # live view: take() below shrinks them, and drops emptied ones)
+        lanes = queue.lanes()
         if len(lanes) <= 1 and all(
             self.policy.for_tenant(t) == DEFAULT_POLICY for t in lanes
         ):
@@ -299,15 +297,29 @@ class FairShareScheduler:
         )
         workload: List[Tuple[Command, int]] = []
         free = caps.cores
-        # Queued commands past the aging bound, in queue order.  Empty
-        # unless the oldest queued stamp is older than max_wait_seconds,
-        # and nothing ages during a build (``now`` is fixed), so the aged
-        # pass and the self-check below have nothing to select outside it.
+        # Queued commands past the aging bound, in queue order.  Nothing
+        # ages during a build (``now`` is fixed), so the aged pass and
+        # the self-check below have nothing to select outside it; and it
+        # is empty unless the oldest stamp is past the bound (a command
+        # without a stamp never ages, a stale stamp only costs a scan).
         horizon = self.policy.max_wait_seconds
-        aged = [
-            c for c in ordered
-            if now - queued_at.get(c.scoped_id, now) > horizon
-        ]
+        aged: List[Command] = []
+        if queued_at and now - min(queued_at.values()) > horizon:
+            aged = [
+                c for c in queue.commands()
+                if now - queued_at.get(c.scoped_id, now) > horizon
+            ]
+        # the aged pass's pick order, oldest enqueue first (stable, so
+        # equal keys keep queue order, as min() over ``aged`` would)
+        by_age = sorted(
+            aged,
+            key=lambda c: (
+                queued_at.get(c.scoped_id, now),
+                c.priority,
+                c.project_id,
+                c.command_id,
+            ),
+        )
         #: tenant -> its first dispatchable command, or None
         heads: Dict[str, Optional[Command]] = {}
 
@@ -335,30 +347,19 @@ class FairShareScheduler:
                 if found is None or found.min_cores <= free:
                     return found
             found = heads[tenant] = next(
-                (c for c in lanes[tenant] if dispatchable(c)), None
+                (c for _, _, c in lanes[tenant] if dispatchable(c)), None
             )
             return found
 
         def take(command: Command) -> None:
             queue.remove(command)
-            _remove_identical(lanes[command.project_id], command)
             heads.pop(command.project_id, None)
             _remove_identical(aged, command)
+            _remove_identical(by_age, command)
             self._note_dispatch(command)
 
         while not full():
-            command = None
-            if aged:
-                command = min(
-                    (c for c in aged if dispatchable(c)),
-                    key=lambda c: (
-                        queued_at.get(c.scoped_id, now),
-                        c.priority,
-                        c.project_id,
-                        c.command_id,
-                    ),
-                    default=None,
-                )
+            command = next((c for c in by_age if dispatchable(c)), None)
             if command is None:
                 tenant = min(
                     (t for t in lanes if head(t) is not None),
@@ -383,14 +384,14 @@ class FairShareScheduler:
                 continue
             # a coalesce key starts with the project id: riders can only
             # come from the seed command's own lane
-            lane = lanes[command.project_id]
+            lane = lanes.get(command.project_id, ())
             group = 1
             while group < caps.batch_capacity and not (
                 max_commands is not None and len(workload) >= max_commands
             ):
                 rider = next(
                     (
-                        c for c in lane
+                        c for _, _, c in lane
                         if coalesce_key(c) == key and self._admits(c)
                     ),
                     None,

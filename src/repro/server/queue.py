@@ -1,13 +1,15 @@
-"""Priority command queue."""
+"""Priority command queue, kept as one lane per project."""
 
 from __future__ import annotations
 
-import heapq
+import bisect
 import itertools
-from collections import Counter
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.command import Command
+
+#: One queued command: ``(priority, insertion sequence, command)``.
+Entry = Tuple[int, int, Command]
 
 
 class CommandQueue:
@@ -15,44 +17,56 @@ class CommandQueue:
 
     The routing priority encoded on each command determines run order,
     matching the paper's description; FIFO breaks ties so generations
-    drain in submission order.
+    drain in submission order.  Commands are held in per-project lanes,
+    each in that same order, so a scheduler can read every tenant's
+    queue without sorting or splitting the whole queue; the queue order
+    is the merge of the lanes.
     """
 
     def __init__(self) -> None:
-        self._heap: List = []
+        #: project id -> its queued entries, in queue order (no empty lanes)
+        self._lanes: Dict[str, List[Entry]] = {}
         self._counter = itertools.count()
-        #: Queued commands per project (the backpressure depth index).
-        self._depth: Counter = Counter()
+        self._size = 0
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return self._size
 
     def push(self, command: Command) -> None:
         """Enqueue a command."""
-        heapq.heappush(self._heap, (command.priority, next(self._counter), command))
-        self._depth[command.project_id] += 1
+        entry = (command.priority, next(self._counter), command)
+        bisect.insort(self._lanes.setdefault(command.project_id, []), entry)
+        self._size += 1
+
+    def _ordered(self) -> List[Entry]:
+        # the lanes are sorted runs: the sort finds and merges them
+        return sorted(itertools.chain.from_iterable(self._lanes.values()))
+
+    def _discard(self, lane: List[Entry], position: int) -> None:
+        project_id = lane.pop(position)[2].project_id
+        if not lane:
+            del self._lanes[project_id]
+        self._size -= 1
 
     def peek(self) -> Optional[Command]:
         """The next command without removing it (None when empty)."""
-        return self._heap[0][2] if self._heap else None
+        head = min((lane[0] for lane in self._lanes.values()), default=None)
+        return head[2] if head is not None else None
 
     def pop(self) -> Optional[Command]:
         """Remove and return the next command (None when empty)."""
-        if not self._heap:
-            return None
-        command = heapq.heappop(self._heap)[2]
-        self._depth[command.project_id] -= 1
+        command = self.peek()
+        if command is not None:
+            self._discard(self._lanes[command.project_id], 0)
         return command
 
     def pop_matching(
         self, predicate: Callable[[Command], bool]
     ) -> Optional[Command]:
         """Remove and return the best-priority command satisfying *predicate*."""
-        for entry in sorted(self._heap):
+        for entry in self._ordered():
             if predicate(entry[2]):
-                self._heap.remove(entry)
-                heapq.heapify(self._heap)
-                self._depth[entry[2].project_id] -= 1
+                self.remove(entry[2])
                 return entry[2]
         return None
 
@@ -61,30 +75,29 @@ class CommandQueue:
 
         Raises ``ValueError`` when it is not queued.
         """
-        for position, entry in enumerate(self._heap):
+        lane = self._lanes.get(command.project_id, ())
+        for position, entry in enumerate(lane):
             if entry[2] is command:
-                del self._heap[position]
-                heapq.heapify(self._heap)
-                self._depth[command.project_id] -= 1
+                self._discard(lane, position)
                 return
         raise ValueError(f"command {command.command_id!r} is not queued")
 
     def commands(self) -> List[Command]:
         """All queued commands in priority order (non-destructive)."""
-        # sorting in place is free to do: a sorted list is a valid heap,
-        # and the next call finds it already in order
-        self._heap.sort()
-        return [entry[2] for entry in self._heap]
+        return [entry[2] for entry in self._ordered()]
+
+    def lanes(self) -> Dict[str, List[Entry]]:
+        """Project id -> its queued ``(priority, seq, command)`` entries in
+        queue order.  A live view for schedulers: read it, and change
+        the queue only through this class's methods."""
+        return self._lanes
 
     def depth(self, project_id: str) -> int:
         """How many commands of *project_id* are queued."""
-        return self._depth[project_id]
+        return len(self._lanes.get(project_id, ()))
 
     def remove_project(self, project_id: str) -> int:
         """Drop every command of a project; returns how many were removed."""
-        keep = [e for e in self._heap if e[2].project_id != project_id]
-        removed = len(self._heap) - len(keep)
-        self._heap = keep
-        heapq.heapify(self._heap)
-        del self._depth[project_id]
+        removed = len(self._lanes.pop(project_id, ()))
+        self._size -= removed
         return removed

@@ -95,9 +95,10 @@ class CopernicusServer(Endpoint):
         #: used to stamp events that arrive without their own clock.
         self.clock = 0.0
         #: Optional durable journal (see :meth:`attach_journal`).  When
-        #: set, every state transition of a hosted project — issue,
-        #: lease, checkpoint, result, requeue — is journaled *before*
-        #: it is acknowledged, so a restarted server can resume.
+        #: set, every transition a resume reads of a hosted project —
+        #: issue, checkpoint, result, epoch — is journaled *before* it
+        #: is acknowledged, so a restarted server can resume.  Leases
+        #: stay in memory: a resume requeues every outstanding command.
         self.journal: Optional[ServerJournal] = None
         #: Virtual enqueue time per queued command, by scoped key
         #: (feeds the ``queue.wait`` spans and the queue-wait histogram).
@@ -655,22 +656,11 @@ class CopernicusServer(Endpoint):
             if int(command.epoch) < current:
                 # a stale-regime command (e.g. fetched from a zombie
                 # peer's queue) must never be leased: drop it here,
-                # before the lease is journaled or granted
+                # before the lease is granted
                 self._reject_fenced(command, current, path="lease")
                 continue
             admitted.append((command, cores))
         workload = admitted
-        if self.journal is not None:
-            leases: Dict[str, List[str]] = {}
-            for command, _ in workload:
-                leases.setdefault(command.project_id, []).append(
-                    command.command_id
-                )
-            for project_id, command_ids in leases.items():
-                journal = self._journal_for(project_id)
-                if journal is not None:
-                    # lease is durable before the workload response
-                    journal.record_assigned(caps.worker, command_ids)
         assigned = self.assignments.setdefault(caps.worker, {})
         out_commands, out_cores = [], []
         for command, cores in workload:
@@ -763,6 +753,10 @@ class CopernicusServer(Endpoint):
         workload = self._build_workload(caps, max_commands=max_commands)
         if not workload:
             return None  # keep walking the overlay
+        for command, _ in workload:
+            # it left this queue: a stale stamp would only send the
+            # fair-share aging pass scanning for nothing
+            self._queued_at.pop(command.scoped_id, None)
         self._drain_deferred()
         return {
             "commands": [c.to_payload() for c, _ in workload],
@@ -1113,16 +1107,6 @@ class CopernicusServer(Endpoint):
                 for key, command in in_flight.items()
                 if key not in self.completed_ids
             }
-            if self.journal is not None and requeue:
-                requeues: Dict[str, List[str]] = {}
-                for command in requeue.values():
-                    requeues.setdefault(command.project_id, []).append(
-                        command.command_id
-                    )
-                for project_id, command_ids in requeues.items():
-                    journal = self._journal_for(project_id)
-                    if journal is not None:
-                        journal.record_requeued(worker, command_ids)
             for key, command in requeue.items():
                 checkpoint = self.monitor.checkpoint_for(worker, key)
                 if checkpoint is not None:

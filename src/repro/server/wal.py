@@ -6,25 +6,34 @@ the project server itself.  This module provides the durable half of
 that promise:
 
 * :class:`WriteAheadLog` — an append-only log of length-prefixed,
-  CRC-checksummed records, fsync'd before the caller proceeds, split
-  into rotating segment files.  Recovery tolerates a torn tail (a
+  CRC-checksummed records split into rotating segment files.  Opening
+  it decodes each surviving record once, tolerating a torn tail (a
   record cut short by the crash) by truncating back to the last fully
   written record; corruption anywhere else raises
   :class:`~repro.util.errors.JournalCorruptionError`.
 * :class:`ProjectJournal` — typed state transitions for one project
-  (commands issued, leased to a worker, checkpoint reported, result
-  applied, requeued after a failure), journaled *before* they are
-  acknowledged, plus size-triggered snapshot compaction: once the log
-  has outgrown the previous snapshot, the full mirrored state is
-  written atomically and the covered log segments deleted.
+  (commands issued, checkpoint reported, result applied, ownership
+  epoch bumped), durable *before* they are acknowledged, plus
+  size-triggered snapshot compaction: once the log has outgrown the
+  previous snapshot, the full mirrored state is written atomically and
+  the covered log segments deleted.
 * :class:`ServerJournal` — the per-server root directory handing out
   one :class:`ProjectJournal` per hosted project.
 
 Recovery (:meth:`ProjectJournal.recover`) returns the ordered result
-history, the exactly-once barrier (completed command ids), the lease
-table and the last checkpoint per command — everything
-:meth:`repro.core.runner.ProjectRunner.resume` needs to rebuild queue
-and controller state and continue the project.
+history, the exactly-once barrier (completed command ids), the issued
+ids, the last checkpoint per command and the ownership epoch —
+everything :meth:`repro.core.runner.ProjectRunner.resume` needs to
+rebuild queue and controller state and continue the project.  Leases
+are not journaled: a resumed project requeues every outstanding
+command, leased or not, so live leases stay in the server's memory.
+
+Each record costs one fsync, except where other writes already make
+it durable: a result that triggers a snapshot is covered by the
+snapshot's own fsyncs, and a fresh segment's magic bytes by its first
+record's.  Deleting compacted segments is not fsync'd either: an
+unlink lost in a crash can only bring back records the snapshot
+covers, which loading skips by sequence number.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core.command import Command
 from repro.util.errors import (
@@ -74,7 +83,12 @@ def _sweep_temp_files(directory: Path) -> int:
 
 
 class WriteAheadLog:
-    """Append-only, checksummed, fsync'd record log with segment rotation.
+    """Append-only, checksummed record log with segment rotation.
+
+    :meth:`append` writes and flushes a record; :meth:`sync` makes every
+    appended record durable.  Opening a log repairs a torn tail and
+    keeps the surviving records, decoded once, for the owner to take
+    (:meth:`take_recovered`).
 
     Parameters
     ----------
@@ -83,8 +97,8 @@ class WriteAheadLog:
     segment_bytes:
         Rotate to a fresh segment once the current one exceeds this size.
     fsync:
-        Whether to fsync after every append (disable only in tests that
-        measure something else).
+        Whether :meth:`sync` and segment creation fsync (disable only in
+        tests that measure something else).
     """
 
     def __init__(
@@ -102,8 +116,6 @@ class WriteAheadLog:
         self.segment_bytes = int(segment_bytes)
         self.fsync = bool(fsync)
         self._handle = None
-        #: Records appended or recovered so far (next record's sequence).
-        self.next_seq = 0
         _sweep_temp_files(self.directory)
         existing = self.segments()
         #: Index of the next segment file to create (monotone across
@@ -111,7 +123,12 @@ class WriteAheadLog:
         self._next_index = (
             self._segment_index(existing[-1]) + 1 if existing else 0
         )
-        self._repair_tail()
+        #: Records that survived the open's tail repair, in order.
+        self._recovered: List[dict] = list(self._scan(repair=True))
+        #: Next record's sequence number (continues the surviving log).
+        self.next_seq = (
+            int(self._recovered[-1]["seq"]) + 1 if self._recovered else 0
+        )
         #: Bytes the surviving segments hold (headers included) — what a
         #: recovery has to read back; zero again after a compaction.
         self.size_bytes = sum(p.stat().st_size for p in self.segments())
@@ -144,8 +161,10 @@ class WriteAheadLog:
         self._handle.write(SEGMENT_MAGIC)
         self._handle.flush()
         self.size_bytes += len(SEGMENT_MAGIC)
+        # the directory entry is durable now; the magic bytes become
+        # durable with the first record's sync (a crash before it leaves
+        # a short headerless final segment, which opening drops)
         if self.fsync:
-            os.fsync(self._handle.fileno())
             _fsync_path(self.directory)
 
     def close(self) -> None:
@@ -157,11 +176,11 @@ class WriteAheadLog:
     # -- writing -----------------------------------------------------------
 
     def append(self, record: dict) -> int:
-        """Durably append one record; returns its sequence number.
+        """Append one record; returns its sequence number.
 
-        The record is on disk (written, flushed, fsync'd) when this
-        returns — the caller may then acknowledge the transition it
-        describes.
+        The record is written and flushed when this returns, and
+        durable after the next :meth:`sync` — only then may the caller
+        acknowledge the transition it describes.
         """
         seq = self.next_seq
         payload = encode_message(dict(record, seq=seq))
@@ -175,42 +194,38 @@ class WriteAheadLog:
         )
         self._handle.write(payload)
         self._handle.flush()
-        if self.fsync:
-            os.fsync(self._handle.fileno())
         self.next_seq = seq + 1
         self.size_bytes += _RECORD_HEADER.size + len(payload)
         return seq
+
+    def sync(self) -> None:
+        """fsync the open segment: every appended record is durable."""
+        if self.fsync and self._handle is not None:
+            os.fsync(self._handle.fileno())
 
     def truncate_all(self) -> None:
         """Delete every segment (after a snapshot made them redundant).
 
         Segment numbering keeps increasing, so a snapshot racing an old
-        directory listing can never confuse old and new segments.
+        directory listing can never confuse old and new segments.  The
+        unlinks are not fsync'd: segments a crash brings back hold only
+        records the snapshot covers, and the next segment's directory
+        fsync makes the deletions durable.
         """
         self.close()
         for path in self.segments():
             path.unlink()
         self.size_bytes = 0
-        if self.fsync:
-            _fsync_path(self.directory)
 
     # -- reading / recovery ------------------------------------------------
 
-    def _repair_tail(self) -> None:
-        """Scan existing segments, truncating a torn tail in the last one.
-
-        Also establishes ``next_seq`` from the surviving records so
-        appends after a restart continue the sequence.
-        """
-        last = 0
-        count = 0
-        for record in self._scan(repair=True):
-            last = int(record.get("seq", last))
-            count += 1
-        self.next_seq = last + 1 if count else 0
+    def take_recovered(self) -> List[dict]:
+        """The records the open decoded, once (later calls get ``[]``)."""
+        records, self._recovered = self._recovered, []
+        return records
 
     def records(self) -> Iterator[dict]:
-        """Yield every surviving record in order (tail already repaired)."""
+        """Re-read every surviving record from disk, in order."""
         return self._scan(repair=True)
 
     def _scan(self, repair: bool) -> Iterator[dict]:
@@ -298,35 +313,16 @@ class JournalState:
     issued_ids: Set[str] = field(default_factory=set)
     #: Latest reported checkpoint per in-flight command id.
     checkpoints: Dict[str, dict] = field(default_factory=dict)
-    #: Open leases: worker -> command ids assigned and not yet resolved.
-    leases: Dict[str, Set[str]] = field(default_factory=dict)
-    #: Requeue transitions journaled (for reports/assertions).
-    requeues: int = 0
     #: Ownership epoch: monotonic per project, bumped on failover before
     #: the journal ships, reseeded into the successor on resume.  Every
     #: effectful write is fenced against it (invariant 14).
     epoch: int = 0
-
-    def lease_holder(self, command_id: str) -> Optional[str]:
-        """The worker currently leasing *command_id*, if any."""
-        for worker, ids in self.leases.items():
-            if command_id in ids:
-                return worker
-        return None
-
-    def _release(self, command_id: str) -> None:
-        for ids in self.leases.values():
-            ids.discard(command_id)
 
     def apply(self, record: dict) -> None:
         """Fold one journal record into the mirrored state."""
         kind = record.get("type")
         if kind == "issued":
             self.issued_ids.update(record["command_ids"])
-        elif kind == "assigned":
-            self.leases.setdefault(record["worker"], set()).update(
-                record["command_ids"]
-            )
         elif kind == "checkpoint":
             self.checkpoints[record["command"]] = record["checkpoint"]
         elif kind == "result":
@@ -337,13 +333,6 @@ class JournalState:
             self.completed_ids.add(command.command_id)
             self.issued_ids.add(command.command_id)
             self.checkpoints.pop(command.command_id, None)
-            self._release(command.command_id)
-        elif kind == "requeued":
-            ids = set(record["command_ids"])
-            self.leases.setdefault(record["worker"], set()).difference_update(
-                ids
-            )
-            self.requeues += len(ids)
         elif kind == "epoch":
             # epochs only move forward; a replayed stale bump is a no-op
             self.epoch = max(self.epoch, int(record["epoch"]))
@@ -364,8 +353,6 @@ class JournalState:
             "completed_ids": sorted(self.completed_ids),
             "issued_ids": sorted(self.issued_ids),
             "checkpoints": dict(self.checkpoints),
-            "leases": {w: sorted(ids) for w, ids in self.leases.items()},
-            "requeues": int(self.requeues),
             "epoch": int(self.epoch),
         }
 
@@ -383,8 +370,6 @@ class JournalState:
             completed_ids=set(payload["completed_ids"]),
             issued_ids=set(payload["issued_ids"]),
             checkpoints=dict(payload["checkpoints"]),
-            leases={w: set(ids) for w, ids in payload["leases"].items()},
-            requeues=int(payload.get("requeues", 0)),
             # pre-epoch snapshots load at epoch 0 (first ownership)
             epoch=int(payload.get("epoch", 0)),
         )
@@ -393,9 +378,12 @@ class JournalState:
 class ProjectJournal:
     """Durable, typed state transitions for one project.
 
-    Every ``record_*`` call appends to the write-ahead log (fsync'd)
-    *before* returning, so the caller can acknowledge the transition
-    knowing a restart will see it.  A full in-memory mirror of the
+    Every ``record_*`` call makes its record durable *before*
+    returning — by the log's fsync, or by the snapshot the record
+    triggered — so the caller can acknowledge the transition knowing a
+    restart will see it.  Recovery returns results, completed and
+    issued ids, checkpoints and the epoch; leases live in the server's
+    memory only.  A full in-memory mirror of the
     durable state is maintained and compacted into a snapshot when
     **both** hold: at least ``snapshot_every`` results were applied
     since the last snapshot (``None`` disables compaction), and the log
@@ -427,8 +415,9 @@ class ProjectJournal:
         self.wal = WriteAheadLog(
             self.directory / "wal", segment_bytes=segment_bytes, fsync=fsync
         )
-        #: Live mirror of the durable state (== recover() at all times).
-        self.state, snapshot_seq = self._load()
+        #: Live mirror of the durable state (== recover() at all times),
+        #: folded from the records the log's open already decoded.
+        self.state, snapshot_seq = self._load(self.wal.take_recovered())
         # a compaction empties the log; new records must keep sequencing
         # past the snapshot or recovery would skip them
         self.wal.next_seq = max(self.wal.next_seq, snapshot_seq + 1)
@@ -446,8 +435,8 @@ class ProjectJournal:
     def _snapshot_paths(self) -> List[Path]:
         return sorted(self.directory.glob("snapshot-*.bin"))
 
-    def _load(self) -> Tuple[JournalState, int]:
-        """Newest snapshot + surviving log records -> mirrored state.
+    def _load(self, records: Iterable[dict]) -> Tuple[JournalState, int]:
+        """Newest snapshot + surviving log *records* -> mirrored state.
 
         Returns ``(state, snapshot_seq)`` where ``snapshot_seq`` is the
         last journal sequence number the snapshot covers (-1 if none).
@@ -464,7 +453,7 @@ class ProjectJournal:
                 ) from exc
             snapshot_seq = int(payload.get("last_seq", -1))
             state = JournalState.from_payload(payload)
-        for record in self.wal.records():
+        for record in records:
             if int(record.get("seq", -1)) <= snapshot_seq:
                 continue  # already folded into the snapshot
             state.apply(record)
@@ -472,7 +461,7 @@ class ProjectJournal:
 
     def recover(self) -> JournalState:
         """Re-read snapshot + log from disk (what a restart would see)."""
-        return self._load()[0]
+        return self._load(self.wal.records())[0]
 
     def snapshot(self) -> Path:
         """Write the mirrored state atomically and compact the log."""
@@ -499,15 +488,18 @@ class ProjectJournal:
         self.snapshots_written += 1
         return final
 
-    def _maybe_snapshot(self) -> None:
+    def _maybe_snapshot(self) -> bool:
+        """Snapshot if the compaction rule says so; whether it did."""
         if self.snapshot_every is None:
-            return
+            return False
         applied = len(self.state.results)
         if (
             applied - self._results_at_last_snapshot >= self.snapshot_every
             and self.wal.size_bytes >= self._snapshot_bytes
         ):
             self.snapshot()
+            return True
+        return False
 
     # -- journaled transitions --------------------------------------------
 
@@ -516,32 +508,23 @@ class ProjectJournal:
         """Results durably applied so far."""
         return len(self.state.results)
 
-    def _append(self, record: dict) -> None:
+    def _append(self, record: dict, may_compact: bool = False) -> None:
+        """Journal and fold *record*; durable on return, by the log's
+        fsync or by the snapshot it triggered (which covers it)."""
         self.wal.append(record)
         self.state.apply(record)
+        if not (may_compact and self._maybe_snapshot()):
+            self.wal.sync()
 
     def record_issued(self, commands: List[Command]) -> None:
-        """Commands entered the queue (journal before acknowledging)."""
+        """Commands entered the queue (journal before acknowledging).
+
+        Only the ids are journaled: a resume gets the commands back
+        from the deterministic controller replay."""
         if not commands:
             return
         self._append(
-            {
-                "type": "issued",
-                "command_ids": [c.command_id for c in commands],
-                "commands": [c.to_payload() for c in commands],
-            }
-        )
-
-    def record_assigned(self, worker: str, command_ids: List[str]) -> None:
-        """Commands leased to *worker* (journal before the workload ack)."""
-        if not command_ids:
-            return
-        self._append(
-            {
-                "type": "assigned",
-                "worker": worker,
-                "command_ids": list(command_ids),
-            }
+            {"type": "issued", "command_ids": [c.command_id for c in commands]}
         )
 
     def record_checkpoint(
@@ -564,9 +547,9 @@ class ProjectJournal:
                 "type": "result",
                 "command": command.to_payload(),
                 "result": result,
-            }
+            },
+            may_compact=True,
         )
-        self._maybe_snapshot()
 
     def record_epoch(self, epoch: int) -> None:
         """The project's ownership epoch moved forward (journal before
@@ -574,18 +557,6 @@ class ProjectJournal:
         if int(epoch) <= self.state.epoch:
             return  # idempotent: epochs only move forward
         self._append({"type": "epoch", "epoch": int(epoch)})
-
-    def record_requeued(self, worker: str, command_ids: List[str]) -> None:
-        """Leased commands of a dead worker went back on the queue."""
-        if not command_ids:
-            return
-        self._append(
-            {
-                "type": "requeued",
-                "worker": worker,
-                "command_ids": list(command_ids),
-            }
-        )
 
     def close(self) -> None:
         """Release the log's append handle."""

@@ -928,7 +928,7 @@ class Invariants:
             return violations
         wal = WriteAheadLog(wal_dir, fsync=False)
         try:
-            for record in wal.records():
+            for record in wal.take_recovered():
                 if int(record.get("seq", -1)) <= snapshot_seq:
                     continue  # already folded into the snapshot
                 kind = record.get("type")

@@ -187,16 +187,35 @@ def reproducible(canned, tmp_path_factory):
     return get
 
 
+def _journal_of(path: Path) -> Path:
+    """The project journal directory a file or directory belongs to
+    (``<journal>``, ``<journal>/wal`` or a file in either)."""
+    if not path.is_dir():
+        path = path.parent
+    return path.parent if path.name == "wal" else path
+
+
 @pytest.fixture
 def journal_io(monkeypatch):
     """What every project journal wrote during the test, counted at the
     journal's own entry points and keyed by journal directory:
     ``appended`` log bytes (segment headers included), the size of the
-    ``last_record``, record ``types`` in append order, and the
-    ``snapshots`` written as ``(results covered, bytes)``."""
-    io = {"appended": {}, "last_record": {}, "types": {}, "snapshots": {}}
+    ``last_record``, record ``types`` in append order, the ``snapshots``
+    written as ``(results covered, bytes)``, log ``segments`` started,
+    and ``fsyncs`` of the journal's files and directories (an fd is
+    resolved to its path through ``/proc/self/fd``, so Linux only)."""
+    io = {
+        "appended": {},
+        "last_record": {},
+        "types": {},
+        "snapshots": {},
+        "segments": {},
+        "fsyncs": {},
+    }
     real_append = WriteAheadLog.append
+    real_start_segment = WriteAheadLog._start_segment
     real_snapshot = ProjectJournal.snapshot
+    real_fsync = os.fsync
 
     def append(self, record):
         before = self.size_bytes
@@ -208,6 +227,11 @@ def journal_io(monkeypatch):
         io["types"].setdefault(owner, []).append(record.get("type"))
         return seq
 
+    def start_segment(self):
+        owner = self.directory.parent
+        io["segments"][owner] = io["segments"].get(owner, 0) + 1
+        real_start_segment(self)
+
     def snapshot(self):
         path = real_snapshot(self)
         io["snapshots"].setdefault(self.directory, []).append(
@@ -215,6 +239,13 @@ def journal_io(monkeypatch):
         )
         return path
 
+    def fsync(fd):
+        owner = _journal_of(Path(os.readlink(f"/proc/self/fd/{fd}")))
+        io["fsyncs"][owner] = io["fsyncs"].get(owner, 0) + 1
+        real_fsync(fd)
+
     monkeypatch.setattr(WriteAheadLog, "append", append)
+    monkeypatch.setattr(WriteAheadLog, "_start_segment", start_segment)
     monkeypatch.setattr(ProjectJournal, "snapshot", snapshot)
+    monkeypatch.setattr(os, "fsync", fsync)
     return io

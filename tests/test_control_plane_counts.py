@@ -11,8 +11,11 @@ same on every machine:
   snapshot — and compaction is rarer than one snapshot per
   ``snapshot_every`` results;
 * one result record per completed command, one issued record per wave,
-  one assigned record per (workload, project), and a cold recovery
-  reads back exactly the completed commands;
+  no lease records, and a cold recovery reads back exactly the
+  completed commands;
+* fsyncs per journal are exactly one per result record no snapshot
+  covers, one per issued record, two per snapshot (file, then the
+  rename's directory) and one per log segment started (its directory);
 * the scheduler's dispatch transcript (the ordered ``WORKLOAD_ASSIGNED``
   events) equals ``tests/data/control_plane_dispatch.txt``, produced by
   this file's scenario at the commit *before* dispatch was indexed
@@ -108,7 +111,6 @@ def test_control_plane_counts(tmp_path, journal_io):
         name: len(project.results_log) for name, project in out.projects.items()
     }
     assert completed == {f"t{k:02d}": WAVES * WIDTH for k in range(TENANTS)}
-    assigned = out.runner.events.filter(EventKind.WORKLOAD_ASSIGNED)
 
     snapshots = count_only = 0
     for shard in out.shards:
@@ -123,14 +125,15 @@ def test_control_plane_counts(tmp_path, journal_io):
             types = journal_io["types"][directory]
             assert types.count("result") == n
             assert types.count("issued") == WAVES
-            assert types.count("assigned") == sum(
-                tenant in event.details["projects"]
-                and event.details["server"] == shard.name
-                for event in assigned
-            )
-            assert set(types) == {"issued", "assigned", "result"}
+            assert set(types) == {"issued", "result"}
 
             points = journal_io["snapshots"][directory]
+            assert journal_io["fsyncs"][directory.resolve()] == (
+                (n - len(points))
+                + WAVES
+                + 2 * len(points)
+                + journal_io["segments"][directory]
+            )
             assert points[0][0] == spacing
             written = sum(size for _, size in points)
             assert written <= journal_io["appended"][directory] + points[-1][1]

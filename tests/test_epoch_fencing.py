@@ -136,12 +136,11 @@ def test_stale_queued_command_is_never_leased(tmp_path):
     worker.announce(0.0)
     owner.queue.push(stale_command(epoch=0))
     completed = worker.work_once(now=0.0)
-    # the stale command was dropped before the lease was granted or
-    # journaled — not handed to the worker, not left in the queue
+    # the stale command was dropped before the lease was granted —
+    # not handed to the worker, not left in the queue
     assert completed == 0
     assert len(owner.queue) == 0
     assert owner.leases._leases == {}
-    assert owner.journal.project("p").state.leases == {}
     assert owner.obs.metrics.value(
         "repro_fencing_rejections_total", server="srv", project="p", path="lease"
     ) == 1

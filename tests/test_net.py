@@ -105,12 +105,38 @@ def test_shortest_path_prefers_low_latency():
     assert net.shortest_path("a", "d") == ["a", "b", "c", "d"]
 
 
+def test_cached_route_follows_a_cheaper_link_added_later():
+    net = Network()
+    for name in "abc":
+        Endpoint(name, net, handler=echo_handler)
+    net.connect("a", "b", latency=0.01)
+    net.connect("b", "c", latency=0.01)
+    assert net.shortest_path("a", "c") == ["a", "b", "c"]  # now memoised
+    net.connect("a", "c", latency=0.001)
+    assert net.shortest_path("a", "c") == ["a", "c"]
+    Endpoint("d", net, handler=echo_handler)
+    net.connect("c", "d", latency=0.001)
+    assert net.shortest_path("a", "d") == ["a", "c", "d"]
+
+
+def test_mutating_a_returned_path_does_not_poison_the_route():
+    net = make_line_network()
+    path = net.shortest_path("a", "c")
+    path.reverse()
+    path.append("x")
+    assert net.shortest_path("a", "c") == ["a", "b", "c"]
+    assert net.shortest_path("a", "c") is not net.shortest_path("a", "c")
+
+
 def test_no_route_raises():
     net = Network()
     Endpoint("a", net, handler=echo_handler)
     Endpoint("b", net, handler=echo_handler)
     with pytest.raises(CommunicationError):
         net.shortest_path("a", "b")
+    # a failed search is not memoised: linking the two makes a route
+    net.connect("a", "b")
+    assert net.shortest_path("a", "b") == ["a", "b"]
 
 
 def test_unknown_endpoint_raises():
