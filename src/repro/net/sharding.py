@@ -19,6 +19,7 @@ across runs and machines.
 from __future__ import annotations
 
 import bisect
+import functools
 import hashlib
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -31,8 +32,11 @@ from repro.util.errors import ConfigurationError, UnknownShardError
 DEFAULT_REPLICAS = 64
 
 
+@functools.lru_cache(maxsize=4096)
 def stable_hash(key: str) -> int:
-    """A 64-bit position on the ring for *key* (process-independent)."""
+    """A 64-bit position on the ring for *key* (process-independent).
+
+    Memoised: every message a shard routes hashes its project id."""
     digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 

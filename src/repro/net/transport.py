@@ -255,6 +255,9 @@ class Network:
         self._routes: Dict[Tuple[str, str], List[str]] = {}
         #: filesystem name -> set of endpoint names mounting it
         self._filesystems: Dict[str, set] = {}
+        #: (a, b) -> whether they share a filesystem; cleared with
+        #: ``_routes`` and whenever a mount changes
+        self._shares: Dict[Tuple[str, str], bool] = {}
         #: Virtual clock accumulating transfer time of the longest path
         #: seen; useful for latency reports.
         self.total_transfer_seconds = 0.0
@@ -284,7 +287,7 @@ class Network:
             raise CommunicationError(f"duplicate endpoint name {endpoint.name!r}")
         self._endpoints[endpoint.name] = endpoint
         self._adjacency[endpoint.name] = []
-        self._routes.clear()
+        self._forget_routes()
 
     def endpoint(self, name: str) -> Endpoint:
         """Look up an endpoint by name."""
@@ -316,7 +319,7 @@ class Network:
         self._links[key] = link
         self._adjacency[a].append(b)
         self._adjacency[b].append(a)
-        self._routes.clear()
+        self._forget_routes()
         return link
 
     def attach_filesystem(self, fs_name: str, endpoints: List[str]) -> None:
@@ -330,13 +333,17 @@ class Network:
         for name in endpoints:
             self.endpoint(name)  # validates existence
         self._filesystems.setdefault(fs_name, set()).update(endpoints)
+        self._shares.clear()
 
     def share_filesystem(self, a: str, b: str) -> bool:
         """Whether two endpoints mount a common filesystem."""
-        return any(
-            a in members and b in members
-            for members in self._filesystems.values()
-        )
+        shared = self._shares.get((a, b))
+        if shared is None:
+            shared = self._shares[(a, b)] = any(
+                a in members and b in members
+                for members in self._filesystems.values()
+            )
+        return shared
 
     def link(self, a: str, b: str) -> Link:
         """The link between *a* and *b*."""
@@ -367,6 +374,11 @@ class Network:
         if route is None:
             route = self._routes[(src, dst)] = self._dijkstra(src, dst)
         return list(route)
+
+    def _forget_routes(self) -> None:
+        """The graph changed: drop every memoised path and share."""
+        self._routes.clear()
+        self._shares.clear()
 
     def _dijkstra(self, src: str, dst: str) -> List[str]:
         import heapq

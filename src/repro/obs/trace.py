@@ -63,7 +63,7 @@ class SpanContext:
         return cls(trace_id=str(trace_id), span_id=str(headers.get(SPAN_ID_HEADER, "")))
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One operation within a trace, on the virtual clock.
 
@@ -123,7 +123,7 @@ class Tracer:
             component=component,
             start=float(start),
             parent_id=parent_id,
-            attributes=dict(attributes),
+            attributes=attributes,  # **kwargs is a fresh dict: ours to keep
         )
         self.spans.append(span)
         return span
@@ -145,10 +145,19 @@ class Tracer:
         **attributes: Any,
     ) -> Span:
         """Record an already-complete span in one call."""
-        span = self.begin(
-            name, start, trace_id, component, parent_id=parent_id, **attributes
+        start = float(start)
+        span = Span(
+            name=name,
+            trace_id=trace_id,
+            span_id=self._next_span_id(),
+            component=component,
+            start=start,
+            end=max(float(end), start),
+            parent_id=parent_id,
+            attributes=attributes,
         )
-        return self.end(span, end)
+        self.spans.append(span)
+        return span
 
     # -- queries -----------------------------------------------------------
 

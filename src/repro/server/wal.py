@@ -116,6 +116,9 @@ class WriteAheadLog:
         self.segment_bytes = int(segment_bytes)
         self.fsync = bool(fsync)
         self._handle = None
+        #: Encoded payload of the newest appended record (its owner
+        #: reuses these bytes instead of encoding the record again).
+        self.last_payload = b""
         _sweep_temp_files(self.directory)
         existing = self.segments()
         #: Index of the next segment file to create (monotone across
@@ -196,6 +199,7 @@ class WriteAheadLog:
         self._handle.flush()
         self.next_seq = seq + 1
         self.size_bytes += _RECORD_HEADER.size + len(payload)
+        self.last_payload = payload
         return seq
 
     def sync(self) -> None:
@@ -300,6 +304,9 @@ class WriteAheadLog:
 #: Snapshot format version (bumped on incompatible layout changes).
 SNAPSHOT_VERSION = 1
 
+#: How a result record's encoding opens, before its snapshot entry.
+_RESULT_HEAD = b'{"type":"result",'
+
 
 @dataclass
 class JournalState:
@@ -318,15 +325,19 @@ class JournalState:
     #: effectful write is fenced against it (invariant 14).
     epoch: int = 0
 
-    def apply(self, record: dict) -> None:
-        """Fold one journal record into the mirrored state."""
+    def apply(self, record: dict, command: Optional[Command] = None) -> None:
+        """Fold one journal record into the mirrored state.
+
+        A result record's *command*, when the caller holds it, is kept
+        as it is instead of being rebuilt from the record."""
         kind = record.get("type")
         if kind == "issued":
             self.issued_ids.update(record["command_ids"])
         elif kind == "checkpoint":
             self.checkpoints[record["command"]] = record["checkpoint"]
         elif kind == "result":
-            command = Command.from_payload(record["command"])
+            if command is None:
+                command = Command.from_payload(record["command"])
             if command.command_id in self.completed_ids:
                 return  # replaying an idempotent duplicate
             self.results.append((command, record["result"]))
@@ -344,12 +355,14 @@ class JournalState:
     # -- snapshot (de)serialisation ---------------------------------------
 
     def to_payload(self) -> dict:
+        return self._payload(
+            [{"command": c.to_payload(), "result": r} for c, r in self.results]
+        )
+
+    def _payload(self, results: list) -> dict:
         return {
             "version": SNAPSHOT_VERSION,
-            "results": [
-                {"command": c.to_payload(), "result": r}
-                for c, r in self.results
-            ],
+            "results": results,
             "completed_ids": sorted(self.completed_ids),
             "issued_ids": sorted(self.issued_ids),
             "checkpoints": dict(self.checkpoints),
@@ -418,6 +431,11 @@ class ProjectJournal:
         #: Live mirror of the durable state (== recover() at all times),
         #: folded from the records the log's open already decoded.
         self.state, snapshot_seq = self._load(self.wal.take_recovered())
+        #: Per applied result, its snapshot entry's encoded interior
+        #: (``"command":…,"result":…``), sliced from its log record;
+        #: ``None`` for results loaded from disk until a snapshot
+        #: encodes them.
+        self._entries: List[Optional[bytes]] = [None] * len(self.state.results)
         # a compaction empties the log; new records must keep sequencing
         # past the snapshot or recovery would skip them
         self.wal.next_seq = max(self.wal.next_seq, snapshot_seq + 1)
@@ -463,11 +481,29 @@ class ProjectJournal:
         """Re-read snapshot + log from disk (what a restart would see)."""
         return self._load(self.wal.records())[0]
 
+    def _snapshot_blob(self) -> bytes:
+        """``encode_message`` of the state's payload plus ``last_seq``,
+        with the result history spliced in from the cached entries."""
+        for i, entry in enumerate(self._entries):
+            if entry is None:
+                command, result = self.state.results[i]
+                self._entries[i] = encode_message(
+                    {"command": command.to_payload(), "result": result}
+                )[1:-1]
+        skeleton = encode_message(
+            dict(self.state._payload([]), last_seq=self.wal.next_seq - 1)
+        )
+        # only {"version":N, precedes the history: the first match is it
+        head, tail = skeleton.split(b'"results":[', 1)
+        history = b"},{".join(self._entries)
+        if history:
+            history = b"{" + history + b"}"
+        return b"".join((head, b'"results":[', history, tail))
+
     def snapshot(self) -> Path:
         """Write the mirrored state atomically and compact the log."""
         n = len(self.state.results)
-        payload = dict(self.state.to_payload(), last_seq=self.wal.next_seq - 1)
-        blob = encode_message(payload)
+        blob = self._snapshot_blob()
         final = self.directory / f"snapshot-{n:08d}.bin"
         temp = self.directory / f".snapshot-{n:08d}.tmp"
         with open(temp, "wb") as handle:
@@ -508,13 +544,11 @@ class ProjectJournal:
         """Results durably applied so far."""
         return len(self.state.results)
 
-    def _append(self, record: dict, may_compact: bool = False) -> None:
-        """Journal and fold *record*; durable on return, by the log's
-        fsync or by the snapshot it triggered (which covers it)."""
+    def _append(self, record: dict) -> None:
+        """Journal and fold *record*; durable on return."""
         self.wal.append(record)
         self.state.apply(record)
-        if not (may_compact and self._maybe_snapshot()):
-            self.wal.sync()
+        self.wal.sync()
 
     def record_issued(self, commands: List[Command]) -> None:
         """Commands entered the queue (journal before acknowledging).
@@ -541,15 +575,25 @@ class ProjectJournal:
         )
 
     def record_result(self, command: Command, result: dict) -> None:
-        """A result is about to be applied to the project (journal first)."""
-        self._append(
-            {
-                "type": "result",
-                "command": command.to_payload(),
-                "result": result,
-            },
-            may_compact=True,
-        )
+        """A result is about to be applied to the project (journal first).
+
+        The record's own bytes, ``{"type":"result",<entry>,"seq":N}``,
+        keep the entry a later snapshot writes for this result."""
+        applied = len(self.state.results)
+        record = {
+            "type": "result",
+            "command": command.to_payload(),
+            "result": result,
+        }
+        seq = self.wal.append(record)
+        self.state.apply(record, command)
+        if len(self.state.results) > applied:
+            payload = self.wal.last_payload
+            self._entries.append(
+                payload[len(_RESULT_HEAD) : -len(b',"seq":%d}' % seq)]
+            )
+        if not self._maybe_snapshot():
+            self.wal.sync()
 
     def record_epoch(self, epoch: int) -> None:
         """The project's ownership epoch moved forward (journal before

@@ -12,7 +12,11 @@ same on every machine:
   ``snapshot_every`` results;
 * one result record per completed command, one issued record per wave,
   no lease records, and a cold recovery reads back exactly the
-  completed commands;
+  completed commands, parsing each blob once (none holds a tag to
+  rebuild);
+* the only encodes are the journal's: one per record and one per
+  snapshot (which splices its history from the records' bytes), none
+  for the messages, whose wire sizes are summed without encoding;
 * fsyncs per journal are exactly one per result record no snapshot
   covers, one per issued record, two per snapshot (file, then the
   rename's directory) and one per log segment started (its directory);
@@ -30,6 +34,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import repro.util.serialization as serialization
 from repro.api import Tenant, run_tenants
 from repro.core.command import Command
 from repro.core.controller import Controller
@@ -105,14 +110,33 @@ def dispatch_transcript(out) -> str:
     return "".join(f"{event}\n" for event in events)
 
 
-def test_control_plane_counts(tmp_path, journal_io):
+def _counting(monkeypatch, owner, name):
+    """Count the calls of ``owner.name``."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_control_plane_counts(tmp_path, journal_io, monkeypatch):
+    # every encode, whichever name it is called by, ends in the encoder
+    encodes = _counting(monkeypatch, serialization._ENCODER, "encode")
     out = run_scenario(tmp_path)
+    records = sum(len(types) for types in journal_io["types"].values())
+    compactions = sum(len(p) for p in journal_io["snapshots"].values())
+    assert len(encodes) == records + compactions
     completed = {
         name: len(project.results_log) for name, project in out.projects.items()
     }
     assert completed == {f"t{k:02d}": WAVES * WIDTH for k in range(TENANTS)}
 
     snapshots = count_only = 0
+    second_walks = _counting(monkeypatch, serialization, "_decode_value")
     for shard in out.shards:
         spacing = shard.journal.snapshot_every
         shard.journal.close()
@@ -144,6 +168,7 @@ def test_control_plane_counts(tmp_path, journal_io):
     # the count-only rule snapshots every `snapshot_every` results
     # however large the state has grown; the size rule spaces them out
     assert snapshots < count_only
+    assert second_walks == []
 
     assert dispatch_transcript(out) == TRANSCRIPT.read_text()
 

@@ -64,3 +64,19 @@ def test_attach_unknown_endpoint_rejected():
     net = rig()
     with pytest.raises(CommunicationError):
         net.attach_filesystem("fs", ["ghost"])
+
+
+def test_mount_added_after_a_lookup_changes_the_answer():
+    net = rig()
+    assert not net.share_filesystem("srv", "remote")
+    net.attach_filesystem("nfs", ["srv", "remote"])
+    assert net.share_filesystem("srv", "remote")
+    # a grown mount counts too, and sends see it
+    assert not net.share_filesystem("worker", "remote")
+    net.attach_filesystem("nfs", ["worker"])
+    assert net.share_filesystem("worker", "remote")
+    net.endpoint("remote").send(
+        "worker", MessageType.COMMAND_RESULT, {"frames": np.zeros((100, 50, 3))}
+    )
+    assert net.bytes_saved_by_shared_fs > 0
+

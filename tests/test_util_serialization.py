@@ -130,3 +130,54 @@ def test_round_trip_property_arrays(values, dtype):
     out = decode_message(encode_message({"a": arr}))["a"]
     np.testing.assert_array_equal(out, arr)
     assert out.dtype == arr.dtype
+
+
+# -- typed errors at the boundary ------------------------------------------
+
+
+def test_object_dtype_array_is_rejected_both_ways():
+    # its buffer holds pointers, which mean nothing to a peer
+    payload = {"x": np.array(["a", None], dtype=object)}
+    with pytest.raises(CommunicationError, match="object-dtype"):
+        encode_message(payload)
+    with pytest.raises(CommunicationError, match="object-dtype"):
+        message_size(payload)
+
+
+@pytest.mark.parametrize(
+    "scalar", [np.complex128(1 + 2j), np.complex64(1j), np.bytes_(b"ab")]
+)
+def test_numpy_scalar_without_json_form_is_rejected_both_ways(scalar):
+    with pytest.raises(CommunicationError, match="numpy scalar"):
+        encode_message({"x": scalar})
+    with pytest.raises(CommunicationError, match="numpy scalar"):
+        message_size({"x": scalar})
+
+
+def test_complex_array_still_round_trips():
+    arr = np.array([1 + 2j, -3j], dtype=np.complex128)
+    np.testing.assert_array_equal(decode_message(encode_message(arr)), arr)
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        # an object dtype cannot be rebuilt from bytes (ValueError)
+        b'{"x":{"__ndarray__":"AAAAAAAAAAA=","dtype":"|O","shape":[1]}}',
+        # bad base64 (binascii.Error, a ValueError)
+        b'{"x":{"__ndarray__":"A","dtype":"<f8","shape":[1]}}',
+        # buffer and shape disagree (ValueError)
+        b'{"x":{"__ndarray__":"AAAAAAAAAAA=","dtype":"<f8","shape":[2]}}',
+        # no dtype (KeyError)
+        b'{"x":{"__ndarray__":"AAAAAAAAAAA=","shape":[1]}}',
+        # a shape that is not a list of ints (TypeError)
+        b'{"x":{"__ndarray__":"AAAAAAAAAAA=","dtype":"<f8","shape":"a"}}',
+        # an unknown dtype name (TypeError)
+        b'{"x":{"__npscalar__":1,"dtype":"no-such-type"}}',
+        # a scalar its dtype cannot hold (ValueError)
+        b'{"x":{"__npscalar__":"abc","dtype":"<f8"}}',
+    ],
+)
+def test_errors_while_rebuilding_a_tag_are_typed(blob):
+    with pytest.raises(CommunicationError, match="malformed tagged value"):
+        decode_message(blob)

@@ -16,9 +16,15 @@ The WAL's crash-consistency contract, exercised byte by byte:
 Pure stdlib ``random.Random`` with fixed seeds, so failures replay.
 """
 
+import base64
+import json
 import os
 import random
+import shutil
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro.server.wal as wal_module
@@ -30,6 +36,7 @@ from repro.server.wal import (
     WriteAheadLog,
 )
 from repro.util.errors import ConfigurationError, JournalCorruptionError
+from repro.util.serialization import encode_message
 
 HEADER_SIZE = 8  # length (4B) + crc32 (4B), see wal._RECORD_HEADER
 
@@ -615,3 +622,225 @@ def test_cold_open_and_recover_decode_each_record_once_each(
         f"c{k}" for k in range(5)
     ]
     reopened.close()
+
+
+# ------------------------------------------------- snapshot byte identity
+#
+# A snapshot splices each result's entry out of the bytes of its own log
+# record instead of encoding the history again; results loaded from disk
+# have no such bytes until a snapshot encodes them.  Either way the file
+# must be exactly the full encoding of the mirrored state.
+
+
+def _same_results(a, b):
+    """:func:`_same_state` for results that may hold arrays."""
+    assert [c.to_payload() for c, _ in a.results] == [
+        c.to_payload() for c, _ in b.results
+    ]
+    assert encode_message([r for _, r in a.results]) == encode_message(
+        [r for _, r in b.results]
+    )
+    assert (a.completed_ids, a.issued_ids, a.checkpoints, a.epoch) == (
+        b.completed_ids, b.issued_ids, b.checkpoints, b.epoch
+    )
+
+
+def _full_encoding(journal):
+    return encode_message(
+        dict(journal.state.to_payload(), last_seq=journal.wal.next_seq - 1)
+    )
+
+
+def _rich_result(rng, k):
+    """Results of every shape a worker sends home."""
+    return rng.choice(
+        [
+            {"value": k},
+            {"value": k, "note": "é \"quoted\" \\ 😀"},
+            {"frames": np.arange(k % 4 + 1, dtype=np.float32), "n": np.int64(k)},
+            {"nested": [{"a": None, "b": [1.5, True]}], "empty": {}},
+            {"text": "__ndarray__ in a string"},
+        ]
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_each_snapshot_equals_a_full_encode_across_reopens(
+    tmp_path, monkeypatch, seed
+):
+    rng = random.Random(seed)
+    written = []
+    real_snapshot = ProjectJournal.snapshot
+
+    def checked_snapshot(self):
+        expected = _full_encoding(self)
+        path = real_snapshot(self)
+        assert path.read_bytes() == expected
+        written.append(path.name)
+        return path
+
+    monkeypatch.setattr(ProjectJournal, "snapshot", checked_snapshot)
+
+    def open_journal():
+        return ProjectJournal(
+            tmp_path, segment_bytes=1 << 10, snapshot_every=3, fsync=False
+        )
+
+    journal = open_journal()
+    for k in range(60):
+        cmd = command(k)
+        journal.record_issued([cmd])
+        if rng.random() < 0.3:
+            journal.record_checkpoint("w0", cmd.command_id, {"step": k})
+        if rng.random() < 0.1:
+            journal.record_epoch(k)
+        journal.record_result(cmd, _rich_result(rng, k))
+        if rng.random() < 0.2:
+            journal.record_result(cmd, {"value": "duplicate"})
+        if rng.random() < 0.15:
+            journal.close()
+            journal = open_journal()
+            if rng.random() < 0.5:
+                # a reloaded state holds no cached entries yet
+                journal.snapshot()
+        _same_results(journal.recover(), journal.state)
+    journal.close()
+    assert len(written) >= 5
+
+
+def test_snapshot_right_after_reopen_encodes_the_loaded_history(tmp_path):
+    journal = ProjectJournal(tmp_path, snapshot_every=2, fsync=False)
+    for k in range(5):  # a snapshot covers c0-c3, c4 stays in the log
+        journal.record_result(command(k), {"k": k, "s": "ü"})
+    journal.close()
+    reopened = ProjectJournal(tmp_path, snapshot_every=2, fsync=False)
+    expected = _full_encoding(reopened)
+    assert reopened.snapshot().read_bytes() == expected
+    # entries encoded at the reopen, then one sliced from its record
+    reopened.record_result(command(5), {"k": 5})
+    assert reopened.snapshot().read_bytes() == _full_encoding(reopened)
+    reopened.close()
+
+
+def test_result_write_path_keeps_the_given_command(tmp_path, monkeypatch):
+    journal = ProjectJournal(tmp_path, snapshot_every=2, fsync=False)
+
+    def rebuilt(payload):
+        raise AssertionError("the write path rebuilt a Command")
+
+    monkeypatch.setattr(Command, "from_payload", rebuilt)
+    given = [command(k) for k in range(3)]
+    for cmd in given:
+        journal.record_result(cmd, {"k": cmd.command_id})
+    assert [id(c) for c, _ in journal.state.results] == [id(c) for c in given]
+    journal.close()
+
+
+# ----------------------------------------- journals across the format change
+#
+# ``tests/data/journal_v1`` is a journal written by the commit before
+# snapshots were spliced from log bytes (``_write_fixture_journal``, run
+# as ``PYTHONPATH=<that checkout>/src python tests/test_wal_properties.py``).
+# Replaying the same calls today must write the same bytes, and either
+# side must read the other's journal.
+
+FIXTURE_JOURNAL = Path(__file__).parent / "data" / "journal_v1"
+
+
+def _write_fixture_journal(directory):
+    """Deterministic calls covering rotation, compaction, a reopen, a
+    duplicate, checkpoints, an epoch and array-bearing results."""
+
+    def open_journal():
+        return ProjectJournal(
+            directory, segment_bytes=1 << 10, snapshot_every=3, fsync=False
+        )
+
+    journal = open_journal()
+    for k in range(14):
+        cmd = Command(
+            f"gen{k // 5}_r{k}", "villin", "mdrun", {"n_steps": 100 * k},
+            priority=k % 3, origin_server="srv0", epoch=k // 7,
+        )
+        journal.record_issued([cmd])
+        if k % 3 == 0:
+            journal.record_checkpoint(f"w{k % 2}", cmd.command_id, {"step": k})
+        if k == 7:
+            journal.record_epoch(1)
+        result = {
+            "frames": np.linspace(0.0, 1.0, k % 4 + 1),
+            "steps": np.int64(100 * k),
+            "note": "naïve" if k % 2 else "plain",
+        }
+        journal.record_result(cmd, result)
+        if k == 4:
+            journal.record_result(cmd, result)  # a retried transition
+        if k == 9:
+            journal.close()
+            journal = open_journal()
+    journal.close()
+    return journal
+
+
+def _tree(directory):
+    return {
+        str(path.relative_to(directory)): path.read_bytes()
+        for path in sorted(directory.rglob("*"))
+        if path.is_file()
+    }
+
+
+def _two_pass_decode(blob):
+    """The decode the fixture's writer used: parse, then rebuild every
+    tagged array and scalar by walking the whole record."""
+
+    def walk(value):
+        if isinstance(value, dict):
+            if "__ndarray__" in value:
+                raw = base64.b64decode(value["__ndarray__"])
+                arr = np.frombuffer(raw, dtype=np.dtype(value["dtype"]))
+                return arr.reshape(value["shape"]).copy()
+            if "__npscalar__" in value:
+                return np.dtype(value["dtype"]).type(value["__npscalar__"])
+            return {k: walk(v) for k, v in value.items()}
+        if isinstance(value, list):
+            return [walk(v) for v in value]
+        return value
+
+    return walk(json.loads(blob.decode("utf-8")))
+
+
+def test_today_writes_the_fixture_journal_byte_for_byte(tmp_path):
+    _write_fixture_journal(tmp_path / "today")
+    assert _tree(tmp_path / "today") == _tree(FIXTURE_JOURNAL)
+    assert any(name.startswith("snapshot-") for name in _tree(FIXTURE_JOURNAL))
+
+
+def test_fixture_journal_recovers_and_continues_today(tmp_path):
+    live = _write_fixture_journal(tmp_path / "today")
+    copy = tmp_path / "fixture"
+    shutil.copytree(FIXTURE_JOURNAL, copy)
+    journal = ProjectJournal(copy, snapshot_every=3, fsync=False)
+    _same_results(journal.state, live.state)
+    _same_results(journal.recover(), live.state)
+    # the reloaded history has no cached entries: the next snapshot
+    # encodes it, and must still be the full encoding
+    assert journal.snapshot().read_bytes() == _full_encoding(journal)
+    journal.close()
+
+
+def test_journal_written_today_recovers_with_the_two_pass_decode(
+    tmp_path, monkeypatch
+):
+    live = _write_fixture_journal(tmp_path / "today")
+    monkeypatch.setattr(wal_module, "decode_message", _two_pass_decode)
+    journal = ProjectJournal(tmp_path / "today", snapshot_every=3, fsync=False)
+    _same_results(journal.recover(), live.state)
+    journal.close()
+
+
+if __name__ == "__main__":
+    # regenerate the fixture journal with the checkout on PYTHONPATH
+    shutil.rmtree(FIXTURE_JOURNAL, ignore_errors=True)
+    _write_fixture_journal(FIXTURE_JOURNAL)
+    sys.stdout.write("".join(f"{name}\n" for name in _tree(FIXTURE_JOURNAL)))
