@@ -58,7 +58,6 @@ from repro.core.multirunner import MultiProjectRunner
 from repro.core.project import Project as _CoreProject
 from repro.core.runner import ProjectRunner
 from repro.md.engine import MDResult, MDTask, resolve_model
-from repro.md.precision import DEFAULT_PRECISION, validate_precision
 from repro.net import topology
 from repro.net.transport import Network
 from repro.server.fairshare import (
@@ -90,12 +89,6 @@ class Ensemble:
     everything else is shared, which makes the replicas batch-compatible
     (:data:`repro.md.engine.BATCH_COMPATIBLE_FIELDS`) — a deployment
     with coalescing workers propagates them in one kernel call.
-
-    ``precision`` ("float64" default, "float32" opt-in fast path)
-    selects the numeric kernel for every replica; this is the one place
-    a project sets it.  Replicas stack whenever the integrator has a
-    batched form; "float32" runs serially because it is outside the
-    batched kernel's bit-identity contract.
     """
 
     model: str
@@ -109,14 +102,12 @@ class Ensemble:
     seed: int = 0
     model_params: Dict = field(default_factory=dict)
     name: str = "ensemble"
-    precision: str = DEFAULT_PRECISION
 
     def __post_init__(self) -> None:
         if self.n_replicas < 1:
             raise ConfigurationError("n_replicas must be >= 1")
         if self.steps < 1:
             raise ConfigurationError("steps must be >= 1")
-        validate_precision(self.precision)
         # Fail at declaration time, not when a worker unpacks the task.
         resolve_model(self.model, self.model_params)
 
@@ -134,7 +125,6 @@ class Ensemble:
                 seed=self.seed + r,
                 model_params=dict(self.model_params),
                 task_id=f"{self.name}/r{r}",
-                precision=self.precision,
             )
             for r in range(self.n_replicas)
         ]

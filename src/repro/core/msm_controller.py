@@ -234,21 +234,20 @@ class AdaptiveMSMController(Controller):
                 self._villin.extended_state(rng=s).positions for s in streams
             ]
         # model-potential fallback: scatter starts around the default state
-        from repro.md.engine import MDEngine, MDTask as _Task
+        from repro.md.engine import MDTask as _Task, resolve_model
 
-        engine = MDEngine()
-        confs = []
-        for s in streams:
-            sim = engine.prepare(
+        built = resolve_model(cfg.model, cfg.model_params)
+        return [
+            built.state_builder(
                 _Task(
                     model=cfg.model,
                     n_steps=0,
                     seed=int(s.integers(0, 2**31 - 1)),
                     model_params=cfg.model_params,
                 )
-            )
-            confs.append(sim.state.positions.copy())
-        return confs
+            ).positions
+            for s in streams
+        ]
 
     # -- controller events --------------------------------------------------
 

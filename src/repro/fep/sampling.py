@@ -29,16 +29,8 @@ class _WindowForce:
     def __init__(self, window: HarmonicWindow) -> None:
         self.window = window
 
-    def energy_forces(self, positions: np.ndarray, need_energy: bool = True):
-        """Return (energy, forces) of the window's harmonic bias."""
-        x = positions[:, 0]
-        energy = float(self.window.energy(x).sum()) if need_energy else None
-        forces = np.zeros_like(positions)
-        forces[:, 0] = -self.window.k * (x - self.window.x0)
-        return energy, forces
-
     def compute_batch(self, planes, replica_ids=None, need_energy=True):
-        """Batched :meth:`energy_forces` over ``(dim, N, R)`` planes."""
+        """``(energies, force planes)`` of the window's harmonic bias."""
         x = planes[0]
         forces = np.zeros_like(planes)
         forces[0] = -self.window.k * (x - self.window.x0)

@@ -1,50 +1,123 @@
-"""Batched ensemble propagation: R replicas of one model per kernel call.
+"""Stacked propagation: R replicas of one model per kernel call.
 
 The paper's economics are ensemble throughput — thousands of short
-villin trajectories in flight at once (sections 3.1, 4) — but a serial
-:class:`~repro.md.simulation.Simulation` pays the full Python/numpy
-dispatch overhead per replica per step.  This module stacks R
-independent replicas of the *same* :class:`~repro.md.system.System`
-into ``(R, N, dim)`` arrays so that overhead is amortised across the
-whole ensemble:
+villin trajectories in flight at once (sections 3.1, 4) — so the one MD
+path stacks R independent replicas of the *same*
+:class:`~repro.md.system.System` into ``(R, N, dim)`` arrays and pays
+the Python/numpy dispatch overhead once per step for all of them.  A
+lone command, a :class:`~repro.md.simulation.Simulation` and every
+energy evaluation are a stack of one:
 
 - :class:`BatchedSystem` wraps one shared system and evaluates all
   force terms through their ``compute_batch`` kernels (see
   :mod:`repro.md.forcefield.base`);
-- :class:`BatchedLangevinIntegrator` / :class:`BatchedVelocityVerletIntegrator`
-  advance the whole stack with vectorised arithmetic while drawing
-  noise from *per-replica* RNG streams, so every replica's trajectory
-  is bit-identical to the serial integrator seeded the same way
-  (:class:`BatchedMarkovChainIntegrator` does the same for the exact
-  chains' jumps);
+- :class:`BatchedLangevinIntegrator`, :class:`BatchedVelocityVerletIntegrator`,
+  :class:`BatchedNoseHooverIntegrator` and
+  :class:`BatchedMarkovChainIntegrator` advance the whole stack with
+  arithmetic that is elementwise over the replica axis, drawing noise
+  from *per-replica* RNG streams (and keeping a per-replica thermostat
+  variable), so every replica's trajectory is bit-identical to a stack
+  of one seeded the same way;
 - :class:`BatchedSimulation` adds per-replica trajectories,
-  checkpoints, step targets and an early-exit mask: finished or folded
-  replicas are compacted out of the working arrays and stop consuming
-  work.
+  :class:`Checkpoint` objects, step targets and an early-exit mask:
+  finished or folded replicas are compacted out of the working arrays
+  and stop consuming work.
 
 Bit-identity is a hard contract, not an aspiration: checkpoints
-(positions, velocities, clock, RNG state) taken from a batched run are
-byte-for-byte those of R serial runs with the same seeds, which is what
-lets the distribution stack coalesce commands transparently (results
-split back per command).  The property suite in
-``tests/test_batched_identity.py`` enforces it.
+(positions, velocities, clock, RNG and thermostat state) taken from a
+stack are byte-for-byte those of R lone runs with the same seeds, which
+is what lets the distribution stack coalesce commands transparently
+(results split back per command).  The property suite in
+``tests/test_batched_identity.py`` enforces it, and
+``tests/test_md_golden.py`` pins a stack of one to the bits of the
+serial engine it replaced.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.md.forcefield.base import composite_energy_forces_batch
-from repro.md.integrators import LangevinIntegrator, VelocityVerletIntegrator
-from repro.md.simulation import Checkpoint
 from repro.md.system import State, System
 from repro.md.trajectory import Trajectory
 from repro.util.errors import ConfigurationError, SimulationError
 from repro.util.rng import RandomStream, ensure_stream
 from repro.util.units import KB
+
+
+@dataclass
+class Checkpoint:
+    """A complete, serialisable snapshot of one running replica.
+
+    Includes the stochastic integrator's noise-generator state and the
+    thermostat variable, so a run resumed on another worker continues
+    the *identical* trajectory — failure recovery is bitwise
+    reproducible.
+    """
+
+    positions: np.ndarray
+    velocities: np.ndarray
+    time: float
+    step: int
+    thermostat_state: float = 0.0
+    rng_state: Optional[Dict] = None
+    metadata: Dict = field(default_factory=dict)
+
+    def to_payload(self) -> Dict:
+        """Wire-format dict (see :mod:`repro.util.serialization`)."""
+        payload = {
+            "positions": self.positions,
+            "velocities": self.velocities,
+            "time": float(self.time),
+            "step": int(self.step),
+            "thermostat_state": float(self.thermostat_state),
+            "metadata": dict(self.metadata),
+        }
+        if self.rng_state is not None:
+            payload["rng_state"] = _encode_rng_state(self.rng_state)
+        return payload
+
+    @classmethod
+    def from_payload(cls, payload: Dict) -> "Checkpoint":
+        """Inverse of :meth:`to_payload`."""
+        raw_rng = payload.get("rng_state")
+        return cls(
+            positions=np.asarray(payload["positions"], dtype=float),
+            velocities=np.asarray(payload["velocities"], dtype=float),
+            time=float(payload["time"]),
+            step=int(payload["step"]),
+            thermostat_state=float(payload.get("thermostat_state", 0.0)),
+            rng_state=_decode_rng_state(raw_rng) if raw_rng else None,
+            metadata=dict(payload.get("metadata", {})),
+        )
+
+
+def _encode_rng_state(state: Dict) -> Dict:
+    """numpy bit-generator state -> wire-format (stringified big ints)."""
+    inner = state.get("state", {})
+    return {
+        "bit_generator": state.get("bit_generator", "PCG64"),
+        "state": str(inner.get("state", 0)),
+        "inc": str(inner.get("inc", 0)),
+        "has_uint32": int(state.get("has_uint32", 0)),
+        "uinteger": int(state.get("uinteger", 0)),
+    }
+
+
+def _decode_rng_state(payload: Dict) -> Dict:
+    """Inverse of :func:`_encode_rng_state`."""
+    return {
+        "bit_generator": payload.get("bit_generator", "PCG64"),
+        "state": {
+            "state": int(payload["state"]),
+            "inc": int(payload["inc"]),
+        },
+        "has_uint32": int(payload.get("has_uint32", 0)),
+        "uinteger": int(payload.get("uinteger", 0)),
+    }
 
 
 @dataclass
@@ -63,7 +136,7 @@ class BatchedState:
 
     @classmethod
     def from_states(cls, states: Sequence[State]) -> "BatchedState":
-        """Stack per-replica serial states into one batch."""
+        """Stack per-replica states into one batch."""
         if not states:
             raise ConfigurationError("need at least one replica state")
         shape = states[0].positions.shape
@@ -87,15 +160,6 @@ class BatchedState:
     def n_replicas(self) -> int:
         """Number of stacked replicas."""
         return self.positions.shape[0]
-
-    def replica_state(self, replica: int) -> State:
-        """Serial :class:`~repro.md.system.State` view of one replica."""
-        return State(
-            self.positions[replica].copy(),
-            self.velocities[replica].copy(),
-            time=float(self.times[replica]),
-            step=int(self.steps[replica]),
-        )
 
 
 class BatchedSystem:
@@ -171,9 +235,9 @@ class _BatchedIntegratorBase:
 class _BatchedStochasticIntegrator(_BatchedIntegratorBase):
     """A batched integrator whose replicas each own a random stream.
 
-    Stream *r* is seeded exactly as the serial integrator of replica
-    *r* would be, and its PCG64 state is what that replica's
-    checkpoints carry.
+    Stream *r* is seeded exactly as a stack of one of replica *r*
+    would be, and its PCG64 state is what that replica's checkpoints
+    carry.
     """
 
     def __init__(
@@ -194,10 +258,8 @@ class _BatchedStochasticIntegrator(_BatchedIntegratorBase):
 class BatchedVelocityVerletIntegrator(_BatchedIntegratorBase):
     """Batched symplectic NVE integrator (no thermostat).
 
-    Arithmetic mirrors
-    :class:`~repro.md.integrators.VelocityVerletIntegrator` elementwise
-    over the replica axis, so each replica is bit-identical to a serial
-    run.
+    Every operation is elementwise over the replica axis, so each
+    replica is bit-identical to a stack of one.
     """
 
     def step(
@@ -223,13 +285,17 @@ class BatchedVelocityVerletIntegrator(_BatchedIntegratorBase):
 class BatchedLangevinIntegrator(_BatchedStochasticIntegrator):
     """Batched BAOAB Langevin dynamics with per-replica noise streams.
 
-    Each replica owns its own :class:`~repro.util.rng.RandomStream`
-    seeded exactly as the serial :class:`~repro.md.integrators.
-    LangevinIntegrator` would be, and noise is drawn replica-by-replica
-    in ascending replica order — a finished replica stops drawing, just
-    as its serial counterpart would stop running.  All other arithmetic
-    is vectorised elementwise, so trajectories and checkpointed RNG
-    states are bit-identical to R serial runs.
+    The workhorse thermostat for the coarse-grained folding runs: the
+    friction models solvent drag that the paper's explicit TIP3P water
+    provided physically (Leimkuhler–Matthews splitting; dt in ps,
+    temperature in K, friction gamma in 1/ps).
+
+    Each replica owns its own :class:`~repro.util.rng.RandomStream`,
+    and noise is drawn replica-by-replica in ascending replica order —
+    a finished replica stops drawing, just as a lone run would stop
+    running.  All other arithmetic is vectorised elementwise, so
+    trajectories and checkpointed RNG states are bit-identical to R
+    stacks of one.
     """
 
     def __init__(
@@ -304,18 +370,107 @@ class BatchedLangevinIntegrator(_BatchedStochasticIntegrator):
         return self._inv_m, self._noise_sigma
 
 
+class BatchedNoseHooverIntegrator(_BatchedIntegratorBase):
+    """Batched Nosé–Hoover thermostat (single chain), the paper's choice.
+
+    Section 3.1: "the temperature was kept at 300 K with a Nosé–Hoover
+    thermostat with an oscillation period of 0.5 ps".  The coupling
+    mass follows from that period: ``Q = N_df kT tau^2 / (4 pi^2)``.
+    Deterministic dynamics, canonical sampling for ergodic systems.
+
+    Each replica owns its thermostat friction ``xi`` (what its
+    checkpoints carry as ``thermostat_state``).  The kinetic energy
+    feeding ``xi`` is summed per replica over that replica's own
+    ``(N, dim)`` rows, and the velocity scaling and kicks are
+    elementwise over the stack, so every replica is bit-identical to a
+    stack of one.
+    """
+
+    def __init__(
+        self,
+        timestep: float,
+        temperature: float,
+        oscillation_period: float = 0.5,
+        n_replicas: int = 1,
+    ) -> None:
+        super().__init__(timestep)
+        if temperature <= 0:
+            raise ConfigurationError(
+                f"temperature must be positive, got {temperature}"
+            )
+        if oscillation_period <= 0:
+            raise ConfigurationError(
+                f"oscillation_period must be positive, got {oscillation_period}"
+            )
+        self.temperature = float(temperature)
+        self.tau = float(oscillation_period)
+        self.xi = [0.0] * int(n_replicas)
+
+    def thermostat_state_of(self, replica: int) -> float:
+        """One replica's thermostat friction variable (checkpointed)."""
+        return self.xi[replica]
+
+    def set_thermostat_state_of(self, replica: int, value: float) -> None:
+        """Restore one replica's thermostat friction variable."""
+        self.xi[replica] = float(value)
+
+    def _half_step_xi(
+        self, system: BatchedSystem, velocities: np.ndarray, replica_ids
+    ) -> np.ndarray:
+        """Advance every row's ``xi`` half a step; its ``exp(-xi dt/2)``.
+
+        Returned as an ``(R, 1, 1)`` column of per-row scale factors.
+        """
+        half_dt = 0.5 * self.timestep
+        n_df = system.dim * system.n_atoms
+        kt = KB * self.temperature
+        q_mass = n_df * KB * self.temperature * self.tau**2 / (4.0 * np.pi**2)
+        scale = np.empty((len(replica_ids), 1, 1))
+        for row, replica in enumerate(replica_ids):
+            ke = system.system.kinetic_energy(velocities[row])
+            self.xi[replica] += half_dt * (2.0 * ke - n_df * kt) / q_mass
+            scale[row] = np.exp(-self.xi[replica] * half_dt)
+        return scale
+
+    def step(
+        self,
+        system: BatchedSystem,
+        positions: np.ndarray,
+        velocities: np.ndarray,
+        forces: np.ndarray,
+        replica_ids: np.ndarray,
+    ) -> np.ndarray:
+        """Advance the (possibly compacted) stack one step in place."""
+        dt = self.timestep
+        half_dt = 0.5 * dt
+        inv_m = 1.0 / system.masses[None, :, None]
+        # Half-update of the thermostat variable, then a scaled kick.
+        scale = self._half_step_xi(system, velocities, replica_ids)
+        velocities *= scale
+        velocities += half_dt * forces * inv_m
+        positions += dt * velocities
+        _, new_forces = system.energy_forces(
+            positions, replica_ids, need_energy=False
+        )
+        velocities += half_dt * new_forces * inv_m
+        velocities *= scale
+        self._half_step_xi(system, velocities, replica_ids)
+        return new_forces
+
+
 class BatchedMarkovChainIntegrator(_BatchedStochasticIntegrator):
     """Batched discrete jumps: R chains of one spec per step call.
 
-    The batched form of :class:`~repro.md.integrators.
-    MarkovChainIntegrator`.  Each replica draws one ``random()`` per
-    step from its own stream (seeded as the serial integrator's, drawn
-    in ascending replica order; a finished replica stops drawing) and
-    looks its successor up exactly as the serial integrator does, so
-    positions, clocks and checkpointed PCG64 states are those of R
-    serial runs.  What the stack saves is everything around the
-    lookup: one step call, one coordinate write and one share of the
-    driver's bookkeeping for R jumps.
+    The lab's exact-ground-truth propagator: the system must be a
+    :class:`repro.md.models.markov_chain.MarkovChainSystem` (anything
+    exposing a chain ``spec``).  Each replica draws one ``random()`` per
+    step from its own stream (drawn in ascending replica order; a
+    finished replica stops drawing), looks its successor up in the
+    spec's matrix and is moved to the successor's embedding.
+    Velocities and forces are untouched — there is no force field.
+    What a stack saves is everything around the lookup: one step call,
+    one coordinate write and one share of the driver's bookkeeping for
+    R jumps.
 
     The stack's state indices (and its replicas' draw functions) are
     kept between steps.  They are read back from the coordinates
@@ -363,13 +518,6 @@ class BatchedMarkovChainIntegrator(_BatchedStochasticIntegrator):
         return forces
 
 
-#: Integrators with a batched form: the stacking rule's one list.  A
-#: command coalesces only if its integrator is here (see
-#: :func:`repro.worker.coalesce.coalesce_key`), and a stack of any
-#: other integrator cannot be built.
-BATCHED_INTEGRATORS = ("langevin", "verlet", "markov-chain")
-
-
 def make_batched_integrator(
     name: str,
     timestep: float,
@@ -377,38 +525,36 @@ def make_batched_integrator(
     friction: float,
     seeds: Sequence[int],
 ) -> _BatchedIntegratorBase:
-    """Batched integrator for *name*, one of :data:`BATCHED_INTEGRATORS`.
+    """Batched integrator for *name* over one replica per seed.
 
-    Seeds follow the engine convention for the serial path (the noise
-    or jump stream of task ``seed`` is ``seed + 1``), so a caller
-    handing the same task seeds to both paths gets bit-identical
-    dynamics.  Any other name (Nosé–Hoover has no batched form) raises
-    :class:`ConfigurationError`.
+    ``langevin``, ``nose-hoover``, ``verlet`` or ``markov-chain``.  The
+    engine convention: the noise or jump stream of task ``seed`` is
+    ``seed + 1`` (stream ``seed`` draws the initial velocities).  Any
+    other name raises :class:`ConfigurationError`.
     """
     streams = [seed + 1 for seed in seeds]
     if name == "langevin":
         return BatchedLangevinIntegrator(
             timestep, temperature, friction=friction, rngs=streams
         )
+    if name == "nose-hoover":
+        return BatchedNoseHooverIntegrator(
+            timestep, temperature, n_replicas=len(seeds)
+        )
     if name == "verlet":
         return BatchedVelocityVerletIntegrator(timestep)
     if name == "markov-chain":
         return BatchedMarkovChainIntegrator(timestep, rngs=streams)
-    raise ConfigurationError(
-        f"integrator {name!r} has no batched form; stackable integrators "
-        f"are {BATCHED_INTEGRATORS}"
-    )
+    raise ConfigurationError(f"unknown integrator {name!r}")
 
 
 class BatchedSimulation:
     """Drives a replica stack, with per-replica reporting and restart.
 
-    The batched analogue of :class:`~repro.md.simulation.Simulation`:
-    owns a shared system, a batched integrator and the stacked state,
+    Owns a shared system, a batched integrator and the stacked state,
     records one :class:`~repro.md.trajectory.Trajectory` per replica at
     the shared report interval, and cuts/restores per-replica
-    :class:`~repro.md.simulation.Checkpoint` objects that are
-    bit-identical to serial ones.
+    :class:`Checkpoint` objects.
 
     Early exit: replicas are *active* until they are explicitly
     :meth:`deactivate`-d or the optional ``stop_condition(replica,
@@ -433,7 +579,8 @@ class BatchedSimulation:
                 f"replica shape {self.batch.positions.shape[1:]} does not "
                 f"match system ({system.n_atoms}, {system.dim})"
             )
-        self.system = BatchedSystem(system, self.batch.n_replicas)
+        self.system = system
+        self.batched_system = BatchedSystem(system, self.batch.n_replicas)
         self.integrator = integrator
         self.report_interval = int(report_interval)
         self.trajectories = [
@@ -457,29 +604,37 @@ class BatchedSimulation:
         """Early-exit *replica*: it stops consuming propagation work."""
         self.active[replica] = False
 
+    def _report(self, replica, positions, velocities, time, step) -> None:
+        """Record one replica's frame (a report point)."""
+        self.trajectories[replica].append(positions, time)
+
     def _prime(self) -> None:
         if self._forces is not None:
             return
         self._forces = self.integrator.initial_forces(
-            self.system,
+            self.batched_system,
             self.batch.positions,
             np.arange(self.n_replicas),
         )
         if self.report_interval:
-            # Serial parity: a replica that never runs (deactivated
-            # before priming, e.g. restored already at its target), or
-            # that resumes off the report grid, records no initial
-            # frame, exactly like Simulation.run.
-            on_grid = self.batch.steps % self.report_interval == 0
+            # A replica that never runs (deactivated before priming,
+            # e.g. restored already at its target), or that resumes off
+            # the report grid, records no initial frame: a direct run
+            # never reports at that step.
+            batch = self.batch
+            on_grid = batch.steps % self.report_interval == 0
             for replica in range(self.n_replicas):
                 if (
                     self.active[replica]
                     and on_grid[replica]
                     and len(self.trajectories[replica]) == 0
                 ):
-                    self.trajectories[replica].append(
-                        self.batch.positions[replica],
-                        self.batch.times[replica],
+                    self._report(
+                        replica,
+                        batch.positions[replica],
+                        batch.velocities[replica],
+                        batch.times[replica],
+                        batch.steps[replica],
                     )
 
     def run_to(self, stop_steps: np.ndarray) -> None:
@@ -489,7 +644,7 @@ class BatchedSimulation:
         the remainder step together in spans, so the vectorised kernels
         always see a dense stack.  Raises
         :class:`~repro.util.errors.SimulationError` on non-finite
-        coordinates, like the serial driver.
+        coordinates.
         """
         stop = np.asarray(stop_steps, dtype=np.int64)
         if stop.shape != (self.n_replicas,):
@@ -519,17 +674,21 @@ class BatchedSimulation:
                     chunk = min(span, int(np.min(interval - steps % interval)))
                 for _ in range(chunk):
                     forces = self.integrator.step(
-                        self.system, positions, velocities, forces, idx
+                        self.batched_system, positions, velocities, forces, idx
                     )
-                    # one add per step, as serial: k * dt is other bits
+                    # one add per step: k * dt is other bits
                     times += timestep
                 steps += chunk
                 span -= chunk
                 if interval:
                     for row in np.flatnonzero(steps % interval == 0):
                         self._check_finite(positions[row], idx[row], steps[row])
-                        self.trajectories[int(idx[row])].append(
-                            positions[row], times[row]
+                        self._report(
+                            int(idx[row]),
+                            positions[row],
+                            velocities[row],
+                            times[row],
+                            steps[row],
                         )
             # Once more at the end of the span: with report_interval=0
             # (or a blow-up after the last report) nothing above looked.
@@ -565,32 +724,38 @@ class BatchedSimulation:
     # -- energies -----------------------------------------------------------
 
     def potential_energies(self) -> np.ndarray:
-        """Per-replica potential energies (kJ/mol)."""
-        return self.system.energy_forces(self.batch.positions)[0]
+        """Per-replica potential energies (kJ/mol) of the whole stack.
+
+        Energies of a stack of two or more are the same bits whatever
+        its size; a stack of one sums in another order (see
+        :mod:`repro.md.forcefield.base`), so a result that must not
+        depend on its stack (a command's ``final_potential_energy``)
+        evaluates each replica alone.
+        """
+        return self.batched_system.energy_forces(self.batch.positions)[0]
 
     # -- checkpointing ------------------------------------------------------
 
     def checkpoint(self, replica: int) -> Checkpoint:
-        """Serial-identical checkpoint of one replica."""
+        """Snapshot everything needed to continue one replica elsewhere."""
+        integrator = self.integrator
         rng_state = None
-        getter = getattr(self.integrator, "rng_state_of", None)
-        if getter is not None:
-            rng_state = dict(getter(replica))
+        if hasattr(integrator, "rng_state_of"):
+            rng_state = dict(integrator.rng_state_of(replica))
+        thermostat = 0.0
+        if hasattr(integrator, "thermostat_state_of"):
+            thermostat = integrator.thermostat_state_of(replica)
         return Checkpoint(
             positions=self.batch.positions[replica].copy(),
             velocities=self.batch.velocities[replica].copy(),
             time=float(self.batch.times[replica]),
             step=int(self.batch.steps[replica]),
-            thermostat_state=0.0,
+            thermostat_state=thermostat,
             rng_state=rng_state,
         )
 
-    def checkpoints(self) -> List[Checkpoint]:
-        """Checkpoints for every replica, in replica order."""
-        return [self.checkpoint(r) for r in range(self.n_replicas)]
-
     def restore(self, replica: int, checkpoint: Checkpoint) -> None:
-        """Resume one replica from a (possibly serial) checkpoint."""
+        """Resume one replica from a checkpoint (of any stack size)."""
         expected = (self.system.n_atoms, self.system.dim)
         if checkpoint.positions.shape != expected:
             raise ConfigurationError(
@@ -600,7 +765,13 @@ class BatchedSimulation:
         self.batch.velocities[replica] = checkpoint.velocities
         self.batch.times[replica] = checkpoint.time
         self.batch.steps[replica] = checkpoint.step
-        setter = getattr(self.integrator, "set_rng_state_of", None)
-        if checkpoint.rng_state is not None and setter is not None:
-            setter(replica, checkpoint.rng_state)
+        integrator = self.integrator
+        if checkpoint.rng_state is not None and hasattr(
+            integrator, "set_rng_state_of"
+        ):
+            integrator.set_rng_state_of(replica, checkpoint.rng_state)
+        if hasattr(integrator, "set_thermostat_state_of"):
+            integrator.set_thermostat_state_of(
+                replica, checkpoint.thermostat_state
+            )
         self._forces = None

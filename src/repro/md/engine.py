@@ -18,12 +18,10 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.md.batched import BatchedSimulation, make_batched_integrator
-from repro.md.integrators import make_integrator
-from repro.md.precision import (
-    DEFAULT_PRECISION,
-    apply_precision,
-    validate_precision,
+from repro.md.batched import (
+    BatchedSimulation,
+    Checkpoint,
+    make_batched_integrator,
 )
 from repro.md.models.doublewell import double_well_initial_state, double_well_system
 from repro.md.models.muller_brown import (
@@ -31,7 +29,6 @@ from repro.md.models.muller_brown import (
     muller_brown_system,
 )
 from repro.md.models.villin import build_villin
-from repro.md.simulation import Checkpoint, Simulation
 from repro.md.system import State, System
 from repro.util.errors import ConfigurationError, UnknownModelError
 from repro.util.rng import RandomStream
@@ -66,11 +63,6 @@ class MDTask:
         Extra keyword arguments for the model builder.
     task_id:
         Opaque identifier assigned by the project controller.
-    precision:
-        ``"float64"`` (default, bit-reproducible) or ``"float32"``
-        (the opt-in fast path, see :mod:`repro.md.precision`).
-        Float32 cannot resume from a checkpoint — resuming requires
-        bit-identity — so that combination is rejected here.
     """
 
     model: str
@@ -85,16 +77,6 @@ class MDTask:
     checkpoint: Optional[Dict] = None
     model_params: Dict = field(default_factory=dict)
     task_id: str = ""
-    precision: str = DEFAULT_PRECISION
-
-    def __post_init__(self) -> None:
-        validate_precision(self.precision)
-        if self.precision != "float64" and self.checkpoint is not None:
-            raise ConfigurationError(
-                "precision='float32' cannot resume from a checkpoint: "
-                "resuming is contractually bit-identical and float32 "
-                "trajectories are not bit-reproducible"
-            )
 
     def to_payload(self) -> Dict:
         """Wire-format dict."""
@@ -109,7 +91,6 @@ class MDTask:
             "seed": int(self.seed),
             "model_params": dict(self.model_params),
             "task_id": self.task_id,
-            "precision": self.precision,
         }
         if self.initial_positions is not None:
             payload["initial_positions"] = np.asarray(self.initial_positions)
@@ -120,7 +101,9 @@ class MDTask:
     @classmethod
     def from_payload(cls, payload: Dict) -> "MDTask":
         """Inverse of :meth:`to_payload` (keys it does not write, such
-        as an older writer's ``"dispatch"``, are ignored)."""
+        as an older writer's ``"dispatch"``, are ignored; see
+        :func:`_refuse_float32`)."""
+        _refuse_float32(payload)
         return cls(
             model=payload["model"],
             n_steps=int(payload["n_steps"]),
@@ -138,7 +121,21 @@ class MDTask:
             checkpoint=payload.get("checkpoint"),
             model_params=dict(payload.get("model_params", {})),
             task_id=payload.get("task_id", ""),
-            precision=payload.get("precision", DEFAULT_PRECISION),
+        )
+
+
+def _refuse_float32(payload: Dict) -> None:
+    """Refuse a payload asking for a precision the kernel does not have.
+
+    Older writers stamped every command ``"precision": "float64"``;
+    that key is ignored.  A ``"float32"`` command has no engine to run
+    it any more, so it fails loudly instead of silently changing dtype.
+    """
+    precision = payload.get("precision", "float64")
+    if precision != "float64":
+        raise ConfigurationError(
+            f"precision {precision!r} is not supported: the MD kernel "
+            f"runs in float64 only"
         )
 
 
@@ -193,7 +190,6 @@ BATCH_COMPATIBLE_FIELDS = (
     "friction",
     "timestep",
     "model_params",
-    "precision",
 )
 
 
@@ -220,7 +216,6 @@ class BatchedMDTask:
     checkpoints: Optional[List[Optional[Dict]]] = None
     model_params: Dict = field(default_factory=dict)
     batch_id: str = ""
-    precision: str = DEFAULT_PRECISION
 
     def __post_init__(self) -> None:
         n_rep = len(self.seeds)
@@ -232,14 +227,6 @@ class BatchedMDTask:
             per_replica = getattr(self, name)
             if per_replica is not None and len(per_replica) != n_rep:
                 raise ConfigurationError(f"{name}/seeds length mismatch")
-        validate_precision(self.precision)
-        if self.precision != "float64":
-            raise ConfigurationError(
-                "precision='float32' is rejected for batched stacks: "
-                "per-replica results of a batch are contractually "
-                "bit-identical to serial runs, which float32 cannot "
-                "guarantee (run float32 tasks individually instead)"
-            )
 
     @property
     def n_replicas(self) -> int:
@@ -250,7 +237,7 @@ class BatchedMDTask:
     def from_tasks(
         cls, tasks: Sequence[MDTask], batch_id: str = ""
     ) -> "BatchedMDTask":
-        """Stack compatible serial tasks (see :data:`BATCH_COMPATIBLE_FIELDS`).
+        """Stack compatible tasks (see :data:`BATCH_COMPATIBLE_FIELDS`).
 
         Raises
         ------
@@ -286,11 +273,10 @@ class BatchedMDTask:
             ),
             model_params=dict(first.model_params),
             batch_id=batch_id or first.task_id,
-            precision=first.precision,
         )
 
     def replica_task(self, replica: int) -> MDTask:
-        """The serial :class:`MDTask` for one replica."""
+        """The lone :class:`MDTask` of one replica."""
         return MDTask(
             model=self.model,
             n_steps=self.n_steps,
@@ -312,7 +298,6 @@ class BatchedMDTask:
             ),
             model_params=dict(self.model_params),
             task_id=self.task_ids[replica],
-            precision=self.precision,
         )
 
     def tasks(self) -> List[MDTask]:
@@ -333,7 +318,6 @@ class BatchedMDTask:
             "timestep": float(self.timestep),
             "model_params": dict(self.model_params),
             "batch_id": self.batch_id,
-            "precision": self.precision,
         }
         if self.initial_positions is not None:
             payload["initial_positions"] = [
@@ -347,6 +331,7 @@ class BatchedMDTask:
     @classmethod
     def from_payload(cls, payload: Dict) -> "BatchedMDTask":
         """Inverse of :meth:`to_payload`."""
+        _refuse_float32(payload)
         initial = payload.get("initial_positions")
         return cls(
             model=payload["model"],
@@ -366,7 +351,6 @@ class BatchedMDTask:
             checkpoints=payload.get("checkpoints"),
             model_params=dict(payload.get("model_params", {})),
             batch_id=payload.get("batch_id", ""),
-            precision=payload.get("precision", DEFAULT_PRECISION),
         )
 
 
@@ -374,10 +358,10 @@ class BatchedMDTask:
 class BatchedMDResult:
     """Per-command results of one batched propagation.
 
-    ``split()`` recovers plain :class:`MDResult` objects whose
-    checkpoints, frames and step counts are bit-identical to serial
-    execution — the property that lets the distribution stack treat a
-    coalesced command group exactly like individually-run commands.
+    ``split()`` recovers plain :class:`MDResult` objects equal in every
+    field (wall time aside) to running each command alone — the
+    property that lets the distribution stack treat a coalesced command
+    group exactly like individually-run commands.
     """
 
     results: List[MDResult]
@@ -412,11 +396,11 @@ class BatchedMDResult:
 class BuiltModel:
     """A constructed model: one shared system + a per-task state builder.
 
-    The split is what lets the serial and batched engines share a
-    single registry lookup: the (expensive) system is built once, then
-    ``state_builder`` is called per task/replica — states depend only
-    on the task's seed, initial positions and temperature, so a
-    batched stack's replicas are bit-identical to serial runs.
+    The split is what lets a stack share one registry lookup: the
+    (expensive) system is built once, then ``state_builder`` is called
+    per task/replica — states depend only on the task's seed, initial
+    positions and temperature, so a stacked replica starts exactly
+    where it would alone.
     """
 
     system: System
@@ -519,7 +503,7 @@ def _double_well_builder(model: str, model_params: Dict) -> BuiltModel:
 
 
 #: Model registry: name -> builder(model, model_params) -> BuiltModel.
-#: One lookup shared by the serial and batched execution paths.
+#: One lookup shared by lone and stacked commands.
 MODEL_REGISTRY: Dict[str, Callable[[str, Dict], BuiltModel]] = {
     "villin-full": _villin_builder,
     "villin-fast": _villin_builder,
@@ -576,33 +560,10 @@ class MDEngine:
             raise ConfigurationError("segment_steps must be positive")
         self.segment_steps = int(segment_steps)
 
-    def _make_integrator(self, task: MDTask):
-        return make_integrator(
-            task.integrator,
-            timestep=task.timestep,
-            temperature=task.temperature,
-            friction=task.friction,
-            seed=task.seed,
-        )
-
-    def prepare(self, task: MDTask) -> Simulation:
-        """Build the simulation for *task* (resuming its checkpoint if any)."""
-        built = resolve_model(task.model, task.model_params)
-        system, state = apply_precision(
-            built.system, built.state_builder(task), task.precision
-        )
-        simulation = Simulation(
-            system,
-            self._make_integrator(task),
-            state,
-            report_interval=task.report_interval,
-        )
-        if task.checkpoint is not None:
-            simulation.restore(Checkpoint.from_payload(task.checkpoint))
-        return simulation
-
     def run(self, task: MDTask, abort_after_steps: Optional[int] = None) -> MDResult:
         """Run *task* to completion (or abort early, returning a checkpoint).
+
+        A lone command is a stack of one (:meth:`run_batched`).
 
         Parameters
         ----------
@@ -612,47 +573,18 @@ class MDEngine:
             and pre-empted workers.  The result then has
             ``completed=False`` and a resumable checkpoint.
         """
-        start_wall = _walltime.perf_counter()
-        simulation = self.prepare(task)
-        start_step = simulation.state.step
-        target = task.n_steps
-        budget = abort_after_steps if abort_after_steps is not None else target
-
-        while (
-            simulation.state.step - start_step < budget
-            and simulation.state.step < target
-        ):
-            remaining_task = target - simulation.state.step
-            remaining_budget = budget - (simulation.state.step - start_step)
-            chunk = min(self.segment_steps, remaining_task, remaining_budget)
-            simulation.run(chunk)
-
-        completed = simulation.state.step >= target
-        checkpoint = simulation.checkpoint()
-        trajectory = simulation.trajectory
-        return MDResult(
-            task_id=task.task_id,
-            frames=trajectory.frames,
-            times=trajectory.times,
-            checkpoint=checkpoint.to_payload(),
-            steps_completed=simulation.state.step - start_step,
-            completed=completed,
-            wall_seconds=_walltime.perf_counter() - start_wall,
-            final_potential_energy=simulation.potential_energy(),
-        )
+        btask = BatchedMDTask.from_tasks([task])
+        return self.run_batched(btask, abort_after_steps).results[0]
 
     def run_batched(
         self,
         btask: BatchedMDTask,
         abort_after_steps: Optional[int] = None,
     ) -> BatchedMDResult:
-        """Run a batched task; per-replica results match serial bit-for-bit.
+        """Run a stack of commands; each result is its lone run's.
 
-        The stack runs through the vectorised kernel; an integrator
-        without a batched form (not in
-        :data:`~repro.md.batched.BATCHED_INTEGRATORS`) raises
-        :class:`ConfigurationError`.  *abort_after_steps* bounds the
-        further steps of every replica, mirroring :meth:`run`.
+        *abort_after_steps* bounds the further steps of every replica,
+        mirroring :meth:`run`.
         """
         start_wall = _walltime.perf_counter()
         integrator = make_batched_integrator(
@@ -679,8 +611,8 @@ class MDEngine:
         target = btask.n_steps
         budget = abort_after_steps if abort_after_steps is not None else target
         for replica in range(btask.n_replicas):
-            # A replica restored at (or past) its target never runs —
-            # the serial engine records no frames for it either.
+            # A replica restored at (or past) its target never runs
+            # and records no frames.
             if start_steps[replica] >= target or budget <= 0:
                 simulation.deactivate(replica)
 
@@ -709,8 +641,8 @@ class MDEngine:
                     completed=step >= target,
                     # Amortised: the batch ran once for all replicas.
                     wall_seconds=elapsed / btask.n_replicas,
-                    # Serial energy path so results are indistinguishable
-                    # from individually-run commands.
+                    # A stack of one, so the energy does not depend on
+                    # the stack the command ran in.
                     final_potential_energy=built.system.potential_energy(
                         simulation.batch.positions[replica]
                     ),

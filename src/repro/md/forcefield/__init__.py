@@ -1,13 +1,13 @@
 """Force-field terms for the MD engine.
 
 Every force implements the :class:`~repro.md.forcefield.base.Force`
-protocol: ``energy_forces(positions, need_energy=True) -> (energy,
-forces)`` with positions of shape ``(n_atoms, dim)`` and forces of the
-same shape, in kJ/mol and kJ/mol/nm, and its batched twin
-``compute_batch``.  All terms are fully vectorised —
-pair/triple/quad indices are precomputed once and the hot path is pure
-numpy fancy indexing plus ``np.add.at`` scatter-adds, the "SIMD kernel"
-level of the paper's parallelism hierarchy.
+protocol: ``compute_batch(planes, replica_ids=None, need_energy=True)
+-> (energies, force planes)`` over a stack of replicas, in kJ/mol and
+kJ/mol/nm; one configuration is a stack of one
+(:func:`~repro.md.forcefield.base.composite_energy_forces`).  All terms
+are fully vectorised — pair/triple/quad indices are precomputed once
+and the hot path is pure numpy gathers plus precomputed scatter-adds,
+the "SIMD kernel" level of the paper's parallelism hierarchy.
 """
 
 from repro.md.forcefield.base import Force, composite_energy_forces

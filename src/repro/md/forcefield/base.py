@@ -1,15 +1,15 @@
-"""The force protocol and its serial and batched sums.
+"""The force protocol and its stacked sums.
 
-Every force term implements two methods (:class:`Force`):
-``energy_forces(positions (N, dim), need_energy=True)`` and
-``compute_batch(planes, replica_ids=None, need_energy=True)``.  A
+Every force term implements one method (:class:`Force`),
+``compute_batch(planes, replica_ids=None, need_energy=True)``, over a
+stack of R replicas of one system; one replica is a stack of one
+(:func:`composite_energy_forces`).  A
 :class:`~repro.md.system.System` checks each term once, when it is
-added (:func:`check_force`), so a term that lacks either method or the
+added (:func:`check_force`), so a term that lacks the method or the
 keyword is a :class:`ConfigurationError` naming the term, never a slow
 path found mid-run.
 
-The batched path evaluates R independent replicas of one system per
-call and works on **replica-minor component planes**:
+The kernels work on **replica-minor component planes**:
 :func:`composite_energy_forces_batch` transposes the ``(R, N, dim)``
 stack once to ``(dim, N, R)``, every term's ``compute_batch(planes,
 replica_ids)`` returns ``(energies (R,), force planes (dim, N, R))``,
@@ -21,19 +21,21 @@ chunks, a dot product over the length-``dim`` axis is ``dim`` dense
 multiply-adds over ``(P, R)`` planes instead of a strided reduction,
 and per-interaction parameters broadcast as ``(P, 1)`` columns.
 
-Bit-identity with the serial kernels is a contract, kept by
-construction rather than by tolerance:
+A replica's forces are the same bits whatever the stack's size or
+compaction, and the same bits as the per-replica ``(N, dim)`` kernels
+the stacks replaced (``tests/serial_oracle.py`` keeps them as the
+reference).  That is kept by construction rather than by tolerance:
 
 - every arithmetic op is elementwise over the replica axis, in the
-  serial kernel's operand order;
+  per-replica kernel's operand order;
 - ``a[0]*b[0] + a[1]*b[1] + a[2]*b[2]`` associates exactly like
   ``np.sum(a * b, axis=-1)`` over a length-3 axis, which numpy
   accumulates left to right (:func:`plane_dot`);
-- scatter-adds accumulate each atom's contributions in serial
-  ``np.add.at`` order (:class:`SegmentScatter`).
+- scatter-adds accumulate each atom's contributions in ``np.add.at``
+  order (:class:`SegmentScatter`).
 
 **Forces-only evaluation.**  Every step of every integrator needs
-forces and throws the energy away, so both methods take
+forces and throws the energy away, so ``compute_batch`` takes
 ``need_energy=True``: with ``False`` a kernel skips its energy lines
 and the energy slot of the returned pair is ``None``.  The keyword
 never changes a force bit.
@@ -41,12 +43,12 @@ never changes a force bit.
 Per-replica *energies* are ``np.sum(term, axis=0)`` over a C-contiguous
 ``(P, R)`` plane: numpy adds the P rows one after another, so every
 replica's sum is left-associated in interaction order — for every
-R >= 2 the same bits whatever the stack size or compaction.  (A
-"contiguous ``(R, P)`` copy, then ``axis=1``" would switch to pairwise
-summation and change the low bits; ``tests/test_scatter_plan.py`` pins
-the order.)  Serial energies use ``np.dot`` / pairwise ``np.sum`` and
-agree to rounding, not to the bit; nothing downstream of an energy
-feeds back into a trajectory.
+R >= 2 the same bits whatever the stack size or compaction.  At R = 1
+the plane is one contiguous column and numpy sums it pairwise, which
+agrees to rounding, not to the bit; a result that must not depend on
+its stack (a command's final energy) is therefore always a stack of
+one.  (``tests/test_scatter_plan.py`` pins the order.)  Nothing
+downstream of an energy feeds back into a trajectory.
 """
 
 from __future__ import annotations
@@ -60,13 +62,7 @@ from repro.util.errors import ConfigurationError
 
 
 class Force(Protocol):
-    """A force term: one replica or a stack of them, energies optional."""
-
-    def energy_forces(
-        self, positions: np.ndarray, need_energy: bool = True
-    ) -> Tuple[Optional[float], np.ndarray]:  # pragma: no cover - protocol
-        """``(potential_energy, forces)`` at ``(N, dim)`` *positions*."""
-        ...
+    """A force term over a stack of replicas, energies optional."""
 
     def compute_batch(
         self,
@@ -86,52 +82,41 @@ class Force(Protocol):
 
 def check_force(force) -> None:
     """Raise :class:`ConfigurationError` unless *force* meets :class:`Force`."""
-    lacks = []
-    for name in ("energy_forces", "compute_batch"):
-        method = getattr(force, name, None)
-        if not callable(method):
-            lacks.append(f"{name}()")
-        elif "need_energy" not in inspect.signature(method).parameters:
-            lacks.append(f"the need_energy keyword of {name}()")
-    if lacks:
-        raise ConfigurationError(
-            f"force term {type(force).__name__} does not implement the "
-            f"Force protocol: it lacks {' and '.join(lacks)}"
-        )
+    method = getattr(force, "compute_batch", None)
+    if not callable(method):
+        lacks = "compute_batch()"
+    elif "need_energy" not in inspect.signature(method).parameters:
+        lacks = "the need_energy keyword of compute_batch()"
+    else:
+        return
+    raise ConfigurationError(
+        f"force term {type(force).__name__} does not implement the "
+        f"Force protocol: it lacks {lacks}"
+    )
 
 
 def composite_energy_forces(
     forces: Iterable[Force],
     positions: np.ndarray,
     need_energy: bool = True,
-    out: Optional[np.ndarray] = None,
 ) -> Tuple[Optional[float], np.ndarray]:
-    """Sum energy and forces over a collection of force terms.
+    """Energy and forces of *forces* at one ``(N, dim)`` configuration.
 
-    The forces accumulate into *out* (overwritten) when given, else
-    into a fresh array.  With ``need_energy=False`` the energy is
-    ``None``.
+    A stack of one through :func:`composite_energy_forces_batch`.  With
+    ``need_energy=False`` the energy is ``None``.
     """
-    total_e = 0.0 if need_energy else None
-    if out is None:
-        total_f = np.zeros(positions.shape, positions.dtype)
-    else:
-        total_f = out
-        total_f[...] = 0.0
-    for force in forces:
-        e, f = force.energy_forces(positions, need_energy=need_energy)
-        if need_energy:
-            total_e += e
-        total_f += f
-    return total_e, total_f
+    energies, stack = composite_energy_forces_batch(
+        forces, positions[None], None, need_energy
+    )
+    return (float(energies[0]) if need_energy else None), stack[0]
 
 
 def plane_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot product over the leading (component) axis of two plane stacks.
 
     ``(dim, ...) x (dim, ...) -> (...)``, accumulated left to right —
-    the association ``np.sum(a * b, axis=-1)`` uses on the serial
-    ``(P, dim)`` rows.  All ``dim`` products come from one multiply;
+    the association ``np.sum(a * b, axis=-1)`` uses on ``(P, dim)``
+    rows.  All ``dim`` products come from one multiply;
     the adds stay explicit because a reduction would not keep this
     order's zero signs.  (The one difference is outside physics:
     numpy's reduction starts from ``+0.0``, so three ``-0.0`` products
@@ -163,14 +148,14 @@ SCATTER_GATHER_ELEMENTS = 16384
 class SegmentScatter:
     """Replica-batched ``np.add.at`` over a fixed index list.
 
-    The serial kernels accumulate pair contributions with one or more
-    ``np.add.at`` calls; ``ufunc.at`` is an unbuffered per-element loop
-    and would dominate the batched step.  Because every kernel's index
+    A per-replica kernel accumulates pair contributions with one or
+    more ``np.add.at`` calls; ``ufunc.at`` is an unbuffered per-element
+    loop and would dominate the step.  Because every kernel's index
     list is fixed, the scatter is precomputed into a ``(D, N)`` *gather
     table*: level ``d`` holds, for every atom, the position in the index
-    list of that atom's ``d``-th contribution (in serial application
-    order — first index array fully before the second, pair order
-    within each), or the position of a zero row where the atom has
+    list of that atom's ``d``-th contribution (in ``add.at`` order —
+    first index array fully before the second, pair order within
+    each), or the position of a zero row where the atom has
     fewer than ``d + 1`` contributions.  :meth:`add` gathers several
     levels with one ``np.take`` into a ``(dim, levels, N, R)`` stack and
     reduces it over the level axis.
@@ -180,7 +165,7 @@ class SegmentScatter:
     makes the level axis the *outer* loop and adds the planes to the
     output one after another.  Each atom's running sum therefore
     receives the same values in the same order with the same left
-    association (``((0 + v1) + v2) + ...``) as the serial ``add.at``
+    association (``((0 + v1) + v2) + ...``) as the ``add.at``
     sequence, and the result is bit-identical.  (Reducing along a
     contiguous axis instead — ``np.sum`` / ``np.add.reduceat`` over an
     interaction axis — switches to pairwise summation on long segments
@@ -198,7 +183,7 @@ class SegmentScatter:
     (or ``-0.0``) to such a sum is the identity.  The same argument
     covers cutoff masking: kernels zero the masked pair's force scale
     instead of removing the pair, the resulting ``+-0.0`` contributions
-    change nothing, and the filtered serial ``add.at`` is reproduced
+    change nothing, and the filtered ``add.at`` is reproduced
     bit-for-bit.
     """
 
@@ -305,7 +290,7 @@ def pair_force_planes(
 
     *fscale* is ``(P, R)`` and *rij* ``(dim, P, R)``, both aligned with
     the fixed pair list ``(i, j)``.  The :class:`SegmentScatter` over
-    ``[j, i]`` — serial's two ``add.at`` calls in order — is built on
+    ``[j, i]`` — two ``add.at`` calls in order — is built on
     the first call and kept on *term*; ``fij`` and ``-fij`` are written
     straight into its workspace.
     """
@@ -329,10 +314,10 @@ def composite_energy_forces_batch(
     replica_ids: Optional[np.ndarray] = None,
     need_energy: bool = True,
 ) -> Tuple[Optional[np.ndarray], np.ndarray]:
-    """Batched :func:`composite_energy_forces` over ``(R, N, dim)``.
+    """Per-replica energies and forces of *forces* over ``(R, N, dim)``.
 
     Terms are summed in registration order with elementwise adds, so
-    the total matches the serial composite bit-for-bit per replica.
+    a replica's total does not depend on the stack it is in.
     The stack is transposed to component planes once on entry and the
     summed force planes back to ``(R, N, dim)`` once on exit.  With
     ``need_energy=False`` the ``(R,)`` energy accumulator does not
@@ -357,13 +342,14 @@ def numerical_forces(
 ) -> np.ndarray:
     """Central-difference forces, for validating analytic gradients in tests."""
     flat = positions.ravel().copy()
+    shaped = flat.reshape(positions.shape)  # a view: edits to flat show
     out = np.empty_like(flat)
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + eps
-        e_plus, _ = force.energy_forces(flat.reshape(positions.shape))
+        e_plus, _ = composite_energy_forces([force], shaped)
         flat[i] = orig - eps
-        e_minus, _ = force.energy_forces(flat.reshape(positions.shape))
+        e_minus, _ = composite_energy_forces([force], shaped)
         flat[i] = orig
         out[i] = -(e_plus - e_minus) / (2 * eps)
     return out.reshape(positions.shape)

@@ -1,22 +1,21 @@
 """Bonded force-field terms: bonds, angles, periodic dihedrals.
 
-Each term precomputes its index arrays once; ``energy_forces`` is pure
-vectorised numpy with ``np.add.at`` scatter-adds into the force buffer.
-Every term also implements ``compute_batch`` over ``(3, N, R)``
-replica-minor component planes (see :mod:`repro.md.forcefield.base`):
-the index arrays are shared across replicas, all arithmetic is
-elementwise over the replica axis in the serial operand order, and
-scatters go through :class:`~repro.md.forcefield.base.SegmentScatter`,
-so per-replica forces are bit-identical to the serial kernels.
+Each term precomputes its index arrays once and implements
+``compute_batch`` over ``(3, N, R)`` replica-minor component planes
+(see :mod:`repro.md.forcefield.base`): the index arrays are shared
+across replicas, all arithmetic is elementwise over the replica axis,
+and scatters go through
+:class:`~repro.md.forcefield.base.SegmentScatter`, so a replica's
+forces do not depend on the stack it is in.
 
 At the stack sizes the adaptive loop runs (R = 6) a batched evaluation
 is mostly the fixed cost of its numpy calls, so the batched kernels
 *stack* operands that go through the same arithmetic — the two arms of
 an angle, the three bond vectors and two plane normals of a dihedral —
-along an extra axis and make one call where the serial kernel makes
-two or three.  Stacking only changes which elements share a call:
-every element still sees the serial operands in the serial order.
-Both methods take ``need_energy=False`` to skip the energy lines.
+along an extra axis and make one call where a per-replica kernel
+would make two or three.  Stacking only changes which elements share a
+call: every element still sees the same operands in the same order.
+``need_energy=False`` skips the energy lines.
 """
 
 from __future__ import annotations
@@ -35,15 +34,6 @@ from repro.md.forcefield.base import (
 from repro.util.errors import ConfigurationError
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Last-axis cross product without np.cross's axis-juggling overhead."""
-    out = np.empty_like(a)
-    out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
-    out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
-    out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-    return out
-
-
 def _wrap(planes: np.ndarray) -> np.ndarray:
     """Repeat components x, y behind z: ``planes[:3]`` -> ``(x, y, z, x, y)``.
 
@@ -56,11 +46,10 @@ def _wrap(planes: np.ndarray) -> np.ndarray:
 
 
 def _wrapped_cross(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
-    """:func:`_cross` over the leading axis of :func:`_wrap`-ped planes.
+    """Cross product over the leading axis of :func:`_wrap`-ped planes.
 
     ``(5, ...) x (5, ...) -> (3, ...)``: component ``c`` is
-    ``a[c+1] * b[c+2] - a[c+2] * b[c+1]``, the two products and the
-    subtraction :func:`_cross` makes, for all three components in
+    ``a[c+1] * b[c+2] - a[c+2] * b[c+1]``, for all three components in
     three calls on slices (no copies).
     """
     out = np.multiply(a[1:4], b[2:5], out=out)
@@ -83,28 +72,10 @@ class HarmonicBondForce:
         self._r0_col = self.r0[:, None]
         self._k_col = self.k[:, None]
 
-    def energy_forces(
-        self, positions: np.ndarray, need_energy: bool = True
-    ) -> Tuple[Optional[float], np.ndarray]:
-        """Return (energy, forces) at *positions* (see module docstring)."""
-        forces = np.zeros(positions.shape, positions.dtype)
-        if len(self.pairs) == 0:
-            return 0.0, forces
-        rij = positions[self._j] - positions[self._i]
-        r = np.sqrt(np.sum(rij * rij, axis=1))
-        dr = r - self.r0
-        energy = 0.5 * float(np.dot(self.k, dr * dr)) if need_energy else None
-        # dE/dr = k dr ; force on j is -dE/dr * rij/r
-        fscale = -(self.k * dr) / np.maximum(r, 1e-12)
-        fij = fscale[:, None] * rij
-        np.add.at(forces, self._j, fij)
-        np.add.at(forces, self._i, -fij)
-        return energy, forces
-
     def compute_batch(
         self, planes: np.ndarray, replica_ids=None, need_energy: bool = True
     ) -> Tuple[Optional[np.ndarray], np.ndarray]:
-        """Batched ``energy_forces`` over ``(3, N, R)`` planes."""
+        """``(energies, force planes)`` over ``(3, N, R)`` planes."""
         if len(self.pairs) == 0:
             return empty_batch(planes)
         rij = pair_vectors(planes, self._i, self._j)
@@ -112,6 +83,7 @@ class HarmonicBondForce:
         dr = r - self._r0_col
         k = self._k_col
         energies = 0.5 * np.sum(k * (dr * dr), axis=0) if need_energy else None
+        # dE/dr = k dr; the force on j is -dE/dr * rij / r
         fscale = -(k * dr) / np.maximum(r, 1e-12)
         return energies, pair_force_planes(
             self, self._i, self._j, fscale, rij, planes.shape[1]
@@ -139,42 +111,10 @@ class HarmonicAngleForce:
         self._k_col = self.k[:, None]
         self._scatter: Optional[SegmentScatter] = None
 
-    def energy_forces(
-        self, positions: np.ndarray, need_energy: bool = True
-    ) -> Tuple[Optional[float], np.ndarray]:
-        """Return (energy, forces) at *positions* (see module docstring)."""
-        forces = np.zeros(positions.shape, positions.dtype)
-        if len(self.triples) == 0:
-            return 0.0, forces
-        rij = positions[self._i] - positions[self._j]
-        rkj = positions[self._k] - positions[self._j]
-        nij = np.sqrt(np.sum(rij * rij, axis=1))
-        nkj = np.sqrt(np.sum(rkj * rkj, axis=1))
-        cos_t = np.sum(rij * rkj, axis=1) / np.maximum(nij * nkj, 1e-12)
-        cos_t = np.clip(cos_t, -1.0 + 1e-10, 1.0 - 1e-10)
-        theta = np.arccos(cos_t)
-        dtheta = theta - self.theta0
-        energy = (
-            0.5 * float(np.dot(self.k, dtheta * dtheta)) if need_energy else None
-        )
-        # F_i = (k dtheta / sin theta) * d(cos theta)/d r_i
-        sin_t = np.sqrt(1.0 - cos_t * cos_t)
-        coeff = (self.k * dtheta) / np.maximum(sin_t, 1e-12)
-        fi = (coeff / nij)[:, None] * (
-            rkj / nkj[:, None] - cos_t[:, None] * rij / nij[:, None]
-        )
-        fk = (coeff / nkj)[:, None] * (
-            rij / nij[:, None] - cos_t[:, None] * rkj / nkj[:, None]
-        )
-        np.add.at(forces, self._i, fi)
-        np.add.at(forces, self._k, fk)
-        np.add.at(forces, self._j, -(fi + fk))
-        return energy, forces
-
     def compute_batch(
         self, planes: np.ndarray, replica_ids=None, need_energy: bool = True
     ) -> Tuple[Optional[np.ndarray], np.ndarray]:
-        """Batched ``energy_forces`` over ``(3, N, R)`` planes.
+        """``(energies, force planes)`` over ``(3, N, R)`` planes.
 
         The two arms ``rij | rkj`` are stacked on an axis of length 2
         behind the component axis, so their norms, unit vectors and
@@ -270,69 +210,18 @@ class PeriodicDihedralForce:
         positions: np.ndarray, quads: np.ndarray
     ) -> np.ndarray:
         """Signed dihedral angles (rad) for each quadruple."""
-        i, j, k, l = quads[:, 0], quads[:, 1], quads[:, 2], quads[:, 3]
-        b1 = positions[j] - positions[i]
-        b2 = positions[k] - positions[j]
-        b3 = positions[l] - positions[k]
-        n1 = _cross(b1, b2)
-        n2 = _cross(b2, b3)
-        nb2 = np.sqrt(np.sum(b2 * b2, axis=1))
-        m1 = _cross(n1, b2 / nb2[:, None])
-        x = np.sum(n1 * n2, axis=1)
-        y = np.sum(m1 * n2, axis=1)
-        return np.arctan2(y, x)
-
-    def energy_forces(
-        self, positions: np.ndarray, need_energy: bool = True
-    ) -> Tuple[Optional[float], np.ndarray]:
-        """Return (energy, forces) at *positions* (see module docstring)."""
-        forces = np.zeros(positions.shape, positions.dtype)
-        if len(self.quads) == 0:
-            return 0.0, forces
-        b1 = positions[self._j] - positions[self._i]
-        b2 = positions[self._k] - positions[self._j]
-        b3 = positions[self._l] - positions[self._k]
-        n1 = _cross(b1, b2)
-        n2 = _cross(b2, b3)
-        nb2 = np.sqrt(np.sum(b2 * b2, axis=1))
-        m1 = _cross(n1, b2 / nb2[:, None])
-        x = np.sum(n1 * n2, axis=1)
-        y = np.sum(m1 * n2, axis=1)
-        phi = np.arctan2(y, x)
-        angle = self.mult * phi - self.phi0
-        energy = (
-            float(np.sum(self.k * (1.0 + np.cos(angle)))) if need_energy else None
+        n_quads = len(np.asarray(quads).reshape(-1, 4))
+        term = PeriodicDihedralForce(
+            quads, np.zeros(n_quads), np.zeros(n_quads), np.ones(n_quads)
         )
-        # dE/dphi
-        dE = -self.k * self.mult * np.sin(angle)
-        # Gradient of phi for *this* sign/b-vector convention (verified
-        # against central differences in the test suite):
-        #   dphi/dr_i = +|b2| m / |m|^2           (m = b1 x b2)
-        #   dphi/dr_l = -|b2| n / |n|^2           (n = b2 x b3)
-        #   dphi/dr_j = -(1+s12) dphi/dr_i + s32 dphi/dr_l
-        #   dphi/dr_k = s12 dphi/dr_i - (1+s32) dphi/dr_l
-        n1sq = np.maximum(np.sum(n1 * n1, axis=1), 1e-12)
-        n2sq = np.maximum(np.sum(n2 * n2, axis=1), 1e-12)
-        dphi_i = (nb2 / n1sq)[:, None] * n1
-        dphi_l = -(nb2 / n2sq)[:, None] * n2
-        s12 = np.sum(b1 * b2, axis=1) / np.maximum(nb2 * nb2, 1e-12)
-        s32 = np.sum(b3 * b2, axis=1) / np.maximum(nb2 * nb2, 1e-12)
-        dphi_j = -(1.0 + s12)[:, None] * dphi_i + s32[:, None] * dphi_l
-        dphi_k = s12[:, None] * dphi_i - (1.0 + s32)[:, None] * dphi_l
-        fi = -dE[:, None] * dphi_i
-        fj = -dE[:, None] * dphi_j
-        fk = -dE[:, None] * dphi_k
-        fl = -dE[:, None] * dphi_l
-        np.add.at(forces, self._i, fi)
-        np.add.at(forces, self._j, fj)
-        np.add.at(forces, self._k, fk)
-        np.add.at(forces, self._l, fl)
-        return energy, forces
+        planes = np.asarray(positions, dtype=float).T[:, :, None].copy()
+        phi = term._angle_and_normals(planes)[0]
+        return phi[term._expand, 0]
 
     def compute_batch(
         self, planes: np.ndarray, replica_ids=None, need_energy: bool = True
     ) -> Tuple[Optional[np.ndarray], np.ndarray]:
-        """Batched ``energy_forces`` over ``(3, N, R)`` planes.
+        """``(energies, force planes)`` over ``(3, N, R)`` planes.
 
         Geometry (angle and its four gradients) is evaluated once per
         *unique* quadruple and expanded by index to the registered

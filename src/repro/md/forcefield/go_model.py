@@ -57,35 +57,10 @@ class GoContactForce:
         self._epsilon_col = self.epsilon[:, None]
         self._epsilon60_col = 60.0 * self._epsilon_col
 
-    def energy_forces(
-        self, positions: np.ndarray, need_energy: bool = True
-    ) -> Tuple[Optional[float], np.ndarray]:
-        """Return (energy, forces) of the 12-10 contact wells."""
-        forces = np.zeros(positions.shape, positions.dtype)
-        if len(self.pairs) == 0:
-            return 0.0, forces
-        rij = positions[self._j] - positions[self._i]
-        r2 = np.sum(rij * rij, axis=1)
-        inv_r2 = self.r0 * self.r0 / r2
-        s10 = inv_r2**5
-        s12 = s10 * inv_r2
-        energy = (
-            float(np.sum(self.epsilon * (5.0 * s12 - 6.0 * s10)))
-            if need_energy
-            else None
-        )
-        # -dE/dr * 1/r acting along rij, force on j:
-        # dE/dr = eps [ -60 r0^12/r^13 + 60 r0^10/r^11 ]
-        fscale = 60.0 * self.epsilon * (s12 - s10) / r2
-        fij = fscale[:, None] * rij
-        np.add.at(forces, self._j, fij)
-        np.add.at(forces, self._i, -fij)
-        return energy, forces
-
     def compute_batch(
         self, planes: np.ndarray, replica_ids=None, need_energy: bool = True
     ) -> Tuple[Optional[np.ndarray], np.ndarray]:
-        """Batched ``energy_forces`` over ``(3, N, R)`` planes."""
+        """``(energies, force planes)`` over ``(3, N, R)`` planes."""
         if len(self.pairs) == 0:
             return empty_batch(planes)
         rij = pair_vectors(planes, self._i, self._j)
@@ -98,6 +73,7 @@ class GoContactForce:
             if need_energy
             else None
         )
+        # -dE/dr / r along rij, on j: dE/dr = 60 eps (r0^10/r^11 - r0^12/r^13)
         fscale = self._epsilon60_col * (s12 - s10) / r2
         return energies, pair_force_planes(
             self, self._i, self._j, fscale, rij, planes.shape[1]

@@ -21,49 +21,112 @@ from repro.md.forcefield.base import (
 from repro.util.errors import ConfigurationError
 
 
-def _per_replica_batch(term, planes, replica_ids, need_energy=True):
-    """Per-replica evaluation for a positions-dependent pair provider.
+class _PairForce:
+    """The driver the cutoff pair terms share: one pair list, two layouts.
 
-    Vectorising over replicas needs one pair list valid for every
-    replica, which only a positions-independent provider (e.g.
-    :class:`~repro.md.neighborlist.AllPairs`) has.  Otherwise each
-    replica column of the ``(dim, N, R)`` planes runs the exact
-    serial kernel (``term._energy_forces_pairs``), so results are
-    bit-identical to a serial run of each replica.  A provider with
-    ``replica_pairs(replica, positions)``
-    (:class:`~repro.md.neighborlist.SharedNeighborList`) hands each
-    column its *own replica's* lazily-cached list, keyed by the true
-    replica id so the batched simulation's compaction cannot mix caches
-    up (``None`` ids: column ``r`` is replica ``r``); any other provider
-    (a cell list, a bare Verlet list) is asked for ``pairs(positions)``
-    column by column.
+    A term defines ``_pair_terms(i, j, r2, need_energy, column)`` ->
+    ``(per-pair energies or None, per-pair force scales)`` over squared
+    distances ``r2`` of shape ``(P,)`` (one replica) or ``(P, R)`` (a
+    stack, ``column=True``: per-pair parameters as ``(P, 1)`` columns).
+    Both layouts run the same expressions elementwise, so a replica's
+    forces do not depend on which one served it.  Each term binds
+    :meth:`compute_batch` under its own class, so a per-class profile
+    (the benchmark's tracer) still sees every term's kernel.
     """
-    provider = term.pair_provider
-    replica_pairs = getattr(provider, "replica_pairs", None)
-    if replica_ids is None:
-        replica_ids = range(planes.shape[2])
-    energies = np.empty(planes.shape[2]) if need_energy else None
-    forces = np.empty(planes.shape)
-    for row, replica in enumerate(replica_ids):
-        positions = np.ascontiguousarray(planes[:, :, row].T)
-        if replica_pairs is None:
-            i, j = provider.pairs(positions)
-        else:
-            i, j = replica_pairs(int(replica), positions)
-        energy, row_forces = term._energy_forces_pairs(
-            positions, i, j, need_energy
-        )
+
+    box: Optional[np.ndarray] = None
+
+    def _energy_forces_pairs(
+        self,
+        positions: np.ndarray,
+        i: np.ndarray,
+        j: np.ndarray,
+        need_energy: bool = True,
+    ) -> Tuple[Optional[float], np.ndarray]:
+        """One replica's ``(energy, forces)`` over a candidate pair list."""
+        forces = np.zeros(positions.shape)
+        if len(i) == 0:
+            return 0.0, forces
+        rij = positions[j] - positions[i]
+        if self.box is not None:
+            rij -= self.box * np.round(rij / self.box)
+        r2 = np.sum(rij * rij, axis=1)
+        within = r2 < self.cutoff * self.cutoff
+        if not np.any(within):
+            return 0.0, forces
+        i, j, rij, r2 = i[within], j[within], rij[within], r2[within]
+        terms, fscale = self._pair_terms(i, j, r2, need_energy, column=False)
+        energy = float(np.sum(terms)) if need_energy else None
+        fij = fscale[:, None] * rij  # on j, along +rij
+        np.add.at(forces, j, fij)
+        np.add.at(forces, i, -fij)
+        return energy, forces
+
+    def compute_batch(
+        self,
+        planes: np.ndarray,
+        replica_ids: Optional[np.ndarray] = None,
+        need_energy: bool = True,
+    ) -> Tuple[Optional[np.ndarray], np.ndarray]:
+        """``(energies, force planes)`` over ``(dim, N, R)`` planes.
+
+        Vectorising over replicas needs one pair list valid for every
+        replica, which only a positions-independent provider (e.g.
+        :class:`~repro.md.neighborlist.AllPairs`) has; pairs past the
+        cutoff get a zero force scale instead of leaving the list.
+        Otherwise each column runs :meth:`_energy_forces_pairs` on its
+        own list.  A provider with ``replica_pairs(replica, positions)``
+        (:class:`~repro.md.neighborlist.SharedNeighborList`) hands each
+        column its *own replica's* lazily-cached list, keyed by the true
+        replica id so the batched simulation's compaction cannot mix
+        caches up (``None`` ids: column ``r`` is replica ``r``); any
+        other provider (a cell list, a bare Verlet list) is asked for
+        ``pairs(positions)`` column by column.
+        """
+        provider = self.pair_provider
+        if not getattr(provider, "positions_independent", False):
+            replica_pairs = getattr(provider, "replica_pairs", None)
+            if replica_ids is None:
+                replica_ids = range(planes.shape[2])
+            energies = np.empty(planes.shape[2]) if need_energy else None
+            forces = np.empty(planes.shape)
+            for row, replica in enumerate(replica_ids):
+                positions = np.ascontiguousarray(planes[:, :, row].T)
+                if replica_pairs is None:
+                    i, j = provider.pairs(positions)
+                else:
+                    i, j = replica_pairs(int(replica), positions)
+                energy, row_forces = self._energy_forces_pairs(
+                    positions, i, j, need_energy
+                )
+                if need_energy:
+                    energies[row] = energy
+                forces[:, :, row] = row_forces.T
+            return energies, forces
+        i, j = provider.pairs(None)
+        if len(i) == 0:
+            return empty_batch(planes)
+        rij = pair_vectors(planes, i, j)
+        if self.box is not None:
+            box = self.box[:, None, None]
+            rij -= box * np.round(rij / box)
+        r2 = plane_dot(rij, rij)
+        within = r2 < self.cutoff * self.cutoff
+        terms, fscale = self._pair_terms(i, j, r2, need_energy, column=True)
+        energies = None
         if need_energy:
-            energies[row] = energy
-        forces[:, :, row] = row_forces.T
-    return energies, forces
+            energies = np.sum(np.where(within, terms, 0.0), axis=0)
+        fscale = np.where(within, fscale, 0.0)
+        return energies, pair_force_planes(
+            self, i, j, fscale, rij, planes.shape[1]
+        )
 
 
 #: Coulomb prefactor f = 1/(4 pi eps0) in kJ mol^-1 nm e^-2 (Gromacs value).
 COULOMB_PREFACTOR = 138.935458
 
 
-class LennardJonesForce:
+class LennardJonesForce(_PairForce):
     """12-6 Lennard-Jones with cutoff shift.
 
     ``E(r) = 4 eps [(sigma/r)^12 - (sigma/r)^6] - E(cutoff)`` for r <
@@ -96,106 +159,38 @@ class LennardJonesForce:
                     "cutoff exceeds half the smallest box length"
                 )
 
+    compute_batch = _PairForce.compute_batch
+
     def _pair_params(
-        self, i: np.ndarray, j: np.ndarray, dtype=np.float64
+        self, i: np.ndarray, j: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        # Scalar parameters materialise in the positions dtype so the
-        # float32 fast path stays single precision end to end; float64
-        # callers get exactly the pre-dtype-aware arrays.
         if np.isscalar(self.sigma):
-            sig = np.full(len(i), self.sigma, dtype=dtype)
+            sig = np.full(len(i), self.sigma, dtype=float)
         else:
             sig = 0.5 * (np.asarray(self.sigma)[i] + np.asarray(self.sigma)[j])
         if np.isscalar(self.epsilon):
-            eps = np.full(len(i), self.epsilon, dtype=dtype)
+            eps = np.full(len(i), self.epsilon, dtype=float)
         else:
             eps = np.sqrt(np.asarray(self.epsilon)[i] * np.asarray(self.epsilon)[j])
         return sig, eps
 
-    def energy_forces(
-        self, positions: np.ndarray, need_energy: bool = True
-    ) -> Tuple[Optional[float], np.ndarray]:
-        """Return (energy, forces) at *positions* (see class docstring)."""
-        i, j = self.pair_provider.pairs(positions)
-        return self._energy_forces_pairs(positions, i, j, need_energy)
-
-    def _energy_forces_pairs(
-        self,
-        positions: np.ndarray,
-        i: np.ndarray,
-        j: np.ndarray,
-        need_energy: bool = True,
-    ) -> Tuple[Optional[float], np.ndarray]:
-        """The serial kernel over an explicit candidate pair list."""
-        forces = np.zeros(positions.shape, positions.dtype)
-        if len(i) == 0:
-            return 0.0, forces
-        rij = positions[j] - positions[i]
-        if self.box is not None:
-            rij -= self.box * np.round(rij / self.box)
-        r2 = np.sum(rij * rij, axis=1)
-        within = r2 < self.cutoff * self.cutoff
-        if not np.any(within):
-            return 0.0, forces
-        i, j, rij, r2 = i[within], j[within], rij[within], r2[within]
-        sig, eps = self._pair_params(i, j, dtype=positions.dtype)
+    def _pair_terms(self, i, j, r2, need_energy, column):
+        sig, eps = self._pair_params(i, j)
+        if column:
+            sig, eps = sig[:, None], eps[:, None]
         inv_r2 = 1.0 / r2
         s6 = (sig * sig * inv_r2) ** 3
         s12 = s6 * s6
+        terms = None
         if need_energy:
             # shift so E(cutoff) = 0
             sc6 = (sig / self.cutoff) ** 6
             shift = 4.0 * eps * (sc6 * sc6 - sc6)
-            energy = float(np.sum(4.0 * eps * (s12 - s6) - shift))
-        else:
-            energy = None
-        fscale = 24.0 * eps * (2.0 * s12 - s6) * inv_r2
-        fij = fscale[:, None] * rij
-        np.add.at(forces, self._as_index(j), fij)
-        np.add.at(forces, self._as_index(i), -fij)
-        return energy, forces
-
-    def compute_batch(
-        self,
-        planes: np.ndarray,
-        replica_ids: Optional[np.ndarray] = None,
-        need_energy: bool = True,
-    ) -> Tuple[Optional[np.ndarray], np.ndarray]:
-        """Batched ``energy_forces`` over ``(dim, N, R)`` planes."""
-        if not getattr(self.pair_provider, "positions_independent", False):
-            return _per_replica_batch(self, planes, replica_ids, need_energy)
-        i, j = self.pair_provider.pairs(None)
-        if len(i) == 0:
-            return empty_batch(planes)
-        rij = pair_vectors(planes, i, j)
-        if self.box is not None:
-            box = self.box[:, None, None]
-            rij -= box * np.round(rij / box)
-        r2 = plane_dot(rij, rij)
-        within = r2 < self.cutoff * self.cutoff
-        sig, eps = (param[:, None] for param in self._pair_params(i, j))
-        inv_r2 = 1.0 / r2
-        s6 = (sig * sig * inv_r2) ** 3
-        s12 = s6 * s6
-        if need_energy:
-            sc6 = (sig / self.cutoff) ** 6
-            shift = 4.0 * eps * (sc6 * sc6 - sc6)
-            energies = np.sum(
-                np.where(within, 4.0 * eps * (s12 - s6) - shift, 0.0), axis=0
-            )
-        else:
-            energies = None
-        fscale = np.where(within, 24.0 * eps * (2.0 * s12 - s6) * inv_r2, 0.0)
-        return energies, pair_force_planes(
-            self, i, j, fscale, rij, planes.shape[1]
-        )
-
-    @staticmethod
-    def _as_index(idx: np.ndarray) -> np.ndarray:
-        return idx
+            terms = 4.0 * eps * (s12 - s6) - shift
+        return terms, 24.0 * eps * (2.0 * s12 - s6) * inv_r2
 
 
-class ReactionFieldElectrostatics:
+class ReactionFieldElectrostatics(_PairForce):
     """Coulomb interaction with reaction-field correction (Gromacs form).
 
     The paper's villin runs treat long-range electrostatics with a
@@ -227,80 +222,21 @@ class ReactionFieldElectrostatics:
         self.k_rf = (epsilon_rf - 1.0) / (2.0 * epsilon_rf + 1.0) / rc**3
         self.c_rf = 1.0 / rc + self.k_rf * rc**2
 
-    def energy_forces(
-        self, positions: np.ndarray, need_energy: bool = True
-    ) -> Tuple[Optional[float], np.ndarray]:
-        """Return (energy, forces) at *positions* (see class docstring)."""
-        i, j = self.pair_provider.pairs(positions)
-        return self._energy_forces_pairs(positions, i, j, need_energy)
+    compute_batch = _PairForce.compute_batch
 
-    def _energy_forces_pairs(
-        self,
-        positions: np.ndarray,
-        i: np.ndarray,
-        j: np.ndarray,
-        need_energy: bool = True,
-    ) -> Tuple[Optional[float], np.ndarray]:
-        """The serial kernel over an explicit candidate pair list."""
-        forces = np.zeros(positions.shape, positions.dtype)
-        if len(i) == 0:
-            return 0.0, forces
-        rij = positions[j] - positions[i]
-        r2 = np.sum(rij * rij, axis=1)
-        within = r2 < self.cutoff * self.cutoff
-        if not np.any(within):
-            return 0.0, forces
-        i, j, rij, r2 = i[within], j[within], rij[within], r2[within]
-        r = np.sqrt(r2)
+    def _pair_terms(self, i, j, r2, need_energy, column):
         qq = COULOMB_PREFACTOR * self.charges[i] * self.charges[j]
-        energy = (
-            float(np.sum(qq * (1.0 / r + self.k_rf * r2 - self.c_rf)))
-            if need_energy
-            else None
-        )
-        # -dE/dr = qq (1/r^2 - 2 k_rf r); force on j along +rij
-        fscale = qq * (1.0 / (r2 * r) - 2.0 * self.k_rf)
-        fij = fscale[:, None] * rij
-        np.add.at(forces, j, fij)
-        np.add.at(forces, i, -fij)
-        return energy, forces
-
-    def compute_batch(
-        self,
-        planes: np.ndarray,
-        replica_ids: Optional[np.ndarray] = None,
-        need_energy: bool = True,
-    ) -> Tuple[Optional[np.ndarray], np.ndarray]:
-        """Batched ``energy_forces`` over ``(dim, N, R)`` planes."""
-        if not getattr(self.pair_provider, "positions_independent", False):
-            return _per_replica_batch(self, planes, replica_ids, need_energy)
-        i, j = self.pair_provider.pairs(None)
-        if len(i) == 0:
-            return empty_batch(planes)
-        rij = pair_vectors(planes, i, j)
-        r2 = plane_dot(rij, rij)
-        within = r2 < self.cutoff * self.cutoff
+        if column:
+            qq = qq[:, None]
         r = np.sqrt(r2)
-        qq = (COULOMB_PREFACTOR * self.charges[i] * self.charges[j])[:, None]
-        energies = (
-            np.sum(
-                np.where(
-                    within, qq * (1.0 / r + self.k_rf * r2 - self.c_rf), 0.0
-                ),
-                axis=0,
-            )
-            if need_energy
-            else None
-        )
-        fscale = np.where(
-            within, qq * (1.0 / (r2 * r) - 2.0 * self.k_rf), 0.0
-        )
-        return energies, pair_force_planes(
-            self, i, j, fscale, rij, planes.shape[1]
-        )
+        terms = None
+        if need_energy:
+            terms = qq * (1.0 / r + self.k_rf * r2 - self.c_rf)
+        # -dE/dr / r = qq (1/r^3 - 2 k_rf)
+        return terms, qq * (1.0 / (r2 * r) - 2.0 * self.k_rf)
 
 
-class ExcludedVolumeForce:
+class ExcludedVolumeForce(_PairForce):
     """Purely repulsive ``eps (sigma/r)^12`` wall, cutoff at ``r = sigma * factor``.
 
     Used for the non-native pairs of a Gō model: chains cannot pass
@@ -321,64 +257,13 @@ class ExcludedVolumeForce:
         self.epsilon = float(epsilon)
         self.cutoff = float(sigma * cutoff_factor)
 
-    def energy_forces(
-        self, positions: np.ndarray, need_energy: bool = True
-    ) -> Tuple[Optional[float], np.ndarray]:
-        """Return (energy, forces) at *positions* (see class docstring)."""
-        i, j = self.pair_provider.pairs(positions)
-        return self._energy_forces_pairs(positions, i, j, need_energy)
+    compute_batch = _PairForce.compute_batch
 
-    def _energy_forces_pairs(
-        self,
-        positions: np.ndarray,
-        i: np.ndarray,
-        j: np.ndarray,
-        need_energy: bool = True,
-    ) -> Tuple[Optional[float], np.ndarray]:
-        """The serial kernel over an explicit candidate pair list."""
-        forces = np.zeros(positions.shape, positions.dtype)
-        if len(i) == 0:
-            return 0.0, forces
-        rij = positions[j] - positions[i]
-        r2 = np.sum(rij * rij, axis=1)
-        within = r2 < self.cutoff * self.cutoff
-        if not np.any(within):
-            return 0.0, forces
-        i, j, rij, r2 = i[within], j[within], rij[within], r2[within]
+    def _pair_terms(self, i, j, r2, need_energy, column):
         inv_r2 = 1.0 / r2
         s12 = (self.sigma * self.sigma * inv_r2) ** 6
-        shift = self.epsilon * (self.sigma / self.cutoff) ** 12
-        energy = float(np.sum(self.epsilon * s12 - shift)) if need_energy else None
-        fscale = 12.0 * self.epsilon * s12 * inv_r2
-        fij = fscale[:, None] * rij
-        np.add.at(forces, j, fij)
-        np.add.at(forces, i, -fij)
-        return energy, forces
-
-    def compute_batch(
-        self,
-        planes: np.ndarray,
-        replica_ids: Optional[np.ndarray] = None,
-        need_energy: bool = True,
-    ) -> Tuple[Optional[np.ndarray], np.ndarray]:
-        """Batched ``energy_forces`` over ``(dim, N, R)`` planes."""
-        if not getattr(self.pair_provider, "positions_independent", False):
-            return _per_replica_batch(self, planes, replica_ids, need_energy)
-        i, j = self.pair_provider.pairs(None)
-        if len(i) == 0:
-            return empty_batch(planes)
-        rij = pair_vectors(planes, i, j)
-        r2 = plane_dot(rij, rij)
-        within = r2 < self.cutoff * self.cutoff
-        inv_r2 = 1.0 / r2
-        s12 = (self.sigma * self.sigma * inv_r2) ** 6
-        shift = self.epsilon * (self.sigma / self.cutoff) ** 12
-        energies = (
-            np.sum(np.where(within, self.epsilon * s12 - shift, 0.0), axis=0)
-            if need_energy
-            else None
-        )
-        fscale = np.where(within, 12.0 * self.epsilon * s12 * inv_r2, 0.0)
-        return energies, pair_force_planes(
-            self, i, j, fscale, rij, planes.shape[1]
-        )
+        terms = None
+        if need_energy:
+            shift = self.epsilon * (self.sigma / self.cutoff) ** 12
+            terms = self.epsilon * s12 - shift
+        return terms, 12.0 * self.epsilon * s12 * inv_r2

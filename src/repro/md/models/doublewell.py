@@ -25,37 +25,23 @@ class DoubleWellForce:
         self.barrier = float(barrier)
         self.width = float(width)
 
-    def energy_forces(
-        self, positions: np.ndarray, need_energy: bool = True
-    ) -> Tuple[Optional[float], np.ndarray]:
-        """Return (energy, forces) of the double-well potential.
-
-        ``need_energy=False`` (the step loops) skips the energy sum and
-        returns ``None`` for it.
-        """
-        u = positions / self.width
-        q = u * u - 1.0
-        energy = self.barrier * float(np.sum(q * q)) if need_energy else None
-        # dE/dx = barrier * 2 q * 2u / width
-        forces = -(4.0 * self.barrier / self.width) * q * u
-        return energy, forces
-
     def compute_batch(
         self,
         planes: np.ndarray,
         replica_ids: Optional[np.ndarray] = None,
         need_energy: bool = True,
     ) -> Tuple[Optional[np.ndarray], np.ndarray]:
-        """:meth:`energy_forces` over ``(dim, N, R)`` component planes.
+        """``(energies, force planes)`` over ``(dim, N, R)`` planes.
 
-        The same expressions elementwise over the replica axis, so each
-        replica's forces are the serial bits.
+        Elementwise over the replica axis, so a replica's forces do not
+        depend on its stack.
         """
         u = planes / self.width
         q = u * u - 1.0
         energies = (
             self.barrier * np.sum(q * q, axis=(0, 1)) if need_energy else None
         )
+        # dE/dx = barrier * 2 q * 2u / width
         forces = -(4.0 * self.barrier / self.width) * q * u
         return energies, forces
 
@@ -77,23 +63,13 @@ class TiltedDoubleWellForce(DoubleWellForce):
         super().__init__(barrier, width)
         self.slope = float(slope)
 
-    def energy_forces(
-        self, positions: np.ndarray, need_energy: bool = True
-    ) -> Tuple[Optional[float], np.ndarray]:
-        """Return (energy, forces) of the tilted double-well potential."""
-        energy, forces = super().energy_forces(positions, need_energy)
-        if need_energy:
-            energy += self.slope * float(np.sum(positions))
-        forces = forces - self.slope
-        return energy, forces
-
     def compute_batch(
         self,
         planes: np.ndarray,
         replica_ids: Optional[np.ndarray] = None,
         need_energy: bool = True,
     ) -> Tuple[Optional[np.ndarray], np.ndarray]:
-        """:meth:`energy_forces` over ``(dim, N, R)`` component planes."""
+        """``(energies, force planes)`` over ``(dim, N, R)`` planes."""
         energies, forces = super().compute_batch(planes, replica_ids, need_energy)
         if need_energy:
             energies += self.slope * np.sum(planes, axis=(0, 1))

@@ -14,6 +14,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.md.forcefield.base import composite_energy_forces
 from repro.md.forcefield.nonbonded import LennardJonesForce
 from repro.md.neighborlist import AllPairs, SharedNeighborList
 from repro.md.system import State, System
@@ -148,7 +149,7 @@ def _scaled_energy(force, positions, box, scale):
     try:
         if original_box is not None:
             force.box = original_box * scale
-        result = force.energy_forces(positions * scale)
+        result = composite_energy_forces([force], positions * scale)
     finally:
         force.box = original_box
     return result

@@ -47,39 +47,19 @@ class MullerBrownForce:
     def __init__(self, scale: float = 0.05) -> None:
         self.scale = float(scale)
 
-    def energy_forces(
-        self, positions: np.ndarray, need_energy: bool = True
-    ) -> Tuple[Optional[float], np.ndarray]:
-        """Return (energy, forces) of the Muller-Brown surface.
-
-        ``need_energy=False`` (the step loops) skips the energy sum and
-        returns ``None`` for it.
-        """
-        x = positions[:, 0][:, None]
-        y = positions[:, 1][:, None]
-        dx = x - _x0[None, :]
-        dy = y - _y0[None, :]
-        expo = _a * dx * dx + _b * dx * dy + _c * dy * dy
-        terms = _A * np.exp(expo)
-        energy = self.scale * float(np.sum(terms)) if need_energy else None
-        dE_dx = np.sum(terms * (2.0 * _a * dx + _b * dy), axis=1)
-        dE_dy = np.sum(terms * (_b * dx + 2.0 * _c * dy), axis=1)
-        forces = -self.scale * np.stack([dE_dx, dE_dy], axis=1)
-        return energy, forces
-
     def compute_batch(
         self,
         planes: np.ndarray,
         replica_ids: Optional[np.ndarray] = None,
         need_energy: bool = True,
     ) -> Tuple[Optional[np.ndarray], np.ndarray]:
-        """:meth:`energy_forces` over ``(2, N, R)`` component planes.
+        """``(energies, force planes)`` over ``(2, N, R)`` planes.
 
         The four terms lead, as ``(4, N, R)``: every product associates
-        as in the serial kernel, ``np.exp`` sees a contiguous array as
-        it does there, and :func:`~repro.md.forcefield.base.plane_dot`
-        adds the four terms left to right like serial's ``np.sum`` over
-        its length-4 axis — each replica's forces are the serial bits.
+        as in a per-particle ``(N, 4)`` kernel, ``np.exp`` sees a
+        contiguous array, and :func:`~repro.md.forcefield.base.plane_dot`
+        adds the four terms left to right like ``np.sum`` over a
+        length-4 axis — a replica's forces do not depend on its stack.
         """
         dx = planes[0] - _x03
         dy = planes[1] - _y03

@@ -303,14 +303,14 @@ class VerletList:
 class SharedNeighborList:
     """One neighbour-list configuration shared across a replica batch.
 
-    Serves the serial path through :meth:`pairs` (its own lazy
-    :class:`VerletList`) and the batched path through
-    :meth:`replica_pairs`, which keys a per-replica ``VerletList`` on
-    the *replica id* — stable across the batched simulation's
-    compaction of finished replicas — so each replica's rebuild
-    schedule depends only on its own motion, exactly as in a serial
-    run.  The exclusion preprocessing and all geometry parameters are
-    shared; only the cached candidate arrays are per-replica.
+    Serves stacks through :meth:`replica_pairs`, which keys a
+    per-replica ``VerletList`` on the *replica id* — stable across the
+    batched simulation's compaction of finished replicas — so each
+    replica's rebuild schedule depends only on its own motion, whatever
+    stack it runs in; one-configuration callers (the domain
+    decomposition, the virial) use :meth:`pairs` and its own lazy list.
+    The exclusion preprocessing and all geometry parameters are shared;
+    only the cached candidate arrays are per-replica.
     """
 
     positions_independent = False
@@ -335,7 +335,7 @@ class SharedNeighborList:
         )
 
     def pairs(self, positions: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Serial-path candidates (one shared lazy list)."""
+        """Candidates for a one-configuration caller (its own lazy list)."""
         return self._serial.pairs(positions)
 
     def replica_pairs(

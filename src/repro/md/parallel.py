@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.md.forcefield.base import composite_energy_forces
 from repro.md.forcefield.bonded import (
     HarmonicAngleForce,
     HarmonicBondForce,
@@ -261,12 +262,9 @@ class DomainDecomposition:
         total_forces = np.zeros_like(positions)
         halo, exports = [], []
         for rank in range(self.n_ranks):
-            rank_energy = 0.0
-            rank_forces = np.zeros_like(positions)
-            for force in self._rank_forces[rank]:
-                e, f = force.energy_forces(positions)
-                rank_energy += e
-                rank_forces += f
+            rank_energy, rank_forces = composite_energy_forces(
+                self._rank_forces[rank], positions
+            )
             total_energy += rank_energy
             total_forces += rank_forces
             owned = self.owner_of == rank

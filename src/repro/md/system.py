@@ -130,22 +130,13 @@ class State:
     step: int = 0
 
     def __post_init__(self) -> None:
-        # The default path is float64; float32 arrays pass through
-        # unchanged so the opt-in fast path (repro.md.precision) keeps
-        # its dtype across State round-trips.
-        self.positions = self._coerce(self.positions)
-        self.velocities = self._coerce(self.velocities)
+        self.positions = np.ascontiguousarray(self.positions, dtype=float)
+        self.velocities = np.ascontiguousarray(self.velocities, dtype=float)
         if self.positions.shape != self.velocities.shape:
             raise ConfigurationError(
                 f"positions {self.positions.shape} and velocities "
                 f"{self.velocities.shape} shapes differ"
             )
-
-    @staticmethod
-    def _coerce(array) -> np.ndarray:
-        if isinstance(array, np.ndarray) and array.dtype == np.float32:
-            return np.ascontiguousarray(array)
-        return np.ascontiguousarray(array, dtype=float)
 
     def copy(self) -> "State":
         """Deep copy (positions and velocities are duplicated)."""
@@ -213,11 +204,10 @@ class System:
     ) -> Tuple[Optional[float], np.ndarray]:
         """Total potential energy and forces at *positions*.
 
-        Sums every registered force term.  Forces accumulate into a
-        single preallocated buffer — no per-term temporaries survive.
-        Step loops pass ``need_energy=False``: the energy is then
-        ``None`` and every term skips computing it (the forces are the
-        same bits either way).
+        A stack of one through every registered term's batched kernel
+        (:func:`~repro.md.forcefield.base.composite_energy_forces`).
+        ``need_energy=False`` returns ``None`` for the energy (the
+        forces are the same bits either way).
         """
         return composite_energy_forces(self.forces, positions, need_energy)
 

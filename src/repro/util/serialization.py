@@ -51,14 +51,14 @@ def _encode_dict(value: dict) -> dict:
 
 
 def _array_shape(value: np.ndarray) -> tuple:
-    """The shape an array travels with (``np.ascontiguousarray`` makes
-    a 0-d array 1-d); an object array, whose buffer holds pointers, is
-    refused."""
+    """The shape an array travels with (its own: a 0-d array's is
+    ``[]``, decoded back to 0-d); an object array, whose buffer holds
+    pointers, is refused."""
     if value.dtype.hasobject:
         raise CommunicationError(
             "cannot serialize an object-dtype array (its buffer holds pointers)"
         )
-    return value.shape or (1,)
+    return value.shape
 
 
 def _scalar_item(value: np.generic) -> Any:
@@ -194,8 +194,7 @@ def _size(value: Any) -> int:
             + 4 * ((value.nbytes + 2) // 3)  # base64
             + len(_escaped(value.dtype.str))
             + sum(len(_int_repr(n)) for n in shape)
-            + len(shape)
-            - 1
+            + max(len(shape) - 1, 0)  # commas
         )
     if isinstance(value, np.generic):
         return (

@@ -12,15 +12,15 @@ back into per-command payloads.
 
 The merge depth is *adaptive*: it is whatever compatible work is
 actually present, capped by the worker's announced ``batch_capacity``
-— a lone command runs serially, a burst of ensemble generation
-coalesces to the cap.  Commands carrying a resume checkpoint never
-coalesce (a requeued command resumes serially), so recovery paths are
-untouched.
+— a lone command runs as a stack of one, a burst of ensemble
+generation coalesces to the cap.  Commands carrying a resume checkpoint
+never coalesce (a requeued command resumes alone), so recovery paths
+are untouched.
 
 Crucially, coalescing is invisible above the worker: every member
 command keeps its own lease, trace span, heartbeat checkpoint, journal
 record and result submission, and the per-command results are
-bit-identical to serial execution (the batched kernel's contract), so
+those of running each command alone (the batched kernel's contract), so
 the server's dedup barrier, speculation races and crash recovery work
 unchanged on merged commands.
 """
@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.command import Command
-from repro.md.batched import BATCHED_INTEGRATORS
 from repro.md.engine import BatchedMDTask, MDTask
 from repro.util.errors import ConfigurationError
 
@@ -53,14 +52,11 @@ class BatchCommand(Command):
 
 
 def coalesce_key(command: Command) -> Optional[Tuple]:
-    """Grouping key for *command*, or ``None`` when it must run serially.
+    """Grouping key for *command*, or ``None`` when it must run alone.
 
     Two commands with equal (non-``None``) keys propagate identically
     batched or not, so they may share one kernel call.  The stacking
-    rule: a command stacks unless it resumes a checkpoint, runs in
-    float32 (outside the batched kernel's bit-identity contract) or
-    names an integrator without a batched form
-    (:data:`~repro.md.batched.BATCHED_INTEGRATORS`).
+    rule: a command stacks unless it resumes a checkpoint.
     """
     if command.executable != COALESCIBLE_EXECUTABLE:
         return None
@@ -68,10 +64,6 @@ def coalesce_key(command: Command) -> Optional[Tuple]:
         return None
     payload = command.payload
     if payload.get("checkpoint") is not None:
-        return None
-    if payload.get("precision", "float64") != "float64":
-        return None
-    if payload.get("integrator", "langevin") not in BATCHED_INTEGRATORS:
         return None
     try:
         return (

@@ -1,18 +1,19 @@
-"""Bit-identity contract of the batched ensemble kernel.
+"""Bit-identity contract of the stacked kernel.
 
-The batched kernel is only allowed to change wall-clock time: every
-per-replica observable — positions, velocities, trajectory frames, RNG
-state, checkpoint payloads — must be byte-for-byte what R serial engine
-runs with the same seeds produce, including across an abort /
-checkpoint / restore cycle.  These tests are the acceptance gate for
-ISSUE 5's tentpole.
+Stacking is only allowed to change wall-clock time: every per-replica
+observable — positions, velocities, trajectory frames, RNG and
+thermostat state, checkpoint payloads, final energy — must be
+byte-for-byte what R lone ``MDEngine.run`` calls (stacks of one) with
+the same seeds produce, including across an abort / checkpoint /
+restore cycle.  ``tests/test_md_golden.py`` pins the stack of one
+itself; the force kernels are compared with the per-replica reference
+kernels of ``tests/serial_oracle.py``.
 """
 
 import numpy as np
 import pytest
 
 from repro.md.batched import (
-    BATCHED_INTEGRATORS,
     BatchedSimulation,
     make_batched_integrator,
 )
@@ -30,6 +31,7 @@ from repro.md.models.muller_brown import MullerBrownForce
 from repro.util.errors import ConfigurationError, SimulationError
 from repro.util.serialization import encode_message
 from repro.worker import Worker
+from tests import serial_oracle
 
 R = 8
 N_STEPS = 250
@@ -95,12 +97,28 @@ def test_batched_verlet_bit_identical():
     assert_results_identical(serial, batched.results)
 
 
-def test_batched_nose_hoover_stack_is_refused():
-    """No batched Nosé–Hoover form: the stack is a typed error, not a
-    serial loop in disguise (such commands never coalesce)."""
-    stack = BatchedMDTask.from_tasks(make_tasks(integrator="nose-hoover"))
-    with pytest.raises(ConfigurationError, match="nose-hoover"):
-        MDEngine(segment_steps=100).run_batched(stack)
+@pytest.mark.parametrize("model", ["double-well", "villin-fast"])
+def test_batched_nose_hoover_bit_identical(model):
+    """Each replica keeps its own thermostat variable: a stack equals
+    lone runs, straight through and across abort / resume (the
+    checkpoints carry each replica's xi)."""
+    engine = MDEngine(segment_steps=40)
+    tasks = make_tasks(model=model, n_steps=120, integrator="nose-hoover")[:4]
+    lone = [engine.run(task) for task in tasks]
+    stacked = engine.run_batched(BatchedMDTask.from_tasks(tasks))
+    assert_results_identical(lone, stacked.results)
+    assert len({r.checkpoint["thermostat_state"] for r in lone}) == len(tasks)
+
+    partial = engine.run_batched(
+        BatchedMDTask.from_tasks(tasks), abort_after_steps=70
+    )
+    resumed = resumed_from(tasks, partial.results)
+    final = engine.run_batched(BatchedMDTask.from_tasks(resumed)).results
+    assert_results_identical([engine.run(t) for t in resumed], final)
+    for interrupted, straight in zip(final, lone):
+        assert checkpoint_bytes(interrupted.checkpoint) == checkpoint_bytes(
+            straight.checkpoint
+        )
 
 
 def test_batched_identity_across_checkpoint_restore():
@@ -180,7 +198,7 @@ def test_batched_task_rejects_incompatible_members():
 
 
 def test_batched_simulation_checkpoints_match_serial_simulation():
-    """The kernel's own checkpoints equal the serial Simulation's."""
+    """The kernel's own checkpoints equal a lone engine run's."""
     tasks = make_tasks()[:4]
     built = resolve_model(MODEL, {})
     integrator = make_batched_integrator(
@@ -239,7 +257,7 @@ def test_segments_resumed_off_the_report_grid_add_no_frames(model):
 
 def test_batched_segments_resumed_off_the_report_grid_add_no_frames():
     """The same on a batched R=3 stack: every replica's merged frames
-    are bit-equal to its direct serial run."""
+    are bit-equal to its direct lone run."""
     engine = MDEngine()
     tasks = off_grid_tasks("double-well", 3)
     btask = BatchedMDTask.from_tasks(tasks)
@@ -269,8 +287,8 @@ def make_villin_tasks(n_replicas):
 
 @pytest.mark.parametrize("n_replicas", [1, 6])
 def test_villin_resume_from_checkpoint_is_identical(n_replicas):
-    """Abort, checkpoint, resume — batched at R=1 and at the adaptive
-    loop's R=6 — equals serial and equals a straight-through run."""
+    """Abort, checkpoint, resume — at R=1 and at the adaptive loop's
+    R=6 — equals lone runs and equals a straight-through run."""
     engine = MDEngine(segment_steps=40)
     tasks = make_villin_tasks(n_replicas)
     serial_partial = [engine.run(t, abort_after_steps=70) for t in tasks]
@@ -296,7 +314,7 @@ def test_villin_resume_from_checkpoint_is_identical(n_replicas):
 @pytest.mark.parametrize("n_replicas", [1, 6])
 def test_villin_early_exit_is_identical(n_replicas):
     """Replicas leave the stack at their own targets (the last one
-    runs alone in a compacted stack of one): same bits as serial."""
+    runs alone in a compacted stack of one): same bits as lone runs."""
     built = resolve_model("villin-fast", {})
     tasks = make_villin_tasks(n_replicas)
     stops = np.array([40 + 25 * r for r in range(n_replicas)])
@@ -320,7 +338,7 @@ def test_villin_early_exit_is_identical(n_replicas):
         np.testing.assert_array_equal(
             batched.trajectories[r].frames, serial.frames
         )
-        # batched energies keep their own (sequential) summation order
+        # a stack's energies keep their own (sequential) summation order
         np.testing.assert_allclose(
             energies[r], serial.final_potential_energy, rtol=1e-12
         )
@@ -380,7 +398,7 @@ def test_small_model_stack_is_bit_identical(model, params, integrator, n_replica
 @pytest.mark.parametrize("model, params, integrator", SMALL_MODELS)
 def test_small_model_stack_compacts_identically(model, params, integrator):
     """Unequal stop steps: rows leave the stack one by one and the last
-    runs in a compacted stack of one — same bits as serial."""
+    runs in a compacted stack of one — same bits as lone runs."""
     built = resolve_model(model, params)
     tasks = make_small_tasks(model, params, integrator, 3)
     stops = np.array([40, 115, 90])
@@ -406,7 +424,7 @@ def test_small_model_stack_compacts_identically(model, params, integrator):
 def test_small_model_stack_resumes_identically(model, params, integrator):
     """Abort and resume from the returned checkpoints; then resume rows
     that sit at *different* step counts (their reports fall on
-    different steps of one span): both equal serial."""
+    different steps of one span): both equal lone runs."""
     engine = MDEngine(segment_steps=40)
     tasks = make_small_tasks(model, params, integrator, 3)
     serial_partial = [engine.run(t, abort_after_steps=70) for t in tasks]
@@ -446,7 +464,7 @@ TOY_FORCES = [
 @pytest.mark.parametrize("n_replicas", [1, 2, 3, 9])
 @pytest.mark.parametrize("force, dim", TOY_FORCES)
 def test_toy_compute_batch_equals_serial_forces(force, dim, n_replicas):
-    """Force planes are the serial bits per replica, and skipping the
+    """Force planes are the per-replica reference bits, and skipping the
     energy never changes one."""
     rng = np.random.default_rng(7)
     for _ in range(25):
@@ -457,7 +475,7 @@ def test_toy_compute_batch_equals_serial_forces(force, dim, n_replicas):
         assert none is None
         np.testing.assert_array_equal(forces_only, forces)
         for r in range(n_replicas):
-            energy, serial = force.energy_forces(stack[r])
+            energy, serial = serial_oracle.energy_forces(force, stack[r])
             np.testing.assert_array_equal(forces[:, :, r].T, serial)
             np.testing.assert_allclose(energies[r], energy, rtol=1e-13)
 
@@ -497,11 +515,10 @@ def test_every_registered_force_term_vectorises(model, n_replicas):
         assert forces.shape == planes.shape, type(force).__name__
 
 
-def test_every_integrator_but_nose_hoover_has_a_batched_form():
-    assert BATCHED_INTEGRATORS == ("langevin", "verlet", "markov-chain")
-    for name in BATCHED_INTEGRATORS:
-        make_integrator(name, timestep=0.02)  # the name is registered
-        make_batched_integrator(name, 0.02, 300.0, 1.0, [0, 1])
-    make_integrator("nose-hoover", timestep=0.02)
-    with pytest.raises(ConfigurationError, match="no batched form"):
-        make_batched_integrator("nose-hoover", 0.02, 300.0, 1.0, [0, 1])
+def test_every_integrator_has_a_batched_form():
+    for name in ("langevin", "verlet", "nose-hoover", "markov-chain"):
+        lone = make_integrator(name, timestep=0.02)
+        stack = make_batched_integrator(name, 0.02, 300.0, 1.0, [0, 1])
+        assert type(lone) is type(stack)
+    with pytest.raises(ConfigurationError, match="unknown integrator"):
+        make_batched_integrator("leapfrog", 0.02, 300.0, 1.0, [0, 1])

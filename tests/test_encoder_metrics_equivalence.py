@@ -33,13 +33,14 @@ from repro.util.serialization import decode_message, encode_message
 
 
 def reference_encode_value(value):
-    """``_encode_value`` as it was before the fast path."""
+    """``_encode_value`` as it was before the fast path (except that an
+    array travels with its own shape, ``[]`` for a 0-d one)."""
     if isinstance(value, np.ndarray):
         contiguous = np.ascontiguousarray(value)
         return {
             "__ndarray__": base64.b64encode(contiguous.tobytes()).decode("ascii"),
             "dtype": contiguous.dtype.str,
-            "shape": list(contiguous.shape),
+            "shape": list(value.shape),
         }
     if isinstance(value, np.generic):
         return {"__npscalar__": value.item(), "dtype": value.dtype.str}

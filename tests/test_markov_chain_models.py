@@ -179,21 +179,27 @@ def test_integrator_rereads_a_particle_the_caller_moved():
     that moves it between steps (or restores a checkpoint) must get the
     jump out of the state the particle is *in*."""
     from repro.md.integrators import MarkovChainIntegrator
+    from repro.md.simulation import Simulation
 
     system = build_markov_chain("markov-ala20")
     spec = system.spec
 
     def jumps(move_to):
-        integrator = MarkovChainIntegrator(0.02, rng=5)
-        state = markov_chain_initial_state(system)
-        visited = []
-        for step in range(40):
-            if step == 20 and move_to is not None:
-                state.positions[...] = spec.position_of(move_to)
-            start = spec.state_of(state.positions)
-            integrator.step(system, state, None)
-            visited.append((start, spec.state_of(state.positions)))
-        return visited, integrator.rng_state
+        sim = Simulation(
+            system,
+            MarkovChainIntegrator(0.02, rng=5),
+            markov_chain_initial_state(system),
+            report_interval=1,
+        )
+        states = []
+        sim.add_observer(lambda state: states.append(spec.state_of(state.positions)))
+        sim.run(20)
+        if move_to is not None:
+            sim.state.positions[...] = spec.position_of(move_to)
+        states.append(spec.state_of(sim.state.positions))
+        sim.run(20)
+        visited = list(zip(states[:20], states[1:21]))
+        return visited + list(zip(states[21:-1], states[22:])), sim.integrator.rng_state
 
     # same uniforms either way, so the reference is a chain whose every
     # step re-derives the state from the coordinates

@@ -200,10 +200,12 @@ def test_maxwell_boltzmann_temperature_scale():
 
 
 def test_batched_langevin_step_matches_serial_bits_and_rng_state():
-    """The batched step hoists per-run constants and draws noise with
+    """The stacked step hoists per-run constants and draws noise with
     ``standard_normal(out=...)``: same stream, same arithmetic order —
     positions, velocities and the post-step ``bit_generator.state`` are
-    those of the serial integrator, also on a compacted stack."""
+    those of each replica stepped alone (a stack of one), also on a
+    compacted stack, and the stream is the one a lone allocate-and-
+    return draw would advance."""
     from repro.md.batched import BatchedLangevinIntegrator, BatchedSystem
 
     model = build_villin("fast")
@@ -214,11 +216,16 @@ def test_batched_langevin_step_matches_serial_bits_and_rng_state():
     serial = [LangevinIntegrator(0.02, 300.0, friction=2.0, rng=seed) for seed in seeds]
     batched = BatchedLangevinIntegrator(0.02, 300.0, friction=2.0, rngs=seeds)
     stack = BatchedSystem(system, len(seeds))
+    alone = BatchedSystem(system, 1)
     positions = np.stack([s.positions for s in states])
     velocities = np.stack([s.velocities for s in states])
     ids = np.arange(len(seeds))
     forces = batched.initial_forces(stack, positions, ids)
-    serial_forces = [system.energy_forces(s.positions)[1] for s in states]
+    lone = [
+        [s.positions[None].copy(), s.velocities[None].copy()] for s in states
+    ]
+    for pair in lone:
+        pair.append(serial[0].initial_forces(alone, pair[0]))
 
     def advance(rows, n_steps):
         nonlocal positions, velocities, forces
@@ -226,16 +233,17 @@ def test_batched_langevin_step_matches_serial_bits_and_rng_state():
         for _ in range(n_steps):
             frc = batched.step(stack, pos, vel, frc, ids[rows])
             for r in rows:
-                serial_forces[r] = serial[r].step(system, states[r], serial_forces[r])
+                pos1, vel1, frc1 = lone[r]
+                lone[r][2] = serial[r].step(alone, pos1, vel1, frc1, ids[:1])
         positions[rows], velocities[rows], forces[rows] = pos, vel, frc
 
     advance([0, 1, 2, 3], 5)
     advance([1, 3], 4)  # compacted: replicas 0 and 2 stop drawing
 
-    for r, state in enumerate(states):
-        assert positions[r].tobytes() == state.positions.tobytes()
-        assert velocities[r].tobytes() == state.velocities.tobytes()
-        assert forces[r].tobytes() == serial_forces[r].tobytes()
+    for r, (pos1, vel1, frc1) in enumerate(lone):
+        assert positions[r].tobytes() == pos1[0].tobytes()
+        assert velocities[r].tobytes() == vel1[0].tobytes()
+        assert forces[r].tobytes() == frc1[0].tobytes()
         assert batched.rng_state_of(r) == serial[r].rng_state
     # the stream is the allocate-and-return one, draw for draw
     reference = RandomStream(seeds[0]).generator

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
 
-from repro.md.forcefield.base import numerical_forces
+from repro.md.forcefield.base import composite_energy_forces, numerical_forces
 from repro.md.models.doublewell import (
     DoubleWellForce,
     TiltedDoubleWellForce,
@@ -220,12 +220,12 @@ def test_villin_unknown_variant():
 def test_muller_brown_minima_are_local_minima():
     force = MullerBrownForce(scale=1.0)
     for minimum in MINIMA:
-        _, f = force.energy_forces(minimum[None, :])
+        _, f = composite_energy_forces([force], minimum[None, :])
         assert np.abs(f).max() < 35.0  # near-stationary at tabulated minima
-        e0, _ = force.energy_forces(minimum[None, :])
+        e0, _ = composite_energy_forces([force], minimum[None, :])
         rng = RandomStream(4)
         for _ in range(4):
-            e, _ = force.energy_forces(
+            e, _ = composite_energy_forces([force], 
                 minimum[None, :] + rng.normal(scale=0.12, size=(1, 2))
             )
             assert e > e0 - 10.0
@@ -235,7 +235,7 @@ def test_muller_brown_numerical_gradient():
     rng = RandomStream(5)
     force = MullerBrownForce(scale=0.05)
     pos = rng.uniform(-1.0, 1.0, size=(1, 2))
-    _, analytic = force.energy_forces(pos)
+    _, analytic = composite_energy_forces([force], pos)
     numerical = numerical_forces(force, pos)
     np.testing.assert_allclose(analytic, numerical, rtol=1e-5, atol=1e-7)
 
@@ -246,7 +246,7 @@ def test_muller_brown_grid_matches_pointwise():
     ys = np.linspace(-0.2, 2.0, 5)
     X, Y = np.meshgrid(xs, ys)
     grid = force.energy_grid(X, Y)
-    e_pt, _ = force.energy_forces(np.array([[X[2, 3], Y[2, 3]]]))
+    e_pt, _ = composite_energy_forces([force], np.array([[X[2, 3], Y[2, 3]]]))
     assert grid[2, 3] == pytest.approx(e_pt)
 
 
@@ -263,32 +263,32 @@ def test_muller_brown_system_is_2d():
 def test_double_well_minima():
     force = DoubleWellForce(barrier=3.0, width=0.7)
     for x in force.minima():
-        e, f = force.energy_forces(np.array([[x]]))
+        e, f = composite_energy_forces([force], np.array([[x]]))
         assert e == pytest.approx(0.0)
         np.testing.assert_allclose(f, 0.0, atol=1e-12)
-    e_top, _ = force.energy_forces(np.array([[0.0]]))
+    e_top, _ = composite_energy_forces([force], np.array([[0.0]]))
     assert e_top == pytest.approx(3.0)
 
 
 def test_double_well_numerical_gradient():
     force = DoubleWellForce(barrier=2.0, width=0.5)
     pos = np.array([[0.3]])
-    _, analytic = force.energy_forces(pos)
+    _, analytic = composite_energy_forces([force], pos)
     numerical = numerical_forces(force, pos)
     np.testing.assert_allclose(analytic, numerical, rtol=1e-6)
 
 
 def test_tilted_double_well_asymmetric():
     force = TiltedDoubleWellForce(barrier=2.0, width=1.0, slope=0.5)
-    e_left, _ = force.energy_forces(np.array([[-1.0]]))
-    e_right, _ = force.energy_forces(np.array([[1.0]]))
+    e_left, _ = composite_energy_forces([force], np.array([[-1.0]]))
+    e_right, _ = composite_energy_forces([force], np.array([[1.0]]))
     assert e_left < e_right
 
 
 def test_tilted_double_well_gradient():
     force = TiltedDoubleWellForce(barrier=2.0, width=1.0, slope=0.5)
     pos = np.array([[0.4]])
-    _, analytic = force.energy_forces(pos)
+    _, analytic = composite_energy_forces([force], pos)
     numerical = numerical_forces(force, pos)
     np.testing.assert_allclose(analytic, numerical, rtol=1e-6)
 

@@ -104,29 +104,21 @@ def test_decomposition_validates_positions(villin):
 def test_decomposed_dynamics_track_serial(villin):
     """A short NVE run under the decomposed engine matches serial."""
     from repro.md import VelocityVerletIntegrator, Simulation
-    from repro.md.system import State
+    from repro.md.system import State, System
 
     dd = DomainDecomposition(villin.system, villin.native, n_ranks=3)
 
-    class DDSystemView:
-        """System facade whose force evaluation is the decomposition."""
+    class DecomposedForce:
+        """The decomposition as one force term, replica by replica."""
 
-        def __init__(self, system, dd):
-            self._system = system
-            self._dd = dd
-            self.masses = system.masses
-            self.dim = system.dim
-            self.n_atoms = system.n_atoms
-
-        def energy_forces(self, positions, need_energy=True):
-            e, f, _ = self._dd.compute_forces(positions)
-            return e, f
-
-        def kinetic_energy(self, velocities):
-            return self._system.kinetic_energy(velocities)
-
-        def potential_energy(self, positions):
-            return self.energy_forces(positions)[0]
+        def compute_batch(self, planes, replica_ids=None, need_energy=True):
+            energies = np.empty(planes.shape[2])
+            forces = np.empty(planes.shape)
+            for r in range(planes.shape[2]):
+                positions = np.ascontiguousarray(planes[:, :, r].T)
+                energies[r], f, _ = dd.compute_forces(positions)
+                forces[:, :, r] = f.T
+            return energies, forces
 
     def run(system_like):
         state = State(villin.native.copy(), np.zeros_like(villin.native))
@@ -135,5 +127,5 @@ def test_decomposed_dynamics_track_serial(villin):
         return sim.state.positions
 
     serial = run(villin.system)
-    parallel = run(DDSystemView(villin.system, dd))
+    parallel = run(System(villin.system.masses, forces=[DecomposedForce()]))
     np.testing.assert_allclose(parallel, serial, atol=1e-9)

@@ -2,8 +2,9 @@
 
 Everything here compares with ``.tobytes()`` so that ``-0.0`` and the
 last bit count: the gather-table scatter against ``np.add.at``, every
-in-tree force term batched against serial (forces exactly; energies in
-the accumulation order the batched path fixes), and the numpy
+in-tree force term batched against its per-replica reference kernel
+(``tests/serial_oracle.py``; forces exactly, energies in the
+accumulation order the batched path fixes), and the numpy
 reduction-order trap that order rests on.
 """
 
@@ -32,6 +33,7 @@ from repro.md.forcefield import (
 from repro.md.forcefield import base
 from repro.md.forcefield.base import (
     SegmentScatter,
+    composite_energy_forces,
     composite_energy_forces_batch,
 )
 from repro.fep.sampling import _WindowForce
@@ -39,6 +41,7 @@ from repro.fep.systems import HarmonicWindow
 from repro.md.neighborlist import AllPairs, CellList, VerletList
 from repro.md.system import System
 from repro.util.errors import ConfigurationError
+from tests import serial_oracle
 
 REPLICA_COUNTS = (1, 2, 7, 64)
 N_ATOMS = 12
@@ -246,7 +249,7 @@ def _sequential_energy(term, positions):
     serial per-interaction energies added left to right."""
     total = 0.0
     for single in _single_interaction_terms(term):
-        total += single.energy_forces(positions)[0]
+        total += serial_oracle.energy_forces(single, positions)[0]
     return np.float64(total)
 
 
@@ -261,7 +264,7 @@ def test_term_batched_matches_serial(name, n_replicas):
     assert energies.shape == (n_replicas,)
 
     for replica in range(n_replicas):
-        energy, serial_forces = term.energy_forces(positions[replica])
+        energy, serial_forces = serial_oracle.energy_forces(term, positions[replica])
         assert forces[replica].tobytes() == serial_forces.tobytes()
         # serial energies use np.dot / pairwise np.sum: equal to rounding
         np.testing.assert_allclose(energies[replica], energy, rtol=1e-12)
@@ -303,7 +306,7 @@ def test_composite_sums_terms_in_registration_order():
     for replica in range(7):
         expect = np.zeros((N_ATOMS, 3))
         for term in terms:
-            expect += term.energy_forces(positions[replica])[1]
+            expect += serial_oracle.energy_forces(term, positions[replica])[1]
         assert forces[replica].tobytes() == expect.tobytes()
 
 
@@ -313,9 +316,6 @@ def test_type_error_inside_a_kernel_propagates():
 
     class Broken:
         calls = 0
-
-        def energy_forces(self, positions, need_energy=True):
-            raise AssertionError("the serial kernel must not be reached")
 
         def compute_batch(self, planes, replica_ids=None, need_energy=True):
             Broken.calls += 1
@@ -478,12 +478,14 @@ def test_level_axis_reduce_is_sequential(n_atoms, n_replicas):
 @pytest.mark.parametrize("name", sorted(TERMS))
 @pytest.mark.parametrize("n_replicas", REPLICA_COUNTS)
 def test_forces_do_not_depend_on_need_energy(name, n_replicas):
-    """Serial and batched: skipping the energy changes no force bit."""
+    """Alone and stacked: skipping the energy changes no force bit."""
     term = TERMS[name]
     positions = _stack(n_replicas)
     for replica in (0, n_replicas - 1):
-        _, with_energy = term.energy_forces(positions[replica])
-        skipped, without = term.energy_forces(positions[replica], need_energy=False)
+        _, with_energy = composite_energy_forces([term], positions[replica])
+        skipped, without = composite_energy_forces(
+            [term], positions[replica], need_energy=False
+        )
         assert skipped is None
         assert without.tobytes() == with_energy.tobytes()
     planes = np.ascontiguousarray(positions.transpose(2, 1, 0))
@@ -518,6 +520,8 @@ def _spring(positions, need_energy=True):
 
 
 class _SerialOnlySpring:
+    """A term with only the per-configuration method terms once had."""
+
     energy_forces = staticmethod(_spring)
 
 
@@ -539,7 +543,7 @@ class _BatchWithoutKeyword(_SerialOnlySpring):
     "term, lacks",
     [
         (_SerialOnlySpring(), "compute_batch()"),
-        (_SpringWithoutKeyword(), "need_energy keyword of energy_forces()"),
+        (_SpringWithoutKeyword(), "need_energy keyword of compute_batch()"),
         (_BatchWithoutKeyword(), "need_energy keyword of compute_batch()"),
     ],
     ids=["no-compute-batch", "no-keyword", "no-batch-keyword"],
@@ -571,7 +575,9 @@ def test_fep_window_force_batched_equals_serial(n_replicas):
     skipped, forces_only = batched.energy_forces(positions, need_energy=False)
     assert skipped is None and forces_only.tobytes() == forces.tobytes()
     for replica in range(n_replicas):
-        energy, serial = system.energy_forces(positions[replica])
+        energy, serial = serial_oracle.system_energy_forces(
+            system, positions[replica]
+        )
         assert forces[replica].tobytes() == serial.tobytes()
         np.testing.assert_allclose(energies[replica], energy, rtol=1e-15)
 
@@ -611,7 +617,7 @@ def test_positions_dependent_pairs_batched_equal_serial(name, provider, n_replic
         n_replicas,
     )
     positions = _stack(n_replicas)
-    serial = [reference.energy_forces(p) for p in positions]
+    serial = [serial_oracle.energy_forces(reference, p) for p in positions]
     for ids in (None, np.arange(n_replicas)):
         energies, forces = batched.energy_forces(positions, ids)
         for replica, (energy, expect) in enumerate(serial):
@@ -659,8 +665,9 @@ def _energy_digests():
         )
         energies, _ = BatchedSystem(built.system, n_replicas).energy_forces(stack)
         out[f"villin-fast/R{n_replicas}"] = digest(energies)
+        # the per-replica composite's sums, from the reference kernels
         out[f"villin-fast-serial/R{n_replicas}"] = digest(
-            [built.system.energy_forces(p)[0] for p in stack]
+            [serial_oracle.system_energy_forces(built.system, p)[0] for p in stack]
         )
     return out
 

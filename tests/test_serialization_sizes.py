@@ -165,6 +165,7 @@ def test_size_equals_encoded_length(payload):
     [
         {"x": np.float64(3.5)},
         np.array(7),
+        {"zero-d": np.array(3.5), "bool": np.array(True)},
         np.zeros((0, 3)),
         np.arange(12, dtype=">i4").reshape(3, 4)[:, ::3],
         {"s": "é \"\\", "n": [math.nan, math.inf, -math.inf]},
@@ -176,6 +177,17 @@ def test_size_equals_encoded_length(payload):
 )
 def test_size_equals_encoded_length_on_edge_cases(payload):
     assert message_size(payload) == len(encode_message(payload))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ndarrays())
+def test_arrays_round_trip_with_their_shape(array):
+    """Dtype, shape (``()`` for a 0-d array) and bytes all survive, and
+    the size is the encoded length."""
+    decoded = decode_message(encode_message({"a": array}))["a"]
+    assert decoded.dtype == array.dtype and decoded.shape == array.shape
+    assert decoded.tobytes() == np.ascontiguousarray(array).tobytes()
+    assert message_size({"a": array}) == len(encode_message({"a": array}))
 
 
 bad_keys = st.one_of(
