@@ -93,8 +93,8 @@ class Command:
 
         ``command_id`` is only unique *within* a project (two tenants
         may both issue ``gen0_r0``), so every server-side table that
-        spans projects — assignments, leases, the exactly-once dedup
-        barrier, heartbeat checkpoints — keys by this instead.
+        spans projects — leases (and the checkpoints they hold), the
+        exactly-once dedup barrier — keys by this instead.
 
         Computed once per instance (it keys every scheduler and lease
         lookup); neither id is reassigned after construction.

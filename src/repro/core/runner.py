@@ -397,10 +397,7 @@ class ProjectRunner:
             server.check_liveness(self.now)
 
     def _any_in_flight(self) -> bool:
-        return any(
-            any(cmds for cmds in server.assignments.values())
-            for server in self._servers
-        )
+        return any(len(server.leases) for server in self._servers)
 
     def all_complete(self) -> bool:
         """Whether every submitted project is complete (statuses are

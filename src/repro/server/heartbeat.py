@@ -5,12 +5,15 @@ messages); a server that misses heartbeats for twice the interval
 declares the worker dead and arranges for its commands to be requeued
 — continuing from the last checkpoint when one is available.
 Heartbeats are never forwarded past the nearest server.
+
+This module tracks liveness only; the checkpoints a heartbeat carries
+live on the command's lease (:mod:`repro.server.lease`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List
 
 #: Default heartbeat interval in seconds (paper value).
 DEFAULT_INTERVAL = 120.0
@@ -18,13 +21,11 @@ DEFAULT_INTERVAL = 120.0
 
 @dataclass
 class WorkerRecord:
-    """Liveness and recovery state for one worker."""
+    """Liveness state for one worker."""
 
     worker: str
     last_heartbeat: float
     alive: bool = True
-    #: Latest checkpoint payload per running command id.
-    checkpoints: Dict[str, dict] = field(default_factory=dict)
 
 
 class HeartbeatMonitor:
@@ -40,8 +41,7 @@ class HeartbeatMonitor:
         """Start tracking a worker (e.g. at announce time).
 
         Re-announcing is a liveness signal, not a reset: an existing
-        record keeps its saved checkpoints so a worker that reconnects
-        after a network outage doesn't lose recovery state.
+        record is revived in place.
 
         Returns ``True`` when the announce revived a worker previously
         declared dead (so the server can log the flap).
@@ -55,55 +55,19 @@ class HeartbeatMonitor:
         record.alive = True
         return revived
 
-    def beat(
-        self,
-        worker: str,
-        now: float,
-        checkpoints: Optional[Dict[str, dict]] = None,
-    ) -> bool:
-        """Record a heartbeat, optionally carrying command checkpoints.
+    def beat(self, worker: str, now: float) -> bool:
+        """Record a heartbeat.
 
         Returns ``True`` when the beat revived a worker previously
-        declared dead (so the server can log the revival).
+        declared dead (so the server can log the revival).  A beat is
+        an announce's liveness half, so it shares :meth:`register`.
         """
-        record = self._records.get(worker)
-        if record is None:
-            self.register(worker, now)
-            record = self._records[worker]
-        revived = not record.alive
-        record.last_heartbeat = now
-        record.alive = True
-        if checkpoints:
-            record.checkpoints.update(checkpoints)
-        return revived
+        return self.register(worker, now)
 
     def is_alive(self, worker: str) -> bool:
         """Whether the worker is currently considered alive."""
         record = self._records.get(worker)
         return bool(record and record.alive)
-
-    def checkpoint_for(self, worker: str, command_id: str) -> Optional[dict]:
-        """Last checkpoint the worker reported for a command, if any."""
-        record = self._records.get(worker)
-        if record is None:
-            return None
-        return record.checkpoints.get(command_id)
-
-    def clear_checkpoint(self, worker: str, command_id: str) -> None:
-        """Forget a command's checkpoint (after completion)."""
-        record = self._records.get(worker)
-        if record is not None:
-            record.checkpoints.pop(command_id, None)
-
-    def clear_command(self, command_id: str) -> None:
-        """Forget a finished command's checkpoints on *every* worker.
-
-        Under speculative re-execution more than one worker may hold a
-        checkpoint for the same command; once it completes anywhere,
-        all of them are dead recovery state.
-        """
-        for record in self._records.values():
-            record.checkpoints.pop(command_id, None)
 
     def check(self, now: float) -> List[str]:
         """Return workers newly declared dead at time *now*.

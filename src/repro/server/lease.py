@@ -1,8 +1,9 @@
 """Command leases with perfmodel-derived completion deadlines.
 
 Every command handed to a worker becomes a :class:`Lease`: who runs
-it, when it was granted and — new in the liveness layer — when the
-server *expects* it back.  The deadline comes from the strong-scaling
+it, when it was granted, the last checkpoint its heartbeats reported
+and when the server *expects* it back.  The lease table is the
+server's one record of in-flight work.  The deadline comes from the strong-scaling
 performance model (:mod:`repro.perfmodel.mdperf`): the simulated
 nanoseconds remaining after the command's checkpoint, divided by the
 modelled rate at the assigned core count, times a slack factor.
@@ -102,12 +103,16 @@ class LeasePolicy:
 
 @dataclass
 class Lease:
-    """One outstanding (worker, command) grant."""
+    """One outstanding (worker, command) grant: the server's only
+    record of who runs a command and where it would resume."""
 
     worker: str
     command: Command
     granted_at: float
     deadline: float
+    #: The latest checkpoint the worker's heartbeats acknowledged for
+    #: this command; a requeue or a speculative copy resumes from it.
+    checkpoint: Optional[dict] = None
     #: Set once a speculative copy has been queued, so the straggler
     #: is not re-speculated on every liveness sweep.
     speculated: bool = False
@@ -184,17 +189,6 @@ class LeaseTracker:
         self._leases = {
             key: lease for key, lease in self._leases.items()
             if key[0] != worker
-        }
-        if gone:
-            self._set_outstanding()
-        return gone
-
-    def clear_command(self, command_id: str) -> List[Lease]:
-        """Drop every lease on *command_id* (completed somewhere)."""
-        gone = [l for (_, c), l in self._leases.items() if c == command_id]
-        self._leases = {
-            key: lease for key, lease in self._leases.items()
-            if key[1] != command_id
         }
         if gone:
             self._set_outstanding()

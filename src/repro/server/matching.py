@@ -91,7 +91,7 @@ def build_workload(
     share a popped command's coalesce key ride along on the same cores,
     up to the capacity, because the worker will merge them into one
     batched kernel call.  Riders are ordinary commands — each gets its
-    own lease, trace and assignment.
+    own lease and trace.
 
     Returns
     -------

@@ -175,11 +175,9 @@ class Invariants:
             if fairshare is not None:
                 for c in fairshare.deferred_commands():
                     queued.add(scope(c.project_id, c.command_id))
-            for cmds in server.assignments.values():
-                for c in cmds.values():
-                    in_flight.add(
-                        scope(getattr(c, "project_id", ""), c.command_id)
-                    )
+            for lease in server.leases.active():
+                c = lease.command
+                in_flight.add(scope(c.project_id, c.command_id))
         violations = []
         lost = issued - completed - queued - in_flight
         if lost:
@@ -628,14 +626,14 @@ class Invariants:
                             f"server {name!r} queues command "
                             f"{c.command_id!r} for unknown tenant {pid!r}"
                         )
-                for cmds in server.assignments.values():
-                    for c in cmds.values():
-                        pid = getattr(c, "project_id", "")
-                        if pid and pid not in known:
-                            violations.append(
-                                f"server {name!r} assigned command "
-                                f"{c.command_id!r} for unknown tenant {pid!r}"
-                            )
+                for lease in server.leases.active():
+                    c = lease.command
+                    if c.project_id and c.project_id not in known:
+                        violations.append(
+                            f"server {name!r} assigned command "
+                            f"{c.command_id!r} for unknown tenant "
+                            f"{c.project_id!r}"
+                        )
         return violations
 
     def check_quota_accounting(self) -> List[str]:

@@ -140,7 +140,7 @@ def test_stale_queued_command_is_never_leased(tmp_path):
     # not handed to the worker, not left in the queue
     assert completed == 0
     assert len(owner.queue) == 0
-    assert owner.leases._leases == {}
+    assert len(owner.leases) == 0
     assert owner.obs.metrics.value(
         "repro_fencing_rejections_total", server="srv", project="p", path="lease"
     ) == 1
@@ -164,7 +164,7 @@ def test_stale_heartbeat_checkpoint_is_rejected_not_journaled(tmp_path):
     net, owner, _ = make_owner(tmp_path, name="srv", epoch=2)
     command = stale_command(epoch=0)
     owner.monitor.register("w0", 0.0)
-    owner.assignments.setdefault("w0", {})[command.scoped_id] = command
+    owner.leases.grant("w0", command, 0.0, 100.0)
     owner.handle(
         Message(
             type=MessageType.HEARTBEAT,
@@ -182,6 +182,32 @@ def test_stale_heartbeat_checkpoint_is_rejected_not_journaled(tmp_path):
         "repro_fencing_rejections_total", server="srv", project="p", path="checkpoint"
     ) == 1
 
+
+
+def test_fenced_heartbeat_checkpoint_is_not_kept_for_a_requeue(tmp_path):
+    net, owner, _ = make_owner(tmp_path, name="srv", epoch=2)
+    command = stale_command(epoch=0)
+    owner.monitor.register("w0", 0.0)
+    owner.leases.grant("w0", command, 0.0, 100.0)
+    owner.handle(
+        Message(
+            type=MessageType.HEARTBEAT,
+            src="w0",
+            dst="srv",
+            payload={
+                "worker": "w0",
+                "now": 1.0,
+                "checkpoints": {command.scoped_id: {"step": 100}},
+            },
+        )
+    )
+    assert owner.leases.get("w0", command.scoped_id).checkpoint is None
+    # w0 dies: the requeued copy resumes from no dead-regime state
+    assert owner.check_liveness(now=1000.0) == ["w0"]
+    requeued = owner.queue.pop()
+    assert requeued.scoped_id == command.scoped_id
+    assert requeued.checkpoint is None
+    assert owner.journal.project("p").state.checkpoints == {}
 
 def test_stale_forward_raises_typed_fenced_error(tmp_path):
     net, owner, received = make_owner(tmp_path, epoch=2)
@@ -276,7 +302,6 @@ def test_demotion_stands_the_zombie_down_completely(tmp_path):
     zombie.queue.push(stale_command("queued"))
     leased = stale_command("leased")
     zombie.monitor.register("w0", 0.0)
-    zombie.assignments.setdefault("w0", {})[leased.scoped_id] = leased
     zombie.leases.grant("w0", leased, 0.0, 100.0)
     journal = zombie.journal.project("p")
     journal.record_result(stale_command("done1"), {"steps": 1})
@@ -294,7 +319,7 @@ def test_demotion_stands_the_zombie_down_completely(tmp_path):
     assert owner.fencing_rejections == 2
     # dispatch is over: no queue, no leases, no sink, route flipped
     assert len(zombie.queue) == 0
-    assert zombie.leases._leases == {}
+    assert len(zombie.leases) == 0
     assert not zombie.hosts("p")
     assert zombie.routes["p"] == "owner"
     assert zombie.epochs["p"] == 2

@@ -3,24 +3,47 @@
 ``HeartbeatMonitor.register`` used to replace the whole
 ``WorkerRecord`` on every announce, so a worker that reconnected after
 an outage silently lost the checkpoints its server had saved for it —
-exactly the state needed to recover its commands.
+exactly the state needed to recover its commands.  Checkpoints live
+on the command's lease, which no announce touches.
 """
 
+from repro.core.command import Command
 from repro.net.protocol import MessageType
 from repro.server.heartbeat import HeartbeatMonitor
 from repro.server.server import CopernicusServer
 from repro.testing import ChaosNetwork, FaultPlan
 from repro.net.transport import Endpoint
 
+CAPS = {"worker": "w", "platform": "smp", "cores": 1, "executables": ["mdrun"]}
+
+
+def leased_deployment():
+    """A server whose worker ``w`` holds the lease on ``p::cmd0``."""
+    net = ChaosNetwork(plan=FaultPlan(seed=0), seed=0)
+    server = CopernicusServer("srv", net, heartbeat_interval=60.0)
+    server.host_project("p", lambda c, r: None)
+    worker = Endpoint("w", net, handler=lambda m: None)
+    net.connect("srv", "w")
+    worker.send("srv", MessageType.WORKER_ANNOUNCE, {**CAPS, "now": 0.0})
+    server.submit_commands(
+        [Command(command_id="cmd0", project_id="p", executable="mdrun")]
+    )
+    worker.send("srv", MessageType.WORKLOAD_REQUEST, {**CAPS, "now": 0.0})
+    assert server.leases.get("w", "p::cmd0") is not None
+    return server, worker
+
 
 def test_register_preserves_existing_checkpoints():
-    mon = HeartbeatMonitor(interval=60.0)
-    mon.register("w", now=0.0)
-    mon.beat("w", now=10.0, checkpoints={"cmd0": {"step": 1000}})
+    server, worker = leased_deployment()
+    worker.send(
+        "srv",
+        MessageType.HEARTBEAT,
+        {"worker": "w", "now": 10.0, "checkpoints": {"p::cmd0": {"step": 1000}}},
+    )
     # the worker re-announces (e.g. after reconnecting)
-    mon.register("w", now=20.0)
-    assert mon.checkpoint_for("w", "cmd0") == {"step": 1000}
-    assert mon.is_alive("w")
+    worker.send("srv", MessageType.WORKER_ANNOUNCE, {**CAPS, "now": 20.0})
+    assert server.leases.get("w", "p::cmd0").checkpoint == {"step": 1000}
+    assert server.monitor.is_alive("w")
 
 
 def test_register_refreshes_liveness_of_dead_worker():
@@ -53,34 +76,20 @@ def test_dead_reported_at_most_once_per_outage():
 
 
 def test_reannounce_after_outage_keeps_checkpoints_at_server_level():
-    """Full protocol path: announce, checkpointed heartbeat, outage,
+    """Full protocol path: lease, checkpointed heartbeat, outage,
     re-announce — the saved checkpoint must survive for recovery."""
-    net = ChaosNetwork(plan=FaultPlan(seed=0), seed=0)
-    server = CopernicusServer("srv", net, heartbeat_interval=60.0)
-    worker = Endpoint("w", net, handler=lambda m: None)
-    net.connect("srv", "w")
-
-    worker.send(
-        "srv",
-        MessageType.WORKER_ANNOUNCE,
-        {"worker": "w", "platform": "smp", "cores": 1,
-         "executables": ["mdrun"], "now": 0.0},
-    )
+    server, worker = leased_deployment()
     worker.send(
         "srv",
         MessageType.HEARTBEAT,
-        {"worker": "w", "now": 10.0,
-         "checkpoints": {"cmd0": {"step": 3000}}},
+        {"worker": "w", "now": 10.0, "checkpoints": {"p::cmd0": {"step": 3000}}},
     )
     assert server.check_liveness(now=500.0) == ["w"]
     # the worker reconnects and re-announces
-    worker.send(
-        "srv",
-        MessageType.WORKER_ANNOUNCE,
-        {"worker": "w", "platform": "smp", "cores": 1,
-         "executables": ["mdrun"], "now": 510.0},
-    )
+    worker.send("srv", MessageType.WORKER_ANNOUNCE, {**CAPS, "now": 510.0})
     assert server.monitor.is_alive("w")
-    assert server.monitor.checkpoint_for("w", "cmd0") == {"step": 3000}
+    # the dead lease's checkpoint went back on the queue with the command
+    assert server.leases.get("w", "p::cmd0") is None
+    assert server.queue.pop().checkpoint == {"step": 3000}
     # same outage ended by the re-announce: no duplicate death report
     assert server.check_liveness(now=520.0) == []

@@ -7,9 +7,11 @@ exactly one invariant and asserts the violation is reported.
 
 import pytest
 
+from repro.core.command import Command
 from repro.core.events import EventKind, EventLog
 from repro.core.project import Project, ProjectStatus
 from repro.net.circuit import BreakerPolicy, CircuitBreaker
+from repro.server.lease import LeaseTracker
 from repro.testing import Invariants
 from repro.util.errors import InvariantViolation
 
@@ -25,7 +27,7 @@ class FakeQueue:
 class FakeServer:
     def __init__(self, requeued_after_failure=0):
         self.queue = FakeQueue()
-        self.assignments = {}
+        self.leases = LeaseTracker()
         self.requeued_after_failure = requeued_after_failure
 
 
@@ -77,7 +79,10 @@ def test_queued_or_in_flight_commands_are_not_lost():
             self.command_id = command_id
 
     server.queue = FakeQueue([Cmd("c1")])
-    server.assignments = {"w0": {"c2": Cmd("c2")}}
+    server.leases.grant(
+        "w0", Command(command_id="c2", project_id="p", executable="mdrun"),
+        now=0.0, deadline=100.0,
+    )
     violations = Invariants(FakeRunner(events=log, servers=[server])).check()
     assert violations == []
 

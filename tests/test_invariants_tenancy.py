@@ -16,6 +16,7 @@ from repro.server.fairshare import (
     FairShareScheduler,
     TenantPolicy,
 )
+from repro.server.lease import LeaseTracker
 from repro.testing import Invariants
 
 
@@ -31,7 +32,7 @@ class FakeServer:
     def __init__(self):
         self.name = "srv"
         self.queue = FakeQueue()
-        self.assignments = {}
+        self.leases = LeaseTracker()
         self.requeued_after_failure = 0
 
 
@@ -74,9 +75,9 @@ def test_scoped_in_flight_commands_are_not_lost():
     issue(log, "p2", ["cmd0"])
     complete(log, "p1", "cmd0")
     server = FakeServer()
-    # the multi-tenant server keys assignments by scoped id and the
+    # the multi-tenant server keys leases by scoped id and the
     # checker must read the command objects, not the keys
-    server.assignments = {"w0": {"p2::cmd0": cmd("p2", "cmd0")}}
+    server.leases.grant("w0", cmd("p2", "cmd0"), now=0.0, deadline=100.0)
     assert Invariants(FakeRunner(events=log, servers=[server])).check() == []
 
 
@@ -147,7 +148,7 @@ def test_assigned_work_for_unknown_tenant_detected():
     issue(log, "p1", ["c0"])
     complete(log, "p1", "c0")
     server = FakeServer()
-    server.assignments = {"w0": {"stranger::s0": cmd("stranger", "s0")}}
+    server.leases.grant("w0", cmd("stranger", "s0"), now=0.0, deadline=100.0)
     violations = Invariants(FakeRunner(events=log, servers=[server])).check()
     assert any("unknown tenant 'stranger'" in v for v in violations)
 

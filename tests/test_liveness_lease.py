@@ -97,8 +97,8 @@ def test_tracker_grant_overdue_and_clear():
     lease.speculated = True
     assert [l.worker for l in tracker.overdue(200.0)] == ["w1"]
 
-    tracker.clear_command("p::a")
-    assert len(tracker) == 1
+    assert tracker.clear("w1", "p::a").worker == "w1"
+    assert len(tracker) == 2
     tracker.clear_worker("w0")
     assert len(tracker) == 0
     assert tracker.clear("w0", "p::b") is None  # already gone

@@ -72,14 +72,13 @@ def test_straggler_scenario_is_deterministic(reproducible):
 
 
 def test_checkpoints_evicted_once_commands_complete(canned):
-    # satellite regression: WorkerRecord.checkpoints must not leak --
-    # finished commands (including the speculated one, reported by two
-    # workers) leave no checkpoint behind on any worker record
+    # checkpoints must not leak: finished commands (including the
+    # speculated one, reported by two workers) leave no lease, and so
+    # no checkpoint, behind on any worker
     out = canned("run_swarm_with_straggler", 0)
     server = out.server
     finished_ids = [command_id for command_id, _ in out.controller.finished]
     assert finished_ids
     for worker in server.monitor.workers():
         for command_id in finished_ids:
-            key = f"swarm::{command_id}"
-            assert server.monitor.checkpoint_for(worker, key) is None
+            assert server.leases.get(worker, f"swarm::{command_id}") is None

@@ -152,17 +152,37 @@ def test_heartbeat_revives_worker():
     assert mon.is_alive("w")
 
 
+def heartbeat(server, worker, now, checkpoints):
+    from repro.net.protocol import Message, MessageType
+
+    server.handle(
+        Message(
+            MessageType.HEARTBEAT,
+            src=worker,
+            dst=server.name,
+            payload={"worker": worker, "now": now, "checkpoints": checkpoints},
+        )
+    )
+
+
 def test_heartbeat_stores_checkpoints():
-    mon = HeartbeatMonitor(interval=10.0)
-    mon.beat("w", 0.0, checkpoints={"cmd1": {"step": 100}})
-    assert mon.checkpoint_for("w", "cmd1") == {"step": 100}
-    mon.clear_checkpoint("w", "cmd1")
-    assert mon.checkpoint_for("w", "cmd1") is None
+    server = CopernicusServer("srv", Network())
+    server.leases.grant("w", cmd("cmd1"), now=0.0, deadline=100.0)
+    heartbeat(server, "w", 0.0, {"p::cmd1": {"step": 100}})
+    assert server.leases.get("w", "p::cmd1").checkpoint == {"step": 100}
+    # the checkpoint lives and dies with its lease
+    server.leases.clear("w", "p::cmd1")
+    assert server.leases.get("w", "p::cmd1") is None
 
 
 def test_heartbeat_unknown_worker_checkpoint_none():
-    mon = HeartbeatMonitor()
-    assert mon.checkpoint_for("ghost", "cmd") is None
+    # a checkpoint for a command the worker holds no lease on is
+    # neither kept nor granted a lease
+    server = CopernicusServer("srv", Network())
+    heartbeat(server, "ghost", 0.0, {"p::cmd": {"step": 5}})
+    assert server.monitor.is_alive("ghost")
+    assert server.leases.get("ghost", "p::cmd") is None
+    assert len(server.leases) == 0
 
 
 def test_heartbeat_invalid_interval():
@@ -262,8 +282,8 @@ def test_server_workload_request_fetches_from_peer():
     )
     assert len(response["commands"]) == 1
     assert response["commands"][0]["command_id"] == "c3"
-    # the relay (worker's server) tracks the assignment
-    assert "p::c3" in relay.assignments["w"]
+    # the relay (worker's server) holds the lease
+    assert relay.leases.get("w", "p::c3") is not None
     assert len(origin.queue) == 0
 
 
@@ -335,8 +355,8 @@ def test_result_forward_failure_keeps_assignment_for_retry():
     origin.host_project("p", lambda c, r: got.append(c.command_id))
     command = cmd("c6")
     command.origin_server = "origin"
-    relay.assignments["w"] = {command.scoped_id: command}
-    relay.monitor.beat("w", 0.0, checkpoints={"p::c6": {"step": 50}})
+    relay.leases.grant("w", command, now=0.0, deadline=100.0)
+    heartbeat(relay, "w", 0.0, {"p::c6": {"step": 50}})
 
     from repro.net.protocol import Message, MessageType
     from repro.util.errors import TransientCommunicationError
@@ -363,14 +383,12 @@ def test_result_forward_failure_keeps_assignment_for_retry():
     )
     with pytest.raises(TransientCommunicationError):
         relay.handle(message)
-    assert "p::c6" in relay.assignments["w"]
-    assert relay.monitor.checkpoint_for("w", "p::c6") == {"step": 50}
+    assert relay.leases.get("w", "p::c6").checkpoint == {"step": 50}
     assert got == []
 
     relay.handle(message)  # the worker's resubmission
     assert got == ["c6"]
-    assert "p::c6" not in relay.assignments["w"]
-    assert relay.monitor.checkpoint_for("w", "p::c6") is None
+    assert relay.leases.get("w", "p::c6") is None
 
 
 # ----------------------------------------------- peer-fetch error triage

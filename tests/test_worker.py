@@ -212,7 +212,7 @@ def test_worker_crash_hook_kills_mid_command():
     assert worker.crashed
     assert results == []
     # but checkpoints were heartbeaten before death
-    chk = server.monitor.checkpoint_for("w0", "p::c0")
+    chk = server.leases.get("w0", "p::c0").checkpoint
     assert chk is not None and chk["step"] == 400
 
 

@@ -100,7 +100,7 @@ def test_paced_worker_heartbeats_checkpoints_while_parked():
     server, worker, results = _paced_rig()
     worker.work_once(now=1.0)
     worker.heartbeat(now=1.0)
-    checkpoint = server.monitor.checkpoint_for("w0", "p::c0")
+    checkpoint = server.leases.get("w0", "p::c0").checkpoint
     assert checkpoint is not None and checkpoint["step"] == 300
 
 
