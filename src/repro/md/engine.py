@@ -12,7 +12,6 @@ be resumed by a different worker from the last checkpoint
 
 from __future__ import annotations
 
-import time as _walltime
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -149,7 +148,6 @@ class MDResult:
     checkpoint: Dict
     steps_completed: int
     completed: bool
-    wall_seconds: float
     final_potential_energy: float
 
     def to_payload(self) -> Dict:
@@ -161,13 +159,16 @@ class MDResult:
             "checkpoint": self.checkpoint,
             "steps_completed": int(self.steps_completed),
             "completed": bool(self.completed),
-            "wall_seconds": float(self.wall_seconds),
             "final_potential_energy": float(self.final_potential_energy),
         }
 
     @classmethod
     def from_payload(cls, payload: Dict) -> "MDResult":
-        """Inverse of :meth:`to_payload`."""
+        """Inverse of :meth:`to_payload`.
+
+        Keys it does not name are ignored, so a payload journaled when
+        results still carried a measured ``wall_seconds`` loads too.
+        """
         return cls(
             task_id=payload["task_id"],
             frames=np.asarray(payload["frames"]),
@@ -175,7 +176,6 @@ class MDResult:
             checkpoint=payload["checkpoint"],
             steps_completed=int(payload["steps_completed"]),
             completed=bool(payload["completed"]),
-            wall_seconds=float(payload["wall_seconds"]),
             final_potential_energy=float(payload["final_potential_energy"]),
         )
 
@@ -586,7 +586,6 @@ class MDEngine:
         *abort_after_steps* bounds the further steps of every replica,
         mirroring :meth:`run`.
         """
-        start_wall = _walltime.perf_counter()
         integrator = make_batched_integrator(
             btask.integrator,
             btask.timestep,
@@ -626,7 +625,6 @@ class MDEngine:
             chunk = np.clip(remaining, 0, self.segment_steps)
             simulation.run_to(steps + chunk)
 
-        elapsed = _walltime.perf_counter() - start_wall
         results = []
         for replica in range(btask.n_replicas):
             trajectory = simulation.trajectories[replica]
@@ -639,8 +637,6 @@ class MDEngine:
                     checkpoint=simulation.checkpoint(replica).to_payload(),
                     steps_completed=step - int(start_steps[replica]),
                     completed=step >= target,
-                    # Amortised: the batch ran once for all replicas.
-                    wall_seconds=elapsed / btask.n_replicas,
                     # A stack of one, so the energy does not depend on
                     # the stack the command ran in.
                     final_potential_energy=built.system.potential_energy(

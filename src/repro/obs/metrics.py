@@ -18,9 +18,7 @@ Design notes
   lossless — the round-trip property the test suite checks.
 * Everything is deterministic and wall-clock-free: values change only
   when instrumented code runs, so two runs of the same seeded scenario
-  produce identical dumps — except the byte-accounting series, which
-  inherit the one-byte wobble of serialized MD results (they embed a
-  measured ``wall_seconds``).
+  produce identical dumps, byte-accounting series included.
 """
 
 from __future__ import annotations

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import atexit
 import os
-import time
 from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.md.engine import MODEL_REGISTRY, BatchedMDTask, MDEngine
@@ -83,7 +82,6 @@ def run_sharded(
     from concurrent.futures import wait
     from concurrent.futures.process import BrokenProcessPool
 
-    start = time.perf_counter()
     btask = BatchedMDTask.from_payload(payload)
     tasks = btask.tasks()
     cuts = [len(tasks) * k // n_shards for k in range(n_shards + 1)]
@@ -107,10 +105,6 @@ def run_sharded(
             future.cancel()
         wait(futures)
     results = [result for part, _ in parts for result in part["results"]]
-    # amortised over the whole stack, as an unsplit segment reports it
-    wall_seconds = (time.perf_counter() - start) / len(results)
-    for result in results:
-        result["wall_seconds"] = wall_seconds
     completed = all(done for _, done in parts)
     return {"batch_id": btask.batch_id, "results": results}, completed
 

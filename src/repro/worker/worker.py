@@ -419,10 +419,6 @@ class Worker(Endpoint):
             merged["steps_completed"] = (
                 accumulated["steps_completed"] + segment["steps_completed"]
             )
-        if "wall_seconds" in segment and "wall_seconds" in accumulated:
-            merged["wall_seconds"] = (
-                accumulated["wall_seconds"] + segment["wall_seconds"]
-            )
         return merged
 
     def submit_result(self, command: Command, result: dict) -> Optional[dict]:

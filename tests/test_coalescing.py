@@ -55,17 +55,6 @@ def mdrun_command(k, n_steps=N_STEPS, model="double-well", **task_kw):
     )
 
 
-def scrub(value):
-    """Drop wall-clock fields (the only legal divergence)."""
-    if isinstance(value, dict):
-        return {
-            k: scrub(v) for k, v in value.items() if k != "wall_seconds"
-        }
-    if isinstance(value, list):
-        return [scrub(v) for v in value]
-    return value
-
-
 # -- unit level: keys, merging, splitting -------------------------------------
 
 
@@ -224,15 +213,15 @@ def test_coalesced_swarm_indistinguishable_from_serial(tmp_path):
     assert coalesced(serial) == 0
     assert coalesced(merged) >= N_COMMANDS
 
-    # per-command results: byte-identical modulo wall-clock
+    # per-command results: byte-identical
     for outcome in (serial, merged):
         assert outcome["project"].status is ProjectStatus.COMPLETE
     serial_log = dict(serial["project"].results_log)
     merged_log = dict(merged["project"].results_log)
     assert sorted(serial_log) == sorted(merged_log)
     for command_id in serial_log:
-        assert encode_message(scrub(merged_log[command_id])) == encode_message(
-            scrub(serial_log[command_id])
+        assert encode_message(merged_log[command_id]) == encode_message(
+            serial_log[command_id]
         )
 
     # execution records: same commands, same segment counts, no batch ids

@@ -291,11 +291,9 @@ def run_on_uncoalescing_fabric(tenants):
 
 
 def result_bytes(project):
-    """Every result payload of *project* but its measured wall time."""
+    """Every result payload of *project*, as bytes."""
     return {
-        command_id: encode_message(
-            {k: v for k, v in result.items() if k != "wall_seconds"}
-        )
+        command_id: encode_message(result)
         for command_id, result in project.results_log
     }
 

@@ -121,12 +121,6 @@ def test_sharded_segment_aborts_like_unsplit(model, params):
     assert_same_bits(unsplit, shards.run_sharded(payload, 30, 3))
 
 
-def test_sharded_wall_seconds_is_segment_wall_over_replicas():
-    result, _ = shards.run_sharded(stack("double-well", 6), None, 2)
-    walls = {r["wall_seconds"] for r in result["results"]}
-    assert len(walls) == 1 and walls.pop() > 0
-
-
 def test_ensemble_results_do_not_depend_on_host_cpus(monkeypatch):
     ensemble = Ensemble("villin-fast", n_replicas=32, steps=150, report_interval=50)
     calls = []
