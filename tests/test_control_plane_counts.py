@@ -40,6 +40,7 @@ from repro.core.command import Command
 from repro.core.controller import Controller
 from repro.core.events import EventKind
 from repro.server.wal import ServerJournal
+from repro.worker import executable
 from repro.worker.executable import register_executable
 
 TENANTS, WAVES, WIDTH = 6, 4, 10
@@ -85,7 +86,7 @@ class WaveController(Controller):
 
 
 def run_scenario(journal_root):
-    register_executable("noop", _noop)
+    """The scenario's run; the caller installs the ``noop`` executable."""
     tenants = [
         Tenant(
             f"t{k:02d}",
@@ -126,6 +127,9 @@ def _counting(monkeypatch, owner, name):
 def test_control_plane_counts(tmp_path, journal_io, monkeypatch):
     # every encode, whichever name it is called by, ends in the encoder
     encodes = _counting(monkeypatch, serialization._ENCODER, "encode")
+    # installed for this test alone: every worker announces the global
+    # executables, so a leftover one would add bytes to later runs
+    monkeypatch.setitem(executable._GLOBAL_EXECUTABLES, "noop", _noop)
     out = run_scenario(tmp_path)
     records = sum(len(types) for types in journal_io["types"].values())
     compactions = sum(len(p) for p in journal_io["snapshots"].values())
@@ -174,5 +178,6 @@ def test_control_plane_counts(tmp_path, journal_io, monkeypatch):
 
 
 if __name__ == "__main__":
+    register_executable("noop", _noop)
     with tempfile.TemporaryDirectory() as root:
         sys.stdout.write(dispatch_transcript(run_scenario(root)))
