@@ -65,19 +65,10 @@ def _sha256(value) -> str:
 
 def fingerprint(result) -> dict:
     """sha256 of everything a run promises to reproduce from its seed."""
-    snapshot = result.obs.metrics.snapshot()
     parts = {
         "transcript": result.transcript,
         "chaos": result.chaos,
-        # size-derived series wobble by a byte: MD results embed a
-        # measured wall_seconds whose decimal length varies run to run
-        "metrics": {
-            name: series
-            for name, series in snapshot.items()
-            if not name.startswith(
-                ("repro_net_bytes_total", "repro_net_transfer_seconds")
-            )
-        },
+        "metrics": result.obs.metrics.snapshot(),
         "trace": to_chrome_trace(result.obs.tracer),
     }
     for extra in ("report", "completed_at", "drain_cycles", "victim"):

@@ -118,21 +118,9 @@ def test_snapshot_is_deterministic_across_seeded_runs():
     # itself works, where the other determinism tests trust a digest
     first = run_swarm_under_faults(seed=3).obs.metrics.snapshot()
     second = run_swarm_under_faults(seed=3).obs.metrics.snapshot()
-
-    # byte accounting is derived from serialized payload sizes, and MD
-    # results embed a measured `wall_seconds` whose decimal length
-    # varies run to run — so the size-derived series may wobble by a
-    # byte; every logically-clocked series must match exactly
-    def logical(snapshot):
-        return {
-            name: series
-            for name, series in snapshot.items()
-            if not name.startswith(
-                ("repro_net_bytes_total", "repro_net_transfer_seconds")
-            )
-        }
-
-    assert logical(first) == logical(second)
+    # every series, the byte accounting included: a result carries no
+    # wall-clock field, so its serialized size is the seed's alone
+    assert first == second
     assert first["repro_net_bytes_total"][""] == pytest.approx(
         second["repro_net_bytes_total"][""], abs=16
     )
