@@ -24,9 +24,10 @@ Run as a script (CI's ``bench`` job)::
 
     PYTHONPATH=src python benchmarks/bench_batched_engine.py
 
-Writes ``BENCH_kernel.json`` (the sweep rows and the kernel-pass
-floors).  Exits nonzero when a floor is breached.  Every floor is a
-ratio over lone stacks of one.  Each was restated from a floor over
+Writes ``BENCH_kernel.json`` (the sweep rows, the kernel-pass floors
+and the stacked rates beside the parent commit's).  Exits nonzero when
+a floor is breached.  The ratio floors are over lone stacks of one.
+Each was restated from a floor over
 the since-deleted per-replica engine: the old floor divided by the
 model's last measured speedup of a stack of one over that engine, so
 that it is no looser (CHANGES.md shows the arithmetic):
@@ -37,10 +38,18 @@ that it is no looser (CHANGES.md shows the arithmetic):
 - R=3 speedup of both toy surfaces >= 1.78 (``toy_r3_speedup`` is the
   lower of double-well and Müller–Brown; 1.5 / 0.845 for the
   double-well, whose lone stack was the slower one),
-- R=3 speedup of the chain >= 1.99 (``chain_r3_speedup``; 1.0 / 0.504).
-  A chain step is a draw, a lookup and a coordinate write, so all a
-  stack can amortise is the driver's per-step bookkeeping — which is
-  most of a stack of one's cost.
+- R=3 speedup of the chain >= 0.56 (``chain_r3_speedup``; 1.0 / 0.504
+  = 1.99, then / 3.60 when the lone chain step got 3.6x faster).
+  A chain step is a draw, a lookup and a write of the rows that
+  jumped, so all a stack can amortise is the driver's per-step
+  bookkeeping, and a lone chain now pays little of that either.
+
+A ratio floor falls by construction when the lone side's fixed cost
+shrinks, so each is backed by an absolute one: stacked villin-fast
+steps/s at R = 1, 8 and 64 no lower than the parent commit's
+(``parent_rates``: ``HEAD^`` checked out with ``git worktree`` and
+measured in the same run, the two sides alternating in fresh
+processes; CI fetches two commits for it).
 
 ``lone_steps_per_sec`` (the best lone rate of the villin sweep) is
 reported, not gated: it is absolute, and this host's speed regimes move
@@ -66,7 +75,9 @@ for _var in (
 import argparse
 import json
 import statistics
+import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -93,8 +104,10 @@ FLOORS = {
     "r8_speedup": 4.91,
     "r64_speedup": 9.25,
     "toy_r3_speedup": 1.78,
-    "chain_r3_speedup": 1.99,
+    "chain_r3_speedup": 0.56,
 }
+#: Stacked villin-fast replica counts held to the parent commit's rate.
+ABSOLUTE_COUNTS = (1, 8, 64)
 _ROOT = Path(__file__).resolve().parent.parent
 KERNEL_RESULT_PATH = _ROOT / "BENCH_kernel.json"
 
@@ -229,6 +242,68 @@ def kernel_document(document: dict) -> dict:
     }
 
 
+#: Best stacked villin-fast steps/s at each count, printed as JSON by a
+#: fresh interpreter importing whichever tree PYTHONPATH names.
+_RATE_PROBE = """
+import json, sys, time
+from repro.md.engine import BatchedMDTask, MDEngine, MDTask
+
+def seconds(engine, btask):
+    start = time.perf_counter()
+    engine.run_batched(btask)
+    return time.perf_counter() - start
+
+engine, rates = MDEngine(), {}
+for n in json.loads(sys.argv[1]):
+    btask = BatchedMDTask.from_tasks([
+        MDTask(model="villin-fast", n_steps=300, report_interval=100,
+               seed=100 + r, task_id=f"bench/r{r}") for r in range(n)])
+    engine.run_batched(btask)
+    rates[str(n)] = n * 300 / min(seconds(engine, btask) for _ in range(3))
+print(json.dumps(rates))
+"""
+
+
+def _rates_of(src: Path) -> dict:
+    out = subprocess.run(
+        [sys.executable, "-c", _RATE_PROBE, json.dumps(ABSOLUTE_COUNTS)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def parent_rates(rounds: int = 3) -> dict:
+    """Stacked steps/s of this tree and of ``HEAD^``, best of *rounds*
+    alternating fresh processes: ``{count: {"parent": .., "change": ..}}``.
+
+    ``HEAD^`` is checked out with ``git worktree`` into a temporary
+    directory and removed again; without a parent commit (a one-commit
+    shallow clone) this raises.
+    """
+    rates = {str(n): {"parent": 0.0, "change": 0.0} for n in ABSOLUTE_COUNTS}
+    with tempfile.TemporaryDirectory() as tmp:
+        parent = Path(tmp) / "parent"
+        git = ["git", "-C", str(_ROOT)]
+        subprocess.run(
+            git + ["worktree", "add", "--detach", str(parent), "HEAD^"],
+            check=True,
+            capture_output=True,
+        )
+        try:
+            for _ in range(rounds):
+                for side, root in (("parent", parent), ("change", _ROOT)):
+                    for n, rate in _rates_of(root / "src").items():
+                        rates[n][side] = max(rates[n][side], rate)
+        finally:
+            subprocess.run(
+                git + ["worktree", "remove", "--force", str(parent)], check=False
+            )
+    return rates
+
+
 def check_floors(kernel: dict) -> list:
     """Floor breaches (empty = pass), each a printable message."""
     slack = 1.0 - NOISE_TOLERANCE
@@ -239,6 +314,12 @@ def check_floors(kernel: dict) -> list:
                 f"{key} {kernel[key]:.3f} < floor "
                 f"{kernel['floors'][key]:.3f} (noise tolerance "
                 f"{NOISE_TOLERANCE:.0%})"
+            )
+    for n, rate in kernel.get("stacked_vs_parent", {}).items():
+        if rate["change"] < rate["parent"] * slack:
+            breaches.append(
+                f"stacked R={n} {rate['change']:.0f} steps/s < parent's "
+                f"{rate['parent']:.0f} (noise tolerance {NOISE_TOLERANCE:.0%})"
             )
     return breaches
 
@@ -255,6 +336,7 @@ def main(argv=None) -> int:
 
     document = run_benchmark()
     kernel = kernel_document(document)
+    kernel["stacked_vs_parent"] = parent_rates()
     args.kernel_out.write_text(json.dumps(kernel, indent=2) + "\n")
     for row in document["results"]:
         print(
@@ -268,6 +350,11 @@ def main(argv=None) -> int:
             f"{model}: "
             + "  ".join(f"R={r['n_replicas']} {r['speedup']:.2f}x" for r in rows)
         )
+    for n, rate in kernel["stacked_vs_parent"].items():
+        print(
+            f"stacked R={n}: {rate['change']:.0f} steps/s, "
+            f"parent {rate['parent']:.0f}"
+        )
     print(f"wrote {args.kernel_out}")
 
     breaches = check_floors(kernel)
@@ -278,8 +365,10 @@ def main(argv=None) -> int:
 
 def test_kernel_floors(tmp_path):
     """The kernel-pass floors over lone stacks of one (R=8 >= 4.91x,
-    R=64 >= 9.25x; at R=3 the toys >= 1.78x and the chain >= 1.99x)."""
+    R=64 >= 9.25x; at R=3 the toys >= 1.78x and the chain >= 0.56x), and
+    stacked steps/s at R=1, 8 and 64 no lower than the parent's."""
     kernel = kernel_document(run_benchmark())
+    kernel["stacked_vs_parent"] = parent_rates()
     (tmp_path / "BENCH_kernel.json").write_text(json.dumps(kernel))
     assert check_floors(kernel) == []
 

@@ -40,7 +40,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.md.forcefield.base import composite_energy_forces_batch
+from repro.md.forcefield.base import SCATTER_GATHER_ELEMENTS
 from repro.md.system import State, System
 from repro.md.trajectory import Trajectory
 from repro.util.errors import ConfigurationError, SimulationError
@@ -207,9 +207,7 @@ class BatchedSystem:
         ``r`` is replica ``r``.  Step loops pass ``need_energy=False``
         and get ``None`` for the energies (same force bits).
         """
-        return composite_energy_forces_batch(
-            self.system.forces, positions, replica_ids, need_energy
-        )
+        return self.system.step_plan.evaluate(positions, replica_ids, need_energy)
 
 
 class _BatchedIntegratorBase:
@@ -230,6 +228,11 @@ class _BatchedIntegratorBase:
     ) -> np.ndarray:
         """Forces at the current positions (primes the step loop)."""
         return system.energy_forces(positions, replica_ids, need_energy=False)[1]
+
+    def plan_steps(self, n_steps: int) -> None:
+        """The next *n_steps* :meth:`step` calls advance one unchanged
+        stack (:meth:`BatchedSimulation.run_to` says so before each
+        chunk).  A no-op here; see :class:`BatchedLangevinIntegrator`."""
 
 
 class _BatchedStochasticIntegrator(_BatchedIntegratorBase):
@@ -319,6 +322,20 @@ class BatchedLangevinIntegrator(_BatchedStochasticIntegrator):
         self._decay = np.exp(-friction * self.timestep)
         self._noise_scale = np.sqrt(1.0 - self._decay * self._decay)
         self._masses: Optional[np.ndarray] = None
+        # Noise drawn ahead: block[:, used:drawn] is still to be used,
+        # and at most ``planned`` more steps may be drawn.
+        self._block = self._scratch = np.empty(0)
+        self._used = self._drawn = self._planned = 0
+
+    def plan_steps(self, n_steps: int) -> None:
+        """Let the next *n_steps* steps draw their noise in blocks.
+
+        A block never draws past the chunk, so at every point where a
+        checkpoint can be cut each stream has drawn exactly the noise of
+        the steps taken.
+        """
+        self._planned = int(n_steps)
+        self._used = self._drawn = 0
 
     def step(
         self,
@@ -335,24 +352,61 @@ class BatchedLangevinIntegrator(_BatchedStochasticIntegrator):
         """
         half_dt = 0.5 * self.timestep
         inv_m, noise_sigma = self._mass_constants(system.masses)
-        # B: half kick
-        velocities += half_dt * forces * inv_m
+        if self._scratch.shape != velocities.shape:
+            self._scratch = np.empty(velocities.shape)
+            self._kick = np.empty(velocities.shape)
+            self._kicked = None
+        term = self._scratch
+        # B: half kick; (half_dt * f) * inv_m is the last step's closing
+        # kick when f is the array that step returned
+        if forces is not self._kicked:
+            self._kick_of(forces, half_dt, inv_m)
+        velocities += self._kick
         # A: half drift
-        positions += half_dt * velocities
+        positions += np.multiply(half_dt, velocities, out=term)
         # O: Ornstein-Uhlenbeck exact solve, per-replica noise streams
-        noise = np.empty(velocities.shape)
-        for row, replica in enumerate(replica_ids):
-            self.rngs[replica].generator.standard_normal(out=noise[row])
+        if self._used == self._drawn:
+            self._draw(replica_ids, velocities.shape, noise_sigma)
         velocities *= self._decay
-        velocities += noise_sigma * noise
+        velocities += self._block[:, self._used]
+        self._used += 1
         # A: half drift
-        positions += half_dt * velocities
+        positions += np.multiply(half_dt, velocities, out=term)
         # B: half kick with new forces
         _, new_forces = system.energy_forces(
             positions, replica_ids, need_energy=False
         )
-        velocities += half_dt * new_forces * inv_m
+        velocities += self._kick_of(new_forces, half_dt, inv_m)
         return new_forces
+
+    def _kick_of(self, forces, half_dt, inv_m) -> np.ndarray:
+        """``(half_dt * forces) * inv_m``, kept for the next step."""
+        kick = np.multiply(half_dt, forces, out=self._kick)
+        kick *= inv_m
+        self._kicked = forces
+        return kick
+
+    def _draw(self, replica_ids: np.ndarray, shape: tuple, noise_sigma) -> None:
+        """Draw the next block of steps' noise, one call per replica,
+        and scale it by ``noise_sigma`` in one more.
+
+        As many steps as fit :data:`SCATTER_GATHER_ELEMENTS` (the same
+        allocator budget as a scatter gather; at least one), and no
+        more than the planned chunk has left.  A stream fills its block
+        in step order, so its draws are those of one call per step.
+        """
+        per_step = int(np.prod(shape))
+        capacity = max(1, SCATTER_GATHER_ELEMENTS // per_step)
+        n_steps = max(1, min(capacity, self._planned))
+        self._planned -= n_steps
+        block_shape = (shape[0], capacity) + shape[1:]
+        if self._block.shape != block_shape:
+            self._block = np.empty(block_shape)
+        block = self._block[:, :n_steps]
+        for row, replica in enumerate(replica_ids):
+            self.rngs[replica].generator.standard_normal(out=block[row])
+        block *= noise_sigma
+        self._used, self._drawn = 0, n_steps
 
     def _mass_constants(self, masses: np.ndarray):
         """``(1/m, noise_scale * sqrt(kT/m))`` as ``(1, N, 1)`` columns.
@@ -509,12 +563,16 @@ class BatchedMarkovChainIntegrator(_BatchedStochasticIntegrator):
             self._draws = [
                 self.rngs[replica].generator.random for replica in replica_ids
             ]
-        sample_next = spec.sample_next
-        self._current = [
-            sample_next(state, draw())
-            for state, draw in zip(self._current, self._draws)
-        ]
-        positions[...] = spec.positions_of(self._current)
+            self._points = list(spec.embedding)
+            positions[...] = spec.positions_of(self._current)
+        # Only a row that jumped is written: the others already hold
+        # their state's embedding.
+        sample_next, current, points = spec.sample_next, self._current, self._points
+        for row, draw in enumerate(self._draws):
+            state = sample_next(current[row], draw())
+            if state != current[row]:
+                current[row] = state
+                positions[row, 0] = points[state]
         return forces
 
 
@@ -546,6 +604,22 @@ def make_batched_integrator(
     if name == "markov-chain":
         return BatchedMarkovChainIntegrator(timestep, rngs=streams)
     raise ConfigurationError(f"unknown integrator {name!r}")
+
+
+def _advance_clocks(times: np.ndarray, n_steps: int, timestep: float) -> None:
+    """Add *timestep* to every clock of *times* *n_steps* times, in place.
+
+    One add per step, as the step loop would make them (``k * dt`` is
+    other bits): ``np.add.accumulate`` down a column adds its rows one
+    after another.  Blocks stay within :data:`SCATTER_GATHER_ELEMENTS`.
+    """
+    block = max(1, SCATTER_GATHER_ELEMENTS // len(times) - 1)
+    while n_steps:
+        taken = min(n_steps, block)
+        clock = np.full((taken + 1, len(times)), timestep)
+        clock[0] = times
+        times[...] = np.add.accumulate(clock, axis=0)[-1]
+        n_steps -= taken
 
 
 class BatchedSimulation:
@@ -580,6 +654,9 @@ class BatchedSimulation:
                 f"match system ({system.n_atoms}, {system.dim})"
             )
         self.system = system
+        # A model may be cached between commands: no per-replica cache
+        # (a lazy neighbour list) may carry over from an earlier run.
+        system.step_plan.reset()
         self.batched_system = BatchedSystem(system, self.batch.n_replicas)
         self.integrator = integrator
         self.report_interval = int(report_interval)
@@ -672,12 +749,12 @@ class BatchedSimulation:
                 chunk = span
                 if interval:
                     chunk = min(span, int(np.min(interval - steps % interval)))
+                self.integrator.plan_steps(chunk)
                 for _ in range(chunk):
                     forces = self.integrator.step(
                         self.batched_system, positions, velocities, forces, idx
                     )
-                    # one add per step: k * dt is other bits
-                    times += timestep
+                _advance_clocks(times, chunk, timestep)
                 steps += chunk
                 span -= chunk
                 if interval:

@@ -1,12 +1,9 @@
 """Force-field terms for the MD engine.
 
-Every force implements the :class:`~repro.md.forcefield.base.Force`
-protocol: ``compute_batch(planes, replica_ids=None, need_energy=True)
--> (energies, force planes)`` over a stack of replicas, in kJ/mol and
-kJ/mol/nm; one configuration is a stack of one
-(:func:`~repro.md.forcefield.base.composite_energy_forces`).  All terms
-are fully vectorised — pair/triple/quad indices are precomputed once
-and the hot path is pure numpy gathers plus precomputed scatter-adds,
+Every term implements the :class:`~repro.md.forcefield.base.Force`
+protocol over a stack of replicas (kJ/mol, kJ/mol/nm); index lists are
+precomputed once and a :class:`~repro.md.forcefield.base.StepPlan` runs
+them as pure numpy gathers, arithmetic and precomputed scatter-adds —
 the "SIMD kernel" level of the paper's parallelism hierarchy.
 """
 

@@ -1,4 +1,4 @@
-"""The force protocol and its stacked sums.
+"""The force protocol, the scatter and the step plan that sums the terms.
 
 Every force term implements one method (:class:`Force`),
 ``compute_batch(planes, replica_ids=None, need_energy=True)``, over a
@@ -9,52 +9,33 @@ added (:func:`check_force`), so a term that lacks the method or the
 keyword is a :class:`ConfigurationError` naming the term, never a slow
 path found mid-run.
 
-The kernels work on **replica-minor component planes**:
-:func:`composite_energy_forces_batch` transposes the ``(R, N, dim)``
-stack once to ``(dim, N, R)``, every term's ``compute_batch(planes,
-replica_ids)`` returns ``(energies (R,), force planes (dim, N, R))``,
-and the summed planes are transposed back once.
-
-Why this layout: gathering atom rows with ``np.take(planes, idx,
-axis=1)`` copies contiguous runs of R doubles instead of 24-byte
-chunks, a dot product over the length-``dim`` axis is ``dim`` dense
-multiply-adds over ``(P, R)`` planes instead of a strided reduction,
-and per-interaction parameters broadcast as ``(P, 1)`` columns.
+The kernels work on **replica-minor component planes** ``(dim, N, R)``:
+a :class:`StepPlan` transposes the ``(R, N, dim)`` stack once, gathers
+the difference vectors of every fixed-list term at once, runs each
+term's arithmetic on its slice and sums the terms' planes straight into
+the ``(R, N, dim)`` result.  A term evaluated alone (``compute_batch``)
+is a one-term plan.  With ``need_energy=False`` a kernel skips its
+energy lines and returns ``None`` in the energy slot; no force bit
+changes.
 
 A replica's forces are the same bits whatever the stack's size or
 compaction, and the same bits as the per-replica ``(N, dim)`` kernels
-the stacks replaced (``tests/serial_oracle.py`` keeps them as the
-reference).  That is kept by construction rather than by tolerance:
-
-- every arithmetic op is elementwise over the replica axis, in the
-  per-replica kernel's operand order;
-- ``a[0]*b[0] + a[1]*b[1] + a[2]*b[2]`` associates exactly like
-  ``np.sum(a * b, axis=-1)`` over a length-3 axis, which numpy
-  accumulates left to right (:func:`plane_dot`);
-- scatter-adds accumulate each atom's contributions in ``np.add.at``
-  order (:class:`SegmentScatter`).
-
-**Forces-only evaluation.**  Every step of every integrator needs
-forces and throws the energy away, so ``compute_batch`` takes
-``need_energy=True``: with ``False`` a kernel skips its energy lines
-and the energy slot of the returned pair is ``None``.  The keyword
-never changes a force bit.
-
-Per-replica *energies* are ``np.sum(term, axis=0)`` over a C-contiguous
-``(P, R)`` plane: numpy adds the P rows one after another, so every
-replica's sum is left-associated in interaction order — for every
-R >= 2 the same bits whatever the stack size or compaction.  At R = 1
-the plane is one contiguous column and numpy sums it pairwise, which
-agrees to rounding, not to the bit; a result that must not depend on
-its stack (a command's final energy) is therefore always a stack of
-one.  (``tests/test_scatter_plan.py`` pins the order.)  Nothing
-downstream of an energy feeds back into a trajectory.
+the stacks replaced (``tests/serial_oracle.py``): every operation is
+elementwise over the replica axis in the per-replica kernel's operand
+order, :func:`plane_dot` associates like ``np.sum(a * b, axis=-1)``
+over a length-3 axis, and :class:`SegmentScatter` keeps ``np.add.at``'s
+order.  Per-replica energies are ``np.sum(term, axis=0)`` over a
+C-contiguous ``(P, R)`` plane, left-associated in interaction order for
+every R >= 2; at R = 1 numpy sums the column pairwise, so a result that
+must not depend on its stack (a command's final energy) is a stack of
+one.  DESIGN.md "Kernel memory layout" has the measurements, and
+``tests/test_scatter_plan.py`` pins every claim.
 """
 
 from __future__ import annotations
 
 import inspect
-from typing import Iterable, Optional, Protocol, Tuple
+from typing import Iterable, List, Optional, Protocol, Tuple
 
 import numpy as np
 
@@ -96,9 +77,7 @@ def check_force(force) -> None:
 
 
 def composite_energy_forces(
-    forces: Iterable[Force],
-    positions: np.ndarray,
-    need_energy: bool = True,
+    forces: Iterable[Force], positions: np.ndarray, need_energy: bool = True
 ) -> Tuple[Optional[float], np.ndarray]:
     """Energy and forces of *forces* at one ``(N, dim)`` configuration.
 
@@ -111,86 +90,69 @@ def composite_energy_forces(
     return (float(energies[0]) if need_energy else None), stack[0]
 
 
+def composite_energy_forces_batch(
+    forces: Iterable[Force], positions: np.ndarray, replica_ids=None, need_energy=True
+) -> Tuple[Optional[np.ndarray], np.ndarray]:
+    """Per-replica energies and forces of *forces* over ``(R, N, dim)``:
+    :meth:`StepPlan.evaluate` (a lone term's plan is kept on the term)."""
+    forces = tuple(forces)
+    if len(forces) == 1:
+        plan = solo_plan(forces[0], positions.shape[1])
+    else:
+        plan = StepPlan(forces, positions.shape[1])
+    return plan.evaluate(positions, replica_ids, need_energy)
+
+
 def plane_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot product over the leading (component) axis of two plane stacks.
 
     ``(dim, ...) x (dim, ...) -> (...)``, accumulated left to right —
     the association ``np.sum(a * b, axis=-1)`` uses on ``(P, dim)``
-    rows.  All ``dim`` products come from one multiply;
-    the adds stay explicit because a reduction would not keep this
-    order's zero signs.  (The one difference is outside physics:
-    numpy's reduction starts from ``+0.0``, so three ``-0.0`` products
-    sum to ``+0.0`` there and to ``-0.0`` here; that needs coincident
-    atoms.)
+    rows.  The adds stay explicit because a reduction starts from
+    ``+0.0`` and would turn three ``-0.0`` products into ``+0.0``.
     """
     products = a * b
-    if len(products) == 1:
-        return products[0]
     out = products[0] + products[1]
     for product in products[2:]:
         out += product
     return out
 
 
+def squared_norms(a: np.ndarray, out=None, products=None) -> np.ndarray:
+    """``plane_dot(a, a)`` in one multiply and one reduction: a square
+    is never ``-0.0``, so the reduction's ``+0.0`` start changes no bit
+    (and it adds plane after plane, as :class:`SegmentScatter` says)."""
+    return np.add.reduce(np.multiply(a, a, out=products), axis=0, out=out)
+
+
 #: Most float64 elements :meth:`SegmentScatter.add` gathers with one
-#: ``np.take`` (128 KiB, glibc's ``mmap`` threshold).  A larger gather
-#: is returned by ``malloc`` as a fresh mapping on every call and pays a
-#: page fault per 4 KiB to touch it: gathering the whole villin-fast
-#: table at once (up to 399 KiB at R = 64) made that evaluation 9-25 %
-#: *slower* than one level per call, while under the threshold it is as
-#: fast as malloc-from-the-heap gets (the five scatters of a villin-fast
-#: evaluation: 70 -> 24 us at R = 6, 124 -> 119 us at R = 64; DESIGN.md
-#: "Kernel memory layout").
-#: Not a setting: it is a property of the allocator, not of a workload.
+#: ``np.take`` (128 KiB, glibc's ``mmap`` threshold): a larger temporary
+#: is a fresh mapping on every call, a page fault per 4 KiB.  Not a
+#: setting: it is a property of the allocator, not of a workload.
 SCATTER_GATHER_ELEMENTS = 16384
 
 
 class SegmentScatter:
     """Replica-batched ``np.add.at`` over a fixed index list.
 
-    A per-replica kernel accumulates pair contributions with one or
-    more ``np.add.at`` calls; ``ufunc.at`` is an unbuffered per-element
-    loop and would dominate the step.  Because every kernel's index
-    list is fixed, the scatter is precomputed into a ``(D, N)`` *gather
-    table*: level ``d`` holds, for every atom, the position in the index
-    list of that atom's ``d``-th contribution (in ``add.at`` order —
-    first index array fully before the second, pair order within
-    each), or the position of a zero row where the atom has
-    fewer than ``d + 1`` contributions.  :meth:`add` gathers several
-    levels with one ``np.take`` into a ``(dim, levels, N, R)`` stack and
-    reduces it over the level axis.
-
-    Why a reduction over that axis is exact: the ``(N, R)`` planes of
-    one level are contiguous and at least two elements long, so numpy
-    makes the level axis the *outer* loop and adds the planes to the
-    output one after another.  Each atom's running sum therefore
-    receives the same values in the same order with the same left
-    association (``((0 + v1) + v2) + ...``) as the ``add.at``
-    sequence, and the result is bit-identical.  (Reducing along a
-    contiguous axis instead — ``np.sum`` / ``np.add.reduceat`` over an
-    interaction axis — switches to pairwise summation on long segments
-    and breaks the association; ``tests/test_scatter_plan.py`` pins
-    both.)
-
-    Why chunking is exact: the running sum lives in *carry rows* behind
-    the contribution rows and is the first level of every gather, so
-    ``0.0 + carry + v_k + v_k+1 ...`` continues the same left
-    association however many levels one gather takes.  How many is the
-    only size-dependent decision here (:data:`SCATTER_GATHER_ELEMENTS`).
-
-    Why the padding is exact: a running sum that starts at ``+0.0`` can
-    never become ``-0.0`` under round-to-nearest, and adding ``+0.0``
-    (or ``-0.0``) to such a sum is the identity.  The same argument
-    covers cutoff masking: kernels zero the masked pair's force scale
-    instead of removing the pair, the resulting ``+-0.0`` contributions
-    change nothing, and the filtered ``add.at`` is reproduced
-    bit-for-bit.
+    The scatter is precomputed into a ``(D, N)`` *gather table*: level
+    ``d`` holds, for every atom, the position in the index list of that
+    atom's ``d``-th contribution in ``add.at`` order, or the position of
+    a zero row.  :meth:`add` gathers several levels with one ``np.take``
+    into a ``(dim, levels, N, R)`` stack and reduces over the level axis.
+    That is exact: the ``(N, R)`` planes of a level are contiguous and at
+    least two elements long, so numpy adds them one after another, with
+    ``add.at``'s left association ``((0 + v1) + v2) + ...``.  The running
+    sum rides in *carry rows* as the first level of every gather, so the
+    number of levels a gather takes (:data:`SCATTER_GATHER_ELEMENTS`)
+    never re-associates; and a sum from ``+0.0`` is never ``-0.0``, so
+    the zero row's padding and a masked pair's ``+-0.0`` change nothing.
     """
 
     def __init__(self, indices: np.ndarray, n_atoms: int) -> None:
         if n_atoms < 2:
-            # A one-element plane would make the level axis the inner,
-            # pairwise-summed loop (see the class docstring).
+            # A one-element plane would make the level axis numpy's
+            # inner, pairwise-summed loop.
             raise ConfigurationError("a scatter needs at least two atoms")
         indices = np.asarray(indices, dtype=np.intp)
         self.n_entries = len(indices)
@@ -203,61 +165,55 @@ class SegmentScatter:
         # Unfilled slots point at the workspace's zero row.
         self._table = np.full((depth, n_atoms), self.n_entries, dtype=np.intp)
         self._table[rank, sorted_idx] = order
-        # Allocated by workspace() for one (dim, R): a view of the
-        # contribution rows and the zero row; its base array holds the
-        # n_atoms carry rows behind them.
         self._rows: Optional[np.ndarray] = None
-        self._gathers: Tuple[np.ndarray, ...] = ()
 
     def workspace(self, dim: int, n_replicas: int) -> np.ndarray:
         """The ``(dim, n_entries + 1, R)`` contribution rows to fill.
 
         Kernels overwrite rows ``[0, n_entries)`` (aligned with the
-        constructor's index list) and hand the array to :meth:`add`;
-        the last row is the zero row that padding reads.  The array is
-        kept between calls and reallocated only when the stack size
-        changes: at R = 64 it is large enough that malloc would map and
-        unmap it on every evaluation, and the page faults cost a third
-        of the whole force evaluation.  Contents do not survive the
-        next ``workspace`` call of the same scatter.
+        index list) and hand the array to :meth:`add`; the last row is
+        the zero row, and the base array holds the carry rows behind
+        it.  Kept between calls, reallocated only for a new stack size.
         """
         shape = (dim, self.n_entries + 1, n_replicas)
         if self._rows is None or self._rows.shape != shape:
-            store = np.empty(
-                (dim, self.n_entries + 1 + self.n_atoms, n_replicas)
-            )
+            store = np.empty((dim, self.n_entries + 1 + self.n_atoms, n_replicas))
             self._rows = store[:, : self.n_entries + 1]
             self._rows[:, -1] = 0.0
             self._gathers = self._plan_gathers(dim * self.n_atoms * n_replicas)
         return self._rows
 
     def _plan_gathers(self, level_elements: int) -> Tuple[np.ndarray, ...]:
-        """Index tables of the gathers :meth:`add` makes, in order.
-
-        Each is ``(1 + k, N)``: the carry rows, then the next ``k``
-        levels of the table — as many as fit the element budget beside
-        the carry, at least one.  A table without levels still gets one
-        gather (of the carry alone), so :meth:`add` has no empty case.
-        """
+        """Index tables of the gathers :meth:`add` makes, in order: each
+        is the carry rows, then as many levels as fit the budget (at
+        least one).  The first also comes with the zero row in place of
+        the carry (``_fresh``), for a sum that starts from ``+0.0``."""
         carry = self.n_entries + 1 + np.arange(self.n_atoms)
         step = max(1, SCATTER_GATHER_ELEMENTS // level_elements - 1)
-        return tuple(
+        gathers = tuple(
             np.vstack([carry, self._table[start : start + step]])
             for start in range(0, max(len(self._table), 1), step)
         )
+        first = gathers[0].copy()
+        first[0] = self.n_entries
+        self._fresh = (first,) + gathers[1:]
+        return gathers
 
-    def add(self, buf: np.ndarray, rows: np.ndarray) -> None:
+    def add(self, buf: np.ndarray, rows: np.ndarray, overwrite: bool = False) -> None:
         """``buf[:, idx[p], r] += rows[:, p, r]`` for every replica *r*.
 
-        *buf* is ``(dim, N, R)`` and must not hold ``-0.0`` (start it
-        from ``np.zeros``); *rows* is the array :meth:`workspace` last
-        returned.  *buf* is the running sum the gathers carry.
+        *buf* is ``(dim, N, R)`` and must not hold ``-0.0``; *rows* is
+        the array :meth:`workspace` last returned.  With
+        ``overwrite=True`` *buf* is not read: the sum starts from
+        ``+0.0``, what ``np.zeros`` then ``add`` would give.
         """
         store = rows.base  # contribution rows, zero row, carry rows
         carry = store[:, self.n_entries + 1 :]
-        carry[...] = buf
-        last = len(self._gathers) - 1
-        for number, levels in enumerate(self._gathers):
+        if not overwrite:
+            carry[...] = buf
+        gathers = self._fresh if overwrite else self._gathers
+        last = len(gathers) - 1
+        for number, levels in enumerate(gathers):
             np.add.reduce(
                 store.take(levels, axis=1),
                 axis=1,
@@ -266,75 +222,198 @@ class SegmentScatter:
             )
 
 
-def empty_batch(planes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Batched result of a term with no interactions: all zeros."""
-    return np.zeros(planes.shape[2]), np.zeros(planes.shape)
+def _wrap(planes: np.ndarray) -> np.ndarray:
+    """Repeat components x, y behind z: ``planes[:3]`` -> ``(x, y, z, x, y)``,
+    so the cyclic shifts of a cross product are the slices ``[1:4]`` and
+    ``[2:5]``."""
+    planes[3:] = planes[:2]
+    return planes
 
 
-def pair_vectors(planes: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """``r_j - r_i`` for a fixed pair list: ``(dim, N, R) -> (dim, P, R)``."""
-    rij = planes.take(j, axis=1)
-    rij -= planes.take(i, axis=1)
-    return rij
+def scratch(work: dict, key: str, shape: tuple) -> np.ndarray:
+    """Buffer *key* of a term's *work* dict, made on first use."""
+    if key not in work:
+        work[key] = np.empty(shape)
+    return work[key]
 
 
-def pair_force_planes(
-    term,
-    i: np.ndarray,
-    j: np.ndarray,
-    fscale: np.ndarray,
-    rij: np.ndarray,
-    n_atoms: int,
-) -> np.ndarray:
-    """Force planes of a pair term: ``+fscale * rij`` on j, minus on i.
+def columns(work: dict, n_replicas: int, *cols: np.ndarray) -> List[np.ndarray]:
+    """The ``(P, 1)`` parameter columns *cols* repeated to ``(P, R)``
+    once per *work* dict: the same values, but an operation on two
+    same-shape arrays skips numpy's broadcasting machinery."""
+    if "columns" not in work:
+        work["columns"] = [np.repeat(c, n_replicas, axis=1) for c in cols]
+    return work["columns"]
 
-    *fscale* is ``(P, R)`` and *rij* ``(dim, P, R)``, both aligned with
-    the fixed pair list ``(i, j)``.  The :class:`SegmentScatter` over
-    ``[j, i]`` — two ``add.at`` calls in order — is built on
-    the first call and kept on *term*; ``fij`` and ``-fij`` are written
-    straight into its workspace.
+
+class StepPlan:
+    """One evaluation of a list of force terms over a replica stack.
+
+    A *fixed-list* term declares ``fixed_list() -> (heads, tails,
+    scatter indices)``: the vectors ``r[head] - r[tail]`` its kernel
+    reads and the atom of each of its scatter rows.  The plan
+    concatenates the lists, so an evaluation gathers every term's
+    vectors with one ``take`` pair and one subtraction into a
+    ``(5, V, R)`` buffer (rows 3-4 are room for :func:`_wrap`) and
+    squares them with one :func:`squared_norms`; a ``minimum_image``
+    method corrects a periodic term's slice first.  Each term's
+    ``plane_forces(vectors, squares, rows, work, need_energy)`` then runs
+    its arithmetic on its slice into its own :class:`SegmentScatter`
+    rows and returns its energies.  Any other term is a stage that
+    calls its ``compute_batch``.
+
+    Terms are summed in registration order, ``((0 + F1) + F2) + ...``:
+    each term's planes fill a slot of a ``(K, dim, N, R)`` stack and one
+    reduction adds the slots in order.  Every buffer persists between
+    evaluations and is reallocated only when the stack size changes.
     """
-    scatter = getattr(term, "_pair_scatter", None)
-    if scatter is None:
-        scatter = term._pair_scatter = SegmentScatter(
-            np.concatenate([j, i]), n_atoms
+
+    def __init__(self, forces: Iterable[Force], n_atoms: int) -> None:
+        self.forces = tuple(forces)
+        self.n_atoms = int(n_atoms)
+        heads, tails, self._terms, self._images = [], [], [], []
+        for force in self.forces:
+            fixed = getattr(force, "fixed_list", None)
+            fixed = fixed() if fixed is not None else None
+            if fixed is not None and len(fixed[0]) == 0:
+                continue  # no interactions: zero forces and energies
+            window = scatter = None
+            if fixed is not None:
+                start = sum(map(len, heads))
+                window = slice(start, start + len(fixed[0]))
+                heads.append(fixed[0])
+                tails.append(fixed[1])
+                if hasattr(force, "minimum_image"):
+                    self._images.append((force, window))
+                scatter = SegmentScatter(fixed[2], self.n_atoms)
+            self._terms.append((force, window, scatter))
+        self._heads = self._tails = None
+        if heads:
+            self._heads = np.concatenate(heads).astype(np.intp)
+            self._tails = np.concatenate(tails).astype(np.intp)
+            ends = np.concatenate([self._heads, self._tails])
+            if ends.min() < 0 or ends.max() >= self.n_atoms:
+                raise ConfigurationError("a force term indexes a missing atom")
+        self._shape: Optional[Tuple[int, int]] = None
+
+    def _reserve(self, dim: int, n_replicas: int) -> None:
+        if self._shape == (dim, n_replicas):
+            return
+        self._shape = (dim, n_replicas)
+        n_vectors = 0 if self._heads is None else len(self._heads)
+        plane = (dim, self.n_atoms, n_replicas)
+        self._vectors = np.empty((dim + 2, n_vectors, n_replicas))
+        self._spare = np.empty((dim, n_vectors, n_replicas))
+        self._squares = np.empty((n_vectors, n_replicas))
+        self._planes = np.empty(plane)
+        self._slots = np.zeros((max(len(self._terms), 1),) + plane)
+        # A stage: (term, slot); a fixed-list term: its views too.
+        self._stages = [
+            (force, slot)
+            if scatter is None
+            else (force, slot, scatter, self._vectors[:, window],
+                  self._squares[window], scatter.workspace(dim, n_replicas), {})
+            for (force, window, scatter), slot in zip(self._terms, self._slots)
+        ]
+
+    def gather(self, planes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Every fixed-list vector ``(5, V, R)`` and squared length
+        ``(V, R)``: views of persistent buffers."""
+        dim = planes.shape[0]
+        self._reserve(dim, planes.shape[2])
+        # mode="clip" lets take() write into ``out`` directly; the
+        # indices were range-checked when the plan was built.
+        heads = planes.take(self._heads, axis=1, out=self._vectors[:dim], mode="clip")
+        heads -= planes.take(self._tails, axis=1, out=self._spare, mode="clip")
+        for force, window in self._images:
+            force.minimum_image(heads[:, window])
+        squared_norms(heads, out=self._squares, products=self._spare)
+        return self._vectors, self._squares
+
+    def planes_forces(
+        self, planes: np.ndarray, replica_ids, need_energy: bool, out: np.ndarray
+    ) -> List[Optional[np.ndarray]]:
+        """Every term's force planes summed into *out* ``(dim, N, R)``;
+        each evaluated term's energies (or ``None``), in order."""
+        self._reserve(planes.shape[0], planes.shape[2])
+        if self._heads is not None:
+            self.gather(planes)
+        energies = []
+        for stage in self._stages:
+            if len(stage) == 2:
+                force, slot = stage
+                e, slot[...] = force.compute_batch(
+                    planes, replica_ids=replica_ids, need_energy=need_energy
+                )
+            else:
+                force, slot, scatter, vectors, squares, rows, work = stage
+                e = force.plane_forces(vectors, squares, rows, work, need_energy)
+                scatter.add(slot, rows, overwrite=True)
+            energies.append(e)
+        if out.size > 1 or len(self._slots) < 8:
+            np.add.reduce(self._slots, axis=0, initial=0.0, out=out)
+        else:  # one-element planes: numpy would sum 8+ slots pairwise
+            out[...] = 0.0
+            for slot in self._slots:
+                out += slot
+        return energies
+
+    def evaluate(
+        self, positions: np.ndarray, replica_ids=None, need_energy: bool = True
+    ) -> Tuple[Optional[np.ndarray], np.ndarray]:
+        """Per-replica energies (``None`` with ``need_energy=False``)
+        and a new ``(R, N, dim)`` force array, summed into through its
+        transposed view; *replica_ids* goes to every stage."""
+        self._reserve(positions.shape[2], positions.shape[0])
+        np.copyto(self._planes, positions.transpose(2, 1, 0))
+        forces = np.empty(positions.shape)
+        energies = self.planes_forces(
+            self._planes, replica_ids, need_energy, forces.transpose(2, 1, 0)
         )
-    dim, n_pairs, n_replicas = rij.shape
-    rows = scatter.workspace(dim, n_replicas)
-    fij = np.multiply(fscale, rij, out=rows[:, :n_pairs])
-    np.negative(fij, out=rows[:, n_pairs:-1])
-    forces = np.zeros((dim, n_atoms, n_replicas))
-    scatter.add(forces, rows)
-    return forces
-
-
-def composite_energy_forces_batch(
-    forces: Iterable[Force],
-    positions: np.ndarray,
-    replica_ids: Optional[np.ndarray] = None,
-    need_energy: bool = True,
-) -> Tuple[Optional[np.ndarray], np.ndarray]:
-    """Per-replica energies and forces of *forces* over ``(R, N, dim)``.
-
-    Terms are summed in registration order with elementwise adds, so
-    a replica's total does not depend on the stack it is in.
-    The stack is transposed to component planes once on entry and the
-    summed force planes back to ``(R, N, dim)`` once on exit.  With
-    ``need_energy=False`` the ``(R,)`` energy accumulator does not
-    exist and ``None`` is returned in its place.  *replica_ids* is
-    handed to every term (see :meth:`Force.compute_batch`).
-    """
-    planes = np.ascontiguousarray(positions.transpose(2, 1, 0))
-    total_e = np.zeros(positions.shape[0]) if need_energy else None
-    total_f = np.zeros(planes.shape)
-    for force in forces:
-        e, f = force.compute_batch(
-            planes, replica_ids=replica_ids, need_energy=need_energy
-        )
+        total_e = None
         if need_energy:
-            total_e += e
-        total_f += f
-    return total_e, np.ascontiguousarray(total_f.transpose(2, 1, 0))
+            total_e = np.zeros(positions.shape[0])
+            for e in energies:
+                total_e += e
+        return total_e, forces
+
+    def reset(self) -> None:
+        """Drop every term's per-replica caches (lazy neighbour lists)."""
+        for force in self.forces:
+            provider = getattr(force, "pair_provider", None)
+            if hasattr(provider, "invalidate"):
+                provider.invalidate()
+
+
+def solo_plan(term, n_atoms: int) -> StepPlan:
+    """The one-term :class:`StepPlan` of *term*, kept on the term."""
+    plan = getattr(term, "_solo_plan", None)
+    if plan is None or plan.forces[0] is not term or plan.n_atoms != n_atoms:
+        plan = term._solo_plan = StepPlan([term], n_atoms)
+    return plan
+
+
+def fixed_list_batch(
+    self, planes: np.ndarray, replica_ids=None, need_energy: bool = True
+) -> Tuple[Optional[np.ndarray], np.ndarray]:
+    """``compute_batch`` of a fixed-list term (bound on each class, so
+    a per-class profile sees it): the term's one-term plan over
+    ``(3, N, R)`` planes."""
+    forces = np.empty(planes.shape)
+    energies = solo_plan(self, planes.shape[1]).planes_forces(
+        planes, None, need_energy, forces
+    )
+    if not need_energy:
+        return None, forces
+    return (energies[0] if energies else np.zeros(planes.shape[2])), forces
+
+
+def pair_rows(rows: np.ndarray, fscale: np.ndarray, vectors: np.ndarray) -> None:
+    """A pair term's scatter rows over ``[j, i]``: ``+fscale * rij`` on
+    j, minus on i, for ``(P, R)`` *fscale* and its ``rij`` *vectors*."""
+    n_pairs = vectors.shape[1]
+    fij = np.multiply(fscale, vectors[: len(rows)], out=rows[:, :n_pairs])
+    np.negative(fij, out=rows[:, n_pairs:-1])
 
 
 def numerical_forces(

@@ -14,16 +14,9 @@ behaviour the paper's adaptive-MSM machinery consumes.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
 import numpy as np
 
-from repro.md.forcefield.base import (
-    empty_batch,
-    pair_force_planes,
-    pair_vectors,
-    plane_dot,
-)
+from repro.md.forcefield.base import columns, fixed_list_batch, pair_rows
 from repro.util.errors import ConfigurationError
 
 
@@ -57,27 +50,27 @@ class GoContactForce:
         self._epsilon_col = self.epsilon[:, None]
         self._epsilon60_col = 60.0 * self._epsilon_col
 
-    def compute_batch(
-        self, planes: np.ndarray, replica_ids=None, need_energy: bool = True
-    ) -> Tuple[Optional[np.ndarray], np.ndarray]:
-        """``(energies, force planes)`` over ``(3, N, R)`` planes."""
-        if len(self.pairs) == 0:
-            return empty_batch(planes)
-        rij = pair_vectors(planes, self._i, self._j)
-        r2 = plane_dot(rij, rij)
-        inv_r2 = self._r0_sq_col / r2
+    compute_batch = fixed_list_batch
+
+    def fixed_list(self):
+        """``r_j - r_i`` per contact; force rows on ``[j, i]``."""
+        return self._j, self._i, np.concatenate([self._j, self._i])
+
+    def plane_forces(self, vectors, squares, rows, work, need_energy):
+        """Energies at the contact vectors; fills the scatter *rows*."""
+        r0_sq, eps, eps60 = columns(
+            work, rows.shape[2], self._r0_sq_col, self._epsilon_col,
+            self._epsilon60_col,
+        )
+        inv_r2 = r0_sq / squares
         s10 = inv_r2**5
         s12 = s10 * inv_r2
         energies = (
-            np.sum(self._epsilon_col * (5.0 * s12 - 6.0 * s10), axis=0)
-            if need_energy
-            else None
+            np.sum(eps * (5.0 * s12 - 6.0 * s10), axis=0) if need_energy else None
         )
         # -dE/dr / r along rij, on j: dE/dr = 60 eps (r0^10/r^11 - r0^12/r^13)
-        fscale = self._epsilon60_col * (s12 - s10) / r2
-        return energies, pair_force_planes(
-            self, self._i, self._j, fscale, rij, planes.shape[1]
-        )
+        pair_rows(rows, eps60 * (s12 - s10) / squares, vectors)
+        return energies
 
     def fraction_native_batch(
         self, positions: np.ndarray, tolerance: float = 1.2
@@ -92,12 +85,6 @@ class GoContactForce:
     def fraction_native(
         self, positions: np.ndarray, tolerance: float = 1.2
     ) -> float:
-        """Fraction of native contacts formed (r < tolerance * r0).
-
-        The classic folding reaction coordinate Q.
-        """
-        if len(self.pairs) == 0:
-            return 1.0
-        rij = positions[self._j] - positions[self._i]
-        r = np.sqrt(np.sum(rij * rij, axis=1))
-        return float(np.mean(r < tolerance * self.r0))
+        """Fraction of native contacts formed (r < tolerance * r0): the
+        classic folding reaction coordinate Q, a stack of one."""
+        return float(self.fraction_native_batch(positions[None], tolerance)[0])

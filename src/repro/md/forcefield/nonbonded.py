@@ -12,41 +12,27 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.md.forcefield.base import (
-    empty_batch,
-    pair_force_planes,
-    pair_vectors,
-    plane_dot,
-)
+from repro.md.forcefield.base import fixed_list_batch, pair_rows
 from repro.util.errors import ConfigurationError
 
 
 class _PairForce:
-    """The driver the cutoff pair terms share: one pair list, two layouts.
-
-    A term defines ``_pair_terms(i, j, r2, need_energy, column)`` ->
-    ``(per-pair energies or None, per-pair force scales)`` over squared
-    distances ``r2`` of shape ``(P,)`` (one replica) or ``(P, R)`` (a
-    stack, ``column=True``: per-pair parameters as ``(P, 1)`` columns).
-    Both layouts run the same expressions elementwise, so a replica's
-    forces do not depend on which one served it.  Each term binds
-    :meth:`compute_batch` under its own class, so a per-class profile
-    (the benchmark's tracer) still sees every term's kernel.
+    """The driver the cutoff pair terms share.  A term defines
+    ``_pair_terms(i, j, r2, need_energy, column)`` -> ``(per-pair
+    energies or None, force scales)`` over ``r2`` of shape ``(P,)`` (one
+    replica) or ``(P, R)`` (``column=True``: parameters as ``(P, 1)``
+    columns), the same expressions either way, and binds
+    :meth:`compute_batch` under its own class (a per-class profile sees
+    every term's kernel).
     """
 
     box: Optional[np.ndarray] = None
 
     def _energy_forces_pairs(
-        self,
-        positions: np.ndarray,
-        i: np.ndarray,
-        j: np.ndarray,
-        need_energy: bool = True,
+        self, positions: np.ndarray, i: np.ndarray, j: np.ndarray, need_energy=True
     ) -> Tuple[Optional[float], np.ndarray]:
         """One replica's ``(energy, forces)`` over a candidate pair list."""
         forces = np.zeros(positions.shape)
-        if len(i) == 0:
-            return 0.0, forces
         rij = positions[j] - positions[i]
         if self.box is not None:
             rij -= self.box * np.round(rij / self.box)
@@ -62,64 +48,65 @@ class _PairForce:
         np.add.at(forces, i, -fij)
         return energy, forces
 
-    def compute_batch(
-        self,
-        planes: np.ndarray,
-        replica_ids: Optional[np.ndarray] = None,
-        need_energy: bool = True,
-    ) -> Tuple[Optional[np.ndarray], np.ndarray]:
-        """``(energies, force planes)`` over ``(dim, N, R)`` planes.
+    def fixed_list(self):
+        """``r_j - r_i`` per pair of a positions-independent provider
+        (``AllPairs``), force rows on ``[j, i]``; else ``None``."""
+        if not getattr(self.pair_provider, "positions_independent", False):
+            return None
+        i, j = self.pair_provider.pairs(None)
+        return j, i, np.concatenate([j, i])
 
-        Vectorising over replicas needs one pair list valid for every
-        replica, which only a positions-independent provider (e.g.
-        :class:`~repro.md.neighborlist.AllPairs`) has; pairs past the
-        cutoff get a zero force scale instead of leaving the list.
-        Otherwise each column runs :meth:`_energy_forces_pairs` on its
-        own list.  A provider with ``replica_pairs(replica, positions)``
-        (:class:`~repro.md.neighborlist.SharedNeighborList`) hands each
-        column its *own replica's* lazily-cached list, keyed by the true
-        replica id so the batched simulation's compaction cannot mix
-        caches up (``None`` ids: column ``r`` is replica ``r``); any
-        other provider (a cell list, a bare Verlet list) is asked for
-        ``pairs(positions)`` column by column.
-        """
-        provider = self.pair_provider
-        if not getattr(provider, "positions_independent", False):
-            replica_pairs = getattr(provider, "replica_pairs", None)
-            if replica_ids is None:
-                replica_ids = range(planes.shape[2])
-            energies = np.empty(planes.shape[2]) if need_energy else None
-            forces = np.empty(planes.shape)
-            for row, replica in enumerate(replica_ids):
-                positions = np.ascontiguousarray(planes[:, :, row].T)
-                if replica_pairs is None:
-                    i, j = provider.pairs(positions)
-                else:
-                    i, j = replica_pairs(int(replica), positions)
-                energy, row_forces = self._energy_forces_pairs(
-                    positions, i, j, need_energy
-                )
-                if need_energy:
-                    energies[row] = energy
-                forces[:, :, row] = row_forces.T
-            return energies, forces
-        i, j = provider.pairs(None)
-        if len(i) == 0:
-            return empty_batch(planes)
-        rij = pair_vectors(planes, i, j)
+    def minimum_image(self, rij: np.ndarray) -> None:
+        """Fold the ``(dim, P, R)`` pair vectors into the box, in place."""
         if self.box is not None:
             box = self.box[:, None, None]
             rij -= box * np.round(rij / box)
-        r2 = plane_dot(rij, rij)
-        within = r2 < self.cutoff * self.cutoff
-        terms, fscale = self._pair_terms(i, j, r2, need_energy, column=True)
+
+    def plane_forces(self, vectors, squares, rows, work, need_energy):
+        """Energies at the pair vectors; fills the scatter *rows*.  A pair
+        past the cutoff gets a zero force scale instead of leaving."""
+        i, j = self.pair_provider.pairs(None)
+        within = squares < self.cutoff * self.cutoff
+        terms, fscale = self._pair_terms(i, j, squares, need_energy, column=True)
         energies = None
         if need_energy:
             energies = np.sum(np.where(within, terms, 0.0), axis=0)
-        fscale = np.where(within, fscale, 0.0)
-        return energies, pair_force_planes(
-            self, i, j, fscale, rij, planes.shape[1]
-        )
+        pair_rows(rows, np.where(within, fscale, 0.0), vectors)
+        return energies
+
+    def compute_batch(
+        self, planes: np.ndarray, replica_ids=None, need_energy: bool = True
+    ) -> Tuple[Optional[np.ndarray], np.ndarray]:
+        """``(energies, force planes)`` over ``(dim, N, R)`` planes.
+
+        A positions-independent provider's term is a one-term step plan.
+        Otherwise each column runs :meth:`_energy_forces_pairs` on its
+        own list: a ``SharedNeighborList`` hands it its own replica's
+        lazily-cached list, keyed by the true replica id (``None`` ids:
+        column ``r`` is replica ``r``); any other provider is asked for
+        ``pairs(positions)`` column by column.
+        """
+        provider = self.pair_provider
+        if getattr(provider, "positions_independent", False):
+            return fixed_list_batch(self, planes, replica_ids, need_energy)
+        replica_pairs = getattr(provider, "replica_pairs", None)
+        if replica_ids is None:
+            replica_ids = range(planes.shape[2])
+        energies = np.empty(planes.shape[2]) if need_energy else None
+        forces = np.empty(planes.shape)
+        for row, replica in enumerate(replica_ids):
+            positions = np.ascontiguousarray(planes[:, :, row].T)
+            if replica_pairs is None:
+                i, j = provider.pairs(positions)
+            else:
+                i, j = replica_pairs(int(replica), positions)
+            energy, row_forces = self._energy_forces_pairs(
+                positions, i, j, need_energy
+            )
+            if need_energy:
+                energies[row] = energy
+            forces[:, :, row] = row_forces.T
+        return energies, forces
 
 
 #: Coulomb prefactor f = 1/(4 pi eps0) in kJ mol^-1 nm e^-2 (Gromacs value).

@@ -7,7 +7,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.md.forcefield.base import check_force, composite_energy_forces
+from repro.md.forcefield.base import StepPlan, check_force
 from repro.util.errors import ConfigurationError
 from repro.util.rng import RandomStream
 from repro.util.units import KB
@@ -185,6 +185,7 @@ class System:
             )
         self.topology = topology
         self.forces = []
+        self._plan: Optional[StepPlan] = None
         for force in forces or ():
             self.add_force(force)
         self.dim = dim
@@ -199,17 +200,30 @@ class System:
         check_force(force)
         self.forces.append(force)
 
+    @property
+    def step_plan(self) -> StepPlan:
+        """The :class:`~repro.md.forcefield.base.StepPlan` of the
+        registered terms: built on first use, rebuilt only when the
+        term list changes, and kept with the system (so a cached model
+        keeps its scratch too)."""
+        plan = self._plan
+        if plan is None or plan.forces != tuple(self.forces):
+            plan = self._plan = StepPlan(self.forces, self.n_atoms)
+        return plan
+
     def energy_forces(
         self, positions: np.ndarray, need_energy: bool = True
     ) -> Tuple[Optional[float], np.ndarray]:
         """Total potential energy and forces at *positions*.
 
-        A stack of one through every registered term's batched kernel
-        (:func:`~repro.md.forcefield.base.composite_energy_forces`).
+        A stack of one through the system's step plan.
         ``need_energy=False`` returns ``None`` for the energy (the
         forces are the same bits either way).
         """
-        return composite_energy_forces(self.forces, positions, need_energy)
+        energies, forces = self.step_plan.evaluate(
+            positions[None], None, need_energy
+        )
+        return (float(energies[0]) if need_energy else None), forces[0]
 
     def potential_energy(self, positions: np.ndarray) -> float:
         """Total potential energy only."""

@@ -630,6 +630,125 @@ def test_positions_dependent_pairs_batched_equal_serial(name, provider, n_replic
             assert forces[row].tobytes() == serial[replica][1].tobytes()
 
 
+# -- (f0) step plans: every registered model, mixed plans ---------------------
+
+#: Every registered model with force terms, small enough for the
+#: per-interaction references; lj-fluid on both of its pair providers
+#: (``"verlet"`` is a lazy SharedNeighborList: a stage of the plan).
+PLAN_MODELS = {
+    "villin-fast": ("villin-fast", {}),
+    "villin-full": ("villin-full", {}),
+    "double-well": ("double-well", {}),
+    "double-well-2d": ("double-well", {"dim": 2}),
+    "tilted": ("double-well", {"slope": 0.8}),
+    "muller-brown": ("muller-brown", {}),
+    "lj-fluid-all-pairs": ("lj-fluid", {"n_particles": 27}),
+    "lj-fluid-verlet": ("lj-fluid", {"n_particles": 27, "neighborlist": "verlet"}),
+}
+PLAN_REPLICAS = (1, 2, 6, 33)
+
+
+def _model_stack(model, params, n_replicas):
+    built = resolve_model(model, params)
+    stack = np.stack(
+        [
+            built.state_builder(
+                MDTask(model=model, n_steps=1, seed=r, model_params=params)
+            ).positions
+            for r in range(n_replicas)
+        ]
+    )
+    return built.system, stack
+
+
+def _plan_energy(terms, stack, replica):
+    """A replica's composite energy in the plan's order: ``0.0`` plus
+    each term's energy in registration order, a fixed-list term's as
+    its serial per-interaction energies added left to right, any other
+    term's as its own kernel gives it."""
+    total = 0.0
+    for term in terms:
+        fixed = getattr(term, "fixed_list", None)
+        if fixed is not None and fixed() is not None:
+            total += _sequential_energy(term, stack[replica])
+        else:
+            planes = np.ascontiguousarray(stack.transpose(2, 1, 0))
+            total += term.compute_batch(planes)[0][replica]
+    return np.float64(total)
+
+
+def _assert_plan_matches_reference(system, stack, batched):
+    n_replicas = len(stack)
+    energies, forces = batched.energy_forces(stack)
+    skipped, forces_only = batched.energy_forces(
+        stack, np.arange(n_replicas), need_energy=False
+    )
+    assert skipped is None and forces_only.tobytes() == forces.tobytes()
+    for replica in range(n_replicas):
+        energy, expect = serial_oracle.system_energy_forces(system, stack[replica])
+        assert forces[replica].tobytes() == expect.tobytes(), replica
+        np.testing.assert_allclose(energies[replica], energy, rtol=1e-12)
+    if n_replicas >= 2:
+        for replica in (0, n_replicas - 1):
+            expect = _plan_energy(system.forces, stack, replica)
+            assert energies[replica].tobytes() == expect.tobytes()
+    # a compacted stack: every other row, ids not 0..R'-1
+    ids = np.arange(n_replicas)[1::2]
+    if len(ids):
+        for need_energy in (True, False):
+            sub_e, sub_f = batched.energy_forces(stack[ids], ids, need_energy)
+            assert sub_f.tobytes() == forces[ids].tobytes()
+            if need_energy and len(ids) >= 2:
+                assert sub_e.tobytes() == energies[ids].tobytes()
+
+
+@pytest.mark.parametrize("n_replicas", PLAN_REPLICAS)
+@pytest.mark.parametrize("name", sorted(PLAN_MODELS))
+def test_model_step_plan_equals_the_reference_kernels(name, n_replicas):
+    """A model's step plan: forces are the reference kernels' bits
+    summed in registration order, and energies (R >= 2) the plan's
+    own order exactly, alone and in a compacted stack."""
+    system, stack = _model_stack(*PLAN_MODELS[name], n_replicas)
+    _assert_plan_matches_reference(
+        system, stack, BatchedSystem(system, n_replicas)
+    )
+
+
+@pytest.mark.parametrize("n_replicas", PLAN_REPLICAS)
+def test_plan_with_stages_between_fixed_lists(n_replicas):
+    """Fixed-list terms and positions-dependent stages interleaved,
+    and a term with no interactions: still the reference sum."""
+    cell_lj = LennardJonesForce(CellList(0.9), 0.3, 0.8, cutoff=0.9)
+    no_contacts = GoContactForce(np.zeros((0, 2), dtype=int), np.zeros(0))
+    terms = [TERMS["bond"], cell_lj, no_contacts, TERMS["go"],
+             TERMS["dihedral-duplicated-quads"], TERMS["lj-per-atom-box"]]
+    system = System(np.ones(N_ATOMS), forces=terms)
+    _assert_plan_matches_reference(
+        system, _stack(n_replicas), BatchedSystem(system, n_replicas)
+    )
+
+
+def test_plan_sums_many_one_element_planes_in_order():
+    """Nine terms on one 1-D particle: the slot axis is then numpy's
+    inner loop, which it would sum pairwise; the plan adds in order."""
+    terms = [_WindowForce(HarmonicWindow(k=10.0**p, x0=0.1 * p)) for p in range(-4, 5)]
+    system = System(masses=[1.0], forces=terms, dim=1)
+    position = np.array([[0.37]])
+    expect = np.zeros((1, 1))
+    for term in terms:
+        expect += serial_oracle.energy_forces(term, position)[1]
+    assert system.energy_forces(position)[1].tobytes() == expect.tobytes()
+
+
+def test_system_rebuilds_its_plan_when_its_terms_change():
+    system = System(np.ones(N_ATOMS), forces=[TERMS["bond"]])
+    first = system.step_plan
+    assert system.step_plan is first
+    system.add_force(TERMS["go"])
+    assert system.step_plan is not first
+    assert system.step_plan.forces == (TERMS["bond"], TERMS["go"])
+
+
 # -- (f) energies: the parent commit's bits --------------------------------------
 
 
@@ -687,7 +806,7 @@ def test_energies_equal_the_parent_commits_bits():
 _PAGE_FAULT_PROBE = """
 import resource
 import numpy as np
-from repro.md.batched import BatchedSystem
+from repro.md.batched import BatchedSimulation, BatchedSystem, make_batched_integrator
 from repro.md.engine import MDTask, resolve_model
 
 built = resolve_model("villin-fast", {})
@@ -703,12 +822,27 @@ for n_replicas in (6, 64):
     for _ in range(200):
         system.energy_forces(stack, ids, need_energy=False)
     print(n_replicas, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+
+for n_replicas in (6, 64):
+    simulation = BatchedSimulation(
+        built.system,
+        make_batched_integrator("langevin", 0.02, 300.0, 1.0, range(n_replicas)),
+        [
+            built.state_builder(MDTask(model="villin-fast", n_steps=1, seed=r))
+            for r in range(n_replicas)
+        ],
+    )
+    simulation.run(20)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    simulation.run(200)
+    print(-n_replicas, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
 def test_steady_state_evaluations_do_not_page_fault():
     """After warm-up, 200 composite villin-fast evaluations touch no
-    fresh page at R=6 and fewer than 50 at R=64.  A temporary at or
+    fresh page at R=6 and fewer than 50 at R=64, and neither do 200
+    whole Langevin steps through ``BatchedSimulation.run``.  A temporary at or
     above malloc's mmap threshold (or enough live ones to make the heap
     trim itself) is mapped afresh on every call and pays a minor fault
     per 4 KiB — the trap that made a one-shot scatter gather and a
@@ -727,3 +861,6 @@ def test_steady_state_evaluations_do_not_page_fault():
     faults = dict(map(int, line.split()) for line in out.splitlines())
     assert faults[6] == 0
     assert faults[64] < 50
+    # whole Langevin steps (negative keys): kicks, drifts, block noise
+    assert faults[-6] == 0
+    assert faults[-64] < 50
