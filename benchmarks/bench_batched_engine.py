@@ -83,7 +83,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.md.engine import BatchedMDTask, MDEngine, MDTask
+from repro.md.engine import MDEngine, MDTask
 
 MODEL = "villin-fast"
 REPLICA_COUNTS = (1, 2, 3, 4, 8, 64)
@@ -154,22 +154,20 @@ def measure(n_replicas: int, model: str = MODEL, n_steps: int = N_STEPS) -> dict
     total_steps = n_replicas * n_steps
     repeats = _REPEATS.get(n_replicas, 1)
 
-    btask = BatchedMDTask.from_tasks(
-        _tasks(n_replicas, model, n_steps), batch_id="bench"
-    )
+    stack = _tasks(n_replicas, model, n_steps)
     (lone_rounds, lone), (batched_rounds, batched) = _time_alternating(
         [
             lambda: [
                 engine.run(task)
                 for task in _tasks(n_replicas, model=model, n_steps=n_steps)
             ],
-            lambda: engine.run_batched(btask),
+            lambda: engine.run_batched(stack),
         ],
         repeats,
     )
     lone_seconds, batched_seconds = min(lone_rounds), min(batched_rounds)
 
-    for lone_result, batched_result in zip(lone, batched.results):
+    for lone_result, batched_result in zip(lone, batched):
         if not np.array_equal(lone_result.frames, batched_result.frames):
             raise AssertionError(
                 f"stacked frames diverge from lone for "
@@ -243,10 +241,15 @@ def kernel_document(document: dict) -> dict:
 
 
 #: Best stacked villin-fast steps/s at each count, printed as JSON by a
-#: fresh interpreter importing whichever tree PYTHONPATH names.
+#: fresh interpreter importing whichever tree PYTHONPATH names.  A tree
+#: whose engine still takes a ``BatchedMDTask`` gets its stack built by
+#: ``from_tasks``; a newer one takes the list of tasks itself.
 _RATE_PROBE = """
 import json, sys, time
-from repro.md.engine import BatchedMDTask, MDEngine, MDTask
+from repro.md import engine as md_engine
+from repro.md.engine import MDEngine, MDTask
+
+stacked = getattr(md_engine, "BatchedMDTask", None)
 
 def seconds(engine, btask):
     start = time.perf_counter()
@@ -255,9 +258,11 @@ def seconds(engine, btask):
 
 engine, rates = MDEngine(), {}
 for n in json.loads(sys.argv[1]):
-    btask = BatchedMDTask.from_tasks([
+    btask = [
         MDTask(model="villin-fast", n_steps=300, report_interval=100,
-               seed=100 + r, task_id=f"bench/r{r}") for r in range(n)])
+               seed=100 + r, task_id=f"bench/r{r}") for r in range(n)]
+    if stacked is not None:
+        btask = stacked.from_tasks(btask)
     engine.run_batched(btask)
     rates[str(n)] = n * 300 / min(seconds(engine, btask) for _ in range(3))
 print(json.dumps(rates))

@@ -88,7 +88,9 @@ class Ensemble:
     Replica *r* gets seed ``seed + r`` and task id ``{name}/r{r}``;
     everything else is shared, which makes the replicas batch-compatible
     (:data:`repro.md.engine.BATCH_COMPATIBLE_FIELDS`) — a deployment
-    with coalescing workers propagates them in one kernel call.
+    with coalescing workers propagates them in one kernel call, the
+    list of their :class:`~repro.md.engine.MDTask` given to
+    :meth:`~repro.md.engine.MDEngine.run_batched`.
     """
 
     model: str

@@ -11,14 +11,13 @@ immediately — adaptivity in action.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.command import Command
 from repro.core.controller import Controller
 from repro.core.events import EventKind, EventLog
 from repro.core.project import Project, ProjectStatus
 from repro.net.transport import Network
-from repro.server.datastore import replay_results
 from repro.server.server import CopernicusServer
 from repro.util.errors import (
     ConfigurationError,
@@ -26,6 +25,37 @@ from repro.util.errors import (
     SchedulingError,
 )
 from repro.worker.worker import Worker
+
+
+def replay_results(
+    project_id: str,
+    results: Iterable[Tuple[Command, dict]],
+    controller: Controller,
+) -> Tuple[Project, List[Command], Set[str]]:
+    """Feed an ordered result history through a fresh controller.
+
+    Deterministic controllers re-issue the same commands in the same
+    order, so replaying the recorded results reconstructs the pre-crash
+    project state exactly (:meth:`ProjectRunner.resume`).
+
+    Returns ``(project, outstanding_commands, completed_ids)``: every
+    command issued but never completed (what must be requeued), and the
+    ids of the completed ones, which reseed the server's exactly-once
+    barrier so a late or duplicated result is still dropped.
+    """
+    project = Project(project_id)
+    issued = {c.command_id: c for c in controller.on_project_start(project)}
+    project.record_issue(list(issued.values()))
+    completed_ids: Set[str] = set()
+    for command, result in results:
+        project.record_result(command, result)
+        follow_ups = controller.on_command_finished(project, command, result)
+        issued.pop(command.command_id, None)
+        completed_ids.add(command.command_id)
+        for follow_up in follow_ups:
+            issued[follow_up.command_id] = follow_up
+        project.record_issue(follow_ups)
+    return project, list(issued.values()), completed_ids
 
 
 class ProjectRunner:

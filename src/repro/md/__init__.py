@@ -11,8 +11,9 @@ villin headpiece used throughout the reproduction.
 There is one MD path, in float64: every force term is a kernel over a
 stack of R replicas (``compute_batch``) and every integrator advances a
 stack (:mod:`repro.md.batched`).  A coalesced ``mdrun_batch`` command
-is such a stack; a lone command, a :class:`Simulation` and an energy
-evaluation (``System.energy_forces``) are a stack of one.
+is such a stack, a list of :class:`MDTask` run by
+:meth:`MDEngine.run_batched`; a lone command, a :class:`Simulation` and
+an energy evaluation (``System.energy_forces``) are a stack of one.
 
 Units are Gromacs-flavoured: nm, ps, kJ/mol, amu, kelvin.
 """

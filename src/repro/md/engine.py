@@ -8,6 +8,10 @@ trajectory plus a checkpoint.  Everything crosses the (simulated)
 network as plain payload dicts, so tasks survive worker failure and can
 be resumed by a different worker from the last checkpoint
 (paper section 2.3).
+
+There is one task type: a stack of commands is a list of
+:class:`MDTask`, run by :meth:`MDEngine.run_batched` into a list of
+:class:`MDResult`, and a lone command is a list of one.
 """
 
 from __future__ import annotations
@@ -197,205 +201,6 @@ BATCH_COMPATIBLE_FIELDS = (
     "timestep",
     "model_params",
 )
-
-
-@dataclass
-class BatchedMDTask:
-    """R compatible :class:`MDTask` commands stacked into one kernel call.
-
-    Per-replica degrees of freedom (seed, task id, explicit initial
-    positions, resume checkpoint) stay per-replica; everything listed
-    in :data:`BATCH_COMPATIBLE_FIELDS` is shared — those are exactly
-    the fields the distribution stack's command coalescing keys on.
-    """
-
-    model: str
-    n_steps: int
-    seeds: List[int]
-    task_ids: List[str]
-    report_interval: int = 100
-    integrator: str = "langevin"
-    temperature: float = 300.0
-    friction: float = 1.0
-    timestep: float = 0.02
-    initial_positions: Optional[List[Optional[np.ndarray]]] = None
-    checkpoints: Optional[List[Optional[Dict]]] = None
-    model_params: Dict = field(default_factory=dict)
-    batch_id: str = ""
-
-    def __post_init__(self) -> None:
-        n_rep = len(self.seeds)
-        if n_rep == 0:
-            raise ConfigurationError("a batched task needs >= 1 replica")
-        if len(self.task_ids) != n_rep:
-            raise ConfigurationError("task_ids/seeds length mismatch")
-        for name in ("initial_positions", "checkpoints"):
-            per_replica = getattr(self, name)
-            if per_replica is not None and len(per_replica) != n_rep:
-                raise ConfigurationError(f"{name}/seeds length mismatch")
-
-    @property
-    def n_replicas(self) -> int:
-        """Number of stacked replica commands."""
-        return len(self.seeds)
-
-    @classmethod
-    def from_tasks(
-        cls, tasks: Sequence[MDTask], batch_id: str = ""
-    ) -> "BatchedMDTask":
-        """Stack compatible tasks (see :data:`BATCH_COMPATIBLE_FIELDS`).
-
-        Raises
-        ------
-        ConfigurationError
-            If any task disagrees on a shared field.
-        """
-        if not tasks:
-            raise ConfigurationError("need at least one task to batch")
-        first = tasks[0]
-        for task in tasks[1:]:
-            for name in BATCH_COMPATIBLE_FIELDS:
-                if getattr(task, name) != getattr(first, name):
-                    raise ConfigurationError(
-                        f"cannot batch tasks differing in {name!r}"
-                    )
-        initial = [task.initial_positions for task in tasks]
-        checkpoints = [task.checkpoint for task in tasks]
-        return cls(
-            model=first.model,
-            n_steps=first.n_steps,
-            seeds=[task.seed for task in tasks],
-            task_ids=[task.task_id for task in tasks],
-            report_interval=first.report_interval,
-            integrator=first.integrator,
-            temperature=first.temperature,
-            friction=first.friction,
-            timestep=first.timestep,
-            initial_positions=(
-                initial if any(p is not None for p in initial) else None
-            ),
-            checkpoints=(
-                checkpoints if any(c is not None for c in checkpoints) else None
-            ),
-            model_params=dict(first.model_params),
-            batch_id=batch_id or first.task_id,
-        )
-
-    def replica_task(self, replica: int) -> MDTask:
-        """The lone :class:`MDTask` of one replica."""
-        return MDTask(
-            model=self.model,
-            n_steps=self.n_steps,
-            report_interval=self.report_interval,
-            integrator=self.integrator,
-            temperature=self.temperature,
-            friction=self.friction,
-            timestep=self.timestep,
-            seed=self.seeds[replica],
-            initial_positions=(
-                self.initial_positions[replica]
-                if self.initial_positions is not None
-                else None
-            ),
-            checkpoint=(
-                self.checkpoints[replica]
-                if self.checkpoints is not None
-                else None
-            ),
-            model_params=dict(self.model_params),
-            task_id=self.task_ids[replica],
-        )
-
-    def tasks(self) -> List[MDTask]:
-        """All replica tasks, in replica order."""
-        return [self.replica_task(r) for r in range(self.n_replicas)]
-
-    def to_payload(self) -> Dict:
-        """Wire-format dict."""
-        payload = {
-            "model": self.model,
-            "n_steps": int(self.n_steps),
-            "seeds": [int(seed) for seed in self.seeds],
-            "task_ids": list(self.task_ids),
-            "report_interval": int(self.report_interval),
-            "integrator": self.integrator,
-            "temperature": float(self.temperature),
-            "friction": float(self.friction),
-            "timestep": float(self.timestep),
-            "model_params": dict(self.model_params),
-            "batch_id": self.batch_id,
-        }
-        if self.initial_positions is not None:
-            payload["initial_positions"] = [
-                np.asarray(p) if p is not None else None
-                for p in self.initial_positions
-            ]
-        if self.checkpoints is not None:
-            payload["checkpoints"] = list(self.checkpoints)
-        return payload
-
-    @classmethod
-    def from_payload(cls, payload: Dict) -> "BatchedMDTask":
-        """Inverse of :meth:`to_payload`."""
-        _refuse_float32(payload)
-        initial = payload.get("initial_positions")
-        return cls(
-            model=payload["model"],
-            n_steps=int(payload["n_steps"]),
-            seeds=[int(seed) for seed in payload["seeds"]],
-            task_ids=list(payload["task_ids"]),
-            report_interval=int(payload.get("report_interval", 100)),
-            integrator=payload.get("integrator", "langevin"),
-            temperature=float(payload.get("temperature", 300.0)),
-            friction=float(payload.get("friction", 1.0)),
-            timestep=float(payload.get("timestep", 0.02)),
-            initial_positions=(
-                [np.asarray(p) if p is not None else None for p in initial]
-                if initial is not None
-                else None
-            ),
-            checkpoints=payload.get("checkpoints"),
-            model_params=dict(payload.get("model_params", {})),
-            batch_id=payload.get("batch_id", ""),
-        )
-
-
-@dataclass
-class BatchedMDResult:
-    """Per-command results of one batched propagation.
-
-    ``split()`` recovers plain :class:`MDResult` objects equal in every
-    field (wall time aside) to running each command alone — the
-    property that lets the distribution stack treat a coalesced command
-    group exactly like individually-run commands.
-    """
-
-    results: List[MDResult]
-    batch_id: str = ""
-
-    @property
-    def completed(self) -> bool:
-        """True when every replica command completed."""
-        return all(result.completed for result in self.results)
-
-    def split(self) -> List[MDResult]:
-        """Per-command results, aligned with the batched task's replicas."""
-        return list(self.results)
-
-    def to_payload(self) -> Dict:
-        """Wire-format dict."""
-        return {
-            "batch_id": self.batch_id,
-            "results": [result.to_payload() for result in self.results],
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict) -> "BatchedMDResult":
-        """Inverse of :meth:`to_payload`."""
-        return cls(
-            results=[MDResult.from_payload(p) for p in payload["results"]],
-            batch_id=payload.get("batch_id", ""),
-        )
 
 
 @dataclass
@@ -601,43 +406,59 @@ class MDEngine:
             and pre-empted workers.  The result then has
             ``completed=False`` and a resumable checkpoint.
         """
-        btask = BatchedMDTask.from_tasks([task])
-        return self.run_batched(btask, abort_after_steps).results[0]
+        return self.run_batched([task], abort_after_steps)[0]
 
     def run_batched(
         self,
-        btask: BatchedMDTask,
+        tasks: Sequence[MDTask],
         abort_after_steps: Optional[int] = None,
-    ) -> BatchedMDResult:
+    ) -> List[MDResult]:
         """Run a stack of commands; each result is its lone run's.
 
+        The tasks must agree on every field of
+        :data:`BATCH_COMPATIBLE_FIELDS`; seeds, task ids, explicit
+        initial positions and resume checkpoints stay per task.
         *abort_after_steps* bounds the further steps of every replica,
         mirroring :meth:`run`.
+
+        Raises
+        ------
+        ConfigurationError
+            If *tasks* is empty or its members disagree on a shared
+            field.
         """
+        if not tasks:
+            raise ConfigurationError("need at least one task to batch")
+        first = tasks[0]
+        for task in tasks[1:]:
+            for name in BATCH_COMPATIBLE_FIELDS:
+                if getattr(task, name) != getattr(first, name):
+                    raise ConfigurationError(
+                        f"cannot batch tasks differing in {name!r}"
+                    )
         integrator = make_batched_integrator(
-            btask.integrator,
-            btask.timestep,
-            btask.temperature,
-            btask.friction,
-            btask.seeds,
+            first.integrator,
+            first.timestep,
+            first.temperature,
+            first.friction,
+            [task.seed for task in tasks],
         )
-        built = resolve_model(btask.model, btask.model_params)
+        built = resolve_model(first.model, first.model_params)
         simulation = BatchedSimulation(
             built.system,
             integrator,
-            [built.state_builder(task) for task in btask.tasks()],
-            report_interval=btask.report_interval,
+            [built.state_builder(task) for task in tasks],
+            report_interval=first.report_interval,
         )
-        if btask.checkpoints is not None:
-            for replica, payload in enumerate(btask.checkpoints):
-                if payload is not None:
-                    simulation.restore(
-                        replica, Checkpoint.from_payload(payload)
-                    )
+        for replica, task in enumerate(tasks):
+            if task.checkpoint is not None:
+                simulation.restore(
+                    replica, Checkpoint.from_payload(task.checkpoint)
+                )
         start_steps = simulation.batch.steps.copy()
-        target = btask.n_steps
+        target = first.n_steps
         budget = abort_after_steps if abort_after_steps is not None else target
-        for replica in range(btask.n_replicas):
+        for replica in range(len(tasks)):
             # A replica restored at (or past) its target never runs
             # and records no frames.
             if start_steps[replica] >= target or budget <= 0:
@@ -654,12 +475,12 @@ class MDEngine:
             simulation.run_to(steps + chunk)
 
         results = []
-        for replica in range(btask.n_replicas):
+        for replica, task in enumerate(tasks):
             trajectory = simulation.trajectories[replica]
             step = int(simulation.batch.steps[replica])
             results.append(
                 MDResult(
-                    task_id=btask.task_ids[replica],
+                    task_id=task.task_id,
                     frames=trajectory.frames,
                     times=trajectory.times,
                     checkpoint=simulation.checkpoint(replica).to_payload(),
@@ -672,4 +493,4 @@ class MDEngine:
                     ),
                 )
             )
-        return BatchedMDResult(results=results, batch_id=btask.batch_id)
+        return results

@@ -22,7 +22,6 @@ from repro.server.lease import (
     estimate_command_seconds,
 )
 from repro.server.server import CopernicusServer
-from repro.server.datastore import ProjectStore, replay, replay_results
 from repro.server.wal import (
     JournalState,
     ProjectJournal,
@@ -48,9 +47,6 @@ __all__ = [
     "LeaseTracker",
     "estimate_command_seconds",
     "CopernicusServer",
-    "ProjectStore",
-    "replay",
-    "replay_results",
     "JournalState",
     "ProjectJournal",
     "ServerJournal",

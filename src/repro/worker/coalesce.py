@@ -6,9 +6,10 @@ model nearly as cheap as one, but the distribution stack hands workers
 ``mdrun`` commands that agree on every batch-compatible field (model,
 step budget, integrator parameters — see
 :data:`repro.md.engine.BATCH_COMPATIBLE_FIELDS`) are merged into a
-single ``mdrun_batch`` command, executed through
-:meth:`~repro.md.engine.MDEngine.run_batched`, and the result split
-back into per-command payloads.
+single ``mdrun_batch`` command whose payload is ``{"tasks": [...]}``,
+a copy of each member's ``mdrun`` payload, executed through
+:meth:`~repro.md.engine.MDEngine.run_batched`; its result
+``{"results": [...]}`` is split back into per-command payloads.
 
 The merge depth is *adaptive*: it is whatever compatible work is
 actually present, capped by the worker's announced ``batch_capacity``
@@ -31,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.command import Command
-from repro.md.engine import BatchedMDTask, MDTask
 from repro.util.errors import ConfigurationError
 
 #: The only executable whose commands coalesce.
@@ -88,15 +88,13 @@ def merge_commands(group: Sequence[Command]) -> BatchCommand:
     """Merge same-key commands into one :class:`BatchCommand`."""
     if len(group) < 2:
         raise ConfigurationError("a batch needs >= 2 member commands")
-    btask = BatchedMDTask.from_tasks(
-        [MDTask.from_payload(command.payload) for command in group],
-        batch_id=group[0].command_id,
-    )
     return BatchCommand(
         command_id="batch:" + "+".join(c.command_id for c in group),
         project_id=group[0].project_id,
         executable=BATCH_EXECUTABLE,
-        payload=btask.to_payload(),
+        # copies: the worker writes each segment's checkpoint into its
+        # member's task, and a member's own payload goes back on the wire
+        payload={"tasks": [dict(c.payload) for c in group]},
         min_cores=max(c.min_cores for c in group),
         preferred_cores=max(c.preferred_cores for c in group),
         priority=min(c.priority for c in group),

@@ -7,11 +7,13 @@ Here an executable is a named function ``(payload, abort_after_steps)
 -> (result_payload, completed)``; the ``mdrun`` entry wraps the MD
 engine, the free-energy entry wraps a lambda-window sampler.
 
-``mdrun_batch`` runs a coalesced stack.  A stack wide enough to pay
-for it runs as contiguous replica shards on every CPU of the host, one
-in this process and the others on a persistent fork pool, joined back
-in replica order (:mod:`repro.worker.shards`).  That is host execution
-only: the cores a worker announces still decide what it is matched to.
+``mdrun_batch`` runs a coalesced stack, ``{"tasks": [...]}`` of member
+``mdrun`` payloads into ``{"results": [...]}`` of their results.  A
+stack wide enough to pay for it runs as contiguous replica shards on
+every CPU of the host, one in this process and the others on a
+persistent fork pool, joined back in replica order
+(:mod:`repro.worker.shards`).  That is host execution only: the cores a
+worker announces still decide what it is matched to.
 """
 
 from __future__ import annotations

@@ -1,12 +1,12 @@
 """Replica shards: a wide batched segment runs on every host CPU.
 
 A coalesced ``mdrun_batch`` segment of R replicas whose stack is wide
-enough is cut along the replica axis into contiguous shards.  The first
-shard runs in this process, the others on one persistent fork pool, and
-the per-replica results are joined back in replica order.  A replica's
-bits never depend on the shape of its stack (each replica owns its RNG
-stream and every kernel is row-independent), so the joined result is
-the unsplit one.
+enough is cut along the replica axis into contiguous shards, slices of
+its ``"tasks"`` list.  The first shard runs in this process, the others
+on one persistent fork pool, and the per-replica results are joined
+back in replica order.  A replica's bits never depend on the shape of
+its stack (each replica owns its RNG stream and every kernel is
+row-independent), so the joined result is the unsplit one.
 
 This is host execution, like a BLAS thread pool.  The shard count comes
 from the CPUs this process may run on, not from the cores a worker
@@ -22,7 +22,7 @@ import atexit
 import os
 from typing import TYPE_CHECKING, Optional, Tuple
 
-from repro.md.engine import MODEL_REGISTRY, BatchedMDTask, MDEngine
+from repro.md.engine import MODEL_REGISTRY, MDEngine, MDTask
 from repro.util.errors import ReproError
 from repro.worker.platform import usable_cpus
 
@@ -46,9 +46,10 @@ def run_unsplit(
     payload: dict, abort_after_steps: Optional[int] = None
 ) -> Tuple[dict, bool]:
     """One kernel call over the whole stack, in this process."""
-    task = BatchedMDTask.from_payload(payload)
-    result = MDEngine().run_batched(task, abort_after_steps=abort_after_steps)
-    return result.to_payload(), result.completed
+    tasks = [MDTask.from_payload(task) for task in payload["tasks"]]
+    results = MDEngine().run_batched(tasks, abort_after_steps)
+    done = all(result.completed for result in results)
+    return {"results": [result.to_payload() for result in results]}, done
 
 
 def run_batch(
@@ -61,7 +62,7 @@ def run_batch(
     running each member through ``mdrun`` (see
     :mod:`repro.worker.coalesce`) however the stack is split.
     """
-    n_shards = shard_count(len(payload["seeds"]))
+    n_shards = shard_count(len(payload["tasks"]))
     if n_shards < 2:
         return run_unsplit(payload, abort_after_steps)
     return run_sharded(payload, abort_after_steps, n_shards)
@@ -82,13 +83,9 @@ def run_sharded(
     from concurrent.futures import wait
     from concurrent.futures.process import BrokenProcessPool
 
-    btask = BatchedMDTask.from_payload(payload)
-    tasks = btask.tasks()
+    tasks = payload["tasks"]
     cuts = [len(tasks) * k // n_shards for k in range(n_shards + 1)]
-    pieces = [
-        BatchedMDTask.from_tasks(tasks[a:b], batch_id=btask.batch_id).to_payload()
-        for a, b in zip(cuts, cuts[1:])
-    ]
+    pieces = [{"tasks": tasks[a:b]} for a, b in zip(cuts, cuts[1:])]
     pool = _POOL.executor()
     futures = [pool.submit(run_unsplit, p, abort_after_steps) for p in pieces[1:]]
     try:
@@ -97,7 +94,7 @@ def run_sharded(
     except BrokenProcessPool as exc:
         _POOL.discard()
         raise ShardProcessDied(
-            f"a shard process of batch {btask.batch_id!r} died"
+            f"a shard process of the batch of {tasks[0].get('task_id')!r} died"
         ) from exc
     finally:
         # an in-process failure must not leave shards queued on the pool
@@ -106,7 +103,7 @@ def run_sharded(
         wait(futures)
     results = [result for part, _ in parts for result in part["results"]]
     completed = all(done for _, done in parts)
-    return {"batch_id": btask.batch_id, "results": results}, completed
+    return {"results": results}, completed
 
 
 class _ForkPool:

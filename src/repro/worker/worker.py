@@ -123,7 +123,7 @@ class Worker(Endpoint):
         self.history: List[ExecutionRecord] = []
         #: Results that could not reach the server (partition/crash);
         #: resubmitted at the start of the next work cycle.  Bounded by
-        #: ``pending_results_limit`` and deduplicated by command id.
+        #: ``pending_results_limit`` and deduplicated by scoped id.
         self._pending_results: List[Tuple[Command, dict]] = []
         self.pending_results_limit = pending_results_limit
         #: Parked results dropped because the bound was hit.
@@ -134,7 +134,7 @@ class Worker(Endpoint):
         self._backlog: List[Command] = []
         #: Crash trigger: called before each segment; return True to die.
         self._crash_hook: Optional[Callable[[str, int], bool]] = None
-        #: Finished ``worker.execute`` spans by command id, kept until
+        #: Finished ``worker.execute`` spans by scoped id, kept until
         #: the result is delivered so retries re-send the same context.
         self._exec_spans: Dict[str, Span] = {}
 
@@ -363,14 +363,16 @@ class Worker(Endpoint):
                             completed=True,
                             segments=t.record.segments,
                         )
-                        self._exec_spans[t.command.command_id] = t.span
+                        self._exec_spans[t.command.scoped_id] = t.span
                 self.heartbeat(now)
                 return active.accumulated
             # continue from the returned checkpoint(s), heartbeating so
             # the server can recover the command(s) if this worker dies
             if active.members is not None:
                 checkpoints = [r["checkpoint"] for r in result["results"]]
-                active.payload["checkpoints"] = checkpoints
+                # into the batch's task copies, never a member's payload
+                for task, checkpoint in zip(active.payload["tasks"], checkpoints):
+                    task["checkpoint"] = checkpoint
                 self.heartbeat(
                     now,
                     # checkpoints are keyed by the *scoped* command key:
@@ -433,7 +435,7 @@ class Worker(Endpoint):
         if self.crashed:
             return None
         headers: dict = {}
-        span = self._exec_spans.get(command.command_id)
+        span = self._exec_spans.get(command.scoped_id)
         if span is not None:
             # the execution span's context + end time ride in headers so
             # the server can stitch a result.transfer span onto the trace
@@ -454,7 +456,7 @@ class Worker(Endpoint):
         except TransientCommunicationError:
             self._park_result(command, result)
             return None
-        self._exec_spans.pop(command.command_id, None)
+        self._exec_spans.pop(command.scoped_id, None)
         self._count(
             "repro_worker_results_delivered_total",
             help="Results that reached the server.",
@@ -473,7 +475,7 @@ class Worker(Endpoint):
         self._pending_results = [
             entry
             for entry in self._pending_results
-            if entry[0].command_id != command.command_id
+            if entry[0].scoped_id != command.scoped_id
         ]
         self._pending_results.append((command, result))
         self._count(

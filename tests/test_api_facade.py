@@ -47,9 +47,7 @@ def test_ensemble_tasks_are_batch_compatible_replicas():
     tasks = ensemble.tasks()
     assert [t.seed for t in tasks] == [7, 8, 9, 10]
     assert [t.task_id for t in tasks] == [f"fold/r{r}" for r in range(4)]
-    from repro.md.engine import BatchedMDTask
-
-    BatchedMDTask.from_tasks(tasks)  # must not raise: replicas coalesce
+    MDEngine().run_batched(tasks)  # must not raise: replicas coalesce
 
 
 def test_ensemble_commands_carry_task_payloads():

@@ -24,9 +24,8 @@ from repro.md.batched import (
     make_batched_integrator,
 )
 from repro.md.engine import (
+    BATCH_COMPATIBLE_FIELDS,
     MODEL_REGISTRY,
-    BatchedMDResult,
-    BatchedMDTask,
     MDEngine,
     MDTask,
     register_model,
@@ -92,16 +91,16 @@ def test_batched_bit_identical_to_serial(model):
     engine = MDEngine(segment_steps=100)
     tasks = make_tasks(model=model)
     serial = [engine.run(task) for task in tasks]
-    batched = engine.run_batched(BatchedMDTask.from_tasks(tasks))
-    assert_results_identical(serial, batched.results)
+    batched = engine.run_batched(tasks)
+    assert_results_identical(serial, batched)
 
 
 def test_batched_verlet_bit_identical():
     engine = MDEngine(segment_steps=100)
     tasks = make_tasks(integrator="verlet")
     serial = [engine.run(task) for task in tasks]
-    batched = engine.run_batched(BatchedMDTask.from_tasks(tasks))
-    assert_results_identical(serial, batched.results)
+    batched = engine.run_batched(tasks)
+    assert_results_identical(serial, batched)
 
 
 @pytest.mark.parametrize("model", ["double-well", "villin-fast"])
@@ -112,15 +111,13 @@ def test_batched_nose_hoover_bit_identical(model):
     engine = MDEngine(segment_steps=40)
     tasks = make_tasks(model=model, n_steps=120, integrator="nose-hoover")[:4]
     lone = [engine.run(task) for task in tasks]
-    stacked = engine.run_batched(BatchedMDTask.from_tasks(tasks))
-    assert_results_identical(lone, stacked.results)
+    stacked = engine.run_batched(tasks)
+    assert_results_identical(lone, stacked)
     assert len({r.checkpoint["thermostat_state"] for r in lone}) == len(tasks)
 
-    partial = engine.run_batched(
-        BatchedMDTask.from_tasks(tasks), abort_after_steps=70
-    )
-    resumed = resumed_from(tasks, partial.results)
-    final = engine.run_batched(BatchedMDTask.from_tasks(resumed)).results
+    partial = engine.run_batched(tasks, abort_after_steps=70)
+    resumed = resumed_from(tasks, partial)
+    final = engine.run_batched(resumed)
     assert_results_identical([engine.run(t) for t in resumed], final)
     for interrupted, straight in zip(final, lone):
         assert checkpoint_bytes(interrupted.checkpoint) == checkpoint_bytes(
@@ -134,17 +131,15 @@ def test_batched_identity_across_checkpoint_restore():
     tasks = make_tasks()
 
     serial_partial = [engine.run(t, abort_after_steps=90) for t in tasks]
-    batched_partial = engine.run_batched(
-        BatchedMDTask.from_tasks(tasks), abort_after_steps=90
-    )
-    assert_results_identical(serial_partial, batched_partial.results)
-    assert not any(r.completed for r in batched_partial.results)
+    batched_partial = engine.run_batched(tasks, abort_after_steps=90)
+    assert_results_identical(serial_partial, batched_partial)
+    assert not any(r.completed for r in batched_partial)
 
     resumed_tasks = resumed_from(tasks, serial_partial)
     serial_final = [engine.run(t) for t in resumed_tasks]
-    batched_final = engine.run_batched(BatchedMDTask.from_tasks(resumed_tasks))
-    assert_results_identical(serial_final, batched_final.results)
-    assert all(r.completed for r in batched_final.results)
+    batched_final = engine.run_batched(resumed_tasks)
+    assert_results_identical(serial_final, batched_final)
+    assert all(r.completed for r in batched_final)
 
     # the resumed runs also equal an uninterrupted straight-through run
     straight = [engine.run(t) for t in tasks]
@@ -158,50 +153,62 @@ def test_batched_rng_streams_independent_of_batch_shape():
     """Replica r's stream is a function of its seed, not the batch."""
     engine = MDEngine(segment_steps=100)
     tasks = make_tasks()
-    full = engine.run_batched(BatchedMDTask.from_tasks(tasks))
+    full = engine.run_batched(tasks)
     halves = [
-        engine.run_batched(BatchedMDTask.from_tasks(tasks[:4])),
-        engine.run_batched(BatchedMDTask.from_tasks(tasks[4:])),
+        engine.run_batched(tasks[:4]),
+        engine.run_batched(tasks[4:]),
     ]
-    assert_results_identical(
-        full.results, halves[0].results + halves[1].results
-    )
+    assert_results_identical(full, halves[0] + halves[1])
 
 
 def test_batched_early_exit_masks():
     """Replicas with unequal remaining work finish at their own targets."""
     engine = MDEngine(segment_steps=60)
     tasks = make_tasks()
-    partial = engine.run_batched(
-        BatchedMDTask.from_tasks(tasks), abort_after_steps=100
-    )
-    resumed = resumed_from(tasks, partial.results)
+    partial = engine.run_batched(tasks, abort_after_steps=100)
+    resumed = resumed_from(tasks, partial)
     # one replica already finished separately: zero remaining steps
     done = MDEngine().run(resumed[0])
     resumed[0] = MDTask(**{**resumed[0].__dict__, "checkpoint": done.checkpoint})
-    batched = engine.run_batched(BatchedMDTask.from_tasks(resumed))
-    assert batched.results[0].steps_completed == 0
-    assert all(r.completed for r in batched.results)
+    batched = engine.run_batched(resumed)
+    assert batched[0].steps_completed == 0
+    assert all(r.completed for r in batched)
     serial = [MDEngine(segment_steps=60).run(t) for t in resumed]
-    assert_results_identical(serial, batched.results)
-
-
-def test_batched_task_payload_roundtrip():
-    btask = BatchedMDTask.from_tasks(make_tasks(), batch_id="b1")
-    clone = BatchedMDTask.from_payload(btask.to_payload())
-    assert clone.seeds == btask.seeds
-    assert clone.task_ids == btask.task_ids
-    assert clone.batch_id == "b1"
-    result = MDEngine(segment_steps=100).run_batched(clone)
-    roundtrip = BatchedMDResult.from_payload(result.to_payload())
-    assert_results_identical(result.results, roundtrip.results)
+    assert_results_identical(serial, batched)
 
 
 def test_batched_task_rejects_incompatible_members():
     tasks = make_tasks()
     tasks[3] = MDTask(**{**tasks[3].__dict__, "n_steps": N_STEPS + 1})
     with pytest.raises(ConfigurationError):
-        BatchedMDTask.from_tasks(tasks)
+        MDEngine().run_batched(tasks)
+
+
+def test_run_batched_refuses_an_empty_stack():
+    with pytest.raises(ConfigurationError, match="at least one task"):
+        MDEngine().run_batched([])
+
+
+#: A value other than ``make_tasks``'s for every shared field.
+OTHER_VALUE = {
+    "model": "muller-brown",
+    "n_steps": N_STEPS + 1,
+    "report_interval": 25,
+    "integrator": "verlet",
+    "temperature": 310.0,
+    "friction": 2.0,
+    "timestep": 0.01,
+    "model_params": {"barrier": 4.0},
+}
+
+
+@pytest.mark.parametrize("name", BATCH_COMPATIBLE_FIELDS)
+def test_run_batched_refuses_members_differing_in_a_shared_field(name):
+    tasks = make_tasks()[:2]
+    assert getattr(tasks[1], name) != OTHER_VALUE[name]
+    tasks[1] = MDTask(**{**tasks[1].__dict__, name: OTHER_VALUE[name]})
+    with pytest.raises(ConfigurationError, match=repr(name)):
+        MDEngine().run_batched(tasks)
 
 
 def test_batched_simulation_checkpoints_match_serial_simulation():
@@ -267,17 +274,16 @@ def test_batched_segments_resumed_off_the_report_grid_add_no_frames():
     are bit-equal to its direct lone run."""
     engine = MDEngine()
     tasks = off_grid_tasks("double-well", 3)
-    btask = BatchedMDTask.from_tasks(tasks)
+    stack = tasks
     merged = None
     while merged is None or not all(r["completed"] for r in merged["results"]):
-        result = engine.run_batched(btask, abort_after_steps=400).to_payload()
+        results = engine.run_batched(stack, abort_after_steps=400)
+        result = {"results": [r.to_payload() for r in results]}
         merged = Worker._merge_segment(merged, result)
-        btask = BatchedMDTask.from_tasks(
-            [
-                MDTask(**{**task.__dict__, "checkpoint": r["checkpoint"]})
-                for task, r in zip(tasks, result["results"])
-            ]
-        )
+        stack = [
+            MDTask(**{**task.__dict__, "checkpoint": r.checkpoint})
+            for task, r in zip(tasks, results)
+        ]
     for task, got in zip(tasks, merged["results"]):
         direct = engine.run(task)
         np.testing.assert_array_equal(got["frames"], direct.frames)
@@ -299,18 +305,16 @@ def test_villin_resume_from_checkpoint_is_identical(n_replicas):
     engine = MDEngine(segment_steps=40)
     tasks = make_villin_tasks(n_replicas)
     serial_partial = [engine.run(t, abort_after_steps=70) for t in tasks]
-    batched_partial = engine.run_batched(
-        BatchedMDTask.from_tasks(tasks), abort_after_steps=70
-    )
-    assert_results_identical(serial_partial, batched_partial.results)
-    assert not any(r.completed for r in batched_partial.results)
+    batched_partial = engine.run_batched(tasks, abort_after_steps=70)
+    assert_results_identical(serial_partial, batched_partial)
+    assert not any(r.completed for r in batched_partial)
 
-    resumed = resumed_from(tasks, batched_partial.results)
+    resumed = resumed_from(tasks, batched_partial)
     serial_final = [engine.run(t) for t in resumed]
-    batched_final = engine.run_batched(BatchedMDTask.from_tasks(resumed))
-    assert_results_identical(serial_final, batched_final.results)
-    assert all(r.completed for r in batched_final.results)
-    for interrupted, task in zip(batched_final.results, tasks):
+    batched_final = engine.run_batched(resumed)
+    assert_results_identical(serial_final, batched_final)
+    assert all(r.completed for r in batched_final)
+    for interrupted, task in zip(batched_final, tasks):
         straight = engine.run(task)
         assert checkpoint_bytes(interrupted.checkpoint) == checkpoint_bytes(
             straight.checkpoint
@@ -397,9 +401,9 @@ def test_small_model_stack_is_bit_identical(model, params, integrator, n_replica
     engine = MDEngine(segment_steps=100)
     tasks = make_small_tasks(model, params, integrator, n_replicas)
     serial = [engine.run(task) for task in tasks]
-    batched = engine.run_batched(BatchedMDTask.from_tasks(tasks))
-    assert_results_identical(serial, batched.results)
-    assert all(r.checkpoint["rng_state"] for r in batched.results)
+    batched = engine.run_batched(tasks)
+    assert_results_identical(serial, batched)
+    assert all(r.checkpoint["rng_state"] for r in batched)
 
 
 @pytest.mark.parametrize("model, params, integrator", SMALL_MODELS)
@@ -435,17 +439,15 @@ def test_small_model_stack_resumes_identically(model, params, integrator):
     engine = MDEngine(segment_steps=40)
     tasks = make_small_tasks(model, params, integrator, 3)
     serial_partial = [engine.run(t, abort_after_steps=70) for t in tasks]
-    batched_partial = engine.run_batched(
-        BatchedMDTask.from_tasks(tasks), abort_after_steps=70
-    )
-    assert_results_identical(serial_partial, batched_partial.results)
-    assert not any(r.completed for r in batched_partial.results)
+    batched_partial = engine.run_batched(tasks, abort_after_steps=70)
+    assert_results_identical(serial_partial, batched_partial)
+    assert not any(r.completed for r in batched_partial)
 
-    resumed = resumed_from(tasks, batched_partial.results)
+    resumed = resumed_from(tasks, batched_partial)
     serial_final = [engine.run(t) for t in resumed]
-    batched_final = engine.run_batched(BatchedMDTask.from_tasks(resumed))
-    assert_results_identical(serial_final, batched_final.results)
-    for interrupted, task in zip(batched_final.results, tasks):
+    batched_final = engine.run_batched(resumed)
+    assert_results_identical(serial_final, batched_final)
+    for interrupted, task in zip(batched_final, tasks):
         assert checkpoint_bytes(interrupted.checkpoint) == checkpoint_bytes(
             engine.run(task).checkpoint
         )
@@ -456,7 +458,7 @@ def test_small_model_stack_resumes_identically(model, params, integrator):
     )
     assert_results_identical(
         [engine.run(t) for t in staggered],
-        engine.run_batched(BatchedMDTask.from_tasks(staggered)).results,
+        engine.run_batched(staggered),
     )
 
 
@@ -566,11 +568,9 @@ def _abort_digests():
             for r in range(3)
         ]
         for offset in range(1, ABORT_REPORT + 2):
-            result = MDEngine(segment_steps=7).run_batched(
-                BatchedMDTask.from_tasks(tasks), abort_after_steps=offset
-            )
+            result = MDEngine(segment_steps=7).run_batched(tasks, abort_after_steps=offset)
             digest = hashlib.sha256()
-            for replica in result.results:
+            for replica in result:
                 checkpoint = replica.checkpoint
                 digest.update(np.asarray(checkpoint["positions"]).tobytes())
                 digest.update(np.asarray(checkpoint["velocities"]).tobytes())
@@ -657,13 +657,15 @@ def test_a_run_after_another_equals_the_run_alone(
 
     engine = MDEngine(segment_steps=25)
     built = resolve_model(model, params)
-    engine.run_batched(BatchedMDTask.from_tasks(tasks(5, 3)))
+    engine.run_batched(tasks(5, 3))
     assert resolve_model(model, params) is built
-    after_a = engine.run_batched(BatchedMDTask.from_tasks(tasks(50, 2)))
+    after_a = engine.run_batched(tasks(50, 2))
     monkeypatch.setattr(md_engine, "_BUILT", OrderedDict())
-    alone = engine.run_batched(BatchedMDTask.from_tasks(tasks(50, 2)))
+    alone = engine.run_batched(tasks(50, 2))
     assert resolve_model(model, params) is not built
-    assert encode_message(after_a.to_payload()) == encode_message(alone.to_payload())
+    assert encode_message([r.to_payload() for r in after_a]) == encode_message(
+        [r.to_payload() for r in alone]
+    )
 
 
 def test_the_model_cache_builds_afresh_on_a_registry_change(

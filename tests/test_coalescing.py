@@ -102,6 +102,44 @@ def test_split_results_validates_lengths():
         split_results(batch, {"results": [{}]})
 
 
+def test_a_multi_segment_batch_leaves_member_payloads_as_fetched(monkeypatch):
+    """Segment checkpoints go into the batch's own task copies: every
+    member's wire payload is what the server sent, byte for byte."""
+    network = Network(seed=0)
+    server = CopernicusServer("srv", network)
+    worker = Worker(
+        "w0",
+        network,
+        server="srv",
+        platform=SMPPlatform(cores=1),
+        segment_steps=SEGMENT_STEPS,
+        batch_capacity=N_COMMANDS,
+    )
+    network.connect("srv", "w0")
+    results = {}
+    server.host_project("p", lambda c, r: results.setdefault(c.command_id, r))
+    server.submit_commands([mdrun_command(k) for k in range(N_COMMANDS)])
+    worker.announce(0.0)
+    fetched = []
+    request = worker.request_workload
+
+    def recording_request(now=0.0):
+        commands = request(now=now)
+        fetched.extend((c, encode_message(c.to_payload())) for c in commands)
+        return commands
+
+    monkeypatch.setattr(worker, "request_workload", recording_request)
+    assert worker.work_once(now=1.0) == N_COMMANDS
+    assert len(fetched) == N_COMMANDS
+    assert [r.segments for r in worker.history] == [N_STEPS // SEGMENT_STEPS] * (
+        N_COMMANDS
+    )
+    for command, wire in fetched:
+        assert "checkpoint" not in command.payload
+        assert encode_message(command.to_payload()) == wire
+    assert all(r["completed"] for r in results.values())
+
+
 # -- matching level ------------------------------------------------------------
 
 

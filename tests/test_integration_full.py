@@ -2,8 +2,9 @@
 
 A Fig. 1-style multi-site deployment runs an adaptive MSM project and
 a BAR free-energy project simultaneously while one worker crashes
-mid-command; results are persisted to a project store; afterwards the
-event log, the replayed store and the final science are all checked against each other.
+mid-command; the project server journals every transition; afterwards
+the event log, the replayed journal and the final science are all
+checked against each other.
 """
 
 import numpy as np
@@ -19,8 +20,9 @@ from repro.core import (
 )
 from repro.core.events import EventKind
 from repro.core.project import ProjectStatus
+from repro.core.runner import replay_results
 from repro.net.topology import figure1
-from repro.server.datastore import ProjectStore, replay
+from repro.server.wal import ServerJournal
 
 
 def msm_config():
@@ -41,9 +43,9 @@ def msm_config():
 
 @pytest.fixture(scope="module")
 def scenario(tmp_path_factory):
-    store_dir = tmp_path_factory.mktemp("store")
     deployment = figure1(workers_per_cluster=2, heartbeat_interval=30.0)
-    store = ProjectStore(store_dir)
+    journal = ServerJournal(tmp_path_factory.mktemp("journal"))
+    deployment.project_servers[0].attach_journal(journal)
 
     # the first worker dies as soon as it picks up work
     flaky = deployment.workers[0]
@@ -56,16 +58,6 @@ def scenario(tmp_path_factory):
     msm_controller = AdaptiveMSMController(msm_config())
     msm_project = Project("msm_villin")
     msm_runner.submit(msm_project, msm_controller)
-
-    # wrap the sink to persist results
-    server = deployment.project_servers[0]
-    inner_sink = server._sinks["msm_villin"]
-
-    def persisting_sink(command, result):
-        store.record_result("msm_villin", command, result)
-        inner_sink(command, result)
-
-    server._sinks["msm_villin"] = persisting_sink
 
     fep_runner = ProjectRunner(
         deployment.network, deployment.project_servers[1], deployment.workers,
@@ -81,7 +73,7 @@ def scenario(tmp_path_factory):
     fep_runner.run()
     return {
         "deployment": deployment,
-        "store": store,
+        "journal": journal,
         "flaky": flaky,
         "msm": (msm_runner, msm_controller, msm_project),
         "fep": (fep_runner, fep_controller, fep_project),
@@ -139,8 +131,9 @@ def test_msm_science_consistent(scenario):
 def test_store_replay_matches_live_run(scenario):
     _, live_controller, live_project = scenario["msm"]
     fresh = AdaptiveMSMController(msm_config())
-    replayed_project, outstanding, completed_ids = replay(
-        scenario["store"], "msm_villin", fresh
+    state = scenario["journal"].project("msm_villin").recover()
+    replayed_project, outstanding, completed_ids = replay_results(
+        "msm_villin", state.results, fresh
     )
     assert outstanding == []
     assert len(completed_ids) == live_project.completed

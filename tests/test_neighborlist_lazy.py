@@ -11,7 +11,7 @@ accumulating.
 import numpy as np
 import pytest
 
-from repro.md.engine import BatchedMDTask, MDEngine, MDTask
+from repro.md.engine import MDEngine, MDTask
 from repro.md.forcefield.nonbonded import LennardJonesForce
 from repro.md.models.lj_fluid import lj_fluid_state, lj_fluid_system
 from repro.md.neighborlist import AllPairs, SharedNeighborList, VerletList
@@ -177,6 +177,6 @@ def test_batched_verlet_matches_serial_bitwise():
     ]
     engine = MDEngine()
     serial = [engine.run(task) for task in tasks]
-    batched = engine.run_batched(BatchedMDTask.from_tasks(tasks, batch_id="b"))
-    for serial_result, batched_result in zip(serial, batched.results):
+    batched = engine.run_batched(tasks)
+    for serial_result, batched_result in zip(serial, batched):
         assert np.array_equal(serial_result.frames, batched_result.frames)

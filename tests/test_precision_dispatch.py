@@ -16,11 +16,12 @@ import pytest
 
 from repro.api import MAX_AUTO_BATCH, Ensemble, Project
 from repro.core.command import Command
-from repro.md.engine import BatchedMDResult, BatchedMDTask, MDEngine, MDTask
+from repro.md.engine import MDEngine, MDTask
 from repro.md.simulation import Simulation
 from repro.util.errors import ConfigurationError
 from repro.util.serialization import encode_message
 from repro.worker.coalesce import coalesce_commands, coalesce_key
+from repro.worker.executable import run_executable
 
 MODEL = "double-well"
 STEPS = 60
@@ -72,9 +73,11 @@ def test_float32_cannot_resume_from_a_checkpoint():
 
 
 def test_batched_stack_rejects_float32():
-    btask = BatchedMDTask.from_tasks([_task(seed=r) for r in range(2)])
+    """An ``mdrun_batch`` stack with one float32 member is refused."""
+    tasks = [_task(seed=r).to_payload() for r in range(2)]
+    tasks[1]["precision"] = "float32"
     with pytest.raises(ConfigurationError, match="float32"):
-        BatchedMDTask.from_payload({**btask.to_payload(), "precision": "float32"})
+        run_executable("mdrun_batch", {"tasks": tasks})
 
 
 # -- the stacking rule ----------------------------------------------------------
@@ -97,11 +100,6 @@ def test_payloads_round_trip_and_default():
     legacy = {**payload, "precision": "float64"}
     assert MDTask.from_payload(legacy).to_payload() == payload
 
-    btask = BatchedMDTask.from_tasks([_task(seed=r) for r in range(2)], batch_id="b")
-    assert BatchedMDTask.from_payload(btask.to_payload()).to_payload() == (
-        btask.to_payload()
-    )
-
 
 def test_a_parent_written_serial_payload_loads_and_now_coalesces():
     """Journals written while commands carried ``"dispatch"`` recover:
@@ -115,12 +113,11 @@ def test_a_parent_written_serial_payload_loads_and_now_coalesces():
     (batch,) = coalesce_commands(commands, capacity=3)
     assert len(batch.members) == 3
 
-    result = MDEngine().run_batched(BatchedMDTask.from_tasks(tasks))
-    old_result = {**result.to_payload(), "dispatch": "serial"}
-    restored = BatchedMDResult.from_payload(old_result)
-    assert encode_message(restored.to_payload()) == encode_message(result.to_payload())
-    old_btask = {**BatchedMDTask.from_tasks(tasks).to_payload(), "dispatch": "batched"}
-    assert BatchedMDTask.from_payload(old_btask).n_replicas == 3
+    # the merged stack runs the old payloads as the new ones run
+    result, completed = run_executable(batch.executable, batch.payload)
+    expect = [r.to_payload() for r in MDEngine().run_batched(tasks)]
+    assert completed
+    assert encode_message(result["results"]) == encode_message(expect)
 
 
 # -- the facades --------------------------------------------------------------

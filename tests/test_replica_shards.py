@@ -14,7 +14,6 @@ import pytest
 from repro.api import Ensemble, run
 from repro.md.engine import (
     MODEL_REGISTRY,
-    BatchedMDTask,
     MDTask,
     register_model,
     resolve_model,
@@ -38,13 +37,12 @@ def stack(model, n_replicas, n_steps=90, model_params=None, **kw):
         )
         for r in range(n_replicas)
     ]
-    return BatchedMDTask.from_tasks(tasks, batch_id="b0").to_payload()
+    return {"tasks": [task.to_payload() for task in tasks]}
 
 
 def assert_same_bits(unsplit, sharded):
     (expect, expect_done), (got, got_done) = unsplit, sharded
     assert got_done == expect_done
-    assert got["batch_id"] == expect["batch_id"]
     assert len(got["results"]) == len(expect["results"])
     for e, g in zip(expect["results"], got["results"]):
         assert g["task_id"] == e["task_id"]
@@ -89,9 +87,8 @@ def test_sharded_segment_keeps_explicit_initial_positions(n_shards):
     ]
     payload = stack("villin-fast", 6)
     # some replicas start from given coordinates, the rest from their seeds
-    payload["initial_positions"] = [
-        moved[r] if r % 2 else None for r in range(6)
-    ]
+    for r in range(1, 6, 2):
+        payload["tasks"][r]["initial_positions"] = moved[r]
     assert_same_bits(
         shards.run_unsplit(payload),
         shards.run_sharded(payload, None, n_shards),
@@ -104,10 +101,10 @@ def test_sharded_resume_with_replicas_already_at_target(model, params):
     finished, _ = shards.run_unsplit(payload)
     partial, _ = shards.run_unsplit(payload, abort_after_steps=35)
     # replicas 0 and 1 (a whole shard of three) are done and deactivated
-    payload["checkpoints"] = [
-        (finished if r < 2 else partial)["results"][r]["checkpoint"]
-        for r in range(6)
-    ]
+    for r, task in enumerate(payload["tasks"]):
+        task["checkpoint"] = (finished if r < 2 else partial)["results"][r][
+            "checkpoint"
+        ]
     unsplit = shards.run_unsplit(payload)
     assert [r["steps_completed"] for r in unsplit[0]["results"][:2]] == [0, 0]
     assert_same_bits(unsplit, shards.run_sharded(payload, None, 3))
@@ -235,7 +232,7 @@ def test_shard_exception_keeps_its_type(scratch_model):
 
 def test_dead_shard_process_raises_typed_error_then_recovers(scratch_model):
     scratch_model("exit-model", muller_brown_except_in_a_pool_process(lambda: os._exit(3)))
-    with pytest.raises(shards.ShardProcessDied, match="'b0'"):
+    with pytest.raises(shards.ShardProcessDied, match="'t0'"):
         shards.run_sharded(stack("exit-model", 4), None, 2)
     assert multiprocessing.active_children() == []
     payload = stack("villin-fast", 4)

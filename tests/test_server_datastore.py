@@ -1,68 +1,16 @@
-"""Tests for the durable project store and replay recovery."""
-
-import numpy as np
-import pytest
+"""Replay recovery: a result history through a fresh controller."""
 
 from repro.core import (
     AdaptiveMSMController,
-    Command,
     MSMProjectConfig,
     Project,
     ProjectRunner,
 )
+from repro.core.runner import replay_results
 from repro.net import Network
 from repro.server import CopernicusServer
-from repro.server.datastore import ProjectStore, replay
+from repro.server.wal import ServerJournal
 from repro.worker import SMPPlatform, Worker
-from repro.worker.executable import run_executable
-from repro.md.engine import MDTask
-from repro.util.errors import ConfigurationError
-
-
-def md_command(cid, seed=0, n_steps=300):
-    task = MDTask(model="muller-brown", n_steps=n_steps, seed=seed, task_id=cid)
-    return Command(cid, "p", "mdrun", task.to_payload())
-
-
-def test_store_roundtrip(tmp_path):
-    store = ProjectStore(tmp_path)
-    command = md_command("c0")
-    result, _ = run_executable("mdrun", command.payload)
-    store.record_result("p", command, result)
-    loaded = list(store.iter_results("p"))
-    assert len(loaded) == 1
-    got_command, got_result = loaded[0]
-    assert got_command.command_id == "c0"
-    np.testing.assert_array_equal(got_result["frames"], result["frames"])
-
-
-def test_store_preserves_order(tmp_path):
-    store = ProjectStore(tmp_path)
-    for k in range(5):
-        store.record_result("p", md_command(f"c{k}"), {"k": k})
-    order = [c.command_id for c, _ in store.iter_results("p")]
-    assert order == [f"c{k}" for k in range(5)]
-    assert store.result_count("p") == 5
-
-
-def test_store_metadata(tmp_path):
-    store = ProjectStore(tmp_path)
-    store.save_metadata("p", {"model": "villin-fast", "generations": 6})
-    assert store.load_metadata("p")["model"] == "villin-fast"
-    assert store.load_metadata("unknown") == {}
-
-
-def test_store_lists_projects(tmp_path):
-    store = ProjectStore(tmp_path)
-    store.record_result("alpha", md_command("c"), {})
-    store.record_result("beta", md_command("c"), {})
-    assert store.projects() == ["alpha", "beta"]
-
-
-def test_store_rejects_bad_ids(tmp_path):
-    store = ProjectStore(tmp_path)
-    with pytest.raises(ConfigurationError):
-        store.record_result("../escape", md_command("c"), {})
 
 
 def _msm_config():
@@ -80,11 +28,16 @@ def _msm_config():
     )
 
 
-def run_with_store(tmp_path, crash_after=None):
-    """Run an MSM project, recording results; optionally stop early."""
-    store = ProjectStore(tmp_path)
+def run_with_journal(tmp_path, crash_after=None):
+    """Run an MSM project on a journaling server; optionally stop early.
+
+    Returns the project's recovered journal state with the live project
+    and controller.
+    """
+    journal = ServerJournal(tmp_path)
     net = Network(seed=0)
     server = CopernicusServer("srv", net)
+    server.attach_journal(journal)
     worker = Worker("w0", net, server="srv", platform=SMPPlatform(cores=2))
     net.connect("srv", "w0")
     worker.announce(0.0)
@@ -92,34 +45,24 @@ def run_with_store(tmp_path, crash_after=None):
     runner = ProjectRunner(net, server, [worker])
     project = Project("msm")
 
-    recorded = [0]
-    original_sink_holder = {}
-
-    def recording_sink(command, result):
-        recorded[0] += 1
-        store.record_result("msm", command, result)
-        original_sink_holder["sink"](command, result)
-
     runner.submit(project, controller)
-    # wrap the sink installed by submit
-    original_sink_holder["sink"] = server._sinks["msm"]
-    server._sinks["msm"] = recording_sink
-
     if crash_after is None:
         runner.run()
     else:
         # run worker cycles until enough results landed, then "crash"
         for _ in range(1000):
-            if recorded[0] >= crash_after:
+            if project.completed >= crash_after:
                 break
             worker.work_once(now=runner.now)
-    return store, project, controller
+    return journal.project("msm").recover(), project, controller
 
 
 def test_replay_reconstructs_completed_project(tmp_path):
-    store, project, controller = run_with_store(tmp_path)
+    state, project, controller = run_with_journal(tmp_path)
     fresh = AdaptiveMSMController(_msm_config())
-    replayed_project, outstanding, completed_ids = replay(store, "msm", fresh)
+    replayed_project, outstanding, completed_ids = replay_results(
+        "msm", state.results, fresh
+    )
     assert outstanding == []  # everything completed
     assert len(completed_ids) == replayed_project.completed
     assert replayed_project.completed == project.completed
@@ -129,11 +72,13 @@ def test_replay_reconstructs_completed_project(tmp_path):
 
 def test_replay_after_crash_resumes_to_completion(tmp_path):
     """Crash mid-project, replay into a fresh controller, finish."""
-    store, crashed_project, _ = run_with_store(tmp_path, crash_after=3)
-    assert store.result_count("msm") >= 3
+    state, crashed_project, _ = run_with_journal(tmp_path, crash_after=3)
+    assert len(state.results) >= 3
 
     fresh = AdaptiveMSMController(_msm_config())
-    replayed_project, outstanding, completed_ids = replay(store, "msm", fresh)
+    replayed_project, outstanding, completed_ids = replay_results(
+        "msm", state.results, fresh
+    )
     assert outstanding, "crash left commands outstanding"
     assert completed_ids.isdisjoint(c.command_id for c in outstanding)
 
@@ -164,32 +109,3 @@ def test_replay_after_crash_resumes_to_completion(tmp_path):
     assert fresh.generation == _msm_config().n_generations - 1
 
 
-def test_store_sequence_survives_restart_and_sweeps_tmp(tmp_path):
-    """A crash mid-append leaves a `.NNNNNN.tmp` behind; a restarted
-    store sweeps it and keeps appending in order."""
-    store = ProjectStore(tmp_path)
-    for k in range(3):
-        store.record_result("p", md_command(f"c{k}"), {"k": k})
-    (tmp_path / "p" / "results" / ".000099.tmp").write_bytes(b"junk")
-
-    fresh = ProjectStore(tmp_path)
-    fresh.record_result("p", md_command("c3"), {"k": 3})
-    leftovers = list((tmp_path / "p" / "results").glob(".*.tmp"))
-    assert leftovers == []
-    order = [c.command_id for c, _ in fresh.iter_results("p")]
-    assert order == ["c0", "c1", "c2", "c3"]
-
-
-def test_store_sequence_never_reuses_after_deletion(tmp_path):
-    """The cursor is max(existing)+1, not a glob count: deleting an old
-    result must not make a fresh append collide with a later one."""
-    store = ProjectStore(tmp_path)
-    for k in range(3):
-        store.record_result("p", md_command(f"c{k}"), {"k": k})
-    (tmp_path / "p" / "results" / "000001.bin").unlink()
-
-    fresh = ProjectStore(tmp_path)
-    path = fresh.record_result("p", md_command("c3"), {"k": 3})
-    assert path.name == "000003.bin"
-    order = [c.command_id for c, _ in fresh.iter_results("p")]
-    assert order == ["c0", "c2", "c3"]

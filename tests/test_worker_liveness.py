@@ -5,10 +5,12 @@ import pytest
 from repro.core.command import Command
 from repro.md.engine import MDTask
 from repro.net import Network
+from repro.net.protocol import MessageType
 from repro.net.topology import apply_poll_jitter, workstation
+from repro.obs.trace import TRACE_ID_HEADER, trace_id_for
 from repro.server import CopernicusServer
 from repro.worker import SMPPlatform, Worker
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, TransientCommunicationError
 
 
 def _worker(**kwargs):
@@ -51,6 +53,53 @@ def test_parked_results_dedupe_by_command_id():
     assert [c.command_id for c, _ in worker._pending_results] == ["b", "a"]
     assert worker._pending_results[-1][1] == {"n": 3}
     assert worker.pending_results_dropped == 0
+
+
+def test_parked_results_of_two_tenants_sharing_a_command_id_both_deliver(
+    monkeypatch,
+):
+    """One worker holds two tenants' ``cmd0``: parked while the uplink
+    is down, both reach the server once it returns, each carrying its
+    own tenant's trace id."""
+    net = Network(seed=0)
+    server = CopernicusServer("srv", net)
+    worker = Worker("w0", net, server="srv", platform=SMPPlatform(cores=2))
+    net.connect("srv", "w0")
+    received = []
+    for tenant in ("p1", "p2"):
+        server.host_project(
+            tenant, lambda c, r: received.append((c.project_id, c.command_id))
+        )
+        task = MDTask(model="muller-brown", n_steps=100, seed=1, task_id="cmd0")
+        server.submit_commands(
+            [Command("cmd0", tenant, "mdrun", task.to_payload())]
+        )
+    worker.announce(0.0)
+
+    uplink = {"down": True}
+    delivered = []
+    send = worker.send
+
+    def flaky_send(dst, type, payload=None, timeout=None, headers=None):
+        if type == MessageType.COMMAND_RESULT:
+            if uplink["down"]:
+                raise TransientCommunicationError("uplink down")
+            delivered.append(
+                (payload["command"]["project_id"], headers[TRACE_ID_HEADER])
+            )
+        return send(dst, type, payload, timeout=timeout, headers=headers)
+
+    monkeypatch.setattr(worker, "send", flaky_send)
+    for cycle in range(3):
+        worker.work_once(now=float(cycle))
+    assert received == [] and delivered == []
+
+    uplink["down"] = False
+    assert worker.flush_pending_results() == 2
+    assert sorted(received) == [("p1", "cmd0"), ("p2", "cmd0")]
+    assert sorted(delivered) == [
+        (tenant, trace_id_for(tenant, "cmd0")) for tenant in ("p1", "p2")
+    ]
 
 
 # ------------------------------------------------------------------ pacing
