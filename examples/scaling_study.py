@@ -74,12 +74,13 @@ def main() -> None:
             )
         print(f"{n:>9d} " + " ".join(cells))
 
-    print("\nDES cross-check at the paper's operating point (5,000 cores, k=24):")
+    print("\nSimulated cross-check at the paper's operating point (5,000 cores, k=24):")
     spec = ProjectSpec(total_cores=5000, cores_per_sim=24)
-    des = simulate_project(spec)
+    simulated = simulate_project(spec)
     print(
-        f"  DES {des.hours:.1f} h vs analytic {analytic_project_time(spec):.1f} h "
-        f"(paper: ~30 h); worker utilisation {des.worker_utilization:.2f}"
+        f"  simulated {simulated.hours:.1f} h vs analytic "
+        f"{analytic_project_time(spec):.1f} h (paper: ~30 h); "
+        f"worker utilisation {simulated.worker_utilization:.2f}"
     )
 
 

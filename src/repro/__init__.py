@@ -10,15 +10,13 @@ servers distributing massively parallel simulation *commands* to
 workers, driven by plugin *controllers*), every substrate the paper
 depends on (a molecular-dynamics engine standing in for Gromacs, a
 Markov-state-model library, a Bennett-acceptance-ratio free-energy
-estimator, a discrete-event simulation kernel) and a calibrated
-performance model that regenerates the paper's scaling figures.
+estimator) and a calibrated performance model that regenerates the
+paper's scaling figures.
 
 Subpackages
 -----------
 ``repro.util``
     Units, seeded RNG streams, serialization, errors.
-``repro.des``
-    Discrete-event simulation kernel (generator coroutines).
 ``repro.md``
     Molecular-dynamics engine: force fields, integrators, models.
 ``repro.analysis``
@@ -36,7 +34,8 @@ Subpackages
 ``repro.fep``
     Bennett acceptance ratio free-energy estimation.
 ``repro.perfmodel``
-    Strong-scaling performance model and scheduler simulation.
+    Strong-scaling performance model and the controller's scheduling
+    simulated as greedy list scheduling on a heap of finish times.
 """
 
 from repro.version import __version__

@@ -11,18 +11,15 @@ allocated").  This subpackage implements that methodology:
   for a single simulation, calibrated against the paper's anchors
   (t_res(1) = 1.1e5 hours, ~30 h at 5,000 cores, ~10 h and 53 %
   efficiency at 20,000 cores);
-* :mod:`repro.perfmodel.scheduler_sim` — a discrete-event simulation
-  of the Copernicus controller scheduling generations of commands over
-  a core pool, plus the analytic closed form it converges to;
+* :mod:`repro.perfmodel.scheduler_sim` — a simulation of the
+  Copernicus controller scheduling generations of commands over a core
+  pool (greedy list scheduling on a heap of finish times), plus the
+  analytic closed form it converges to;
 * :mod:`repro.perfmodel.bandwidth` — ensemble-level bandwidth use and
   the multi-level parallelism hierarchy of Fig. 6.
 """
 
-from repro.perfmodel.mdperf import (
-    MDPerformanceModel,
-    VILLIN_MODEL,
-    batch_speedup,
-)
+from repro.perfmodel.mdperf import MDPerformanceModel, VILLIN_MODEL
 from repro.perfmodel.scheduler_sim import (
     ProjectSpec,
     ResourcePool,
@@ -40,7 +37,6 @@ from repro.perfmodel.bandwidth import (
 __all__ = [
     "MDPerformanceModel",
     "VILLIN_MODEL",
-    "batch_speedup",
     "ProjectSpec",
     "ResourcePool",
     "SchedulerResult",

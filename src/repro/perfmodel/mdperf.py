@@ -99,31 +99,6 @@ class MDPerformanceModel:
         )
 
 
-def batch_speedup(batch_size: int, dispatch_overhead: float) -> float:
-    """Per-command throughput gain from batching R replicas.
-
-    Each command's cost splits into propagation work (irreducible) and
-    dispatch overhead (force-loop setup, integrator bookkeeping, the
-    per-command fixed costs the batched kernel amortises), with
-    ``dispatch_overhead`` the overhead-to-work ratio *d*.  Serial cost
-    per command is ``(1 + d)``; a batch of R pays the overhead once,
-    ``(R + d) / R`` per command, giving
-
-    ``S(R) = R (1 + d) / (R + d)``
-
-    — 1 at R=1, monotone, saturating at ``1 + d``.  ``d = 0`` (the
-    default everywhere) reproduces the unbatched model exactly.
-    """
-    if batch_size < 1:
-        raise ConfigurationError("batch_size must be >= 1")
-    if dispatch_overhead < 0:
-        raise ConfigurationError("dispatch_overhead must be >= 0")
-    return (
-        batch_size * (1.0 + dispatch_overhead)
-        / (batch_size + dispatch_overhead)
-    )
-
-
 def _calibrated_villin() -> MDPerformanceModel:
     """Villin model hitting the paper's t_res(1) anchor.
 

@@ -1,4 +1,4 @@
-"""Discrete-event simulation of the Copernicus controller's scheduling.
+"""Simulation of the Copernicus controller's scheduling.
 
 A project is G generations of ``n_commands`` trajectories, each needing
 ``ns_per_command`` nanoseconds of simulation.  Workers of ``cores_per_sim``
@@ -10,24 +10,21 @@ paper's model of the controller continuously extending runs as results
 stream back, which is what lets utilisation stay near-perfect below the
 ceiling.
 
-Both a DES (event-accurate, yields utilisation traces) and the analytic
-closed form it converges to are provided; the test suite checks they
-agree.
+Both a simulation (quantum by quantum, yields utilisation) and the
+analytic closed form it converges to are provided; the test suite
+checks they agree.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
+import math
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-import numpy as np
-
-from repro.des import Environment, Store
-from repro.perfmodel.mdperf import (
-    MDPerformanceModel,
-    VILLIN_MODEL,
-    batch_speedup,
-)
+from repro.perfmodel.mdperf import MDPerformanceModel, VILLIN_MODEL
 from repro.util.errors import ConfigurationError
 
 
@@ -43,12 +40,6 @@ class ProjectSpec:
     ns_per_quantum: float = 10.0   # controller extension granularity
     cluster_overhead_hours: float = 0.05
     data_per_command_mb: float = 15.0   # compressed trajectory upload
-    #: Replicas the workers coalesce into one batched kernel call
-    #: (1 = the unbatched engine).
-    batch_size: int = 1
-    #: Per-command dispatch-overhead-to-work ratio amortised by
-    #: batching; see :func:`repro.perfmodel.mdperf.batch_speedup`.
-    batch_dispatch_overhead: float = 0.0
     md_model: MDPerformanceModel = field(default_factory=lambda: VILLIN_MODEL)
 
     def __post_init__(self) -> None:
@@ -64,10 +55,6 @@ class ProjectSpec:
             raise ConfigurationError("ns parameters must be positive")
         if self.cluster_overhead_hours < 0 or self.data_per_command_mb < 0:
             raise ConfigurationError("overheads must be >= 0")
-        if self.batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1")
-        if self.batch_dispatch_overhead < 0:
-            raise ConfigurationError("batch_dispatch_overhead must be >= 0")
 
     @property
     def n_workers(self) -> int:
@@ -81,19 +68,8 @@ class ProjectSpec:
 
     @property
     def effective_rate(self) -> float:
-        """Per-simulation rate (ns/hour) including the batch term.
-
-        The coalesced batch cannot be larger than the work actually
-        available per worker, so the speedup is evaluated at
-        ``min(batch_size, ceil(n_commands / n_workers))``.
-        """
-        concurrent = max(
-            1, -(-self.n_commands // max(1, self.n_workers))
-        )
-        effective_batch = min(self.batch_size, concurrent)
-        return self.md_model.rate(self.cores_per_sim) * batch_speedup(
-            effective_batch, self.batch_dispatch_overhead
-        )
+        """Per-simulation rate in ns/hour."""
+        return self.md_model.rate(self.cores_per_sim)
 
 
 @dataclass
@@ -125,7 +101,7 @@ def analytic_project_time(spec: ProjectSpec) -> float:
     quantum chunks achieves the maximum of the two up to one quantum
     of tail.
     """
-    rate = spec.effective_rate  # ns/hour per simulation (incl. batching)
+    rate = spec.effective_rate  # ns/hour per simulation
     active = min(spec.n_workers, spec.n_commands)
     work_bound = spec.n_commands * spec.ns_per_command / (active * rate)
     chain_bound = spec.ns_per_command / rate
@@ -134,75 +110,54 @@ def analytic_project_time(spec: ProjectSpec) -> float:
 
 
 def simulate_project(spec: ProjectSpec) -> SchedulerResult:
-    """Run the DES of the controller and return timing/efficiency.
+    """Simulate the controller's scheduling and return timing/efficiency.
 
-    Workers greedily pull ``ns_per_quantum`` trajectory extensions from
-    the current generation's queue; a generation barrier models the
-    clustering step.
+    Greedy list scheduling of ``ns_per_quantum`` trajectory extensions
+    behind a generation barrier (the clustering step): a heap holds the
+    running quanta by ``(finish_time, seq)``, a finished quantum puts
+    its trajectory at the back of the FIFO, and the freed worker takes
+    the head.
     """
-    env = Environment()
     rate = spec.effective_rate
+    quanta_per_traj = math.ceil(spec.ns_per_command / spec.ns_per_quantum)
     quantum_hours = spec.ns_per_quantum / rate
+    last_quantum_hours = (
+        spec.ns_per_command - (quanta_per_traj - 1) * spec.ns_per_quantum
+    ) / rate
     n_workers = min(spec.n_workers, spec.n_commands)
+    seq = itertools.count()
+    now = busy_hours = 0.0
     generation_hours: List[float] = []
-    busy_hours = [0.0]
+    for _ in range(spec.n_generations):
+        start = now
+        remaining = [quanta_per_traj] * spec.n_commands
+        chains = deque(range(spec.n_commands))
+        running: list = []
 
-    def generation(env: Environment, gen_index: int):
-        start = env.now
-        # each trajectory is a chain of quanta; chains[i] = quanta left
-        chains = Store(env)
-        remaining: Dict[int, int] = {}
-        quanta_per_traj = int(np.ceil(spec.ns_per_command / spec.ns_per_quantum))
-        last_quantum_hours = (
-            spec.ns_per_command - (quanta_per_traj - 1) * spec.ns_per_quantum
-        ) / rate
-        for t in range(spec.n_commands):
-            remaining[t] = quanta_per_traj
-            chains.put(t)
-        done = env.event()
-        finished = [0]
+        def launch(at: float) -> None:
+            traj = chains.popleft()
+            hours = last_quantum_hours if remaining[traj] == 1 else quantum_hours
+            heapq.heappush(running, (at + hours, next(seq), traj, hours))
 
-        def worker(env: Environment):
-            from repro.des import Interrupt
+        for _ in range(n_workers):
+            launch(now)
+        while running:
+            now, _, traj, hours = heapq.heappop(running)
+            busy_hours += hours
+            remaining[traj] -= 1
+            if remaining[traj]:
+                chains.append(traj)
+            if chains:
+                launch(now)
+        now += spec.cluster_overhead_hours
+        generation_hours.append(now - start)
 
-            try:
-                while True:
-                    traj = yield chains.get()
-                    is_last = remaining[traj] == 1
-                    duration = last_quantum_hours if is_last else quantum_hours
-                    yield env.timeout(duration)
-                    busy_hours[0] += duration
-                    remaining[traj] -= 1
-                    if remaining[traj] == 0:
-                        finished[0] += 1
-                        if finished[0] == spec.n_commands:
-                            done.succeed()
-                    else:
-                        chains.put(traj)
-            except Interrupt:
-                return  # generation barrier: stand down
-
-        procs = [env.process(worker(env)) for _ in range(n_workers)]
-        yield done
-        for proc in procs:
-            if proc.is_alive:
-                proc.interrupt("generation complete")
-        yield env.timeout(spec.cluster_overhead_hours)
-        generation_hours.append(env.now - start)
-
-    def project(env: Environment):
-        for g in range(spec.n_generations):
-            yield env.process(generation(env, g))
-
-    main = env.process(project(env))
-    env.run(until=main)
-
-    hours = env.now
+    hours = now
     t1 = reference_time_single_core(spec)
     efficiency = t1 / (spec.total_cores * hours)
     total_mb = spec.n_commands * spec.n_generations * spec.data_per_command_mb
     avg_bandwidth = total_mb / (hours * 3600.0)
-    utilization = busy_hours[0] / (n_workers * hours)
+    utilization = busy_hours / (n_workers * hours)
     return SchedulerResult(
         spec=spec,
         hours=hours,
@@ -215,7 +170,7 @@ def simulate_project(spec: ProjectSpec) -> SchedulerResult:
 
 
 def analytic_result(spec: ProjectSpec) -> SchedulerResult:
-    """SchedulerResult from the closed form (no DES) — fast for sweeps."""
+    """SchedulerResult from the closed form (no simulation) — fast for sweeps."""
     hours = analytic_project_time(spec)
     t1 = reference_time_single_core(spec)
     total_mb = spec.n_commands * spec.n_generations * spec.data_per_command_mb
@@ -313,7 +268,6 @@ def analytic_heterogeneous_time(
 def sweep_total_cores(
     core_counts: List[int],
     cores_per_sim: int,
-    use_des: bool = False,
     **spec_kwargs,
 ) -> List[SchedulerResult]:
     """Evaluate the project across total core counts (one Fig. 7/8 line)."""
@@ -324,5 +278,5 @@ def sweep_total_cores(
         spec = ProjectSpec(
             total_cores=n, cores_per_sim=cores_per_sim, **spec_kwargs
         )
-        results.append(simulate_project(spec) if use_des else analytic_result(spec))
+        results.append(analytic_result(spec))
     return results
