@@ -79,6 +79,8 @@ def coalesce_key(command: Command) -> Optional[Tuple]:
             float(payload.get("friction", 1.0)),
             float(payload.get("timestep", 0.02)),
             repr(sorted(payload.get("model_params", {}).items())),
+            # a refused precision must not take good riders down with it
+            payload.get("precision", "float64"),
         )
     except (KeyError, TypeError, ValueError):
         return None

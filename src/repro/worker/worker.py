@@ -227,9 +227,11 @@ class Worker(Endpoint):
 
         Returns the final result payload, or ``None`` if the worker
         crashed mid-command (the server will detect it by heartbeat
-        timeout and requeue from the last checkpoint) — or, under
-        pacing (``segments_per_cycle``), if the command parked to
-        resume on the next work cycle.
+        timeout and requeue from the last checkpoint), if the
+        executable refused the payload (counted in
+        ``repro_worker_commands_rejected_total``) — or, under pacing
+        (``segments_per_cycle``), if the command parked to resume on
+        the next work cycle.
         """
         if isinstance(command, BatchCommand):
             return self._start_batch(command, now)
@@ -334,11 +336,30 @@ class Worker(Endpoint):
                 # already heartbeated, so the server can still recover
                 self._active = active
                 return None
-            result, completed = self.executables.run(
-                command.executable,
-                active.payload,
-                abort_after_steps=max(1, int(self.segment_steps * self.throttle)),
-            )
+            try:
+                result, completed = self.executables.run(
+                    command.executable,
+                    active.payload,
+                    abort_after_steps=max(1, int(self.segment_steps * self.throttle)),
+                )
+            except ConfigurationError as exc:
+                # the executable refuses this payload: reject this
+                # command alone and let the cycle go on with the backlog
+                self._active = None
+                self._count(
+                    "repro_worker_commands_rejected_total",
+                    amount=len(tracked),
+                    help="Commands whose payload the executable refused.",
+                )
+                for t in tracked:
+                    if t.span is not None:
+                        self.obs.tracer.end(
+                            t.span,
+                            now,
+                            error=type(exc).__name__,
+                            segments=t.record.segments,
+                        )
+                return None
             executed += 1
             for t in tracked:
                 t.record.segments += 1
@@ -539,7 +560,9 @@ class Worker(Endpoint):
             else:
                 break
             if result is None:
-                break  # crashed mid-command, or parked until next cycle
+                if self.crashed or self._active is not None:
+                    break  # crashed mid-command, or parked until next cycle
+                continue  # the executable refused the payload
             if isinstance(command, BatchCommand):
                 # split the batch back into per-command results; each is
                 # submitted (and deduplicated, journaled, traced) exactly

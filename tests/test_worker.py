@@ -18,6 +18,7 @@ from repro.worker import (
     run_executable,
 )
 from repro.util.errors import ConfigurationError
+from repro.worker.coalesce import coalesce_commands
 
 
 # --------------------------------------------------------------- platform
@@ -255,6 +256,51 @@ def test_worker_multiple_commands_in_workload():
     worker.announce(0.0)
     assert worker.work_once(now=1.0) == 2
     assert {r[0] for r in results} == {"c0", "c1"}
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_refused_payload_is_rejected_alone(cores):
+    """A command the executable refuses raises nothing out of the poll
+    loop: its span ends with the error type and it is counted.  The good
+    command submitted after it runs in the same cycle when both fit the
+    worker's cores (2), else on the next cycle (1)."""
+    net, server, worker = make_rig(cores=cores)
+    results = []
+    server.host_project("p", lambda c, r: results.append(c.command_id))
+    bad = MDTask(model="muller-brown", n_steps=600, seed=1, task_id="bad").to_payload()
+    bad["precision"] = "float32"
+    good = MDTask(model="muller-brown", n_steps=600, seed=1, task_id="good").to_payload()
+    server.submit_commands([
+        Command(command_id="bad", project_id="p", executable="mdrun", payload=bad),
+        Command(command_id="good", project_id="p", executable="mdrun", payload=good),
+    ])
+    worker.announce(0.0)
+    assert worker.work_once(now=1.0) == (1 if cores == 2 else 0)
+    assert worker.idle
+    if cores == 1:
+        assert results == []
+        assert worker.work_once(now=2.0) == 1
+    assert results == ["good"]
+    metrics = worker.obs.metrics
+    assert metrics.value("repro_worker_commands_rejected_total", worker="w0") == 1
+    spans = {
+        span.attributes["command"]: span
+        for span in worker.obs.tracer.spans
+        if span.name == "worker.execute"
+    }
+    assert spans["bad"].attributes["error"] == "ConfigurationError"
+    assert spans["good"].attributes["completed"] is True
+
+
+def test_refused_precision_never_coalesces_with_good_commands():
+    good = MDTask(model="muller-brown", n_steps=600, seed=1).to_payload()
+    bad = dict(good, precision="float32")
+    commands = [
+        Command(command_id=cid, project_id="p", executable="mdrun", payload=payload)
+        for cid, payload in (("g0", good), ("bad", bad), ("g1", good))
+    ]
+    merged = coalesce_commands(commands, capacity=3)
+    assert [c.command_id for c in merged] == ["batch:g0+g1", "bad"]
 
 
 def test_crashed_worker_requests_nothing():
