@@ -14,18 +14,6 @@ import numpy as np
 from repro.util.errors import ConfigurationError
 
 
-def fraction_folded(
-    rmsd_values: np.ndarray, threshold: float
-) -> float:
-    """Fraction of frames with RMSD below *threshold*."""
-    rmsd_values = np.asarray(rmsd_values, dtype=float)
-    if rmsd_values.size == 0:
-        raise ConfigurationError("no RMSD values supplied")
-    if threshold <= 0:
-        raise ConfigurationError(f"threshold must be positive, got {threshold}")
-    return float(np.mean(rmsd_values < threshold))
-
-
 def half_time(
     curve: np.ndarray, times: np.ndarray, plateau: Optional[float] = None
 ) -> Optional[float]:

@@ -9,14 +9,6 @@ import numpy as np
 from repro.util.errors import ConfigurationError
 
 
-def standard_error(series: np.ndarray) -> float:
-    """Naive (i.i.d.) standard error of the mean."""
-    series = np.asarray(series, dtype=float)
-    if len(series) < 2:
-        raise ConfigurationError("need at least two samples")
-    return float(np.std(series, ddof=1) / np.sqrt(len(series)))
-
-
 def ensemble_mean_sd(
     curves: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:

@@ -13,8 +13,6 @@ combination of both directions (Bennett 1976).  Exponential averaging
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import logsumexp
@@ -116,11 +114,3 @@ def bar_error(
         np.mean(g**2) / mean_g**2 - 1.0
     ) / len(w_r)
     return float(kt * np.sqrt(max(var, 0.0)))
-
-
-def bar_with_error(
-    forward_work: np.ndarray, reverse_work: np.ndarray, kt: float = 1.0
-) -> Tuple[float, float]:
-    """Convenience: ``(dF, standard_error)``."""
-    df = bar_free_energy(forward_work, reverse_work, kt=kt)
-    return df, bar_error(forward_work, reverse_work, df, kt=kt)

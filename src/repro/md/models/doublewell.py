@@ -45,10 +45,6 @@ class DoubleWellForce:
         forces = -(4.0 * self.barrier / self.width) * q * u
         return energies, forces
 
-    def minima(self) -> np.ndarray:
-        """The two minima positions along one coordinate."""
-        return np.array([-self.width, self.width])
-
 
 class TiltedDoubleWellForce(DoubleWellForce):
     """Double well with a linear tilt: ``E += slope * x``.

@@ -23,7 +23,7 @@ residues) folds in ~1e5 steps for tests and quick benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -141,10 +141,6 @@ class VillinModel:
         stream = ensure_stream(rng)
         velocities = self.system.maxwell_boltzmann_velocities(temperature, stream)
         return State(self.native.copy(), velocities)
-
-    def fraction_native(self, positions: np.ndarray) -> float:
-        """Fraction of native contacts formed (folding coordinate Q)."""
-        return self.go_force.fraction_native(positions)
 
 
 def build_villin(

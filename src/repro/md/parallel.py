@@ -25,7 +25,7 @@ accounting — the quantities the paper's Fig. 6 reasons about.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from repro.md.forcefield.nonbonded import (
     LennardJonesForce,
     ReactionFieldElectrostatics,
 )
-from repro.md.neighborlist import AllPairs
 from repro.md.system import System
 from repro.util.errors import ConfigurationError
 
@@ -67,11 +66,6 @@ class CommStats:
         return BYTES_PER_VECTOR * (
             sum(self.halo_atoms_per_rank) + sum(self.export_atoms_per_rank)
         )
-
-    @property
-    def max_halo(self) -> int:
-        """Largest halo across ranks (the latency-critical rank)."""
-        return max(self.halo_atoms_per_rank) if self.halo_atoms_per_rank else 0
 
 
 def _slice_indexed_force(force, keep: np.ndarray):
@@ -300,13 +294,3 @@ class DomainDecomposition:
         )
         mean = counts.mean() if counts.size else 1.0
         return counts / max(mean, 1e-12)
-
-    def communication_summary(self, positions: np.ndarray) -> Dict:
-        """Comm volume per step and its scaling interpretation."""
-        _, _, stats = self.compute_forces(positions)
-        return {
-            "n_ranks": self.n_ranks,
-            "bytes_per_step": stats.total_bytes_per_step,
-            "max_halo_atoms": stats.max_halo,
-            "mean_halo_atoms": float(np.mean(stats.halo_atoms_per_rank)),
-        }

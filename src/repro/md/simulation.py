@@ -12,7 +12,7 @@ worker's command be transparently resumed by another worker
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -52,7 +52,6 @@ class Simulation(BatchedSimulation):
         super().__init__(system, integrator, [state], report_interval)
         #: Default step count for :meth:`run` (set by :meth:`configure`).
         self.default_steps: Optional[int] = None
-        self._observers: List[Callable[[State], None]] = []
 
     @classmethod
     def configure(
@@ -131,17 +130,6 @@ class Simulation(BatchedSimulation):
     def trajectory(self) -> Trajectory:
         """Frames recorded so far."""
         return self.trajectories[0]
-
-    def add_observer(self, callback: Callable[[State], None]) -> None:
-        """Register a callable invoked at every report interval."""
-        self._observers.append(callback)
-
-    def _report(self, replica, positions, velocities, time, step) -> None:
-        super()._report(replica, positions, velocities, time, step)
-        if self._observers:
-            state = State(positions, velocities, float(time), int(step))
-            for observer in self._observers:
-                observer(state)
 
     @staticmethod
     def _check_finite(positions, replica, step) -> None:

@@ -99,11 +99,6 @@ class Topology:
         ):
             raise ConfigurationError("dihedral parameter arrays misaligned")
 
-    @property
-    def n_bonds(self) -> int:
-        """Number of bond terms."""
-        return len(self.bonds)
-
     def all_excluded_pairs(self) -> set:
         """Set of (i, j) pairs (i<j) excluded from nonbonded interactions.
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import List, Optional
 
 import numpy as np
@@ -75,18 +74,6 @@ class Trajectory:
             )
         for frame, t in zip(other._chunks, other._times):
             self.append(frame, t)
-
-    def save(self, path: str | Path) -> None:
-        """Write to a compressed npz file."""
-        np.savez_compressed(
-            Path(path), frames=self.frames, times=self.times
-        )
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Trajectory":
-        """Read a trajectory written by :meth:`save`."""
-        with np.load(Path(path)) as data:
-            return cls(frames=data["frames"], times=data["times"])
 
     def subsample(self, stride: int) -> "Trajectory":
         """Every ``stride``-th frame as a new trajectory."""

@@ -22,7 +22,6 @@ from repro.msm.analysis import (
     eigenvalues,
     propagate,
     population_evolution,
-    mean_first_passage_time,
 )
 from repro.msm.connectivity import largest_connected_set, trim_counts
 from repro.msm.adaptive import (
@@ -65,7 +64,6 @@ __all__ = [
     "eigenvalues",
     "propagate",
     "population_evolution",
-    "mean_first_passage_time",
     "largest_connected_set",
     "trim_counts",
     "even_weights",

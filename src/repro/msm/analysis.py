@@ -122,30 +122,3 @@ def population_evolution(
     if member_mask.shape != (T.shape[0],):
         raise EstimationError("member_mask shape mismatch")
     return times, traj[:, member_mask].sum(axis=1)
-
-
-def mean_first_passage_time(
-    T: np.ndarray, targets: np.ndarray, lag_time: float = 1.0
-) -> np.ndarray:
-    """MFPT from every state into the *targets* set.
-
-    Solves the linear system ``m_i = lag + sum_j T_ij m_j`` for
-    non-target states, ``m_i = 0`` on targets.
-    """
-    T = _check_T(T)
-    n = T.shape[0]
-    targets = np.asarray(targets, dtype=bool)
-    if targets.shape != (n,):
-        raise EstimationError("targets must be a boolean mask over states")
-    if not targets.any():
-        raise EstimationError("target set is empty")
-    free = ~targets
-    A = np.eye(free.sum()) - T[np.ix_(free, free)]
-    b = np.full(free.sum(), float(lag_time))
-    try:
-        m_free = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise EstimationError(f"MFPT system is singular: {exc}") from exc
-    out = np.zeros(n)
-    out[free] = m_free
-    return out

@@ -94,14 +94,3 @@ def trim_counts(counts: np.ndarray, directed: bool = True):
     """
     kept = largest_connected_set(counts, directed=directed)
     return np.asarray(counts)[np.ix_(kept, kept)], kept
-
-
-def map_dtrajs_to_subset(dtrajs, kept: np.ndarray, n_states: int):
-    """Re-index discrete trajectories onto a kept-state subset.
-
-    Frames in removed states become ``-1``; callers should split
-    trajectories at those points before recounting.
-    """
-    mapping = np.full(n_states, -1, dtype=int)
-    mapping[np.asarray(kept, dtype=int)] = np.arange(len(kept))
-    return [mapping[np.asarray(d, dtype=int)] for d in dtrajs]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -72,11 +72,3 @@ def count_matrix_multi(
     if not any_data:
         raise EstimationError("no trajectories supplied")
     return total
-
-
-def visited_states(dtrajs: Sequence[np.ndarray], n_states: int) -> np.ndarray:
-    """Boolean mask of states visited at least once."""
-    mask = np.zeros(n_states, dtype=bool)
-    for dtraj in dtrajs:
-        mask[np.asarray(dtraj, dtype=int)] = True
-    return mask

@@ -8,7 +8,6 @@ import numpy as np
 
 from repro.msm.analysis import (
     implied_timescales,
-    mean_first_passage_time,
     population_evolution,
     propagate,
     stationary_distribution,
@@ -103,12 +102,6 @@ class MarkovStateModel:
         return self._T
 
     @property
-    def count_matrix(self) -> np.ndarray:
-        """The trimmed count matrix."""
-        self._require_fit()
-        return self._counts
-
-    @property
     def active_set(self) -> np.ndarray:
         """Original state indices retained after ergodic trimming."""
         self._require_fit()
@@ -157,11 +150,6 @@ class MarkovStateModel:
         return population_evolution(
             p0, self._T, n_steps, self.lag_time, member_mask
         )
-
-    def mfpt(self, targets: np.ndarray) -> np.ndarray:
-        """Mean first-passage times into a target set, physical units."""
-        self._require_fit()
-        return mean_first_passage_time(self._T, targets, self.lag_time)
 
     def map_to_active(self, states: np.ndarray) -> np.ndarray:
         """Map original state indices to active-set indices (-1 if trimmed)."""

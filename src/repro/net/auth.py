@@ -33,10 +33,6 @@ class KeyPair:
             _private=f"prv-{owner}-{bits[1]:016x}",
         )
 
-    def proves(self, challenge: str) -> str:
-        """Sign a challenge (simulated: private-keyed tag)."""
-        return f"{self._private}:{challenge}"
-
 
 class TrustStore:
     """The set of public keys an endpoint accepts connections from."""

@@ -67,20 +67,6 @@ class Message:
     hops: List[str] = field(default_factory=list)
     attempt: int = 0
 
-    def reply(self, payload: Dict[str, Any]) -> "Message":
-        """Build the response message for this request.
-
-        The request's headers travel back so a trace context survives
-        the round trip.
-        """
-        return Message(
-            type=MessageType.RESPONSE,
-            src=self.dst,
-            dst=self.src,
-            payload=payload,
-            headers=dict(self.headers),
-        )
-
 
 #: Wildcard destination: route to the first server with available commands.
 ANY_SERVER = "*"

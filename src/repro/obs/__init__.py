@@ -69,7 +69,3 @@ class Observability:
     def export_json_lines(self) -> str:
         """The registry as JSON lines."""
         return to_json_lines(self.metrics)
-
-    def export_chrome_trace(self) -> dict:
-        """Finished spans as a Chrome trace-event object."""
-        return to_chrome_trace(self.tracer)

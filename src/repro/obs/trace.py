@@ -165,17 +165,6 @@ class Tracer:
         """Closed spans, in creation order."""
         return [s for s in self.spans if s.finished]
 
-    def for_trace(self, trace_id: str) -> List[Span]:
-        """Every span (open or closed) of one trace."""
-        return [s for s in self.spans if s.trace_id == trace_id]
-
-    def trace_ids(self) -> List[str]:
-        """Distinct trace ids, in first-seen order."""
-        seen: Dict[str, None] = {}
-        for span in self.spans:
-            seen.setdefault(span.trace_id, None)
-        return list(seen)
-
 
 # -- Chrome trace-event export ----------------------------------------------
 

@@ -158,15 +158,6 @@ class HealthRegistry:
         record = self._records.get(worker)
         return record.score if record is not None else 1.0
 
-    def is_quarantined(self, worker: str, now: float) -> bool:
-        """Whether the worker is quarantined at *now* (cooldown running)."""
-        record = self._records.get(worker)
-        return (
-            record is not None
-            and record.state is HealthState.QUARANTINED
-            and now < record.quarantined_until
-        )
-
     def observe_success(self, worker: str, now: float) -> Optional[str]:
         """Fold a completed result into the score.
 

@@ -62,14 +62,6 @@ class WorkerCapabilities:
         )
 
 
-def can_run(command: Command, caps: WorkerCapabilities) -> bool:
-    """Whether a worker can execute a command at all."""
-    return (
-        command.executable in caps.executables
-        and command.min_cores <= caps.cores
-    )
-
-
 def build_workload(
     queue: CommandQueue,
     caps: WorkerCapabilities,

@@ -200,10 +200,6 @@ class ShardMonitor:
 
     # -- bookkeeping -------------------------------------------------------
 
-    def forget(self, shard: str) -> None:
-        """Drop a shard from monitoring (post-failover cleanup)."""
-        self._records.pop(shard, None)
-
     def mark_dead(self, shard: str) -> None:
         """Record a death verdict reached outside :meth:`check` (an
         explicit drain, or a dispatch-path failover) so the shard
@@ -223,10 +219,6 @@ class ShardMonitor:
         """Start monitoring a shard that joined after construction."""
         if shard not in self._records:
             self._records[shard] = ShardHealth(shard=shard)
-
-    def is_dead(self, shard: str) -> bool:
-        record = self._records.get(shard)
-        return record is not None and record.dead
 
     def describe(self) -> Dict[str, dict]:
         """Schema-stable per-shard summary for monitoring."""

@@ -17,7 +17,7 @@ it never touches production code paths on its own.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.net.protocol import Message, MessageType
@@ -520,13 +520,6 @@ class FaultPlan:
             if fault.kind is FaultKind.SLOW_WORKER and fault.dst == worker:
                 factor *= fault.factor
         return factor
-
-    def straggler_for(self, worker: str) -> Optional[Fault]:
-        """The straggler rule (if any) degrading *worker*."""
-        for fault in self.faults:
-            if fault.kind is FaultKind.STRAGGLER and fault.dst == worker:
-                return fault
-        return None
 
     def worker_flapping(self, name: str, index: int) -> Optional[Fault]:
         """The flapping rule (if any) holding *name*'s link down at *index*.

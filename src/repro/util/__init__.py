@@ -9,13 +9,11 @@ from repro.util.errors import (
     SimulationError,
     EstimationError,
 )
-from repro.util.rng import RandomStream, spawn_streams
+from repro.util.rng import RandomStream
 from repro.util.units import (
     KB,
     PS_PER_NS,
     NS_PER_US,
-    Quantity,
-    kelvin_to_kt,
 )
 from repro.util.serialization import encode_message, decode_message
 
@@ -28,12 +26,9 @@ __all__ = [
     "SimulationError",
     "EstimationError",
     "RandomStream",
-    "spawn_streams",
     "KB",
     "PS_PER_NS",
     "NS_PER_US",
-    "Quantity",
-    "kelvin_to_kt",
     "encode_message",
     "decode_message",
 ]

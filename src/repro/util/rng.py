@@ -10,7 +10,7 @@ hundreds of trajectories without correlated noise.
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import List
 
 import numpy as np
 
@@ -61,30 +61,9 @@ class RandomStream:
         """Draw a random sample from a given array (see numpy docs)."""
         return self._gen.choice(*args, **kwargs)
 
-    def shuffle(self, x) -> None:
-        """Shuffle an array in place."""
-        self._gen.shuffle(x)
-
-
-def spawn_streams(seed: int, n: int) -> List[RandomStream]:
-    """Create *n* independent streams from a single integer seed."""
-    return RandomStream(seed).spawn(n)
-
 
 def ensure_stream(seed_or_stream: int | RandomStream | None) -> RandomStream:
     """Coerce an int seed / ``None`` / existing stream to a stream."""
     if isinstance(seed_or_stream, RandomStream):
         return seed_or_stream
     return RandomStream(seed_or_stream)
-
-
-def interleave_seeds(seeds: Iterable[int]) -> int:
-    """Combine several integer seeds into one (order-sensitive).
-
-    Used when a component's seed should depend on both a project seed
-    and e.g. a generation index and trajectory index.
-    """
-    h = 0x9E3779B97F4A7C15
-    for s in seeds:
-        h = (h ^ (int(s) + 0x9E3779B97F4A7C15 + (h << 6) + (h >> 2))) % (1 << 63)
-    return h

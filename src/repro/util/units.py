@@ -14,10 +14,6 @@ field parameters read naturally against the paper (which quotes
 Angstroms; 1 A = 0.1 nm).
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
 #: Boltzmann constant in kJ/(mol K) (Gromacs convention).
 KB = 0.00831446261815324
 
@@ -35,46 +31,3 @@ BYTES_PER_MB = 1e6
 
 #: seconds per hour.
 SECONDS_PER_HOUR = 3600.0
-
-
-def kelvin_to_kt(temperature: float) -> float:
-    """Return ``k_B T`` in kJ/mol for a temperature in kelvin.
-
-    Raises
-    ------
-    ValueError
-        If the temperature is negative.
-    """
-    if temperature < 0:
-        raise ValueError(f"temperature must be >= 0 K, got {temperature}")
-    return KB * temperature
-
-
-def angstrom(value: float) -> float:
-    """Convert a length in Angstroms to nanometres."""
-    return value * NM_PER_ANGSTROM
-
-
-def to_angstrom(value_nm: float) -> float:
-    """Convert a length in nanometres to Angstroms."""
-    return value_nm / NM_PER_ANGSTROM
-
-
-@dataclass(frozen=True)
-class Quantity:
-    """A value tagged with a unit string, for self-describing reports.
-
-    This is intentionally *not* a full unit-algebra system: benchmarks
-    and EXPERIMENTS.md tables carry human-readable quantities, and a
-    frozen dataclass keeps them hashable and comparable in tests.
-    """
-
-    value: float
-    unit: str
-
-    def __str__(self) -> str:
-        return f"{self.value:g} {self.unit}"
-
-    def scaled(self, factor: float) -> "Quantity":
-        """Return a new quantity with the value multiplied by *factor*."""
-        return Quantity(self.value * factor, self.unit)

@@ -3,20 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.analysis.folding import fraction_folded, half_time
-from repro.analysis.stats import ensemble_mean_sd, standard_error
+from repro.analysis.folding import half_time
+from repro.analysis.stats import ensemble_mean_sd
 from repro.util.errors import ConfigurationError
-
-
-def test_standard_error_value():
-    x = np.array([1.0, 2.0, 3.0, 4.0])
-    expected = np.std(x, ddof=1) / 2.0
-    assert standard_error(x) == pytest.approx(expected)
-
-
-def test_standard_error_needs_two():
-    with pytest.raises(ConfigurationError):
-        standard_error(np.array([1.0]))
 
 
 def test_ensemble_mean_sd():
@@ -32,18 +21,6 @@ def test_ensemble_mean_sd_needs_two_members():
 
 
 # ------------------------------------------------------------ folding
-
-
-def test_fraction_folded_basic():
-    rmsds = np.array([0.1, 0.2, 0.9, 1.5])
-    assert fraction_folded(rmsds, threshold=0.35) == pytest.approx(0.5)
-
-
-def test_fraction_folded_validation():
-    with pytest.raises(ConfigurationError):
-        fraction_folded(np.array([]), 0.35)
-    with pytest.raises(ConfigurationError):
-        fraction_folded(np.array([0.1]), -1.0)
 
 
 def test_half_time_linear_curve():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.fep.bar import (
     bar_error,
     bar_free_energy,
-    bar_with_error,
     exp_free_energy,
 )
 from repro.fep.sampling import run_fep_window, sample_window
@@ -127,8 +126,10 @@ def test_bar_error_positive_and_shrinks():
     a, b = HarmonicWindow(k=1.0), HarmonicWindow(k=4.0)
     w_f_small, w_r_small = harmonic_work_samples(a, b, 200, seed=5)
     w_f_big, w_r_big = harmonic_work_samples(a, b, 20000, seed=5)
-    _, err_small = bar_with_error(w_f_small, w_r_small)
-    _, err_big = bar_with_error(w_f_big, w_r_big)
+    err_small = bar_error(
+        w_f_small, w_r_small, bar_free_energy(w_f_small, w_r_small)
+    )
+    err_big = bar_error(w_f_big, w_r_big, bar_free_energy(w_f_big, w_r_big))
     assert err_small > 0 and err_big > 0
     assert err_big < err_small
 
@@ -140,7 +141,8 @@ def test_bar_error_calibrated():
     estimates, errors = [], []
     for seed in range(20):
         w_f, w_r = harmonic_work_samples(a, b, 500, kt=kt, seed=seed)
-        df, err = bar_with_error(w_f, w_r, kt=kt)
+        df = bar_free_energy(w_f, w_r, kt=kt)
+        err = bar_error(w_f, w_r, df, kt=kt)
         estimates.append(df)
         errors.append(err)
     scatter = np.std(estimates)

@@ -42,7 +42,7 @@ def test_failures_walk_down_through_probation_to_quarantine():
     # 0.6 -> 0.36 -> 0.216: through the quarantine bar (0.3)
     assert registry.observe_failure("w", "flap", now=10.0) is None
     assert registry.observe_failure("w", "crash", now=20.0) == "quarantined"
-    assert registry.is_quarantined("w", now=21.0)
+    assert registry.record_for("w").state is HealthState.QUARANTINED
     assert registry.admit("w", now=21.0) == (False, None, None)
     assert registry.quarantines == 1
 
@@ -53,7 +53,7 @@ def test_single_death_and_revival_does_not_quarantine():
     registry = HealthRegistry()
     registry.observe_failure("w", "crash", now=0.0)
     assert registry.observe_failure("w", "flap", now=1.0) is None
-    assert not registry.is_quarantined("w", now=2.0)
+    assert registry.record_for("w").state is not HealthState.QUARANTINED
 
 
 def test_speculation_loss_is_a_soft_failure():

@@ -191,13 +191,14 @@ def test_integrator_rereads_a_particle_the_caller_moved():
             markov_chain_initial_state(system),
             report_interval=1,
         )
-        states = []
-        sim.add_observer(lambda state: states.append(spec.state_of(state.positions)))
         sim.run(20)
         if move_to is not None:
             sim.state.positions[...] = spec.position_of(move_to)
-        states.append(spec.state_of(sim.state.positions))
+        moved_to = spec.state_of(sim.state.positions)
         sim.run(20)
+        # one frame per step: steps 0-20, then 21-40 after the move
+        states = [spec.state_of(frame) for frame in sim.trajectory.frames]
+        states.insert(21, moved_to)
         visited = list(zip(states[:20], states[1:21]))
         return visited + list(zip(states[21:-1], states[22:])), sim.integrator.rng_state
 

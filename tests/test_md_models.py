@@ -199,7 +199,7 @@ def test_villin_native_energy_is_minus_eps_times_contacts():
 def test_villin_extended_state_unfolded():
     model = build_villin("fast")
     state = model.extended_state(rng=0)
-    assert model.fraction_native(state.positions) < 0.1
+    assert model.go_force.fraction_native(state.positions) < 0.1
 
 
 def test_villin_distinct_unfolded_starts():
@@ -262,7 +262,7 @@ def test_muller_brown_system_is_2d():
 
 def test_double_well_minima():
     force = DoubleWellForce(barrier=3.0, width=0.7)
-    for x in force.minima():
+    for x in (-force.width, force.width):
         e, f = composite_energy_forces([force], np.array([[x]]))
         assert e == pytest.approx(0.0)
         np.testing.assert_allclose(f, 0.0, atol=1e-12)

@@ -59,7 +59,7 @@ def test_single_rank_has_no_communication(villin):
     dd = DomainDecomposition(villin.system, villin.native, n_ranks=1)
     _, _, stats = dd.compute_forces(villin.native)
     assert stats.total_bytes_per_step == 0
-    assert stats.max_halo == 0
+    assert max(stats.halo_atoms_per_rank) == 0
 
 
 def test_more_ranks_more_communication(villin):
@@ -86,14 +86,6 @@ def test_load_balance_reasonable(villin):
     assert balance.shape == (3,)
     assert balance.mean() == pytest.approx(1.0)
     assert balance.max() < 2.5  # no rank holds the whole system
-
-
-def test_communication_summary_keys(villin):
-    dd = DomainDecomposition(villin.system, villin.native, n_ranks=2)
-    summary = dd.communication_summary(villin.native)
-    assert {"n_ranks", "bytes_per_step", "max_halo_atoms", "mean_halo_atoms"} <= set(
-        summary
-    )
 
 
 def test_decomposition_validates_positions(villin):

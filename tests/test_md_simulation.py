@@ -48,14 +48,6 @@ def test_simulation_negative_steps_rejected(villin_fast):
         sim.run(-1)
 
 
-def test_simulation_observers_called(villin_fast):
-    sim = _make_sim(villin_fast, report=100)
-    seen = []
-    sim.add_observer(lambda state: seen.append(state.step))
-    sim.run(300)
-    assert seen == [0, 100, 200, 300]
-
-
 @pytest.mark.parametrize("report", [0, 50])
 def test_simulation_raises_on_non_finite_coordinates(villin_fast, report):
     """A blown-up run must not return NaNs: the check made at report
@@ -140,17 +132,6 @@ def test_trajectory_frames_are_copies():
     traj.append(pos, 0.0)
     pos[0, 0] = 99.0
     assert traj.frames[0, 0, 0] == 0.0
-
-
-def test_trajectory_save_load(tmp_path):
-    traj = Trajectory()
-    for k in range(4):
-        traj.append(np.random.rand(3, 3), time=k * 0.5)
-    path = tmp_path / "traj.npz"
-    traj.save(path)
-    loaded = Trajectory.load(path)
-    np.testing.assert_allclose(loaded.frames, traj.frames)
-    np.testing.assert_allclose(loaded.times, traj.times)
 
 
 def test_trajectory_extend_time_ordering():

@@ -411,11 +411,3 @@ def test_msm_timescale_recovery():
     msm = MarkovStateModel(lag=1, frame_time=2.0).fit(dtrajs)
     expected = -2.0 / np.log(1 - p - q)
     assert msm.timescales(1)[0] == pytest.approx(expected, rel=0.15)
-
-
-def test_msm_mfpt_positive():
-    T_true = np.array([[0.9, 0.1], [0.2, 0.8]])
-    dtrajs = [markov_chain_dtraj(T_true, 20000, seed=7)]
-    msm = MarkovStateModel(lag=1).fit(dtrajs)
-    m = msm.mfpt(np.array([False, True]))
-    assert m[0] > 0 and m[1] == 0

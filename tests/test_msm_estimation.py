@@ -12,17 +12,15 @@ from hypothesis import strategies as st
 from repro.msm.analysis import (
     eigenvalues,
     implied_timescales,
-    mean_first_passage_time,
     population_evolution,
     propagate,
     stationary_distribution,
 )
 from repro.msm.connectivity import (
     largest_connected_set,
-    map_dtrajs_to_subset,
     trim_counts,
 )
-from repro.msm.counts import count_matrix_multi, count_transitions, visited_states
+from repro.msm.counts import count_matrix_multi, count_transitions
 from repro.msm.estimation import (
     detailed_balance_violation,
     estimate_transition_matrix,
@@ -80,11 +78,6 @@ def test_count_matrix_multi_no_boundary_crossing():
 def test_count_matrix_multi_empty_rejected():
     with pytest.raises(EstimationError):
         count_matrix_multi([], 2, lag=1)
-
-
-def test_visited_states():
-    mask = visited_states([np.array([0, 2])], 4)
-    np.testing.assert_array_equal(mask, [True, False, True, False])
 
 
 # ------------------------------------------------------------ estimation
@@ -219,21 +212,6 @@ def test_population_evolution_masked():
     assert curve[-1] == pytest.approx(stationary_distribution(T)[1], abs=1e-2)
 
 
-def test_mfpt_two_state_analytic():
-    """MFPT from 0 into {1} is lag / p for a 2-state chain."""
-    p = 0.25
-    T = np.array([[1 - p, p], [0.5, 0.5]])
-    m = mean_first_passage_time(T, np.array([False, True]), lag_time=2.0)
-    assert m[1] == 0.0
-    assert m[0] == pytest.approx(2.0 / p)
-
-
-def test_mfpt_validation():
-    T = np.eye(2)
-    with pytest.raises(EstimationError):
-        mean_first_passage_time(T, np.array([False, False]))
-
-
 # ------------------------------------------------------------ connectivity
 
 
@@ -257,11 +235,6 @@ def test_trim_counts_shapes():
     trimmed, kept = trim_counts(C)
     assert trimmed.shape == (2, 2)
     np.testing.assert_array_equal(trimmed, C[:2, :2])
-
-
-def test_map_dtrajs_to_subset():
-    mapped = map_dtrajs_to_subset([np.array([0, 2, 1])], kept=np.array([0, 2]), n_states=3)
-    np.testing.assert_array_equal(mapped[0], [0, 1, -1])
 
 
 def test_connected_set_rejects_nonsquare():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.net import Network, Message, MessageType
+from repro.net import Network, MessageType
 from repro.net.auth import KeyPair, TrustStore, exchange_keys, mutual_handshake
 from repro.net.protocol import ANY_SERVER
 from repro.net.transport import Endpoint
@@ -228,13 +228,6 @@ def test_traffic_report_structure():
     assert len(report) == 2
     assert {"link", "bytes", "messages", "busy_seconds"} <= set(report[0])
     assert net.total_bytes() == sum(r["bytes"] for r in report)
-
-
-def test_message_reply_swaps_endpoints():
-    msg = Message(MessageType.PROJECT_STATUS, src="a", dst="b", payload={})
-    reply = msg.reply({"ok": True})
-    assert reply.src == "b" and reply.dst == "a"
-    assert reply.type == MessageType.RESPONSE
 
 
 def test_link_latency_affects_busy_time():

@@ -15,6 +15,11 @@ import pytest
 from repro.obs import SpanContext, Tracer, to_chrome_trace, trace_id_for, validate_chrome_trace
 
 
+def _trace(tracer, trace_id):
+    """Every span (open or closed) of one trace."""
+    return [s for s in tracer.spans if s.trace_id == trace_id]
+
+
 def _spans_by_name(spans):
     out = {}
     for span in spans:
@@ -53,7 +58,7 @@ def test_end_to_end_command_trace_spans_server_and_worker(canned):
 
     for k in range(3):
         trace_id = trace_id_for("swarm", f"cmd{k}")
-        spans = _spans_by_name(tracer.for_trace(trace_id))
+        spans = _spans_by_name(_trace(tracer, trace_id))
         # the full arc, all sharing the command's trace id
         for name in (
             "command.issue",
@@ -85,7 +90,7 @@ def test_speculation_shares_the_trace_across_workers(canned):
     tracer = out.obs.tracer
     trace_id = trace_id_for("swarm", "cmd0")
     executes = [
-        s for s in tracer.for_trace(trace_id) if s.name == "worker.execute"
+        s for s in _trace(tracer, trace_id) if s.name == "worker.execute"
     ]
     # the straggler's doomed copy and the speculative winner are
     # chapters of the same trace, told by different components

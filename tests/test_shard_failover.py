@@ -131,13 +131,13 @@ def test_monitor_declares_dead_after_three_missed_probes(tmp_path):
     assert monitor.check(60.0) == []
     # miss 3: score 0.6^3 = 0.216 < 0.5 and the miss streak is fatal
     assert monitor.check(120.0) == ["shard0"]
-    assert monitor.is_dead("shard0")
     record = monitor.describe()["shard0"]
+    assert record["dead"]
     assert record["consecutive_misses"] == 3
     assert record["score"] < 0.5
     # dead is reported exactly once, and the healthy shards never were
     assert monitor.check(180.0) == []
-    assert not monitor.is_dead("shard1")
+    assert not monitor.describe()["shard1"]["dead"]
     misses = gateway.obs.metrics.value(
         "repro_shard_probes_total", shard="shard0", outcome="miss"
     )
@@ -159,7 +159,7 @@ def test_monitor_recovers_score_when_probes_answer(tmp_path):
     monitor.check(60.0)
     assert monitor.describe()["shard1"]["consecutive_misses"] == 2
     monitor.check(120.0)
-    assert not monitor.is_dead("shard1")
+    assert not monitor.describe()["shard1"]["dead"]
     assert monitor.describe()["shard1"]["consecutive_misses"] == 0
 
 

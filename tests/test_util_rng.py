@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.util.rng import (
-    RandomStream,
-    ensure_stream,
-    interleave_seeds,
-    spawn_streams,
-)
+from repro.util.rng import RandomStream, ensure_stream
 
 
 def test_same_seed_same_sequence():
@@ -42,12 +37,6 @@ def test_spawn_negative_rejected():
         RandomStream(0).spawn(-1)
 
 
-def test_spawn_streams_helper():
-    streams = spawn_streams(11, 4)
-    assert len(streams) == 4
-    assert all(isinstance(s, RandomStream) for s in streams)
-
-
 def test_ensure_stream_passthrough():
     s = RandomStream(5)
     assert ensure_stream(s) is s
@@ -69,17 +58,3 @@ def test_choice_subset():
     picked = RandomStream(2).choice(pool, size=5, replace=False)
     assert len(set(picked.tolist())) == 5
     assert set(picked.tolist()) <= set(pool.tolist())
-
-
-def test_shuffle_is_permutation():
-    x = np.arange(30)
-    RandomStream(4).shuffle(x)
-    assert sorted(x.tolist()) == list(range(30))
-
-
-def test_interleave_seeds_order_sensitive():
-    assert interleave_seeds([1, 2]) != interleave_seeds([2, 1])
-
-
-def test_interleave_seeds_deterministic():
-    assert interleave_seeds([10, 20, 30]) == interleave_seeds([10, 20, 30])

@@ -11,45 +11,6 @@ def test_kb_matches_gromacs_value():
     assert units.KB == pytest.approx(0.008314462, rel=1e-6)
 
 
-def test_kelvin_to_kt_at_300k():
-    # kT at 300 K is about 2.494 kJ/mol — the scale every MD person knows.
-    assert units.kelvin_to_kt(300.0) == pytest.approx(2.494, rel=1e-3)
-
-
-def test_kelvin_to_kt_zero():
-    assert units.kelvin_to_kt(0.0) == 0.0
-
-
-def test_kelvin_to_kt_rejects_negative():
-    with pytest.raises(ValueError):
-        units.kelvin_to_kt(-1.0)
-
-
-def test_angstrom_round_trip():
-    assert units.to_angstrom(units.angstrom(3.8)) == pytest.approx(3.8)
-
-
-def test_angstrom_to_nm():
-    assert units.angstrom(10.0) == pytest.approx(1.0)
-
-
-def test_quantity_str():
-    q = units.Quantity(2.5, "ns")
-    assert str(q) == "2.5 ns"
-
-
-def test_quantity_scaled():
-    q = units.Quantity(2.0, "MB/s").scaled(3.0)
-    assert q.value == pytest.approx(6.0)
-    assert q.unit == "MB/s"
-
-
-def test_quantity_frozen():
-    q = units.Quantity(1.0, "h")
-    with pytest.raises(Exception):
-        q.value = 2.0  # type: ignore[misc]
-
-
 def test_time_constants_consistent():
     assert units.PS_PER_NS * units.NS_PER_US == pytest.approx(1e6)
     assert math.isclose(units.SECONDS_PER_HOUR, 3600.0)
