@@ -4,10 +4,10 @@ The paper's service plane hosts many users' projects on one server
 overlay.  This runner drives that shape: project ids are
 consistent-hashed onto *shards* (project servers) by a
 :class:`~repro.net.sharding.ShardRouter`, every shard keeps its own
-queue, lease tracker, heartbeat monitor and (optionally) its own
-:class:`~repro.server.wal.ServerJournal`, and a shared
-:class:`~repro.server.fairshare.FairSharePolicy` can be applied so no
-tenant starves another.
+queue, lease tracker, heartbeat monitor, fair-share scheduler and
+(optionally) its own :class:`~repro.server.wal.ServerJournal`, and a
+shared :class:`~repro.server.fairshare.FairSharePolicy` can be applied
+to every shard's scheduler so no tenant starves another.
 
 It *is* a :class:`~repro.core.runner.ProjectRunner` — the only routing
 decision, "which server hosts this project", is the ``_origin_for``
@@ -120,10 +120,9 @@ class MultiProjectRunner(ProjectRunner):
         #: these against the event log and the metrics registry).
         self.migrations: List[MigrationReport] = []
         #: The fair-share policy shards were configured with, so a
-        #: successor adopting migrated tenants uses the same policy.
+        #: joining shard adopting migrated tenants uses the same policy
+        #: (``None``: the default policy).
         self._fairshare_policy: Optional[FairSharePolicy] = None
-        #: Whether apply_fairshare ran (the policy itself may be None).
-        self._fairshare_applied = False
         #: Projects displaced by a failover that found no surviving
         #: successor: {project_id: the dead shard whose journal holds
         #: its state}.  Unparked by :meth:`add_shard`.
@@ -155,7 +154,7 @@ class MultiProjectRunner(ProjectRunner):
     def apply_fairshare(
         self, policy: Optional[FairSharePolicy] = None
     ) -> Dict[str, FairShareScheduler]:
-        """Attach an independent fair-share scheduler to every shard.
+        """Give every shard a fresh fair-share scheduler under *policy*.
 
         One shared policy, one scheduler (ledger) per shard — quotas
         bound each tenant's in-flight load per shard, which is also
@@ -164,11 +163,9 @@ class MultiProjectRunner(ProjectRunner):
         """
         schedulers: Dict[str, FairShareScheduler] = {}
         self._fairshare_policy = policy
-        self._fairshare_applied = True
         for shard in self.shards:
-            scheduler = FairShareScheduler(policy)
-            shard.attach_fairshare(scheduler)
-            schedulers[shard.name] = scheduler
+            shard.fairshare = FairShareScheduler(policy)
+            schedulers[shard.name] = shard.fairshare
         return schedulers
 
     def attach_journals(self, root) -> None:
@@ -427,8 +424,7 @@ class MultiProjectRunner(ProjectRunner):
             shard.attach_journal(
                 ServerJournal(self._journal_root / shard.name)
             )
-        if self._fairshare_applied and shard.fairshare is None:
-            shard.attach_fairshare(FairShareScheduler(self._fairshare_policy))
+        shard.fairshare = FairShareScheduler(self._fairshare_policy)
         if self.monitor is not None:
             self.monitor.watch(shard.name)
         if self.project_server.name not in self._shards_by_name:
@@ -574,8 +570,7 @@ class MultiProjectRunner(ProjectRunner):
         """Per-tenant rollup: shard placement, progress, scheduler ledger."""
         ledgers: Dict[str, Dict] = {}
         for shard in self.shards:
-            if shard.fairshare is not None:
-                ledgers.update(shard.fairshare.snapshot())
+            ledgers.update(shard.fairshare.snapshot())
         out: Dict[str, Dict] = {}
         for pid, project in self._projects.items():
             out[pid] = {

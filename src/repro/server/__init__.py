@@ -1,7 +1,7 @@
 """Copernicus servers: command queues, matching, heartbeats, recovery."""
 
 from repro.server.queue import CommandQueue
-from repro.server.matching import WorkerCapabilities, build_workload
+from repro.server.matching import WorkerCapabilities
 from repro.server.fairshare import (
     FairSharePolicy,
     FairShareScheduler,
@@ -32,7 +32,6 @@ from repro.server.wal import (
 __all__ = [
     "CommandQueue",
     "WorkerCapabilities",
-    "build_workload",
     "FairSharePolicy",
     "FairShareScheduler",
     "TenantLedger",

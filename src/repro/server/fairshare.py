@@ -2,8 +2,11 @@
 
 The paper pitches Copernicus as a service plane ("millions of users"
 behind one overlay); a single priority queue cannot deliver that — one
-tenant submitting a huge ensemble starves everyone else.  This module
-layers three mechanisms over :func:`repro.server.matching.build_workload`:
+tenant submitting a huge ensemble starves everyone else.  The server
+"matches the available executables to commands in its queue, and
+constructs a workload that maximally utilizes the available resources"
+(section 2.3): :meth:`FairShareScheduler.build` is that matcher, the
+only one every server has, and it packs cores under these mechanisms:
 
 * **Quotas** — a per-tenant cap on concurrently in-flight commands.
   ``None`` is unlimited; ``0`` means the tenant never dispatches (a
@@ -23,9 +26,10 @@ layers three mechanisms over :func:`repro.server.matching.build_workload`:
   queued) and released FIFO, deterministically, as the tenant's queue
   drains.
 
-A deployment with one tenant and no policy for it takes a fast path
-that delegates straight to :func:`build_workload`, so single-project
-servers behave byte-for-byte as before.
+Under the default policy (no quotas, weight 1, no queue bound) a
+single tenant dispatches in plain priority order, as a lone priority
+queue would, except that a command aged past ``max_wait_seconds``
+goes first: the aging bound holds on one-project servers too.
 
 Tenant identity is the project id.  All bookkeeping keys are *scoped*
 command keys (:meth:`repro.core.command.Command.scoped_id`), so two
@@ -40,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.command import Command
-from repro.server.matching import WorkerCapabilities, build_workload
+from repro.server.matching import WorkerCapabilities
 from repro.server.queue import CommandQueue
 from repro.util.errors import ConfigurationError
 
@@ -125,9 +129,11 @@ def _remove_identical(items: List[Command], command: Command) -> None:
 class FairShareScheduler:
     """Admission + dispatch policy for one server's command queue.
 
-    Attach with :meth:`CopernicusServer.attach_fairshare`; the server
-    then routes every workload build, submission and release through
-    this scheduler.  Unattached servers are untouched.
+    Every :class:`~repro.server.server.CopernicusServer` holds one from
+    construction (``server.fairshare``, default policy) and routes every
+    workload build, submission and release through it; a deployment
+    with quotas, weights or backpressure assigns
+    ``server.fairshare = FairShareScheduler(policy)``.
     """
 
     def __init__(self, policy: Optional[FairSharePolicy] = None) -> None:
@@ -267,31 +273,30 @@ class FairShareScheduler:
         queued_at: Dict[str, float],
         max_commands: Optional[int] = None,
     ) -> List[Tuple[Command, int]]:
-        """Pop a fair workload for *caps*; the scheduler's core.
+        """Pop a fair workload for *caps*; the server's only matcher.
 
         Selection order: aged admissible commands first (oldest
         enqueue wins), then smallest ``in_flight / weight`` tenant
-        deficit (name-ordered on ties).  Core packing and rider
-        coalescing follow :func:`build_workload` exactly — riders
-        share their seed command's coalesce key, which includes the
-        project id, so a batch never spans tenants; each rider counts
-        against its tenant's quota like any dispatched command.
+        deficit (name-ordered on ties), then priority order within the
+        tenant.  Each command receives its preferred core count when
+        available, degrading toward ``min_cores`` as the worker fills
+        up; packing stops when no queued command fits in the remaining
+        cores.  ``max_commands`` caps the workload size regardless of
+        free cores — the health layer's probation sizing.
+
+        A worker announcing ``batch_capacity > 1`` and the batched MD
+        executable also receives *rider* commands: queued commands that
+        share a picked command's coalesce key ride along on the same
+        cores, up to the capacity, because the worker merges them into
+        one batched kernel call.  The key includes the project id, so a
+        batch never spans tenants; each rider gets its own lease and
+        counts against its tenant's quota like any dispatched command.
         """
         from repro.worker.coalesce import BATCH_EXECUTABLE, coalesce_key
 
         # per-tenant lanes in queue order, kept by the queue itself (a
         # live view: take() below shrinks them, and drops emptied ones)
         lanes = queue.lanes()
-        if len(lanes) <= 1 and all(
-            self.policy.for_tenant(t) == DEFAULT_POLICY for t in lanes
-        ):
-            # single-tenant, unconstrained: byte-for-byte the classic
-            # matcher, with the ledger still kept exact
-            workload = build_workload(queue, caps, max_commands=max_commands)
-            for command, _ in workload:
-                self._note_dispatch(command)
-            return workload
-
         batching = (
             caps.batch_capacity > 1 and BATCH_EXECUTABLE in caps.executables
         )

@@ -1,19 +1,18 @@
-"""Resource matching: pairing queued commands with worker capabilities.
+"""Worker capabilities: what a worker announces to be matched against.
 
 The paper (section 2.3): the worker conveys its architecture, core
 count and installed executables; the server "matches the available
 executables to commands in its queue, and constructs a workload that
 maximally utilizes the available resources given the preferred
-resource requirements of the commands".
+resource requirements of the commands".  That matcher is
+:meth:`repro.server.fairshare.FairShareScheduler.build`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
-from repro.core.command import Command
-from repro.server.queue import CommandQueue
 from repro.util.errors import SchedulingError
 
 
@@ -61,65 +60,3 @@ class WorkerCapabilities:
             batch_capacity=int(payload.get("batch_capacity", 1)),
         )
 
-
-def build_workload(
-    queue: CommandQueue,
-    caps: WorkerCapabilities,
-    max_commands: Optional[int] = None,
-) -> List[Tuple[Command, int]]:
-    """Pop commands for a worker, packing its cores greedily.
-
-    Commands are taken in priority order.  Each receives its preferred
-    core count when available, degrading toward ``min_cores`` as the
-    worker fills up; packing stops when no queued command fits in the
-    remaining cores.
-
-    ``max_commands`` caps the workload size regardless of free cores —
-    the health layer's probation sizing for workers that have been
-    crashing, flapping or straggling.
-
-    A worker announcing ``batch_capacity > 1`` (and the batched MD
-    executable) also receives *rider* commands: queued commands that
-    share a popped command's coalesce key ride along on the same cores,
-    up to the capacity, because the worker will merge them into one
-    batched kernel call.  Riders are ordinary commands — each gets its
-    own lease and trace.
-
-    Returns
-    -------
-    List of ``(command, cores_assigned)``.
-    """
-    from repro.worker.coalesce import BATCH_EXECUTABLE, coalesce_key
-
-    batching = (
-        caps.batch_capacity > 1 and BATCH_EXECUTABLE in caps.executables
-    )
-    workload: List[Tuple[Command, int]] = []
-    free = caps.cores
-    while free > 0:
-        if max_commands is not None and len(workload) >= max_commands:
-            break
-        command = queue.pop_matching(
-            lambda c: c.executable in caps.executables and c.min_cores <= free
-        )
-        if command is None:
-            break
-        assigned = min(command.preferred_cores, free)
-        assigned = max(assigned, command.min_cores)
-        workload.append((command, assigned))
-        free -= assigned
-        if not batching:
-            continue
-        key = coalesce_key(command)
-        if key is None:
-            continue
-        group = 1
-        while group < caps.batch_capacity:
-            if max_commands is not None and len(workload) >= max_commands:
-                break
-            rider = queue.pop_matching(lambda c: coalesce_key(c) == key)
-            if rider is None:
-                break
-            workload.append((rider, assigned))
-            group += 1
-    return workload

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.command import Command
 
@@ -59,16 +59,6 @@ class CommandQueue:
         if command is not None:
             self._discard(self._lanes[command.project_id], 0)
         return command
-
-    def pop_matching(
-        self, predicate: Callable[[Command], bool]
-    ) -> Optional[Command]:
-        """Remove and return the best-priority command satisfying *predicate*."""
-        for entry in self._ordered():
-            if predicate(entry[2]):
-                self.remove(entry[2])
-                return entry[2]
-        return None
 
     def remove(self, command: Command) -> None:
         """Remove *command* itself (matched by identity, not equality).

@@ -27,7 +27,7 @@ from repro.server.fairshare import FairShareScheduler
 from repro.server.health import HealthPolicy, HealthRegistry
 from repro.server.heartbeat import DEFAULT_INTERVAL, HeartbeatMonitor
 from repro.server.lease import LeasePolicy, LeaseTracker
-from repro.server.matching import WorkerCapabilities, build_workload
+from repro.server.matching import WorkerCapabilities
 from repro.server.queue import CommandQueue
 from repro.server.wal import ServerJournal
 from repro.util.errors import (
@@ -100,9 +100,11 @@ class CopernicusServer(Endpoint):
         #: Virtual enqueue time per queued command, by scoped key
         #: (feeds the ``queue.wait`` spans and the queue-wait histogram).
         self._queued_at: Dict[str, float] = {}
-        #: Optional multi-tenant scheduler (see :meth:`attach_fairshare`).
-        #: ``None`` keeps the classic single-queue matching untouched.
-        self.fairshare: Optional[FairShareScheduler] = None
+        #: The one workload builder and admission gate: every dispatch,
+        #: submission and release goes through this scheduler (default
+        #: policy until a deployment assigns one with quotas, weights
+        #: or backpressure).
+        self.fairshare = FairShareScheduler()
         #: Route overrides: {project_id: current origin server}.  A
         #: migrated project's commands still carry the dead shard's
         #: ``origin_server`` stamp; this table (flipped atomically by
@@ -168,23 +170,12 @@ class CopernicusServer(Endpoint):
             return None
         return self.journal.project(project_id)
 
-    # -- multi-tenancy -----------------------------------------------------
+    # -- scheduling --------------------------------------------------------
 
-    def attach_fairshare(self, scheduler: FairShareScheduler) -> None:
-        """Route dispatch and admission through a fair-share scheduler.
-
-        Quotas, weighted fairness, aging and backpressure apply from
-        the next submission/workload on; a server without a scheduler
-        behaves exactly as before.
-        """
-        self.fairshare = scheduler
-
-    def _build_workload(
+    def _schedule(
         self, caps: WorkerCapabilities, max_commands: Optional[int] = None
     ):
-        """Local workload construction: fair-share when attached."""
-        if self.fairshare is None:
-            return build_workload(self.queue, caps, max_commands=max_commands)
+        """Local workload construction through the fair-share scheduler."""
         workload = self.fairshare.build(
             self.queue,
             caps,
@@ -211,8 +202,6 @@ class CopernicusServer(Endpoint):
     def _drain_deferred(self) -> None:
         """Admit deferred submissions whose tenants drained below the
         backpressure limit (deterministic: tenant name order, FIFO)."""
-        if self.fairshare is None:
-            return
         for command in self.fairshare.drain(self.queue):
             self._queued_at[command.scoped_id] = self.clock
             self.queue.push(command)
@@ -280,9 +269,7 @@ class CopernicusServer(Endpoint):
                 command=command.command_id,
             )
             command.trace = {"trace_id": trace_id, "span_id": issue.span_id}
-            if self.fairshare is not None and self.fairshare.should_defer(
-                command, self.queue
-            ):
+            if self.fairshare.should_defer(command, self.queue):
                 # journaled (durable) but held back: the tenant's queue
                 # is at its backpressure limit; released FIFO by
                 # _drain_deferred as the queue drains
@@ -462,8 +449,7 @@ class CopernicusServer(Endpoint):
             if command.project_id != project_id:
                 continue
             self.leases.clear(lease.worker, command.scoped_id)
-            if self.fairshare is not None:
-                self.fairshare.release(command)
+            self.fairshare.release(command)
             self.speculated.pop(command.scoped_id, None)
             voided += 1
         # 3. forward locally-journaled completions to the new owner,
@@ -649,7 +635,7 @@ class CopernicusServer(Endpoint):
                 help="Workload requests refused (worker quarantined).",
             )
             return {"commands": [], "cores": []}
-        workload = self._build_workload(caps, max_commands=max_commands)
+        workload = self._schedule(caps, max_commands=max_commands)
         if not workload:
             workload = self._fetch_from_peers(caps, max_commands=max_commands)
         # a stale-regime command (e.g. fetched from a zombie peer's
@@ -746,7 +732,7 @@ class CopernicusServer(Endpoint):
     def _on_command_fetch(self, message: Message) -> Optional[dict]:
         caps = WorkerCapabilities.from_payload(message.payload)
         max_commands = message.payload.get("max_commands")
-        workload = self._build_workload(caps, max_commands=max_commands)
+        workload = self._schedule(caps, max_commands=max_commands)
         if not workload:
             return None  # keep walking the overlay
         for command, _ in workload:
@@ -786,10 +772,9 @@ class CopernicusServer(Endpoint):
                 outcome=outcome,
             )
         self.leases.clear(worker, command.scoped_id)
-        if self.fairshare is not None:
-            # membership-guarded: a no-op for commands this server's
-            # queue never dispatched (peer-stolen work)
-            self.fairshare.release(command)
+        # membership-guarded: a no-op for commands this server's queue
+        # never dispatched (peer-stolen work)
+        self.fairshare.release(command)
         if outcome == "duplicate":
             straggler = self.speculated.get(command.scoped_id)
             if straggler is not None:
@@ -908,11 +893,10 @@ class CopernicusServer(Endpoint):
                 # point replays the result instead of losing it
                 journal.record_result(command, result)
             self.completed_ids.add(command.scoped_id)
-            if self.fairshare is not None:
-                # the origin's ledger resolves here, covering commands
-                # stolen cross-shard (their results only come home via
-                # RESULT_FORWARD, never through _on_command_result)
-                self.fairshare.release(command)
+            # the origin's ledger resolves here, covering commands stolen
+            # cross-shard (their results only come home via
+            # RESULT_FORWARD, never through _on_command_result)
+            self.fairshare.release(command)
             self._sinks[command.project_id](command, result)
             self._count_result("completed")
             self.obs.tracer.record(
@@ -1066,10 +1050,9 @@ class CopernicusServer(Endpoint):
                     continue
                 if checkpoint is not None:
                     command.checkpoint = checkpoint
-                if self.fairshare is not None:
-                    # back on the queue: no longer in flight, and its
-                    # eventual re-dispatch counts afresh
-                    self.fairshare.release(command)
+                # back on the queue: no longer in flight, and its
+                # eventual re-dispatch counts afresh
+                self.fairshare.release(command)
                 self._queued_at[key] = self.clock
                 self.queue.push(command)
                 self.requeued_after_failure += 1

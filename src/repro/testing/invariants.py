@@ -40,13 +40,15 @@ that must hold no matter which workers died or which links flapped:
    drop/delay totals: every injected fault was observed, none were
    invented.
 
-The multi-tenant service plane adds three more:
+The multi-tenant service plane adds three more (every server
+dispatches through its fair-share scheduler, so they cover single-tenant
+servers too):
 
 10. **Tenant isolation** — a completion is only ever delivered to the
     tenant that issued the command, every project's result log holds
     only its own command ids, and no queued or assigned command
     belongs to a tenant the deployment does not know.
-11. **Exact quota accounting** — every fair-share scheduler's ledger
+11. **Exact quota accounting** — every server's fair-share ledger
     balances (``dispatched == released + in_flight`` per tenant),
     ``peak_in_flight`` never exceeded the quota, a zero-quota tenant
     never dispatched, and the ledgers' deferral/release totals match
@@ -171,10 +173,8 @@ class Invariants:
         for server in self._servers:
             for c in server.queue.commands():
                 queued.add(scope(getattr(c, "project_id", ""), c.command_id))
-            fairshare = getattr(server, "fairshare", None)
-            if fairshare is not None:
-                for c in fairshare.deferred_commands():
-                    queued.add(scope(c.project_id, c.command_id))
+            for c in server.fairshare.deferred_commands():
+                queued.add(scope(c.project_id, c.command_id))
             for lease in server.leases.active():
                 c = lease.command
                 in_flight.add(scope(c.project_id, c.command_id))
@@ -573,13 +573,11 @@ class Invariants:
         return violations
 
     def _fairshare_schedulers(self) -> List[tuple]:
-        """``(server_name, scheduler)`` for every fair-share server."""
-        out = []
-        for server in self._servers:
-            fairshare = getattr(server, "fairshare", None)
-            if fairshare is not None:
-                out.append((getattr(server, "name", "?"), fairshare))
-        return out
+        """``(server_name, scheduler)`` for every server."""
+        return [
+            (getattr(server, "name", "?"), server.fairshare)
+            for server in self._servers
+        ]
 
     def check_tenant_isolation(self) -> List[str]:
         """Invariant 10: no work or results leak across tenants."""
@@ -639,13 +637,11 @@ class Invariants:
     def check_quota_accounting(self) -> List[str]:
         """Invariant 11: fair-share ledgers are exact and match the log.
 
-        Servers without a fair-share scheduler attached have no quota
-        promises to keep, so single-tenant deployments pass trivially.
+        Every server dispatches through its scheduler, so every server's
+        ledger is checked — a single-tenant default-policy one included.
         """
         violations = []
         schedulers = self._fairshare_schedulers()
-        if not schedulers:
-            return violations
         for name, scheduler in schedulers:
             for message in scheduler.check_ledger():
                 violations.append(f"server {name!r}: {message}")
@@ -705,13 +701,12 @@ class Invariants:
                 f"{record.details.get('waited', '?')}s (t={record.time})"
             )
         schedulers = self._fairshare_schedulers()
-        if schedulers:
-            counted = sum(s.aging_violations for _, s in schedulers)
-            if counted != len(aged):
-                violations.append(
-                    f"schedulers count {counted} aging violations but the "
-                    f"event log records {len(aged)}"
-                )
+        counted = sum(s.aging_violations for _, s in schedulers)
+        if counted != len(aged):
+            violations.append(
+                f"schedulers count {counted} aging violations but the "
+                f"event log records {len(aged)}"
+            )
         return violations
 
     def check_migration_accounting(self) -> List[str]:

@@ -17,7 +17,8 @@ from repro.core.project import Project, ProjectStatus
 from repro.core.runner import ProjectRunner
 from repro.md.engine import MDTask
 from repro.net.transport import Network
-from repro.server.matching import WorkerCapabilities, build_workload
+from repro.server.fairshare import FairShareScheduler
+from repro.server.matching import WorkerCapabilities
 from repro.server.queue import CommandQueue
 from repro.server.server import CopernicusServer
 from repro.server.wal import ServerJournal
@@ -154,7 +155,7 @@ def test_build_workload_hands_riders_to_batch_capable_workers():
         executables=["mdrun", "mdrun_batch"],
         batch_capacity=4,
     )
-    workload = build_workload(queue, caps)
+    workload = FairShareScheduler().build(queue, caps, now=0.0, queued_at={})
     ids = [c.command_id for c, _ in workload]
     # one host command + 3 riders sharing its cores, then a second host
     # command (+ rider) on the remaining core
@@ -175,7 +176,7 @@ def test_build_workload_without_batch_executable_ignores_capacity():
         executables=["mdrun"],
         batch_capacity=8,
     )
-    workload = build_workload(queue, caps)
+    workload = FairShareScheduler().build(queue, caps, now=0.0, queued_at={})
     assert [c.command_id for c, _ in workload] == ["cmd0"]
 
 

@@ -1,9 +1,9 @@
 """Fair-share scheduler unit tests: quotas, weights, aging, backpressure.
 
 The edge cases the multi-tenant plane stands on: a zero-quota tenant
-never dispatches a single command; a single unconstrained tenant gets
-byte-for-byte the classic ``build_workload`` behaviour; backpressure
-releases deferred submissions deterministically (tenant name order,
+never dispatches a single command; a single unconstrained tenant packs
+in plain priority order, as a lone priority queue would, and still
+honours the aging bound; backpressure releases deferred submissions deterministically (tenant name order,
 FIFO within a tenant); and the quota ledger is exact under speculation
 clones and duplicate releases.
 """
@@ -17,7 +17,7 @@ from repro.server.fairshare import (
     FairShareScheduler,
     TenantPolicy,
 )
-from repro.server.matching import WorkerCapabilities, build_workload
+from repro.server.matching import WorkerCapabilities
 from repro.server.queue import CommandQueue
 from repro.util.errors import ConfigurationError
 
@@ -96,6 +96,25 @@ def _snapshot(workload):
     return [(c.command_id, cores) for c, cores in workload]
 
 
+def priority_greedy(queue, capabilities):
+    """A lone priority queue's matcher (paper section 2.3): commands in
+    priority order, each given its preferred cores degrading toward
+    ``min_cores``, while any still fits."""
+    workload, free = [], capabilities.cores
+    for command in queue.commands():
+        if free <= 0:
+            break
+        if (
+            command.executable in capabilities.executables
+            and command.min_cores <= free
+        ):
+            cores = max(min(command.preferred_cores, free), command.min_cores)
+            queue.remove(command)
+            workload.append((command, cores))
+            free -= cores
+    return workload
+
+
 @pytest.mark.parametrize("cores,batch", [(1, 1), (4, 1), (4, 4)])
 def test_single_default_tenant_matches_build_workload(cores, batch):
     commands = [cmd("solo", f"c{i}", priority=i % 3) for i in range(8)]
@@ -105,7 +124,7 @@ def test_single_default_tenant_matches_build_workload(cores, batch):
     scheduler = FairShareScheduler()
     # drain both queues through repeated builds: identical workloads
     while True:
-        expected = build_workload(plain_queue, caps(cores=cores, batch=batch))
+        expected = priority_greedy(plain_queue, caps(cores=cores, batch=batch))
         got = build(scheduler, fair_queue, caps(cores=cores, batch=batch))
         assert _snapshot(got) == _snapshot(expected)
         if not expected:
@@ -302,7 +321,7 @@ def test_pending_deferral_forces_fifo_for_later_submissions():
             queue.push(c)
     # c3 deferred; now the queue drains to 1 slot below the limit, but
     # a NEW submission must still defer behind c3 (FIFO)
-    queue.pop_matching(lambda c: True)
+    queue.pop()
     late = cmd("a", "late")
     assert scheduler.should_defer(late, queue) is True
     scheduler.defer(late)
@@ -328,6 +347,20 @@ def test_aged_command_preempts_deficit_order():
     assert workload[0][0].command_id == "old0"
     assert scheduler.aging_violations == 0
     assert scheduler.pop_violations() == []
+
+    # one tenant under the default policy: the aged low-priority command
+    # still beats a fresh urgent one to the only core
+    scheduler = FairShareScheduler()
+    queue = CommandQueue()
+    aged = cmd("solo", "aged", priority=5)
+    urgent = cmd("solo", "urgent", priority=0)
+    fill(queue, [aged, urgent])
+    queued_at = {aged.scoped_id: 0.0, urgent.scoped_id: 4000.0}
+    workload = scheduler.build(
+        queue, caps(cores=1), now=4000.0, queued_at=queued_at
+    )
+    assert [c.command_id for c, _ in workload] == ["aged"]
+    assert scheduler.aging_violations == 0
 
 
 def test_aging_self_check_reports_bypassed_commands():

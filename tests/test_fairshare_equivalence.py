@@ -3,7 +3,9 @@
 ``FairShareScheduler.build`` sorts the queue once into per-tenant lanes
 and picks from cached lane heads.  The implementation it replaced
 re-sorted and re-scanned the whole queue for every pick; its body is
-kept here, verbatim, as the reference.  Hypothesis drives both over
+kept here as the reference, popping through a scan of the queue's
+priority order.  Neither side has a single-tenant shortcut, so draws
+with one tenant compare the two schedulers too.  Hypothesis drives both over
 the same queues, policies and worker capabilities and requires the
 same workloads (the same command *objects*, by position), ledgers,
 in-flight sets, aging violations, deferrals and remaining queue order,
@@ -17,12 +19,11 @@ from hypothesis import strategies as st
 
 from repro.core.command import Command
 from repro.server.fairshare import (
-    DEFAULT_POLICY,
     FairSharePolicy,
     FairShareScheduler,
     TenantPolicy,
 )
-from repro.server.matching import WorkerCapabilities, build_workload
+from repro.server.matching import WorkerCapabilities
 from repro.server.queue import CommandQueue
 from repro.worker.coalesce import BATCH_EXECUTABLE, coalesce_key
 
@@ -34,6 +35,15 @@ def _reference_is_aged(scheduler, command, now, queued_at) -> bool:
     if enqueued is None:
         return False
     return (now - enqueued) > scheduler.policy.max_wait_seconds
+
+
+def _reference_pop(queue: CommandQueue, predicate) -> Optional[Command]:
+    """Remove and return the best-priority command satisfying *predicate*."""
+    for command in queue.commands():
+        if predicate(command):
+            queue.remove(command)
+            return command
+    return None
 
 
 def _reference_queued_depth(queue: CommandQueue, tenant: str) -> int:
@@ -70,15 +80,6 @@ def reference_build(
     queued_at: Dict[str, float],
     max_commands: Optional[int] = None,
 ) -> List[Tuple[Command, int]]:
-    tenants_queued = {c.project_id for c in queue.commands()}
-    if len(tenants_queued) <= 1 and all(
-        self.policy.for_tenant(t) == DEFAULT_POLICY for t in tenants_queued
-    ):
-        workload = build_workload(queue, caps, max_commands=max_commands)
-        for command, _ in workload:
-            self._note_dispatch(command)
-        return workload
-
     batching = (
         caps.batch_capacity > 1 and BATCH_EXECUTABLE in caps.executables
     )
@@ -115,7 +116,7 @@ def reference_build(
                     c.command_id,
                 ),
             )
-            command = queue.pop_matching(lambda c: c is pick)
+            command = _reference_pop(queue, lambda c: c is pick)
         else:
             tenant = min(
                 {c.project_id for c in candidates},
@@ -124,7 +125,8 @@ def reference_build(
                     t,
                 ),
             )
-            command = queue.pop_matching(
+            command = _reference_pop(
+                queue,
                 lambda c: c.project_id == tenant
                 and c.executable in caps.executables
                 and c.min_cores <= free
@@ -146,8 +148,8 @@ def reference_build(
         while group < caps.batch_capacity and not (
             max_commands is not None and len(workload) >= max_commands
         ):
-            rider = queue.pop_matching(
-                lambda c: coalesce_key(c) == key and self._admits(c)
+            rider = _reference_pop(
+                queue, lambda c: coalesce_key(c) == key and self._admits(c)
             )
             if rider is None:
                 break

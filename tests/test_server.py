@@ -8,8 +8,8 @@ from repro.server import (
     CommandQueue,
     CopernicusServer,
     HeartbeatMonitor,
+    FairShareScheduler,
     WorkerCapabilities,
-    build_workload,
 )
 from repro.util.errors import SchedulingError
 
@@ -51,15 +51,6 @@ def test_queue_pop_empty():
     assert q.peek() is None
 
 
-def test_queue_pop_matching():
-    q = CommandQueue()
-    q.push(cmd("a", min_cores=8))
-    q.push(cmd("b", min_cores=1))
-    got = q.pop_matching(lambda c: c.min_cores <= 2)
-    assert got.command_id == "b"
-    assert len(q) == 1
-
-
 def test_queue_remove_project():
     q = CommandQueue()
     q.push(cmd("a", project="p1"))
@@ -70,6 +61,10 @@ def test_queue_remove_project():
 
 
 # -------------------------------------------------------------- matching
+
+
+def _build(queue, caps):
+    return FairShareScheduler().build(queue, caps, now=0.0, queued_at={})
 
 
 def test_capabilities_validation():
@@ -87,7 +82,7 @@ def test_build_workload_packs_cores():
     for k in range(5):
         q.push(cmd(f"c{k}", preferred=2))
     caps = WorkerCapabilities("w", "smp", 4, ["mdrun"])
-    workload = build_workload(q, caps)
+    workload = _build(q, caps)
     assert sum(cores for _, cores in workload) == 4
     assert len(workload) == 2
     assert len(q) == 3
@@ -98,7 +93,7 @@ def test_build_workload_respects_executables():
     q.push(cmd("md", executable="mdrun"))
     q.push(cmd("fep", executable="fepsample"))
     caps = WorkerCapabilities("w", "smp", 4, ["fepsample"])
-    workload = build_workload(q, caps)
+    workload = _build(q, caps)
     assert [c.command_id for c, _ in workload] == ["fep"]
     assert len(q) == 1  # mdrun command stays queued
 
@@ -107,7 +102,7 @@ def test_build_workload_respects_min_cores():
     q = CommandQueue()
     q.push(cmd("big", min_cores=8, preferred=8))
     caps = WorkerCapabilities("w", "smp", 4, ["mdrun"])
-    assert build_workload(q, caps) == []
+    assert _build(q, caps) == []
     assert len(q) == 1
 
 
@@ -116,7 +111,7 @@ def test_build_workload_degrades_preferred():
     q.push(cmd("a", min_cores=1, preferred=3))
     q.push(cmd("b", min_cores=1, preferred=3))
     caps = WorkerCapabilities("w", "smp", 4, ["mdrun"])
-    workload = build_workload(q, caps)
+    workload = _build(q, caps)
     cores = [k for _, k in workload]
     assert cores == [3, 1]
 
@@ -126,7 +121,7 @@ def test_build_workload_priority_first():
     q.push(cmd("later", priority=5))
     q.push(cmd("urgent", priority=0))
     caps = WorkerCapabilities("w", "smp", 1, ["mdrun"])
-    workload = build_workload(q, caps)
+    workload = _build(q, caps)
     assert workload[0][0].command_id == "urgent"
 
 
