@@ -33,7 +33,7 @@ from repro.core import (
     Project,
     ProjectRunner,
 )
-from repro.md import LangevinIntegrator, Simulation
+from repro.md.batched import BatchedLangevinIntegrator, BatchedSimulation
 from repro.md.models.villin import build_villin
 from repro.net import Network
 from repro.server import CopernicusServer
@@ -127,20 +127,26 @@ def brute_force_ensemble():
     """
     model = build_villin("fast", **CAMPAIGN["model_params"])
     n_members, n_steps, stride = 16, 24000, 50
-    curves, times = [], None
-    for seed in range(n_members):
-        state = model.extended_state(rng=1000 + seed, temperature=300.0)
-        sim = Simulation(
-            model.system,
-            LangevinIntegrator(
-                0.02, 300.0, friction=CAMPAIGN["friction"], rng=2000 + seed
-            ),
-            state,
-            report_interval=stride,
-        )
-        sim.run(n_steps)
-        curves.append(rmsd_to_reference(sim.trajectory.frames, model.native))
-        times = sim.trajectory.times
+    # one stack: every frame is the same bits as 16 lone runs
+    sim = BatchedSimulation(
+        model.system,
+        BatchedLangevinIntegrator(
+            0.02,
+            300.0,
+            friction=CAMPAIGN["friction"],
+            rngs=[2000 + seed for seed in range(n_members)],
+        ),
+        [
+            model.extended_state(rng=1000 + seed, temperature=300.0)
+            for seed in range(n_members)
+        ],
+        report_interval=stride,
+    )
+    sim.run(n_steps)
+    curves = [
+        rmsd_to_reference(t.frames, model.native) for t in sim.trajectories
+    ]
+    times = sim.trajectories[0].times
     return {
         "model": model,
         "rmsd_curves": np.asarray(curves),

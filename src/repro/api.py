@@ -17,9 +17,9 @@ Three entry points:
 ``Ensemble``
     A declarative replica set: *R* independent trajectories of one
     registered model, one seed stream apart.  Compiles to ``mdrun``
-    commands — which the deployment's workers coalesce into batched
-    kernel calls (:mod:`repro.worker.coalesce`) whenever their
-    ``batch_capacity`` allows.
+    commands — which the deployment's workers stack into batched kernel
+    calls (:mod:`repro.worker.coalesce`), up to
+    :data:`~repro.worker.coalesce.MAX_STACK` per call.
 ``Project``
     A named unit of work: one or more ensembles (run under a built-in
     flat controller) *or* any custom
@@ -50,7 +50,7 @@ The single-process simulation entry point is
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.core.command import Command
 from repro.core.controller import Controller
@@ -142,28 +142,6 @@ class Ensemble:
             )
             for task in self.tasks()
         ]
-
-
-#: Upper bound on auto-selected worker batch capacity (one kernel call
-#: propagating more replicas than this stops paying for itself).
-MAX_AUTO_BATCH = 64
-
-
-def _auto_batch_capacity(workloads: Iterable[Sequence[Ensemble]]) -> int:
-    """Worker ``batch_capacity`` for a deployment that runs *workloads*,
-    one ensemble list per project: the largest ensemble's replica count,
-    capped at :data:`MAX_AUTO_BATCH`.
-
-    An empty list stands for a custom controller, which owns its tasks:
-    it gets the full cap, and what the controller issues decides what
-    actually coalesces.
-    """
-    largest = 1
-    for ensembles in workloads:
-        if not ensembles:
-            return MAX_AUTO_BATCH
-        largest = max(largest, max(e.n_replicas for e in ensembles))
-    return min(MAX_AUTO_BATCH, largest)
 
 
 class _EnsembleController(Controller):
@@ -281,7 +259,6 @@ class Project:
         *,
         n_workers: int = 1,
         cores: int = 1,
-        batch_capacity: Optional[int] = None,
         seed: int = 0,
         tick: float = 60.0,
         segment_steps: int = 2000,
@@ -293,10 +270,6 @@ class Project:
         ----------
         n_workers / cores:
             Fleet shape: workers on the overlay, cores each.
-        batch_capacity:
-            Commands each worker may coalesce into one batched kernel
-            call.  Default (``None``) adapts: the largest ensemble's
-            replica count, capped at :data:`MAX_AUTO_BATCH`.
         seed:
             Seeds the simulated network.
         tick / segment_steps / max_cycles:
@@ -311,8 +284,6 @@ class Project:
                     "project has no ensembles and no controller"
                 )
             controller = _EnsembleController(self.ensembles)
-        if batch_capacity is None:
-            batch_capacity = _auto_batch_capacity([self.ensembles])
 
         network = Network(seed=seed)
         server = CopernicusServer("srv", network)
@@ -323,7 +294,6 @@ class Project:
                 server="srv",
                 platform=SMPPlatform(cores=cores),
                 segment_steps=segment_steps,
-                batch_capacity=batch_capacity,
             )
             for k in range(n_workers)
         ]
@@ -466,9 +436,9 @@ def run_tenants(
     tenant's quota/weight/max_queued), hashes every tenant's project
     onto its shard and drives them all to completion together.
 
-    Workers coalesce compatible ``mdrun`` commands into batched kernel
-    calls exactly as under :meth:`Project.run` (same capacity rule,
-    over all tenants), but only ever within one tenant: every member
+    Workers stack compatible ``mdrun`` commands into batched kernel
+    calls exactly as under :meth:`Project.run`, but only ever within
+    one tenant: every member
     keeps its own lease, journal record and result, and counts against
     its tenant's quota.
 
@@ -498,7 +468,6 @@ def run_tenants(
         workers_per_shard=workers_per_shard,
         cores_per_worker=cores,
         seed=seed,
-        batch_capacity=_auto_batch_capacity(t.ensembles for t in tenants),
     )
     runner = MultiProjectRunner(
         deployment.network,

@@ -111,8 +111,8 @@ class MDTask:
     def from_payload(cls, payload: Dict) -> "MDTask":
         """Inverse of :meth:`to_payload` (keys it does not write, such
         as an older writer's ``"dispatch"``, are ignored; see
-        :func:`_refuse_float32`)."""
-        _refuse_float32(payload)
+        :func:`refuse_float32`)."""
+        refuse_float32(payload)
         return cls(
             model=payload["model"],
             n_steps=int(payload["n_steps"]),
@@ -133,7 +133,7 @@ class MDTask:
         )
 
 
-def _refuse_float32(payload: Dict) -> None:
+def refuse_float32(payload: Dict) -> None:
     """Refuse a payload asking for a precision the kernel does not have.
 
     Older writers stamped every command ``"precision": "float64"``;

@@ -85,6 +85,13 @@ def apply_poll_jitter(
         worker.poll_offset = float(net.rng.uniform(0.0, span))
 
 
+def _local_worker(net: Network, name: str, server: str, cores: int) -> Worker:
+    """A worker of *cores* cores on a local link to *server*."""
+    worker = Worker(name, net, server=server, platform=SMPPlatform(cores=cores))
+    net.connect(server, name, latency=LATENCY_LOCAL)
+    return worker
+
+
 def workstation(
     n_workers: int = 1,
     cores_per_worker: int = 2,
@@ -97,14 +104,10 @@ def workstation(
         raise ConfigurationError("need at least one worker")
     net = Network(seed=seed)
     server = CopernicusServer("server", net, heartbeat_interval=heartbeat_interval)
-    workers = []
-    for k in range(n_workers):
-        worker = Worker(
-            f"w{k}", net, server="server",
-            platform=SMPPlatform(cores=cores_per_worker),
-        )
-        net.connect("server", f"w{k}", latency=LATENCY_LOCAL)
-        workers.append(worker)
+    workers = [
+        _local_worker(net, f"w{k}", "server", cores_per_worker)
+        for k in range(n_workers)
+    ]
     apply_poll_jitter(net, workers, heartbeat_interval, poll_jitter)
     deployment = Deployment(net, [server], [], workers)
     deployment.announce_all()
@@ -133,14 +136,10 @@ def cluster(
     )
     head = CopernicusServer("head-node", net, heartbeat_interval=heartbeat_interval)
     net.connect("project-server", "head-node", latency=LATENCY_WAN)
-    workers = []
-    for k in range(n_nodes):
-        worker = Worker(
-            f"node{k}", net, server="head-node",
-            platform=SMPPlatform(cores=cores_per_node),
-        )
-        net.connect("head-node", f"node{k}", latency=LATENCY_LOCAL)
-        workers.append(worker)
+    workers = [
+        _local_worker(net, f"node{k}", "head-node", cores_per_node)
+        for k in range(n_nodes)
+    ]
     if shared_filesystem:
         net.attach_filesystem(
             "cluster-fs", ["head-node"] + [f"node{k}" for k in range(n_nodes)]
@@ -159,7 +158,6 @@ def sharded(
     heartbeat_interval: float = 120.0,
     poll_jitter: float = 0.1,
     network: Optional[Network] = None,
-    batch_capacity: int = 1,
 ) -> Deployment:
     """A multi-tenant shard fabric: N project servers behind a gateway.
 
@@ -174,10 +172,6 @@ def sharded(
     harness hands in its fault-injecting overlay; *seed* is then
     unused), else on a fresh ``Network(seed=seed)``.  Endpoint names are
     ``gateway``, ``shard{s}`` and ``s{s}w{w}``.
-
-    Every worker announces *batch_capacity*: how many compatible
-    ``mdrun`` commands of one tenant it may coalesce into a batched
-    kernel call (the default of 1 is no coalescing).
     """
     if n_shards < 1:
         raise ConfigurationError("need at least one shard")
@@ -194,15 +188,10 @@ def sharded(
         )
         shards.append(shard)
         net.connect("gateway", f"shard{s}", latency=LATENCY_CAMPUS)
-        for w in range(workers_per_shard):
-            name = f"s{s}w{w}"
-            worker = Worker(
-                name, net, server=f"shard{s}",
-                platform=SMPPlatform(cores=cores_per_worker),
-                batch_capacity=batch_capacity,
-            )
-            net.connect(f"shard{s}", name, latency=LATENCY_LOCAL)
-            workers.append(worker)
+        workers += [
+            _local_worker(net, f"s{s}w{w}", f"shard{s}", cores_per_worker)
+            for w in range(workers_per_shard)
+        ]
     apply_poll_jitter(net, workers, heartbeat_interval, poll_jitter)
     deployment = Deployment(net, shards, [gateway], workers)
     deployment.announce_all()
@@ -239,16 +228,11 @@ def figure1(
         relays.append(head)
         latency = LATENCY_INTERCONTINENTAL if c == 2 else LATENCY_CAMPUS
         net.connect("gateway", f"cluster{c}-head", latency=latency)
-        names = []
-        for w in range(workers_per_cluster):
-            name = f"c{c}w{w}"
-            worker = Worker(
-                name, net, server=f"cluster{c}-head",
-                platform=SMPPlatform(cores=cores_per_worker),
-            )
-            net.connect(f"cluster{c}-head", name, latency=LATENCY_LOCAL)
-            workers.append(worker)
-            names.append(name)
+        names = [f"c{c}w{w}" for w in range(workers_per_cluster)]
+        workers += [
+            _local_worker(net, name, f"cluster{c}-head", cores_per_worker)
+            for name in names
+        ]
         net.attach_filesystem(f"cluster{c}-fs", [f"cluster{c}-head"] + names)
     apply_poll_jitter(net, workers, heartbeat_interval, poll_jitter)
     deployment = Deployment(net, [villin, titin], relays, workers)

@@ -284,22 +284,25 @@ class FairShareScheduler:
         cores.  ``max_commands`` caps the workload size regardless of
         free cores — the health layer's probation sizing.
 
-        A worker announcing ``batch_capacity > 1`` and the batched MD
-        executable also receives *rider* commands: queued commands that
-        share a picked command's coalesce key ride along on the same
-        cores, up to the capacity, because the worker merges them into
-        one batched kernel call.  The key includes the project id, so a
-        batch never spans tenants; each rider gets its own lease and
-        counts against its tenant's quota like any dispatched command.
+        A worker announcing the batched MD executable also receives
+        *rider* commands: queued commands that share a picked command's
+        coalesce key ride along on the same cores, up to
+        :data:`~repro.worker.coalesce.MAX_STACK` per stack, because the
+        worker merges them into one batched kernel call.  The key
+        includes the project id, so a batch never spans tenants; each
+        rider gets its own lease and counts against its tenant's quota
+        like any dispatched command.
         """
-        from repro.worker.coalesce import BATCH_EXECUTABLE, coalesce_key
+        from repro.worker.coalesce import (
+            BATCH_EXECUTABLE,
+            MAX_STACK,
+            coalesce_key,
+        )
 
         # per-tenant lanes in queue order, kept by the queue itself (a
         # live view: take() below shrinks them, and drops emptied ones)
         lanes = queue.lanes()
-        batching = (
-            caps.batch_capacity > 1 and BATCH_EXECUTABLE in caps.executables
-        )
+        batching = BATCH_EXECUTABLE in caps.executables
         workload: List[Tuple[Command, int]] = []
         free = caps.cores
         # Queued commands past the aging bound, in queue order.  Nothing
@@ -391,7 +394,7 @@ class FairShareScheduler:
             # come from the seed command's own lane
             lane = lanes.get(command.project_id, ())
             group = 1
-            while group < caps.batch_capacity and not (
+            while group < MAX_STACK and not (
                 max_commands is not None and len(workload) >= max_commands
             ):
                 rider = next(

@@ -5,7 +5,9 @@ count and installed executables; the server "matches the available
 executables to commands in its queue, and constructs a workload that
 maximally utilizes the available resources given the preferred
 resource requirements of the commands".  That matcher is
-:meth:`repro.server.fairshare.FairShareScheduler.build`.
+:meth:`repro.server.fairshare.FairShareScheduler.build`.  Stacking is
+an installed executable too: a worker that announces ``mdrun_batch``
+is handed rider commands (:mod:`repro.worker.coalesce`).
 """
 
 from __future__ import annotations
@@ -24,19 +26,11 @@ class WorkerCapabilities:
     platform: str
     cores: int
     executables: List[str] = field(default_factory=list)
-    #: How many compatible MD commands the worker will coalesce into
-    #: one batched kernel call (1 = no coalescing).
-    batch_capacity: int = 1
 
     def __post_init__(self) -> None:
         if self.cores < 1:
             raise SchedulingError(
                 f"worker {self.worker!r} announced {self.cores} cores"
-            )
-        if self.batch_capacity < 1:
-            raise SchedulingError(
-                f"worker {self.worker!r} announced batch capacity "
-                f"{self.batch_capacity}"
             )
 
     def to_payload(self) -> Dict:
@@ -46,7 +40,6 @@ class WorkerCapabilities:
             "platform": self.platform,
             "cores": int(self.cores),
             "executables": list(self.executables),
-            "batch_capacity": int(self.batch_capacity),
         }
 
     @classmethod
@@ -57,6 +50,5 @@ class WorkerCapabilities:
             platform=payload["platform"],
             cores=int(payload["cores"]),
             executables=list(payload.get("executables", [])),
-            batch_capacity=int(payload.get("batch_capacity", 1)),
         )
 

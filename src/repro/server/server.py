@@ -20,6 +20,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.command import Command, scoped_command_id, split_scoped_id
 from repro.core.events import EventKind, EventLog
+from repro.md.engine import refuse_float32
 from repro.net.protocol import ANY_SERVER, Message, MessageType
 from repro.net.transport import Endpoint, Network
 from repro.obs.trace import SpanContext, trace_id_for
@@ -231,7 +232,15 @@ class CopernicusServer(Endpoint):
         With a journal attached the issuance is durable before any
         command becomes visible to workers: a server that crashes right
         after this call requeues them on recovery.
+
+        An ``mdrun`` payload the engine refuses (``"precision":
+        "float32"``) raises :class:`ConfigurationError` before anything
+        is journaled or queued: it would fail on every worker and be
+        re-issued forever.
         """
+        for command in commands:
+            if command.executable == "mdrun":
+                refuse_float32(command.payload)
         for command in commands:
             if command.project_id in self.fenced:
                 # this server lost the project to a newer owner; a

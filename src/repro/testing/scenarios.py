@@ -56,6 +56,7 @@ from repro.server.wal import ServerJournal
 from repro.testing.chaos import ChaosNetwork
 from repro.testing.faultplan import FaultPlan
 from repro.util.errors import SchedulingError
+from repro.worker.executable import ExecutableRegistry
 from repro.worker.platform import SMPPlatform
 from repro.worker.worker import Worker
 
@@ -169,7 +170,10 @@ def _deploy_swarm(
 
     Project server ``srv`` (journaled when *journal* is given) and
     workers ``w0 .. w{n-1}``, worker ``k`` paced at ``pacing(k)``
-    segments per cycle.  With *sick_peer* the workers hang off a
+    segments per cycle.  The workers do not install ``mdrun_batch``:
+    they run one command at a time, so a fault aimed at a single
+    command (a restart after one result, a speculated straggler) lands
+    mid-project.  With *sick_peer* the workers hang off a
     ``relay`` server instead, linked to a third server ``sick``
     *before* ``srv`` — link order pins the BFS probe order of wildcard
     fetches.  The ``swarm`` project is submitted to a fresh
@@ -203,6 +207,7 @@ def _deploy_swarm(
             network,
             server=uplink,
             platform=SMPPlatform(cores=1),
+            executables=ExecutableRegistry(["mdrun", "fepsample"]),
             segment_steps=segment_steps,
             segments_per_cycle=pacing(k),
         )

@@ -12,11 +12,12 @@ a copy of each member's ``mdrun`` payload, executed through
 ``{"results": [...]}`` is split back into per-command payloads.
 
 The merge depth is *adaptive*: it is whatever compatible work is
-actually present, capped by the worker's announced ``batch_capacity``
-— a lone command runs as a stack of one, a burst of ensemble
-generation coalesces to the cap.  Commands carrying a resume checkpoint
-never coalesce (a requeued command resumes alone), so recovery paths
-are untouched.
+actually present, capped at :data:`MAX_STACK` — a lone command runs as
+a stack of one, a burst of ensemble generation coalesces to the cap.
+A worker stacks when it has :data:`BATCH_EXECUTABLE` installed, which
+it announces like any executable.  Commands carrying a resume
+checkpoint never coalesce (a requeued command resumes alone), so
+recovery paths are untouched.
 
 Crucially, coalescing is invisible above the worker: every member
 command keeps its own lease, trace span, heartbeat checkpoint, journal
@@ -38,6 +39,10 @@ from repro.util.errors import ConfigurationError
 COALESCIBLE_EXECUTABLE = "mdrun"
 #: The executable a merged command runs under.
 BATCH_EXECUTABLE = "mdrun_batch"
+#: Most commands in one stack, for the worker's coalescer and the
+#: server's rider matching alike (one kernel call propagating more
+#: replicas than this stops paying for itself).
+MAX_STACK = 64
 
 
 @dataclass
@@ -116,19 +121,15 @@ def split_results(batch: BatchCommand, result: dict) -> List[Tuple[Command, dict
     return list(zip(batch.members, payloads))
 
 
-def coalesce_commands(
-    commands: Sequence[Command], capacity: int
-) -> List[Command]:
+def coalesce_commands(commands: Sequence[Command]) -> List[Command]:
     """Adaptively merge a command list, preserving first-seen order.
 
     Greedy over the list: each still-unmerged coalescible command
     starts a group and absorbs later same-key commands up to
-    *capacity*.  Groups of one (and non-coalescible commands,
+    :data:`MAX_STACK`.  Groups of one (and non-coalescible commands,
     including already-merged :class:`BatchCommand` entries) pass
     through untouched, so the function is idempotent.
     """
-    if capacity <= 1 or len(commands) <= 1:
-        return list(commands)
     out: List[Command] = []
     used = [False] * len(commands)
     for i, command in enumerate(commands):
@@ -141,7 +142,7 @@ def coalesce_commands(
             continue
         group = [command]
         for j in range(i + 1, len(commands)):
-            if len(group) >= capacity:
+            if len(group) >= MAX_STACK:
                 break
             if not used[j] and coalesce_key(commands[j]) == key:
                 group.append(commands[j])

@@ -2,9 +2,11 @@
 
 A worker bootstraps by conveying its platform resources and installed
 executables to its nearest server, then loops: request a workload,
-execute each command in checkpointed segments (heartbeating with the
-latest checkpoint after every segment — the shared-filesystem recovery
-path of paper section 2.3), and return results.
+stack its compatible ``mdrun`` commands when ``mdrun_batch`` is
+installed (:mod:`repro.worker.coalesce`), execute each command or
+stack in checkpointed segments (heartbeating with the latest
+checkpoint after every segment — the shared-filesystem recovery path
+of paper section 2.3), and return results.
 
 Failure injection: ``crash()`` makes the worker stop mid-segment and
 never heartbeat again, which is exactly how a node loss looks to the
@@ -20,7 +22,12 @@ from repro.core.command import Command
 from repro.net.protocol import Message, MessageType
 from repro.net.transport import Endpoint, Network
 from repro.obs.trace import Span, trace_id_for
-from repro.worker.coalesce import BatchCommand, coalesce_commands, split_results
+from repro.worker.coalesce import (
+    BATCH_EXECUTABLE,
+    BatchCommand,
+    coalesce_commands,
+    split_results,
+)
 from repro.worker.executable import ExecutableRegistry, default_registry
 from repro.worker.platform import SMPPlatform
 from repro.util.errors import ConfigurationError, TransientCommunicationError
@@ -77,11 +84,6 @@ class Worker(Endpoint):
         Cap on parked undeliverable results; beyond it the oldest is
         dropped (and counted) — a long partition must not grow worker
         memory without bound.
-    batch_capacity:
-        Maximum compatible ``mdrun`` commands coalesced into one
-        batched kernel call (see :mod:`repro.worker.coalesce`).  The
-        default of 1 disables coalescing; the capacity is announced to
-        the server so workload matching can hand over rider commands.
     """
 
     def __init__(
@@ -94,7 +96,6 @@ class Worker(Endpoint):
         segment_steps: int = 2000,
         segments_per_cycle: Optional[int] = None,
         pending_results_limit: int = 64,
-        batch_capacity: int = 1,
     ) -> None:
         super().__init__(name, network)
         if segment_steps < 1:
@@ -103,14 +104,11 @@ class Worker(Endpoint):
             raise ConfigurationError("segments_per_cycle must be >= 1")
         if pending_results_limit < 1:
             raise ConfigurationError("pending_results_limit must be >= 1")
-        if batch_capacity < 1:
-            raise ConfigurationError("batch_capacity must be >= 1")
         self.server = server
         self.platform = platform or SMPPlatform(cores=1)
         self.executables = executables or default_registry()
         self.segment_steps = segment_steps
         self.segments_per_cycle = segments_per_cycle
-        self.batch_capacity = int(batch_capacity)
         self.crashed = False
         #: Degradation factor in (0, 1]: fraction of ``segment_steps``
         #: actually executed per segment (chaos "slow worker" fault).
@@ -145,9 +143,8 @@ class Worker(Endpoint):
     # -- endpoint ------------------------------------------------------------
 
     def handle(self, message: Message) -> Optional[dict]:
-        """Workers ignore overlay fetches; they initiate all their traffic."""
-        if message.type == MessageType.COMMAND_FETCH:
-            return None  # not a server: keep walking
+        """Workers answer nothing (an overlay fetch keeps walking past
+        them); they initiate all their traffic."""
         return None
 
     # -- failure injection --------------------------------------------------
@@ -171,7 +168,6 @@ class Worker(Endpoint):
             "platform": info.name,
             "cores": info.cores,
             "executables": self.executables.names,
-            "batch_capacity": self.batch_capacity,
         }
 
     def announce(self, now: float = 0.0) -> dict:
@@ -223,7 +219,8 @@ class Worker(Endpoint):
         return [Command.from_payload(p) for p in response.get("commands", [])]
 
     def run_command(self, command: Command, now: float = 0.0) -> Optional[dict]:
-        """Execute one command in checkpointed segments.
+        """Execute one command, or a coalesced batch, in checkpointed
+        segments.
 
         Returns the final result payload, or ``None`` if the worker
         crashed mid-command (the server will detect it by heartbeat
@@ -232,19 +229,40 @@ class Worker(Endpoint):
         ``repro_worker_commands_rejected_total``) — or, under pacing
         (``segments_per_cycle``), if the command parked to resume on
         the next work cycle.
+
+        Observability is per member: each member of a batch gets its
+        own execution record and ``worker.execute`` span, exactly as if
+        it ran unmerged; the batch wrapper itself stays invisible.
         """
-        if isinstance(command, BatchCommand):
-            return self._start_batch(command, now)
-        record = ExecutionRecord(command_id=command.command_id)
-        self.history.append(record)
+        batch = isinstance(command, BatchCommand)
+        tracked: List[_ActiveCommand] = []
+        for member in command.members if batch else [command]:
+            record = ExecutionRecord(command_id=member.command_id)
+            self.history.append(record)
+            tracked.append(
+                _ActiveCommand(
+                    command=member,
+                    payload={},
+                    record=record,
+                    span=self._begin_exec_span(member, now),
+                )
+            )
         payload = dict(command.payload)
         if command.checkpoint is not None:
             payload["checkpoint"] = command.checkpoint
+        if not batch:
+            tracked[0].payload = payload
+            return self._execute(tracked[0], now)
+        self._count(
+            "repro_worker_commands_coalesced_total",
+            amount=len(tracked),
+            help="Commands executed inside coalesced batches.",
+        )
         active = _ActiveCommand(
             command=command,
             payload=payload,
-            record=record,
-            span=self._begin_exec_span(command, now),
+            record=ExecutionRecord(command_id=command.command_id),
+            members=tracked,
         )
         return self._execute(active, now)
 
@@ -260,38 +278,6 @@ class Worker(Endpoint):
             parent_id=ctx.get("span_id"),
             command=command.command_id,
         )
-
-    def _start_batch(self, batch: BatchCommand, now: float) -> Optional[dict]:
-        """Begin executing a coalesced batch.
-
-        Observability is per member: each member command gets its own
-        execution record and ``worker.execute`` span, exactly as if it
-        ran unmerged; the batch wrapper itself stays invisible.
-        """
-        members: List[_ActiveCommand] = []
-        for member in batch.members:
-            record = ExecutionRecord(command_id=member.command_id)
-            self.history.append(record)
-            members.append(
-                _ActiveCommand(
-                    command=member,
-                    payload={},
-                    record=record,
-                    span=self._begin_exec_span(member, now),
-                )
-            )
-        self._count(
-            "repro_worker_commands_coalesced_total",
-            amount=len(members),
-            help="Commands executed inside coalesced batches.",
-        )
-        active = _ActiveCommand(
-            command=batch,
-            payload=dict(batch.payload),
-            record=ExecutionRecord(command_id=batch.command_id),
-            members=members,
-        )
-        return self._execute(active, now)
 
     def _execute(self, active: _ActiveCommand, now: float) -> Optional[dict]:
         """Run (or resume) one command until done, crash, or budget.
@@ -545,11 +531,10 @@ class Worker(Endpoint):
             return done
         if self.idle:
             fetched = self.request_workload(now=now)
-            # adaptive coalescing: merge whatever compatible work the
-            # workload actually contains, up to the announced capacity
-            self._backlog.extend(
-                coalesce_commands(fetched, self.batch_capacity)
-            )
+            if BATCH_EXECUTABLE in self.executables.names:
+                # stack whatever compatible work the workload contains
+                fetched = coalesce_commands(fetched)
+            self._backlog.extend(fetched)
         while True:
             if self._active is not None:
                 command = self._active.command

@@ -101,7 +101,7 @@ def test_run_outcome_results_bit_identical_to_serial_engine():
         )
 
 
-def test_run_auto_batch_capacity_coalesces_ensembles():
+def test_run_stacks_ensembles_by_default():
     outcome = run(
         Ensemble(model=MODEL, n_replicas=6, steps=STEPS), segment_steps=60
     )
@@ -110,28 +110,6 @@ def test_run_auto_batch_capacity_coalesces_ensembles():
     )
     assert coalesced >= 6
     assert len(outcome.md_results()) == 6
-
-
-def test_run_explicit_batch_capacity_one_disables_coalescing():
-    outcome = run(
-        Ensemble(model=MODEL, n_replicas=3, steps=STEPS),
-        batch_capacity=1,
-        segment_steps=60,
-    )
-    assert outcome.status == "complete"
-    assert (
-        outcome.obs.metrics.value(
-            "repro_worker_commands_coalesced_total", worker="w0"
-        )
-        == 0
-    )
-
-
-def test_auto_batch_capacity_is_capped():
-    from repro.api import MAX_AUTO_BATCH, _auto_batch_capacity
-
-    big = Ensemble(model=MODEL, n_replicas=500, steps=STEPS)
-    assert _auto_batch_capacity([[big]]) == MAX_AUTO_BATCH
 
 
 # -- Simulation.configure -----------------------------------------------------

@@ -1,11 +1,11 @@
 """Adaptive command coalescing is invisible above the worker.
 
-Two deployments run the same swarm, one with ``batch_capacity=1``
-(serial execution) and one with ``batch_capacity=8`` (commands merged
-into batched kernel calls).  Everything the server and observability
-layers can see — per-command results, execution records, trace spans,
-journal records, the dedup barrier — must be indistinguishable; only
-wall-clock time may differ.
+Two deployments run the same swarm, one on a worker without
+``mdrun_batch`` installed (serial execution) and one on a default
+worker (commands merged into batched kernel calls).  Everything the
+server and observability layers can see — per-command results,
+execution records, trace spans, journal records, the dedup barrier —
+must be indistinguishable; only wall-clock time may differ.
 """
 
 import copy
@@ -26,12 +26,14 @@ from repro.testing.scenarios import SwarmController
 from repro.util.errors import ConfigurationError
 from repro.util.serialization import encode_message
 from repro.worker.coalesce import (
+    MAX_STACK,
     BatchCommand,
     coalesce_commands,
     coalesce_key,
     merge_commands,
     split_results,
 )
+from repro.worker.executable import ExecutableRegistry
 from repro.worker.platform import SMPPlatform
 from repro.worker.worker import Worker
 
@@ -77,18 +79,16 @@ def test_coalesce_key_refuses_checkpointed_and_foreign_commands():
 
 
 def test_coalesce_commands_caps_and_preserves_order():
-    commands = [mdrun_command(k) for k in range(5)]
-    odd = mdrun_command(9, n_steps=N_STEPS + 1)
-    merged = coalesce_commands(
-        [commands[0], odd, *commands[1:]], capacity=3
-    )
+    commands = [mdrun_command(k) for k in range(MAX_STACK + 2)]
+    odd = mdrun_command(-1, n_steps=N_STEPS + 1)
+    merged = coalesce_commands([commands[0], odd, *commands[1:]])
     assert isinstance(merged[0], BatchCommand)
-    assert [m.command_id for m in merged[0].members] == ["cmd0", "cmd1", "cmd2"]
-    assert merged[1].command_id == "cmd9"
+    assert merged[0].members == commands[:MAX_STACK]
+    assert merged[1].command_id == "cmd-1"
     assert isinstance(merged[2], BatchCommand)
-    assert [m.command_id for m in merged[2].members] == ["cmd3", "cmd4"]
+    assert merged[2].members == commands[MAX_STACK:]
     # idempotent: a second pass leaves merged entries untouched
-    again = coalesce_commands(merged, capacity=3)
+    again = coalesce_commands(merged)
     assert again == merged
 
 
@@ -114,7 +114,6 @@ def test_a_multi_segment_batch_leaves_member_payloads_as_fetched(monkeypatch):
         server="srv",
         platform=SMPPlatform(cores=1),
         segment_steps=SEGMENT_STEPS,
-        batch_capacity=N_COMMANDS,
     )
     network.connect("srv", "w0")
     results = {}
@@ -148,21 +147,20 @@ def test_build_workload_hands_riders_to_batch_capable_workers():
     queue = CommandQueue()
     for k in range(6):
         queue.push(mdrun_command(k))
+    queue.push(mdrun_command(6, n_steps=N_STEPS + 1))
     caps = WorkerCapabilities(
         worker="w0",
         platform="smp",
         cores=2,
         executables=["mdrun", "mdrun_batch"],
-        batch_capacity=4,
     )
     workload = FairShareScheduler().build(queue, caps, now=0.0, queued_at={})
     ids = [c.command_id for c, _ in workload]
-    # one host command + 3 riders sharing its cores, then a second host
-    # command (+ rider) on the remaining core
-    assert ids[:4] == ["cmd0", "cmd1", "cmd2", "cmd3"]
-    assert len(ids) == 6
+    # one host command + 5 riders sharing its cores, then a host
+    # command of another key on the remaining core
+    assert ids == ["cmd0", "cmd1", "cmd2", "cmd3", "cmd4", "cmd5", "cmd6"]
     cores = [a for _, a in workload]
-    assert cores[0] == cores[1] == cores[2] == cores[3]
+    assert len(set(cores[:6])) == 1
 
 
 def test_build_workload_without_batch_executable_ignores_capacity():
@@ -174,7 +172,6 @@ def test_build_workload_without_batch_executable_ignores_capacity():
         platform="smp",
         cores=1,
         executables=["mdrun"],
-        batch_capacity=8,
     )
     workload = FairShareScheduler().build(queue, caps, now=0.0, queued_at={})
     assert [c.command_id for c, _ in workload] == ["cmd0"]
@@ -183,7 +180,7 @@ def test_build_workload_without_batch_executable_ignores_capacity():
 # -- deployment level: full indistinguishability ------------------------------
 
 
-def run_swarm(batch_capacity, journal_root=None):
+def run_swarm(stacks, journal_root=None):
     network = Network(seed=0)
     server = CopernicusServer("srv", network)
     if journal_root is not None:
@@ -194,7 +191,7 @@ def run_swarm(batch_capacity, journal_root=None):
         server="srv",
         platform=SMPPlatform(cores=1),
         segment_steps=SEGMENT_STEPS,
-        batch_capacity=batch_capacity,
+        executables=None if stacks else ExecutableRegistry(["mdrun", "fepsample"]),
     )
     network.connect("srv", "w0")
     worker.announce(0.0)
@@ -240,8 +237,8 @@ def journal_skeleton(root):
 
 
 def test_coalesced_swarm_indistinguishable_from_serial(tmp_path):
-    serial = run_swarm(1, journal_root=tmp_path / "serial")
-    merged = run_swarm(8, journal_root=tmp_path / "merged")
+    serial = run_swarm(False, journal_root=tmp_path / "serial")
+    merged = run_swarm(True, journal_root=tmp_path / "merged")
 
     # coalescing actually happened — and only in the merged deployment
     def coalesced(outcome):
@@ -295,6 +292,6 @@ def test_coalesced_swarm_indistinguishable_from_serial(tmp_path):
 
 
 def test_coalesced_swarm_transcript_deterministic():
-    first = run_swarm(8)
-    second = run_swarm(8)
+    first = run_swarm(True)
+    second = run_swarm(True)
     assert first["runner"].events.to_text() == second["runner"].events.to_text()

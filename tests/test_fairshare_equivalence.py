@@ -25,7 +25,7 @@ from repro.server.fairshare import (
 )
 from repro.server.matching import WorkerCapabilities
 from repro.server.queue import CommandQueue
-from repro.worker.coalesce import BATCH_EXECUTABLE, coalesce_key
+from repro.worker.coalesce import BATCH_EXECUTABLE, MAX_STACK, coalesce_key
 
 # -- the reference: the scanning scheduler this one replaced ----------------
 
@@ -80,9 +80,7 @@ def reference_build(
     queued_at: Dict[str, float],
     max_commands: Optional[int] = None,
 ) -> List[Tuple[Command, int]]:
-    batching = (
-        caps.batch_capacity > 1 and BATCH_EXECUTABLE in caps.executables
-    )
+    batching = BATCH_EXECUTABLE in caps.executables
     workload: List[Tuple[Command, int]] = []
     free = caps.cores
 
@@ -145,7 +143,7 @@ def reference_build(
         if key is None:
             continue
         group = 1
-        while group < caps.batch_capacity and not (
+        while group < MAX_STACK and not (
             max_commands is not None and len(workload) >= max_commands
         ):
             rider = _reference_pop(
@@ -233,7 +231,6 @@ worker_caps = st.builds(
         st.sampled_from(["mdrun", "noop", "gromacs", BATCH_EXECUTABLE]),
         min_size=1,
     ).map(sorted),
-    batch_capacity=st.sampled_from([1, 2, 3, 4, 4]),
 )
 
 rounds = st.lists(

@@ -32,6 +32,7 @@ from repro.testing.scenarios import drive
 from repro.util.errors import ConfigurationError
 from repro.util.serialization import encode_message
 from repro.worker.coalesce import BatchCommand
+from repro.worker.executable import ExecutableRegistry
 
 
 class TinySwarm(Controller):
@@ -237,8 +238,8 @@ def batches(monkeypatch):
     made = []
     coalesce = worker_module.coalesce_commands
 
-    def recording(commands, capacity):
-        out = coalesce(commands, capacity)
+    def recording(commands):
+        out = coalesce(commands)
         made.extend(
             [(m.project_id, m.command_id) for m in c.members]
             for c in out
@@ -274,9 +275,17 @@ def swarm_tenants():
 FABRIC = dict(n_shards=3, workers_per_shard=2, seed=0)
 
 
+def lone_workers(fabric):
+    """Uninstall ``mdrun_batch`` from *fabric*'s workers: each then runs
+    one command at a time, and the servers hand it no riders."""
+    for worker in fabric.workers:
+        worker.executables = ExecutableRegistry(["mdrun", "fepsample"])
+    return fabric
+
+
 def run_on_uncoalescing_fabric(tenants):
     """What ``run_tenants`` does, on workers that never coalesce."""
-    deployment = topology.sharded(cores_per_worker=2, batch_capacity=1, **FABRIC)
+    deployment = lone_workers(topology.sharded(cores_per_worker=2, **FABRIC))
     runner = MultiProjectRunner(
         deployment.network, deployment.project_servers, deployment.workers
     )
@@ -357,15 +366,17 @@ def test_identical_tenants_on_one_worker_never_share_a_batch(batches):
         assert result_bytes(plain[name]) == result_bytes(out.project(name))
 
 
-def chaos_fleet(journal_root, specs, batch_capacity, seed=3):
+def chaos_fleet(journal_root, specs, stacks, seed=3):
     """A journaled, monitored two-shard fabric on a chaos overlay whose
     workers pace one 100-step segment per cycle, so batches are in
-    flight for several cycles."""
+    flight for several cycles; *stacks* False makes the workers lone."""
     network = ChaosNetwork(plan=FaultPlan(seed=seed), seed=seed)
     fabric = topology.sharded(
         n_shards=2, workers_per_shard=2, cores_per_worker=2, poll_jitter=0.0,
-        network=network, batch_capacity=batch_capacity,
+        network=network,
     )
+    if not stacks:
+        lone_workers(fabric)
     for worker in fabric.workers:
         worker.segment_steps = 100
         worker.segments_per_cycle = 1
@@ -396,11 +407,11 @@ def test_coalesced_batches_survive_worker_and_shard_crashes(tmp_path, batches):
         )
         for k in range(6)
     ]
-    _, calm, _ = chaos_fleet(tmp_path / "calm", specs, batch_capacity=1)
+    _, calm, _ = chaos_fleet(tmp_path / "calm", specs, stacks=False)
     calm.run()
     assert batches == []
 
-    network, runner, schedulers = chaos_fleet(tmp_path / "storm", specs, 3)
+    network, runner, schedulers = chaos_fleet(tmp_path / "storm", specs, stacks=True)
     victim = runner.shard_of("tenant0")
     doomed = next(w for w in runner.workers if w.server != victim)
     network.plan.crash_worker(doomed.name, at_segment=1)

@@ -14,7 +14,7 @@ Two layers under test:
 
 import pytest
 
-from repro.api import MAX_AUTO_BATCH, Ensemble, Project
+from repro.api import Ensemble
 from repro.core.command import Command
 from repro.md.engine import MDEngine, MDTask
 from repro.md.simulation import Simulation
@@ -110,7 +110,7 @@ def test_a_parent_written_serial_payload_loads_and_now_coalesces():
         assert MDTask.from_payload(payload).to_payload() == task.to_payload()
     commands = [_command(t, p) for t, p in zip(tasks, old)]
     assert coalesce_key(commands[0]) == coalesce_key(_command(tasks[0]))
-    (batch,) = coalesce_commands(commands, capacity=3)
+    (batch,) = coalesce_commands(commands)
     assert len(batch.members) == 3
 
     # the merged stack runs the old payloads as the new ones run
@@ -119,22 +119,3 @@ def test_a_parent_written_serial_payload_loads_and_now_coalesces():
     assert completed
     assert encode_message(result["results"]) == encode_message(expect)
 
-
-# -- the facades --------------------------------------------------------------
-
-
-def test_custom_controller_projects_default_to_the_full_batch_cap():
-    class _NullController:
-        def on_project_start(self, project):
-            return []
-
-        def on_command_finished(self, project, command, result):
-            return []
-
-        def is_complete(self, project):
-            return True
-
-    from repro.api import _auto_batch_capacity
-
-    project = Project("c", controller=_NullController())
-    assert _auto_batch_capacity([project.ensembles]) == MAX_AUTO_BATCH

@@ -11,7 +11,9 @@ from repro.server import (
     FairShareScheduler,
     WorkerCapabilities,
 )
-from repro.util.errors import SchedulingError
+from repro.md.engine import MDTask
+from repro.server.wal import ServerJournal
+from repro.util.errors import ConfigurationError, SchedulingError
 
 
 def cmd(cid, executable="mdrun", min_cores=1, preferred=1, priority=0, project="p"):
@@ -219,6 +221,26 @@ def test_server_hosts_and_routes_result_locally():
         )
     )
     assert got == [("c0", {"ok": 1})]
+
+
+def test_submit_refuses_a_float32_mdrun_before_journaling(tmp_path):
+    """No engine runs a float32 payload, so a worker would refuse the
+    command forever: the server refuses the whole submission instead,
+    before it journals or queues any of it."""
+    net = Network(seed=0)
+    server = CopernicusServer("srv", net)
+    server.attach_journal(ServerJournal(tmp_path))
+    server.host_project("p", lambda c, r: None)
+    good = MDTask(model="muller-brown", n_steps=10, task_id="good").to_payload()
+    bad = dict(good, task_id="bad", precision="float32")
+    with pytest.raises(ConfigurationError, match="float64 only"):
+        server.submit_commands(
+            [Command("good", "p", "mdrun", good), Command("bad", "p", "mdrun", bad)]
+        )
+    assert len(server.queue) == 0
+    records = list(server.journal.project("p").wal.records())
+    assert not any(r.get("type") == "issued" for r in records)
+    server.journal.close()
 
 
 def test_server_forwards_result_to_origin():

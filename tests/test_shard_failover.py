@@ -32,6 +32,7 @@ from repro.testing import (
     run_multitenant_with_shard_crash,
 )
 from repro.util.errors import ConfigurationError, UnknownShardError
+from repro.worker.executable import ExecutableRegistry
 from repro.worker.platform import SMPPlatform
 from repro.worker.worker import Worker
 
@@ -71,7 +72,9 @@ class TinySwarm(Controller):
 
 def build_fleet(tmp_path, n_shards=3, workers_per_shard=1, seed=0, plan=None):
     """Gateway + shards + workers over a (quiet) chaos overlay, with
-    journals and the shard monitor attached."""
+    journals and the shard monitor attached.  The workers run one
+    command at a time (no ``mdrun_batch``), so a project's commands
+    spread over cycles and a shard dies with work still in flight."""
     network = ChaosNetwork(plan=plan or FaultPlan(seed=seed), seed=seed)
     gateway = CopernicusServer("gateway", network)
     shards, workers = [], []
@@ -83,6 +86,7 @@ def build_fleet(tmp_path, n_shards=3, workers_per_shard=1, seed=0, plan=None):
             worker = Worker(
                 f"s{s}w{w}", network, server=f"shard{s}",
                 platform=SMPPlatform(cores=2), segment_steps=200,
+                executables=ExecutableRegistry(["mdrun", "fepsample"]),
             )
             network.connect(f"shard{s}", worker.name)
             workers.append(worker)

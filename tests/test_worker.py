@@ -262,16 +262,22 @@ def test_worker_multiple_commands_in_workload():
 def test_refused_payload_is_rejected_alone(cores):
     """A command the executable refuses raises nothing out of the poll
     loop: its span ends with the error type and it is counted.  The good
-    command submitted after it runs in the same cycle when both fit the
-    worker's cores (2), else on the next cycle (1)."""
+    command queued after it runs in the same cycle when both fit the
+    worker's cores (2), else on the next cycle (1).
+
+    The server refuses such a payload at submission, so the bad command
+    goes straight onto the queue: the worker's rejection is the
+    backstop for a queue filled any other way."""
     net, server, worker = make_rig(cores=cores)
     results = []
     server.host_project("p", lambda c, r: results.append(c.command_id))
     bad = MDTask(model="muller-brown", n_steps=600, seed=1, task_id="bad").to_payload()
     bad["precision"] = "float32"
     good = MDTask(model="muller-brown", n_steps=600, seed=1, task_id="good").to_payload()
+    server.queue.push(
+        Command(command_id="bad", project_id="p", executable="mdrun", payload=bad)
+    )
     server.submit_commands([
-        Command(command_id="bad", project_id="p", executable="mdrun", payload=bad),
         Command(command_id="good", project_id="p", executable="mdrun", payload=good),
     ])
     worker.announce(0.0)
@@ -299,7 +305,7 @@ def test_refused_precision_never_coalesces_with_good_commands():
         Command(command_id=cid, project_id="p", executable="mdrun", payload=payload)
         for cid, payload in (("g0", good), ("bad", bad), ("g1", good))
     ]
-    merged = coalesce_commands(commands, capacity=3)
+    merged = coalesce_commands(commands)
     assert [c.command_id for c in merged] == ["batch:g0+g1", "bad"]
 
 
